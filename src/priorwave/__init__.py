@@ -1,6 +1,6 @@
 """Prior-aware MIMO radar transmit waveform design and evaluation."""
 
-from .admm import AdmmConfig, AdmmTrace, dual_update, papr_project, quad_x_update
+from .admm import AdmmConfig, AdmmTrace, papr_project, quad_x_update
 from .estimation import (
     AngularGrid,
     MapEstimator,
@@ -69,7 +69,6 @@ __all__ = [
     "baseline_omni",
     "beampattern",
     "compute_moments",
-    "dual_update",
     "fim_signal",
     "map_estimate",
     "monte_carlo_mse",

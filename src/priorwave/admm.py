@@ -17,7 +17,6 @@ __all__ = [
     "AdmmTrace",
     "quad_x_update",
     "papr_project",
-    "dual_update",
 ]
 
 
@@ -25,7 +24,7 @@ __all__ = [
 class AdmmConfig:
     """Penalty and stopping parameters shared by the solvers.
 
-    With ``rho_auto`` the quadratic-objective solvers set their penalty to
+    With ``rho`` unset the quadratic-objective solvers set their penalty to
     ``safety * sqrt(3) * ||Xi + Xi^H||_F``; the sqrt(3)-scaled norm is the
     nominal descent threshold of the augmented Lagrangian, but the descent
     argument leaks around the power-sphere multiplier, so the default
@@ -39,7 +38,6 @@ class AdmmConfig:
 
     rho: float | None = None
     rho_fair: tuple[float, float] | None = None
-    rho_auto: bool = True
     safety: float = 2.0
     dual_step: float = 0.5
     max_iters: int = 5000
@@ -101,14 +99,6 @@ def papr_project(w: np.ndarray, bound: float) -> np.ndarray:
     out = w.copy()
     out[outside] = w[outside] * (np.sqrt(bound) / np.sqrt(mag2[outside]))
     return out
-
-
-def dual_update(dual: np.ndarray, primal_a: np.ndarray, primal_b: np.ndarray) -> np.ndarray:
-    """Scaled dual ascent ``dual + primal_a - primal_b``."""
-    dual = np.asarray(dual)
-    if dual.shape != np.shape(primal_a) or dual.shape != np.shape(primal_b):
-        raise ValueError("dual and primal shapes must match")
-    return dual + primal_a - primal_b
 
 
 def _power_curve(psi: np.ndarray, sig: np.ndarray, mu: float) -> float:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from .estimation import AngularGrid
@@ -13,13 +12,6 @@ from .scenario import (
     run_scenario,
     validate_output_dir,
 )
-
-
-def _int_env(name: str, default: int) -> int:
-    try:
-        return int(os.environ.get(name, default))
-    except ValueError:
-        return default
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -33,12 +25,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--config", required=True, help="scenario file (YAML)")
     run.add_argument("--out", default=None, help="output directory override")
     run.add_argument("--seed", type=int, default=None, help="seed override")
-    run.add_argument(
-        "--threads",
-        type=int,
-        default=_int_env("PRIORWAVE_THREADS", 1),
-        help="worker threads for independent cells (default: $PRIORWAVE_THREADS or 1)",
-    )
     run.add_argument(
         "--paper-literal",
         action="store_true",
@@ -63,11 +49,14 @@ def main(argv: list[str] | None = None) -> int:
             args.config,
             out=args.out,
             seed=args.seed,
-            threads=args.threads,
             paper_literal=args.paper_literal,
         )
     if args.command == "beampattern":
-        x = read_waveform(args.waveform)
+        try:
+            x = read_waveform(args.waveform)
+        except (OSError, ValueError) as exc:
+            print(f"waveform error: {exc}")
+            return 1
         emit_beampattern(x, AngularGrid.uniform(args.grid_size), args.out, args.spacing)
         return 0
     problems = validate_output_dir(args.directory)

@@ -3,13 +3,12 @@
 A scenario file is YAML with angles in degrees; it fans out into
 (method x kappa) cells, each of which designs one waveform, dumps its
 beampattern and iteration trace, and optionally runs the Monte-Carlo MSE
-sweep. Cells are independent, write disjoint files, and are seeded
-deterministically, so any worker count produces byte-identical tables.
+sweep. Cells run one after another in config order and are seeded
+deterministically, so reruns with one seed produce byte-identical tables.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import hashlib
 import json
 import time
@@ -123,8 +122,7 @@ def _build_distribution(spec: dict) -> TargetDistribution:
     raise ConfigError(f"distribution.kind: unknown kind {kind!r}")
 
 
-_ADMM_KEYS = ("rho", "rho_fair", "rho_auto", "safety", "dual_step",
-              "max_iters", "primal_tol", "mu_tol")
+_ADMM_KEYS = ("rho", "rho_fair", "safety", "dual_step", "max_iters", "primal_tol", "mu_tol")
 _ADMM_FLOAT_KEYS = ("rho", "safety", "dual_step", "primal_tol", "mu_tol")
 
 
@@ -139,8 +137,6 @@ def _coerce_admm(admm_cfg: dict) -> dict:
             out["max_iters"] = int(out["max_iters"])
         if out.get("rho_fair") is not None:
             out["rho_fair"] = tuple(float(v) for v in out["rho_fair"])
-        if out.get("rho_auto") is not None and not isinstance(out["rho_auto"], bool):
-            raise ConfigError("admm.rho_auto: expected a boolean")
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"admm: {exc}") from exc
     return out
@@ -280,15 +276,21 @@ def emit_waveform(x: np.ndarray, path: Path) -> None:
 
 
 def read_waveform(path: str | Path) -> np.ndarray:
+    """Inverse of ``emit_waveform``; a malformed table raises ``ValueError``."""
     rows = Path(path).read_text().strip().splitlines()
-    if rows[0] != "m,l,re,im":
+    if not rows or rows[0] != "m,l,re,im":
         raise ValueError(f"{path}: not a waveform table")
-    entries = [line.split(",") for line in rows[1:]]
-    m = max(int(e[0]) for e in entries) + 1
-    l = max(int(e[1]) for e in entries) + 1
-    x = np.zeros((m, l), dtype=complex)
-    for e in entries:
-        x[int(e[0]), int(e[1])] = float(e[2]) + 1j * float(e[3])
+    if len(rows) == 1:
+        raise ValueError(f"{path}: waveform table has no entries")
+    try:
+        entries = [(int(m), int(l), float(re) + 1j * float(im))
+                   for m, l, re, im in (line.split(",") for line in rows[1:])]
+    except ValueError as exc:
+        raise ValueError(f"{path}: malformed waveform row ({exc})") from exc
+    x = np.zeros((max(e[0] for e in entries) + 1, max(e[1] for e in entries) + 1),
+                 dtype=complex)
+    for m, l, v in entries:
+        x[m, l] = v
     return x
 
 
@@ -392,10 +394,9 @@ def run_scenario(
     config_path: str | Path,
     out: str | Path | None = None,
     seed: int | None = None,
-    threads: int = 1,
     paper_literal: bool = False,
 ) -> int:
-    """Execute every (method x kappa) cell of a scenario.
+    """Execute every (method x kappa) cell of a scenario, in config order.
 
     Returns the process exit code: 0 on success, 1 on a configuration
     error, 2 when at least one cell failed (the rest still complete and
@@ -410,60 +411,50 @@ def run_scenario(
     except ConfigError as exc:
         print(f"config error: {exc}")
         return 1
+    try:
+        # A prior can validate and still fail the quadrature, e.g. when
+        # mass spills past +-90 degrees; report it before writing anything.
+        moments = compute_moments(scenario.distribution, scenario.array)
+    except ValueError as exc:
+        print(f"config error: distribution: {exc}")
+        return 1
 
     out_dir = Path(out) if out is not None else Path(scenario.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     started = time.strftime("%Y-%m-%dT%H:%M:%S")
 
     grid = AngularGrid.uniform(scenario.grid_size)
-    moments = compute_moments(scenario.distribution, scenario.array)
 
     cells = []
     for method in scenario.methods:
         if method == "omni":
-            cells.append((method, 0))
+            cells.append((method, 0, "omni"))
         else:
-            cells.extend((method, ki) for ki in range(len(scenario.kappa_list)))
-
-    def cell_name(method: str, ki: int) -> str:
-        if method == "omni":
-            return "omni"
-        return f"{method}-k{scenario.kappa_list[ki]:g}"
+            cells.extend((method, ki, f"{method}-k{k:g}")
+                         for ki, k in enumerate(scenario.kappa_list))
 
     manifest_files: dict[str, list[str]] = {}
     failures: list[dict] = []
     timings: dict[str, float] = {}
-
-    def work(cell):
-        method, ki = cell
-        name = cell_name(method, ki)
+    for method, ki, name in cells:
         t0 = time.perf_counter()
-        files = _run_cell(scenario, method, ki, out_dir / name, grid, moments,
-                          paper_literal)
-        return name, files, time.perf_counter() - t0
-
-    with concurrent.futures.ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
-        futures = {pool.submit(work, cell): cell for cell in cells}
-        for fut in concurrent.futures.as_completed(futures):
-            method, ki = futures[fut]
-            name = cell_name(method, ki)
-            try:
-                name, files, dt = fut.result()
-                manifest_files[name] = files
-                timings[name] = dt
-            except Exception as exc:  # noqa: BLE001 - cell isolation by design
-                failures.append({
-                    "cell": name,
-                    "error": f"{type(exc).__name__}: {exc}",
-                    "traceback": traceback.format_exc(),
-                })
+        try:
+            manifest_files[name] = _run_cell(scenario, method, ki, out_dir / name, grid,
+                                             moments, paper_literal)
+        except Exception as exc:  # noqa: BLE001 - cell isolation by design
+            failures.append({
+                "cell": name,
+                "error": f"{type(exc).__name__}: {exc}",
+                "traceback": traceback.format_exc(),
+            })
+            continue
+        timings[name] = time.perf_counter() - t0
 
     manifest = {
         "tool": "priorwave",
         "version": __version__,
         "config_hash": scenario.config_hash(),
         "seed": scenario.seed,
-        "threads": threads,
         "paper_literal": paper_literal,
         "started_at": started,
         "finished_at": time.strftime("%Y-%m-%dT%H:%M:%S"),

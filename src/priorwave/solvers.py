@@ -1,10 +1,10 @@
 """Waveform design drivers and the two benchmark waveforms.
 
-Three designs share the same ADMM skeleton: the bound-oriented and
-integrated-beampattern solvers maximize a quadratic form of the waveform
-under the power and per-element constraints, while the fair (max-min)
-solver additionally carries one auxiliary vector per constraint angle and
-a scalar level variable.
+Three designs run through one ADMM loop, ``_admm``: the bound-oriented
+and integrated-beampattern solvers maximize a quadratic form of the
+waveform under the power and per-element constraints, while the fair
+(max-min) solver additionally carries one auxiliary vector per constraint
+angle and a scalar level variable. Each design supplies only its split.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .admm import AdmmConfig, AdmmTrace, dual_update, papr_project, _x_update_eig
+from .admm import AdmmConfig, AdmmTrace, papr_project, _x_update_eig
 from .estimation import AngularGrid
 from .pcrb import pcrb_upper_bound
 from .priors import DistributionMoments, PointMass, TargetDistribution, compute_moments
@@ -71,62 +71,89 @@ def _polish(x: np.ndarray, power: float, bound: float, max_rounds: int = 200) ->
     return x
 
 
-def _auto_rho(xi: np.ndarray, admm: AdmmConfig) -> float:
-    if admm.rho is not None:
-        return admm.rho
-    if not admm.rho_auto:
-        raise ValueError("rho is unset and rho_auto is disabled")
-    return admm.safety * np.sqrt(3.0) * float(np.linalg.norm(xi + xi.conj().T))
+class _QuadraticSplit:
+    """``min -Tr{X^H Xi X}``: the element cap is the only split.
+
+    The automatic penalty is ``safety * sqrt(3) * ||Xi + Xi^H||_F``.
+    """
+
+    maximize = False
+
+    def __init__(self, xi: np.ndarray, cfg: ArrayConfig, admm: AdmmConfig) -> None:
+        sym = xi + xi.conj().T
+        self.xi = xi
+        self.rho = (admm.rho if admm.rho is not None
+                    else admm.safety * np.sqrt(3.0) * float(np.linalg.norm(sym)))
+        self.curvature = self.rho * np.eye(cfg.m_t) - sym
+
+    def start(self, x: np.ndarray) -> None:
+        pass
+
+    def target(self, q: np.ndarray) -> np.ndarray:
+        return q
+
+    def measure(self, x, res, move, al):
+        obj = -float(np.vdot(x, self.xi @ x).real)
+        return obj, obj + al, res, move
 
 
-def _maximize_quadratic(
-    xi: np.ndarray,
-    cfg: ArrayConfig,
-    admm: AdmmConfig,
-    seed: int,
-) -> tuple[np.ndarray, AdmmTrace, bool]:
-    """ADMM loop for ``min -Tr{X^H Xi X}`` under power and element caps."""
+def _admm(split, cfg: ArrayConfig, admm: AdmmConfig, seed: int, metric) -> SolveResult:
+    """ADMM over the element-cap split shared by every design.
+
+    Each iteration projects onto the element cap, lets ``split`` add its
+    own terms to the quadratic target, solves the power-sphere x-update
+    exactly and takes a damped scaled dual step (Boyd et al. 2011, 3.1).
+    ``split.measure`` receives the element-cap residual, auxiliary motion
+    and augmented-Lagrangian term and returns the iteration's objective,
+    augmented Lagrangian, residual and motion with its own blocks added.
+    The best track-feasible iterate (lowest objective, or highest when
+    ``split.maximize``) is polished and scored by ``metric``.
+    """
     rng = np.random.default_rng(seed)
     bound = cfg.elem_bound
-    rho = _auto_rho(xi, admm)
+    rho = split.rho
+    gamma = admm.dual_step
+    sig, g = np.linalg.eigh(split.curvature)
 
     x = _initial_waveform(cfg, rng)
     u = x.copy()
     d = np.zeros_like(x)
-    sym = xi + xi.conj().T
-    pmat = rho * np.eye(cfg.m_t) - sym
-    sig, g = np.linalg.eigh(pmat)
+    split.start(x)
 
     objective, al_values, residuals, mu_iters = [], [], [], []
-    best_obj = np.inf
+    best_loss = np.inf
     best_x = None
     converged = False
-    gamma = admm.dual_step
     for _ in range(admm.max_iters):
         # Element-cap block first, then the waveform: the augmented
         # Lagrangian descends only when the quadratic block sees the
         # freshly projected auxiliary.
         u_prev = u
         u = papr_project(x - d, bound)
-        q = rho * (u + d)
+        q = split.target(rho * (u + d))
         x, _, iters = _x_update_eig(g, sig, q, cfg.power, admm.mu_tol)
-        d = dual_update(d, gamma * u, gamma * x)
-        obj = -float(np.vdot(x, xi @ x).real)
-        res = float(np.sum(np.abs(u - x) ** 2))
-        dual_res = float(np.sum(np.abs(u - u_prev) ** 2))
-        al = obj + 0.5 * rho * float(np.sum(np.abs(u - x + d) ** 2))
+        d = d + gamma * u - gamma * x
+        obj, al, res, move = split.measure(
+            x,
+            float(np.sum(np.abs(u - x) ** 2)),
+            float(np.sum(np.abs(u - u_prev) ** 2)),
+            0.5 * rho * float(np.sum(np.abs(u - x + d) ** 2)),
+        )
 
         objective.append(obj)
         al_values.append(al)
         residuals.append(res)
         mu_iters.append(iters)
-        if float(np.max(np.abs(x) ** 2)) <= bound * (1.0 + _TRACK_SLACK) and obj < best_obj:
-            best_obj = obj
+        # Negation is exact, so a maximizing split tracks its best iterate
+        # with the same comparison.
+        loss = -obj if split.maximize else obj
+        if float(np.max(np.abs(x) ** 2)) <= bound * (1.0 + _TRACK_SLACK) and loss < best_loss:
+            best_loss = loss
             best_x = x.copy()
         # A slack element cap keeps the split residual at zero from the
         # first step, so stationarity of the auxiliary must be required
         # as well before stopping.
-        if len(residuals) > 1 and res <= admm.primal_tol and dual_res <= admm.primal_tol:
+        if len(residuals) > 1 and res <= admm.primal_tol and move <= admm.primal_tol:
             converged = True
             break
 
@@ -138,7 +165,14 @@ def _maximize_quadratic(
         residual=np.array(residuals),
         mu_iterations=np.array(mu_iters, dtype=int),
     )
-    return final, trace, converged
+    return SolveResult(
+        waveform=final,
+        trace=trace,
+        metric_value=metric(final),
+        feasibility=waveform_feasibility(final, cfg),
+        iterations=len(trace),
+        converged=converged,
+    )
 
 
 def solve_pcrb(
@@ -153,16 +187,8 @@ def solve_pcrb(
     constraints; the reported metric is the resulting bound surrogate at
     unit amplitude.
     """
-    x, trace, converged = _maximize_quadratic(mom.xi0, cfg, admm, seed)
-    metric = pcrb_upper_bound(x, mom, 1.0, cfg.noise_power)
-    return SolveResult(
-        waveform=x,
-        trace=trace,
-        metric_value=metric,
-        feasibility=waveform_feasibility(x, cfg),
-        iterations=len(trace),
-        converged=converged,
-    )
+    return _admm(_QuadraticSplit(mom.xi0, cfg, admm), cfg, admm, seed,
+                 lambda x: pcrb_upper_bound(x, mom, 1.0, cfg.noise_power))
 
 
 def _psbp_points(dist: TargetDistribution, grid: AngularGrid, pdf_floor: float):
@@ -202,16 +228,8 @@ def solve_psbp_integrated(
         w = f if bare_sum else f * grid.cell
     a = steering_matrix(pts, cfg.m_t, cfg.spacing)
     xi = np.einsum("ip,p,kp->ik", a, w, a.conj())
-    x, trace, converged = _maximize_quadratic(xi, cfg, admm, seed)
-    metric = float(w @ np.sum(np.abs(x.conj().T @ a) ** 2, axis=0))
-    return SolveResult(
-        waveform=x,
-        trace=trace,
-        metric_value=metric,
-        feasibility=waveform_feasibility(x, cfg),
-        iterations=len(trace),
-        converged=converged,
-    )
+    return _admm(_QuadraticSplit(xi, cfg, admm), cfg, admm, seed,
+                 lambda x: float(w @ np.sum(np.abs(x.conj().T @ a) ** 2, axis=0)))
 
 
 def _inflate_columns(h: np.ndarray, fvals: np.ndarray, eta: float) -> np.ndarray:
@@ -265,6 +283,53 @@ def _eta_update(hnorms: np.ndarray, fvals: np.ndarray, rho3: float) -> float:
     return 0.5 * (lo + hi)
 
 
+class _FairSplit:
+    """Max-min split: one auxiliary vector per constraint angle and a level.
+
+    The level ``eta`` and the per-angle vectors are updated jointly from
+    their first-order conditions before each x-update. The automatic
+    penalties sit well above the level-update bound ``2 / sum(f)`` but
+    small enough that the beampattern split stays soft; the element-cap
+    penalty rides a factor above the beampattern one.
+    """
+
+    maximize = True
+
+    def __init__(self, a: np.ndarray, f: np.ndarray, cfg: ArrayConfig,
+                 admm: AdmmConfig) -> None:
+        if admm.rho_fair is not None:
+            self.rho, self.rho3 = admm.rho_fair
+        else:
+            self.rho3 = admm.safety * 40.0 / float(f.sum())
+            self.rho = 2.0 * self.rho3
+        r = a @ a.conj().T
+        r = 0.5 * (r + r.conj().T)
+        self.curvature = self.rho * np.eye(cfg.m_t) + self.rho3 * r
+        self.a, self.f, self.gamma = a, f, admm.dual_step
+
+    def start(self, x: np.ndarray) -> None:
+        self.w = x.conj().T @ self.a
+        self.gmat = self.w.copy()
+        self.b = np.zeros_like(self.w)
+
+    def target(self, q: np.ndarray) -> np.ndarray:
+        h = self.w - self.b
+        self.eta = _eta_update(np.linalg.norm(h, axis=0), self.f, self.rho3)
+        self.g_prev = self.gmat
+        self.gmat = _inflate_columns(h, self.f, self.eta)
+        return q + self.rho3 * (self.a @ (self.gmat + self.b).conj().T)
+
+    def measure(self, x, res, move, al):
+        gmat, gamma = self.gmat, self.gamma
+        w = self.w = x.conj().T @ self.a
+        self.b = self.b + gamma * gmat - gamma * w
+        obj = float(np.min(np.sum(np.abs(w) ** 2, axis=0) / self.f))
+        res = res + float(np.sum(np.abs(gmat - w) ** 2))
+        move = move + float(np.sum(np.abs(gmat - self.g_prev) ** 2))
+        al = -self.eta + al + 0.5 * self.rho3 * float(np.sum(np.abs(gmat - w + self.b) ** 2))
+        return obj, al, res, move
+
+
 def solve_psbp_fair(
     dist: TargetDistribution,
     cfg: ArrayConfig,
@@ -282,88 +347,9 @@ def solve_psbp_fair(
     conditions.
     """
     pts, f = _psbp_points(dist, grid, pdf_floor)
-    rng = np.random.default_rng(seed)
-    bound = cfg.elem_bound
-
-    if admm.rho_fair is not None:
-        rho2, rho3 = admm.rho_fair
-    elif admm.rho_auto:
-        # Well above the level-update bound 2/sum(f) but small enough that
-        # the beampattern split stays soft; the element-cap penalty rides
-        # a factor above it.
-        rho3 = admm.safety * 40.0 / float(f.sum())
-        rho2 = 2.0 * rho3
-    else:
-        raise ValueError("rho_fair is unset and rho_auto is disabled")
-
     a = steering_matrix(pts, cfg.m_t, cfg.spacing)
-    r = a @ a.conj().T
-    r = 0.5 * (r + r.conj().T)
-    pmat = rho2 * np.eye(cfg.m_t) + rho3 * r
-    sig, gvec = np.linalg.eigh(pmat)
-
-    x = _initial_waveform(cfg, rng)
-    t = x.copy()
-    d2 = np.zeros_like(x)
-    w = x.conj().T @ a
-    gmat = w.copy()
-    b = np.zeros_like(w)
-
-    objective, al_values, residuals, mu_iters = [], [], [], []
-    best_obj = -np.inf
-    best_x = None
-    converged = False
-    gamma = admm.dual_step
-    for _ in range(admm.max_iters):
-        t_prev, g_prev = t, gmat
-        t = papr_project(x - d2, bound)
-        h = w - b
-        eta = _eta_update(np.linalg.norm(h, axis=0), f, rho3)
-        gmat = _inflate_columns(h, f, eta)
-        q = rho2 * (t + d2) + rho3 * (a @ (gmat + b).conj().T)
-        x, _, iters = _x_update_eig(gvec, sig, q, cfg.power, admm.mu_tol)
-        w = x.conj().T @ a
-        d2 = dual_update(d2, gamma * t, gamma * x)
-        b = dual_update(b, gamma * gmat, gamma * w)
-
-        obj = float(np.min(np.sum(np.abs(w) ** 2, axis=0) / f))
-        res = float(np.sum(np.abs(t - x) ** 2) + np.sum(np.abs(gmat - w) ** 2))
-        dual_res = float(np.sum(np.abs(t - t_prev) ** 2)) + float(
-            np.sum(np.abs(gmat - g_prev) ** 2)
-        )
-        al = (
-            -eta
-            + 0.5 * rho2 * float(np.sum(np.abs(t - x + d2) ** 2))
-            + 0.5 * rho3 * float(np.sum(np.abs(gmat - w + b) ** 2))
-        )
-        objective.append(obj)
-        al_values.append(al)
-        residuals.append(res)
-        mu_iters.append(iters)
-        if float(np.max(np.abs(x) ** 2)) <= bound * (1.0 + _TRACK_SLACK) and obj > best_obj:
-            best_obj = obj
-            best_x = x.copy()
-        if len(residuals) > 1 and res <= admm.primal_tol and dual_res <= admm.primal_tol:
-            converged = True
-            break
-
-    final = best_x if best_x is not None else x
-    final = _polish(final, cfg.power, bound)
-    metric = float(np.min(np.sum(np.abs(final.conj().T @ a) ** 2, axis=0) / f))
-    trace = AdmmTrace(
-        objective=np.array(objective),
-        augmented_lagrangian=np.array(al_values),
-        residual=np.array(residuals),
-        mu_iterations=np.array(mu_iters, dtype=int),
-    )
-    return SolveResult(
-        waveform=final,
-        trace=trace,
-        metric_value=metric,
-        feasibility=waveform_feasibility(final, cfg),
-        iterations=len(trace),
-        converged=converged,
-    )
+    return _admm(_FairSplit(a, f, cfg, admm), cfg, admm, seed,
+                 lambda x: float(np.min(np.sum(np.abs(x.conj().T @ a) ** 2, axis=0) / f)))
 
 
 def baseline_omni(cfg: ArrayConfig, seed: int | None = None) -> np.ndarray:

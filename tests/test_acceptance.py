@@ -295,11 +295,7 @@ def test_criterion_12_run_determinism(tmp_path):
             "admm: {max_iters: 400}\n"
         )
         outs = [tmp_path / f"run{i}" for i in range(3)]
-        codes = [
-            run_scenario(cfg, out=outs[0], threads=1),
-            run_scenario(cfg, out=outs[1], threads=1),
-            run_scenario(cfg, out=outs[2], threads=8),
-        ]
+        codes = [run_scenario(cfg, out=o) for o in outs]
         files = json.loads((outs[0] / "manifest.json").read_text())["files"]
         identical = bool(files)
         for rel in files:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from priorwave import AdmmConfig, dual_update, papr_project, quad_x_update
+from priorwave import AdmmConfig, papr_project, quad_x_update
 from priorwave.admm import _solve_multiplier, _x_update_eig
 
 
@@ -61,20 +61,6 @@ def test_papr_project_beats_disc_sampling():
     samples[:2000] = np.sqrt(bound) * np.exp(1j * phi[:2000])
     best = np.min(np.abs(w[:, None] - samples[None, :]), axis=1)
     assert np.all(best >= np.abs(w - proj) - 1e-12)
-
-
-def test_dual_update_basics():
-    d = np.zeros((2, 2))
-    a = np.ones((2, 2))
-    assert np.array_equal(dual_update(d, a, a), d)
-    gap = np.full((2, 2), 0.5)
-    stepped = dual_update(dual_update(d, gap, d), gap, d)
-    assert np.allclose(stepped, 2 * gap)
-    rng = np.random.default_rng(2)
-    x, y, z = (rng.normal(size=(3, 3)) for _ in range(3))
-    assert np.max(np.abs(dual_update(x, y, z) - (x + y - z))) <= 1e-15
-    with pytest.raises(ValueError):
-        dual_update(np.zeros((2, 2)), np.zeros((2, 3)), np.zeros((2, 2)))
 
 
 def test_quad_x_update_isotropic_curvature_rescales():

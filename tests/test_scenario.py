@@ -89,7 +89,7 @@ def test_bundled_case_1_2_produces_design_comparison(tmp_path):
 
 def test_run_scenario_outputs_and_validation(small_cfg, tmp_path):
     out = tmp_path / "out"
-    assert run_scenario(small_cfg, out=out, threads=1) == 0
+    assert run_scenario(small_cfg, out=out) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["failures"] == []
     listed = set(manifest["files"])
@@ -107,11 +107,10 @@ def test_run_scenario_outputs_and_validation(small_cfg, tmp_path):
     assert first == -90.0 and last == 90.0
 
 
-def test_rerun_and_thread_count_are_byte_identical(small_cfg, tmp_path):
+def test_reruns_are_byte_identical(small_cfg, tmp_path):
     outs = [tmp_path / f"o{i}" for i in range(3)]
-    assert run_scenario(small_cfg, out=outs[0], threads=1) == 0
-    assert run_scenario(small_cfg, out=outs[1], threads=1) == 0
-    assert run_scenario(small_cfg, out=outs[2], threads=4) == 0
+    for o in outs:
+        assert run_scenario(small_cfg, out=o) == 0
     files = json.loads((outs[0] / "manifest.json").read_text())["files"]
     assert files
     for rel in files:
@@ -131,6 +130,22 @@ def test_config_errors_are_line_precise(tmp_path, capsys):
     bad2.write_text(SMALL_CFG.replace("kind: mixture-uniform", "kind: nope"))
     assert run_scenario(bad2) == 1
     assert "distribution.kind" in capsys.readouterr().out
+
+
+def test_prior_failing_quadrature_is_a_config_error(tmp_path, capsys):
+    # Validates, but a fifth of the mass lies past +90 degrees.
+    cfg = tmp_path / "edge.cfg"
+    cfg.write_text(SMALL_CFG.replace(
+        "distribution:\n  kind: mixture-uniform\n  intervals_deg: [[-10.0, 10.0]]\n"
+        "  weights: [1.0]\n",
+        "distribution: {kind: mixture-gaussian, means_deg: [85], sigma_deg: 5, "
+        "weights: [1.0]}\n",
+    ))
+    load_config(cfg)
+    out = tmp_path / "out"
+    assert run_scenario(cfg, out=out) == 1
+    assert capsys.readouterr().out.startswith("config error: distribution: ")
+    assert not out.exists()
 
 
 def test_unknown_method_rejected(tmp_path):
@@ -177,8 +192,7 @@ def test_waveform_round_trip_and_beampattern_dump(tmp_path):
 
 def test_cli_subcommands(small_cfg, tmp_path, capsys):
     out = tmp_path / "cliout"
-    assert cli_main(["run", "--config", str(small_cfg), "--out", str(out),
-                     "--threads", "2"]) == 0
+    assert cli_main(["run", "--config", str(small_cfg), "--out", str(out)]) == 0
     assert cli_main(["validate", str(out)]) == 0
     bp = tmp_path / "bp.csv"
     assert cli_main(["beampattern", "--waveform", str(out / "omni" / "waveform.csv"),
@@ -188,6 +202,19 @@ def test_cli_subcommands(small_cfg, tmp_path, capsys):
     target = out / "omni" / "beampattern.csv"
     target.write_text("angle_deg,power\n0,1\n")
     assert cli_main(["validate", str(out)]) == 1
+
+
+def test_beampattern_rejects_bad_waveform_tables(tmp_path, capsys):
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    header_only = tmp_path / "header.csv"
+    header_only.write_text("m,l,re,im\n")
+    for bad in (tmp_path / "missing.csv", empty, header_only):
+        assert cli_main(["beampattern", "--waveform", str(bad),
+                         "--out", str(tmp_path / "bp.csv")]) == 1
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert len(lines) == 1 and str(bad) in lines[0]
+    assert not (tmp_path / "bp.csv").exists()
 
 
 def test_validate_reports_missing_manifest(tmp_path):

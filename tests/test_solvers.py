@@ -156,6 +156,15 @@ def test_fair_metric_is_min_scaled_beampattern(dist12, cfg12, grid361):
     assert_feasible(r, cfg12)
 
 
+def test_iteration_cap_reports_non_convergence(dist12, mom12, cfg12, grid361):
+    admm = AdmmConfig(max_iters=5)
+    for r in (solve_pcrb(mom12, cfg12, admm, seed=3),
+              solve_psbp_fair(dist12, cfg12, grid361, admm, seed=3)):
+        assert r.converged is False
+        assert r.iterations == len(r.trace) == 5
+        assert_feasible(r, cfg12)
+
+
 def test_fair_rejects_point_mass(grid361, cfg12):
     with pytest.raises(ValueError, match="density"):
         solve_psbp_fair(PointMass(0.1), cfg12, grid361, AdmmConfig(), seed=0)
