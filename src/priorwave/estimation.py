@@ -2,9 +2,10 @@
 
 The unknown deterministic amplitude is profiled out per candidate angle,
 leaving a concentrated log-likelihood that is scanned over the angular
-grid together with the log prior. Trials draw the true angle from the
-prior and are reproducible per (seed, snr index, trial index that seeds
-an independent generator).
+grid together with the log prior. The estimator works on stacks of
+frames. Trials draw the true angle from the prior and are reproducible
+per (seed, snr index, trial index that seeds an independent generator);
+their frames are estimated a block at a time.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pcrb import pcrb_theta
-from .priors import TargetDistribution, compute_moments
+from .priors import DistributionMoments, TargetDistribution, compute_moments
 from .ula import HALF_DOMAIN, ArrayConfig, steering_matrix, synthesize_received
 
 __all__ = [
@@ -57,15 +58,25 @@ class AngularGrid:
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
+# Trials per Monte-Carlo block: each block is one stack handed to
+# ``MapEstimator.estimate``, which bounds the scan's temporaries.
+_BLOCK = 64
+
 
 class MapEstimator:
     """Reusable MAP scanner for a fixed waveform, prior, and grid.
 
-    Precomputes the per-angle projection of the waveform so each call
-    only touches the received frame. ``refine`` polishes the grid argmax
-    by maximizing the exact posterior score over the bracketing cells
-    (golden section, deterministic); switch it off to reproduce a plain
-    grid argmax.
+    Every method takes one received frame of shape ``(m_r, L)`` or a
+    stack ``(N, m_r, L)`` and returns a scalar or an array of ``N``
+    values.
+
+    The grid scan only visits the grid points where the prior is
+    positive: their kernel ``conj(a_r) w^T`` is precomputed, so scanning
+    a stack is one matrix product; points outside the support score
+    ``-inf``. ``refine`` polishes each grid argmax by maximizing the
+    exact posterior score over the bracketing cells (golden section, run
+    in lockstep over the stack, deterministic); switch it off to
+    reproduce a plain grid argmax.
     """
 
     def __init__(
@@ -83,7 +94,7 @@ class MapEstimator:
             raise ValueError("waveform must be a 2-D matrix")
         self.grid = grid
         self.refine = bool(refine)
-        self._x = x
+        self._xh = x.conj().T
         self._dist = dist
         self._m_r = int(m_r)
         self._noise = float(noise_power)
@@ -93,57 +104,93 @@ class MapEstimator:
             raise ValueError("prior density is zero at every grid point")
         with np.errstate(divide="ignore"):
             self._log_prior = np.where(f > 0, np.log(np.maximum(f, 1e-300)), -np.inf)
-        self._a_r = steering_matrix(grid.points, m_r, spacing)
-        self._w = x.conj().T @ steering_matrix(grid.points, x.shape[0], spacing)
-        den = noise_power * m_r * np.sum(np.abs(self._w) ** 2, axis=0)
+        self._support = np.flatnonzero(f > 0)
+        a_r = steering_matrix(grid.points[self._support], m_r, spacing)
+        w = (self._xh @ steering_matrix(grid.points, x.shape[0], spacing)).take(self._support, 1)
+        # kernel[(r, l), p] = conj(a_r[r, p]) * w[l, p]: frames @ kernel is the scan.
+        # ``take`` keeps w C-ordered, so the product is too and reshapes without a copy.
+        self._kernel = (a_r.conj()[:, None, :] * w[None, :, :]).reshape(-1, w.shape[1])
+        den = noise_power * m_r * np.sum(np.abs(w) ** 2, axis=0)
         self._den = np.where(den > 1e-300, den, np.inf)
 
+    def _frames(self, y) -> tuple[np.ndarray, bool]:
+        """Frames as an ``(N, m_r, L)`` stack, and whether one frame was given."""
+        ys = np.asarray(y, dtype=complex)
+        if ys.ndim not in (2, 3) or ys.shape[-2:] != (self._m_r, self._xh.shape[0]):
+            raise ValueError(
+                f"frames must have shape (m_r, L) or (N, m_r, L) with "
+                f"(m_r, L) = ({self._m_r}, {self._xh.shape[0]}), got {ys.shape}"
+            )
+        return ys.reshape(-1, *ys.shape[-2:]), ys.ndim == 2
+
+    def _scan(self, ys: np.ndarray) -> np.ndarray:
+        """Scores of a stack at the support points, shape ``(N, len(support))``."""
+        # In place: a block's scan holds one complex and one real array.
+        out = np.abs(ys.reshape(len(ys), -1) @ self._kernel)
+        out **= 2
+        out /= self._den
+        out += self._log_prior[self._support]
+        return out
+
     def score(self, y: np.ndarray) -> np.ndarray:
-        """Posterior score (concentrated log-likelihood + log prior) per angle."""
-        s = np.einsum("rp,rl,lp->p", self._a_r.conj(), np.asarray(y, dtype=complex), self._w)
-        return np.abs(s) ** 2 / self._den + self._log_prior
+        """Posterior score (concentrated log-likelihood + log prior) per grid angle."""
+        ys, single = self._frames(y)
+        out = np.full((len(ys), len(self.grid)), -np.inf)
+        out[:, self._support] = self._scan(ys)
+        return out[0] if single else out
 
-    def score_at(self, y: np.ndarray, theta: float) -> float:
-        """Posterior score at an arbitrary (off-grid) angle."""
-        f = float(self._dist.pdf(theta))
-        if f <= 0:
-            return -np.inf
-        a_t = steering_matrix(theta, self._x.shape[0], self._spacing)
-        a_r = steering_matrix(theta, self._m_r, self._spacing)
-        w = self._x.conj().T @ a_t
-        s = a_r.conj() @ y @ w
-        den = self._noise * self._m_r * float(np.sum(np.abs(w) ** 2))
-        if den <= 1e-300:
-            return -np.inf
-        return float(np.abs(s) ** 2 / den) + float(np.log(f))
+    def score_at(self, y: np.ndarray, theta):
+        """Posterior score at arbitrary (off-grid) angles, one per frame.
 
-    def estimate(self, y: np.ndarray) -> float:
-        y = np.asarray(y, dtype=complex)
-        score = self.score(y)
-        i = int(np.argmax(score))
-        theta = float(self.grid.points[i])
-        if not self.refine:
-            return theta
-        lo = max(theta - self.grid.cell, float(self.grid.points[0]))
-        hi = min(theta + self.grid.cell, float(self.grid.points[-1]))
-        a, b = lo, hi
+        ``theta`` is broadcast against the frames; a single frame with a
+        scalar angle gives a float.
+        """
+        ys, single = self._frames(y)
+        th = np.broadcast_to(np.asarray(theta, dtype=float), ys.shape[:1])
+        f = np.asarray(self._dist.pdf(th), dtype=float)
+        a_t = steering_matrix(th, self._xh.shape[1], self._spacing).T
+        a_r = steering_matrix(th, self._m_r, self._spacing).T
+        # One small matmul per frame, the same products a_r^H y and x^H a_t
+        # that a lone frame takes: a frame's value is independent of the
+        # stack it comes in.
+        w = (self._xh @ a_t[:, :, None])[:, :, 0]
+        s = ((a_r.conj()[:, None, :] @ ys) @ w[:, :, None])[:, 0, 0]
+        den = self._noise * self._m_r * np.sum(np.abs(w) ** 2, axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = np.abs(s) ** 2 / den + np.log(np.where(f > 0, f, 1.0))
+        out = np.where((f > 0) & (den > 1e-300), out, -np.inf)
+        return float(out[0]) if single else out
+
+    def estimate(self, y: np.ndarray):
+        """MAP angle of each frame: a float for one frame, an array for a stack."""
+        ys, single = self._frames(y)
+        score = self._scan(ys)
+        i = np.argmax(score, axis=1)
+        theta = self.grid.points[self._support[i]]
+        if self.refine:
+            theta = self._refine(ys, theta, score[np.arange(len(ys)), i])
+        return float(theta[0]) if single else theta
+
+    def _refine(self, ys: np.ndarray, theta: np.ndarray, best: np.ndarray) -> np.ndarray:
+        # Golden section over [theta - cell, theta + cell], one bracket per
+        # frame; np.where applies each frame's own branch of the update.
+        pts = self.grid.points
+        a = np.maximum(theta - self.grid.cell, pts[0])
+        b = np.minimum(theta + self.grid.cell, pts[-1])
         c = b - _GOLDEN * (b - a)
         d = a + _GOLDEN * (b - a)
-        fc, fd = self.score_at(y, c), self.score_at(y, d)
+        fc, fd = self.score_at(ys, c), self.score_at(ys, d)
         for _ in range(40):
-            if fc > fd:
-                b, d, fd = d, c, fc
-                c = b - _GOLDEN * (b - a)
-                fc = self.score_at(y, c)
-            else:
-                a, c, fc = c, d, fd
-                d = a + _GOLDEN * (b - a)
-                fd = self.score_at(y, d)
+            left = fc > fd
+            a = np.where(left, a, c)
+            b = np.where(left, d, b)
+            new = np.where(left, b - _GOLDEN * (b - a), a + _GOLDEN * (b - a))
+            f_new = self.score_at(ys, new)
+            c, fc, d, fd = (np.where(left, new, d), np.where(left, f_new, fd),
+                            np.where(left, c, new), np.where(left, fc, f_new))
         refined = 0.5 * (a + b)
         # Keep the grid argmax if the local search somehow did worse.
-        if self.score_at(y, refined) >= score[i]:
-            return refined
-        return theta
+        return np.where(self.score_at(ys, refined) >= best, refined, theta)
 
 
 def map_estimate(
@@ -156,7 +203,7 @@ def map_estimate(
     refine: bool = True,
 ) -> float:
     """One-shot MAP estimate of the angle from a received frame."""
-    est = MapEstimator(x, dist, grid, np.asarray(y).shape[0], noise_power, spacing, refine)
+    est = MapEstimator(x, dist, grid, np.asarray(y).shape[-2], noise_power, spacing, refine)
     return est.estimate(y)
 
 
@@ -188,7 +235,7 @@ def monte_carlo_mse(
     *,
     estimator_prior: TargetDistribution | None = None,
     refine: bool = True,
-    moments_grid_size: int = 2001,
+    moments: DistributionMoments | None = None,
 ) -> MseReport:
     """Estimate the angle-MSE of a waveform across an SNR sweep.
 
@@ -198,6 +245,11 @@ def monte_carlo_mse(
     when given (e.g. a flat prior against a point-mass truth), otherwise
     the same distribution. Trials are binned by the nearest grid angle
     for the per-angle breakdown.
+
+    Each trial draws from its own generator seeded by ``(seed, snr index,
+    trial index)``; frames are estimated in fixed blocks of trials.
+    ``moments`` are the steering moments of ``dist`` for ``cfg``, used for
+    the PCRB column; they are computed when not given.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be at least 1")
@@ -206,30 +258,36 @@ def monte_carlo_mse(
     x = np.asarray(x, dtype=complex)
     prior = dist if estimator_prior is None else estimator_prior
     estimator = MapEstimator(x, prior, grid, cfg.m_r, cfg.noise_power, cfg.spacing, refine)
-    moments = compute_moments(dist, cfg, moments_grid_size)
+    if moments is None:
+        moments = compute_moments(dist, cfg)
 
+    frames = np.empty((min(_BLOCK, n_trials), cfg.m_r, x.shape[1]), dtype=complex)
+    truth = np.empty(n_trials)
+    estimate = np.empty(n_trials)
     results = []
     for i_snr, snr_db in enumerate(snr_list_db):
         amp = float(np.sqrt(cfg.noise_power * 10.0 ** (float(snr_db) / 10.0) / cfg.power))
-        sq_err = np.empty(n_trials)
-        bins: dict[int, list[float]] = {}
-        for n in range(n_trials):
-            rng = np.random.default_rng(np.random.SeedSequence([seed, i_snr, n]))
-            theta = float(dist.sample(rng))
-            phase = rng.uniform(0.0, 2.0 * np.pi)
-            varsigma = amp * np.exp(1j * phase)
-            y = synthesize_received(x, theta, varsigma, cfg.m_r, cfg.noise_power,
-                                    rng, cfg.spacing)
-            err = estimator.estimate(y) - theta
-            sq_err[n] = err * err
-            idx = int(np.clip(round((theta + HALF_DOMAIN) / grid.cell), 0, len(grid) - 1))
-            bins.setdefault(idx, []).append(sq_err[n])
+        for start in range(0, n_trials, _BLOCK):
+            stop = min(start + _BLOCK, n_trials)
+            for n in range(start, stop):
+                rng = np.random.default_rng(np.random.SeedSequence([seed, i_snr, n]))
+                theta = float(dist.sample(rng))
+                phase = rng.uniform(0.0, 2.0 * np.pi)
+                varsigma = amp * np.exp(1j * phase)
+                frames[n - start] = synthesize_received(x, theta, varsigma, cfg.m_r,
+                                                        cfg.noise_power, rng, cfg.spacing)
+                truth[n] = theta
+            estimate[start:stop] = estimator.estimate(frames[:stop - start])
+        err = estimate - truth
+        sq_err = err * err
         mse = float(np.mean(sq_err))
         std_error = float(np.std(sq_err, ddof=1) / np.sqrt(n_trials)) if n_trials > 1 else 0.0
         bound = pcrb_theta(x, moments, amp, cfg.noise_power)
+        bins = np.clip(np.rint((truth + HALF_DOMAIN) / grid.cell), 0, len(grid) - 1).astype(int)
+        counts = np.bincount(bins)
         per_angle = tuple(
-            (float(grid.points[idx]), len(v), float(np.mean(v)))
-            for idx, v in sorted(bins.items())
+            (float(grid.points[idx]), int(counts[idx]), float(np.mean(sq_err[bins == idx])))
+            for idx in np.flatnonzero(counts)
         )
         results.append(SnrResult(snr_db=float(snr_db), mse=mse, std_error=std_error,
                                  pcrb=bound, n_trials=n_trials, per_angle=per_angle))

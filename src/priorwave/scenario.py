@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 import time
 import traceback
 from dataclasses import dataclass, replace
@@ -374,7 +375,7 @@ def _run_cell(scenario: Scenario, method: str, kappa_index: int, out: Path,
         mse_seed = _cell_seed(scenario.seed, method, kappa_index, 1)
         report = monte_carlo_mse(
             x, dist, cfg, grid, scenario.snr_list_db, scenario.n_trials, mse_seed,
-            refine=not paper_literal,
+            refine=not paper_literal, moments=moments,
         )
         _write_table(
             out / "mse.csv",
@@ -470,6 +471,7 @@ def run_scenario(
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
     for f in failures:
         print(f"cell {f['cell']} failed: {f['error']}")
+        print(f["traceback"], end="", file=sys.stderr)
     return 2 if failures else 0
 
 

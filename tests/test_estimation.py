@@ -1,20 +1,29 @@
 import numpy as np
 import pytest
+from conftest import random_feasible_waveform
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from priorwave import (
     AdmmConfig,
     AngularGrid,
     ArrayConfig,
     MapEstimator,
+    MixtureGaussian,
     MixtureUniform,
     PointMass,
     baseline_omni,
+    compute_moments,
     map_estimate,
     monte_carlo_mse,
     solve_psbp_fair,
     steering,
+    steering_matrix,
     synthesize_received,
 )
+
+SCENARIO3_PRIOR = MixtureGaussian(tuple(np.deg2rad([-60.0, -30.0, 20.0, 50.0])),
+                                  np.deg2rad(1.0), (0.15, 0.25, 0.4, 0.2))
 
 
 def clean_echo(x, theta, m_r, amplitude=1.0):
@@ -150,3 +159,126 @@ def test_estimator_focused_waveform_rarely_misses(dist12, cfg12, grid361):
         if abs(est.estimate(y) - th) > 3 * grid361.cell:
             misses += 1
     assert misses / n < 0.01
+
+
+class ScalarMap:
+    """Reference: the one-frame-at-a-time MAP estimator with a scalar golden section."""
+
+    def __init__(self, x, dist, grid, m_r, noise_power, refine):
+        self.x, self.dist, self.grid, self.m_r = x, dist, grid, m_r
+        self.noise, self.refine = noise_power, refine
+        f = dist.pdf(grid.points)
+        with np.errstate(divide="ignore"):
+            self.log_prior = np.where(f > 0, np.log(np.maximum(f, 1e-300)), -np.inf)
+        self.a_r = steering_matrix(grid.points, m_r)
+        self.w = x.conj().T @ steering_matrix(grid.points, x.shape[0])
+        den = noise_power * m_r * np.sum(np.abs(self.w) ** 2, axis=0)
+        self.den = np.where(den > 1e-300, den, np.inf)
+
+    def score(self, y):
+        s = np.einsum("rp,rl,lp->p", self.a_r.conj(), y, self.w)
+        return np.abs(s) ** 2 / self.den + self.log_prior
+
+    def score_at(self, y, theta):
+        f = float(self.dist.pdf(theta))
+        if f <= 0:
+            return -np.inf
+        w = self.x.conj().T @ steering(theta, self.x.shape[0])
+        s = steering(theta, self.m_r).conj() @ y @ w
+        den = self.noise * self.m_r * float(np.sum(np.abs(w) ** 2))
+        if den <= 1e-300:
+            return -np.inf
+        return float(np.abs(s) ** 2 / den) + float(np.log(f))
+
+    def estimate(self, y):
+        score = self.score(y)
+        i = int(np.argmax(score))
+        theta = float(self.grid.points[i])
+        if not self.refine:
+            return theta
+        g = (np.sqrt(5.0) - 1.0) / 2.0
+        a = max(theta - self.grid.cell, float(self.grid.points[0]))
+        b = min(theta + self.grid.cell, float(self.grid.points[-1]))
+        c, d = b - g * (b - a), a + g * (b - a)
+        fc, fd = self.score_at(y, c), self.score_at(y, d)
+        for _ in range(40):
+            if fc > fd:
+                b, d, fd = d, c, fc
+                c = b - g * (b - a)
+                fc = self.score_at(y, c)
+            else:
+                a, c, fc = c, d, fd
+                d = a + g * (b - a)
+                fd = self.score_at(y, d)
+        refined = 0.5 * (a + b)
+        return refined if self.score_at(y, refined) >= score[i] else theta
+
+
+def random_frames(rng, x, dist, snr_db, n, m_r=8):
+    amp = np.sqrt(10.0 ** (snr_db / 10.0))
+    return np.array([
+        synthesize_received(x, float(dist.sample(rng)),
+                            amp * np.exp(2j * np.pi * rng.random()), m_r, 1.0, rng)
+        for _ in range(n)
+    ])
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), snr_db=st.floats(-10.0, 40.0),
+       gaussian=st.booleans())
+def test_batched_estimator_matches_scalar_reference(seed, snr_db, gaussian, cfg12, dist12,
+                                                    grid361):
+    prior = SCENARIO3_PRIOR if gaussian else dist12
+    rng = np.random.default_rng(seed)
+    x = random_feasible_waveform(rng, cfg12)
+    ys = random_frames(rng, x, prior, snr_db, 5)
+    for refine in (False, True):
+        est = MapEstimator(x, prior, grid361, cfg12.m_r, cfg12.noise_power, refine=refine)
+        ref = ScalarMap(x, prior, grid361, cfg12.m_r, cfg12.noise_power, refine)
+        got = est.estimate(ys)
+        want = np.array([ref.estimate(y) for y in ys])
+        if refine:
+            # The score is flat to rounding within ~1e-8 rad of its peak, so
+            # two evaluation orders may stop at different points there.
+            assert np.max(np.abs(got - want)) <= 1e-7
+        else:
+            assert np.array_equal(got, want)
+
+
+def test_estimates_do_not_depend_on_block_split(dist12, cfg12, grid361):
+    rng = np.random.default_rng(3)
+    x = random_feasible_waveform(rng, cfg12)
+    ys = random_frames(rng, x, dist12, 10.0, 130)
+    for refine in (False, True):
+        est = MapEstimator(x, dist12, grid361, cfg12.m_r, cfg12.noise_power, refine=refine)
+        whole = est.estimate(ys)
+        parts = np.concatenate([est.estimate(ys[0:64]), est.estimate(ys[64:128]),
+                                est.estimate(ys[128:130])])
+        assert np.array_equal(whole, parts)
+
+
+def test_monte_carlo_blocks_and_shared_moments(dist12, cfg12, grid361, mom12):
+    x = baseline_omni(cfg12)
+    one = monte_carlo_mse(x, dist12, cfg12, grid361, [10.0], 1, seed=2)
+    assert one.results[0].std_error == 0.0 and one.results[0].n_trials == 1
+    # 65 trials: one full block and a block of one.
+    rep = monte_carlo_mse(x, dist12, cfg12, grid361, [0.0, 20.0], 65, seed=2)
+    assert rep == monte_carlo_mse(x, dist12, cfg12, grid361, [0.0, 20.0], 65, seed=2)
+    assert rep == monte_carlo_mse(x, dist12, cfg12, grid361, [0.0, 20.0], 65, seed=2,
+                                  moments=mom12)
+
+
+def test_score_shapes_and_frame_validation(dist12, cfg12, grid361):
+    x = baseline_omni(cfg12)
+    est = MapEstimator(x, dist12, grid361, cfg12.m_r, cfg12.noise_power)
+    ys = random_frames(np.random.default_rng(0), x, dist12, 10.0, 3)
+    scores = est.score(ys)
+    assert scores.shape == (3, len(grid361))
+    # BLAS may take another kernel for a single row: equal up to rounding.
+    assert np.allclose(scores[1], est.score(ys[1]), rtol=1e-12, atol=0.0)
+    assert np.all(np.isneginf(scores[:, ~np.isfinite(est._log_prior)]))
+    at = est.score_at(ys, np.array([0.0, 0.1, 1.0]))
+    assert at.shape == (3,) and np.isneginf(at[2])  # 1 rad is outside the prior
+    assert at[1] == est.score_at(ys[1], 0.1)
+    with pytest.raises(ValueError):
+        est.estimate(np.zeros((cfg12.m_r + 1, cfg12.l_samples)))

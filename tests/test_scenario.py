@@ -155,7 +155,7 @@ def test_unknown_method_rejected(tmp_path):
         load_config(bad)
 
 
-def test_partial_failure_isolated(tmp_path):
+def test_partial_failure_isolated(tmp_path, capsys):
     cfg = tmp_path / "partial.cfg"
     cfg.write_text(
         "array: {m_t: 6, m_r: 4, l_samples: 4}\n"
@@ -174,6 +174,10 @@ def test_partial_failure_isolated(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert [f["cell"] for f in manifest["failures"]] == ["omni"]
     assert any(rel.startswith("pcrb-k1.5/") for rel in manifest["files"])
+    out_text, err_text = capsys.readouterr()
+    assert out_text.splitlines() == [f"cell omni failed: {manifest['failures'][0]['error']}"]
+    assert err_text.startswith("Traceback (most recent call last):")
+    assert "baseline_omni" in err_text
 
 
 def test_waveform_round_trip_and_beampattern_dump(tmp_path):
