@@ -3,7 +3,8 @@
 All three solvers alternate a power-constrained quadratic update of the
 waveform, an entrywise projection onto the per-element power cap, and a
 dual ascent step. The quadratic update is solved exactly through one
-Hermitian eigendecomposition plus a one-dimensional multiplier search.
+Hermitian eigendecomposition plus a safeguarded Newton root of the scalar
+secular equation for the power multiplier.
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ class AdmmConfig:
     max-min solver) overrides the automatic penalty for experimentation.
     ``primal_tol`` stops on the squared split residual together with the
     squared auxiliary motion; ``mu_tol`` is the relative power mismatch
-    accepted from the multiplier search.
+    at which the Newton iteration for the power multiplier stops (the
+    x-update then rescales to the exact power).
     """
 
     rho: float | None = None
@@ -82,6 +84,15 @@ class AdmmTrace:
         return int(np.sum(np.diff(al) > slack))
 
 
+# Relative slack of the element cap: 8 ulps keep the projection exactly
+# idempotent in floating point.
+_CAP_SLACK = 1.0 + 8.0 * np.finfo(float).eps
+
+# Guard on power-curve evaluations per root; safeguarded Newton takes
+# about ten and each bisection fallback halves the bracket.
+_MU_MAX_EVALS = 200
+
+
 def papr_project(w: np.ndarray, bound: float) -> np.ndarray:
     """Euclidean projection onto the per-element disc ``|w|^2 <= bound``.
 
@@ -90,65 +101,65 @@ def papr_project(w: np.ndarray, bound: float) -> np.ndarray:
     """
     if not bound > 0:
         raise ValueError("bound must be positive")
-    w = np.asarray(w, dtype=complex)
+    return _cap_elements(np.array(w, dtype=complex), bound)
+
+
+def _cap_elements(w: np.ndarray, bound: float) -> np.ndarray:
+    """``papr_project`` in place on a complex array, without input checks."""
     mag2 = w.real**2 + w.imag**2
-    # 8-ulp slack keeps the projection exactly idempotent in floating point.
-    outside = mag2 > bound * (1.0 + 8.0 * np.finfo(float).eps)
-    if not np.any(outside):
-        return w.copy()
-    out = w.copy()
-    out[outside] = w[outside] * (np.sqrt(bound) / np.sqrt(mag2[outside]))
-    return out
-
-
-def _power_curve(psi: np.ndarray, sig: np.ndarray, mu: float) -> float:
-    denom = sig + 2.0 * mu
-    if np.any(np.abs(denom) < 1e-300):
-        return np.inf
-    return float(np.sum(psi / denom**2))
+    outside = mag2 > bound * _CAP_SLACK
+    if np.any(outside):
+        w[outside] *= np.sqrt(bound) / np.sqrt(mag2[outside])
+    return w
 
 
 def _solve_multiplier(psi: np.ndarray, sig: np.ndarray, power: float,
                       mu_tol: float) -> tuple[float, int]:
     """Root of ``sum_m psi_m / (sig_m + 2 mu)**2 = power`` with ``Pmat + 2 mu I > 0``.
 
-    The curve is strictly decreasing on the feasible interval, so a
-    geometric bracket plus bisection always succeeds; a few Newton steps
-    polish the root to the requested relative power accuracy.
+    Safeguarded Newton on the secular equation ``1/||x(mu)|| = 1/sqrt(power)``
+    (Moré & Sorensen 1983), whose left side is concave and increasing for
+    ``mu > -min(sig)/2``. Each term of the power sum bounds the root from
+    below and the smallest eigenvalue carrying all of ``psi`` bounds it
+    from above; Newton started at the lower bound rises monotonically to
+    the root. A step that leaves the shrinking bracket is replaced by its
+    midpoint. Stops once ``|sum - power| <= mu_tol * power``, or, where
+    rounding of ``mu`` cannot reach that, when the bracket has no float
+    left inside; returns the root and the number of power-sum evaluations.
     """
-    mu_floor = -float(sig.min()) / 2.0
-    scale = max(1.0, abs(mu_floor), float(sig.max()) / 2.0)
-    lo = mu_floor
-    hi = mu_floor + scale
-    iters = 0
-    while _power_curve(psi, sig, hi) > power:
-        lo = hi
-        hi = mu_floor + (hi - mu_floor) * 2.0
-        iters += 1
-        if iters > 200:
-            raise RuntimeError("multiplier bracket failed to close")
-    while (hi - lo) > 1e-10 * max(1.0, abs(hi)):
-        mid = 0.5 * (lo + hi)
-        if _power_curve(psi, sig, mid) > power:
-            lo = mid
-        else:
-            hi = mid
-        iters += 1
-    mu = 0.5 * (lo + hi)
-    for _ in range(5):
-        val = _power_curve(psi, sig, mu)
-        if abs(val - power) <= mu_tol * power:
-            break
-        grad = -4.0 * float(np.sum(psi / (sig + 2.0 * mu) ** 3))
-        if grad == 0.0:
-            break
-        step = (val - power) / grad
-        nxt = mu - step
-        if not lo <= nxt <= hi:
-            break
+    sig_min = float(sig.min())
+    lo = 0.5 * max(float(np.max(np.sqrt(psi / power) - sig)), -sig_min)
+    hi = 0.5 * (np.sqrt(float(psi.sum()) / power) - sig_min)
+    mu, best_mu, best_gap = lo, None, np.inf
+    for evals in range(1, _MU_MAX_EVALS + 1):
+        denom = sig + 2.0 * mu
+        nxt = np.nan
+        if denom.min() > 0:
+            terms = psi / denom**2
+            val = float(terms.sum())
+            gap = abs(val - power)
+            if gap <= mu_tol * power:
+                return mu, evals
+            if gap < best_gap:
+                best_mu, best_gap = mu, gap
+            if val > power:
+                lo = mu
+            else:
+                hi = mu
+            nxt = mu + 0.5 * val * (np.sqrt(val / power) - 1.0) / float(np.sum(terms / denom))
+        else:  # on the pole: psi carries no weight on the bottom eigenvector
+            lo = mu
+        # The first upper end is a bound, not yet evaluated, so Newton may
+        # land on it; a step that does not move falls back as well.
+        if not lo < nxt <= hi or nxt == mu:
+            nxt = 0.5 * (lo + hi)
+            if not lo < nxt < hi:  # no float left inside the bracket
+                if best_mu is None:
+                    break
+                return best_mu, evals
         mu = nxt
-        iters += 1
-    return mu, iters
+    raise RuntimeError(
+        f"no multiplier root in [{lo!r}, {hi!r}] after {evals} power evaluations")
 
 
 def _x_update_eig(g: np.ndarray, sig: np.ndarray, q: np.ndarray, power: float,

@@ -55,6 +55,12 @@ TABLE_SCHEMAS = {
     "mse_by_angle": ("angle_deg", "trials", "mse_rad2"),
 }
 
+# Keys every solver cell (one that writes trace.csv) records in metrics.csv.
+SOLVER_METRICS = (
+    "metric_value", "iterations", "final_residual", "al_increase_count",
+    "converged", "mu_iterations_mean", "mu_iterations_max",
+)
+
 
 class ConfigError(ValueError):
     """Invalid scenario configuration; message carries the key path."""
@@ -362,11 +368,15 @@ def _run_cell(scenario: Scenario, method: str, kappa_index: int, out: Path,
         ("papr_margin", feas.papr_margin),
     ]
     if result is not None:
+        mu_iters = result.trace.mu_iterations
         metrics += [
             ("metric_value", result.metric_value),
             ("iterations", result.iterations),
             ("final_residual", float(result.trace.residual[-1])),
             ("al_increase_count", result.trace.monotone_violations()),
+            ("converged", int(result.converged)),
+            ("mu_iterations_mean", float(mu_iters.mean())),
+            ("mu_iterations_max", int(mu_iters.max())),
         ]
     _write_table(out / "metrics.csv", TABLE_SCHEMAS["metrics.csv"], metrics)
     files.append("metrics.csv")
@@ -490,6 +500,7 @@ def validate_output_dir(path: str | Path) -> list[str]:
     except json.JSONDecodeError as exc:
         return [f"{manifest_path}: invalid JSON ({exc})"]
 
+    listed = set(manifest.get("files", []))
     for rel in manifest.get("files", []):
         fpath = root / rel
         if not fpath.exists():
@@ -512,10 +523,16 @@ def validate_output_dir(path: str | Path) -> list[str]:
             if len(cols) != width:
                 problems.append(f"{rel}:{i}: expected {width} columns, got {len(cols)}")
                 break
-            if base != "metrics.csv":  # metrics carries a string key column
-                try:
-                    [float(c) for c in cols]
-                except ValueError:
-                    problems.append(f"{rel}:{i}: non-numeric value")
-                    break
+            # metrics.csv carries a string key column
+            values = cols[1:] if base == "metrics.csv" else cols
+            try:
+                [float(c) for c in values]
+            except ValueError:
+                problems.append(f"{rel}:{i}: non-numeric value")
+                break
+        if base == "metrics.csv" and str(Path(rel).with_name("trace.csv")) in listed:
+            keys = {line.split(",")[0] for line in lines[1:]}
+            missing = [k for k in SOLVER_METRICS if k not in keys]
+            if missing:
+                problems.append(f"{rel}: solver metrics missing {','.join(missing)}")
     return problems

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .admm import AdmmConfig, AdmmTrace, papr_project, _x_update_eig
+from .admm import AdmmConfig, AdmmTrace, papr_project, _cap_elements, _x_update_eig
 from .estimation import AngularGrid
 from .pcrb import pcrb_upper_bound
 from .priors import DistributionMoments, PointMass, TargetDistribution, compute_moments
@@ -129,7 +129,7 @@ def _admm(split, cfg: ArrayConfig, admm: AdmmConfig, seed: int, metric) -> Solve
         # Lagrangian descends only when the quadratic block sees the
         # freshly projected auxiliary.
         u_prev = u
-        u = papr_project(x - d, bound)
+        u = _cap_elements(x - d, bound)
         q = split.target(rho * (u + d))
         x, _, iters = _x_update_eig(g, sig, q, cfg.power, admm.mu_tol)
         d = d + gamma * u - gamma * x
@@ -245,42 +245,38 @@ def _inflate_columns(h: np.ndarray, fvals: np.ndarray, eta: float) -> np.ndarray
 
 
 def _eta_update(hnorms: np.ndarray, fvals: np.ndarray, rho3: float) -> float:
-    """Level update of the max-min solver by bisecting its optimality condition.
+    """Level update of the max-min solver, solved exactly.
 
-    The objective ``-eta + (rho3/2) * sum_p [inflation cost]`` is convex in
-    ``eta`` with a monotonically increasing derivative; each constraint
-    angle joins the active set continuously, so the set is re-evaluated
-    inside every derivative evaluation and the bisection lands on the
-    joint fixed point of the level and its active set.
+    Minimizes ``-eta + (rho3/2) * sum_p [sqrt(f_p eta) - |h_p|]_+**2``, which
+    is convex in ``eta``. In ``s = sqrt(eta)`` angle ``p`` is active beyond
+    its breakpoint ``s_p = |h_p| / sqrt(f_p)``, and on a fixed active set
+    ``A`` the optimality condition is linear:
+    ``s * ((rho3/2) * sum_A f - 1) = (rho3/2) * sum_A sqrt(f) |h|``.
+    Sorting the breakpoints gives every prefix active set by cumulative
+    sums; the derivative's sign at every breakpoint, taken over the angles
+    below it, picks the first segment where it turns positive, and the
+    root on that segment (or beyond the last breakpoint) is the level.
     """
+    half = 0.5 * rho3
     sum_f = float(fvals.sum())
-    if 0.5 * rho3 * sum_f <= 1.0:
+    if half * sum_f <= 1.0:
         raise RuntimeError(
             "rho3 too small for a bounded level update; increase rho3 "
             f"above {2.0 / sum_f:.3e}"
         )
-
-    def derivative(eta: float) -> float:
-        active = fvals * eta > hnorms**2
-        if not np.any(active):
-            return -1.0
-        terms = fvals[active] - np.sqrt(fvals[active]) * hnorms[active] / np.sqrt(eta)
-        return -1.0 + 0.5 * rho3 * float(terms.sum())
-
-    sqrt_hi = 0.5 * rho3 * float(np.sqrt(fvals) @ hnorms) / (0.5 * rho3 * sum_f - 1.0)
-    hi = max(sqrt_hi**2, float((hnorms**2 / fvals).max()), 1e-30)
-    if derivative(hi) < 0:  # everything active and still descending: cap is the root
-        return hi
-    lo = 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if derivative(mid) < 0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-13 * max(hi, 1.0):
-            break
-    return 0.5 * (lo + hi)
+    root_f = np.sqrt(fvals)
+    s_brk = hnorms / root_f
+    order = np.argsort(s_brk)
+    s_brk = s_brk[order]
+    cum_f = np.concatenate(([0.0], np.cumsum(fvals[order])))
+    cum_g = np.concatenate(([0.0], np.cumsum((root_f * hnorms)[order])))
+    # s times the derivative at each breakpoint; the angle at its own
+    # breakpoint contributes zero, so the prefix before it suffices. A
+    # positive value needs a positive slope, so the division below is safe.
+    turn = np.flatnonzero(s_brk * (half * cum_f[:-1] - 1.0) - half * cum_g[:-1] > 0.0)
+    k = int(turn[0]) if turn.size else len(fvals)
+    s = half * cum_g[k] / (half * cum_f[k] - 1.0)
+    return s * s
 
 
 class _FairSplit:

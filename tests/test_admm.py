@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from priorwave import AdmmConfig, papr_project, quad_x_update
 from priorwave.admm import _solve_multiplier, _x_update_eig
@@ -148,3 +150,85 @@ def test_quad_x_update_hard_case():
     resid = np.linalg.norm((pmat + 2 * mu * np.eye(2)) @ x - q)
     assert resid <= 1e-10
     assert abs(mu - (-0.5)) <= 1e-12  # boundary multiplier -sig_min/2
+
+
+def random_unitary(rng, n):
+    z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8), near_hard=st.booleans(),
+       frac=st.floats(0.02, 0.98))
+def test_multiplier_root_meets_power_tolerance(seed, n, near_hard, frac):
+    # Spectra in [-10, 10] with psi in [1e-2, 10] keep the root far enough
+    # from the pole for 1e-12 to be reachable in double precision. The
+    # near-hard case puts 1e-20 on the bottom eigenvector, so Newton starts
+    # next to the pole, with a budget the other terms reach before it.
+    rng = np.random.default_rng(seed)
+    sig = np.sort(rng.uniform(-10.0, 10.0, n))
+    psi = rng.uniform(1e-2, 10.0, n)
+    power = float(10 ** rng.uniform(-2.0, 1.0))
+    if near_hard and n > 1:
+        sig[1:] = np.maximum(sig[1:], sig[0] + 0.1)
+        psi[0] = 1e-20
+        power = frac * float(np.sum(psi[1:] / (sig[1:] - sig[0]) ** 2))
+    mu, evals = _solve_multiplier(psi, sig, power, 1e-12)
+    assert np.all(sig + 2.0 * mu > 0)
+    assert abs(np.sum(psi / (sig + 2.0 * mu) ** 2) - power) <= 1e-12 * power
+    assert evals <= 60
+
+
+def test_multiplier_root_next_to_the_pole_returns_best_float():
+    # The root sits 4e-4 above the pole at mu ~ 10: one ulp of mu moves the
+    # power sum by ~1e-11 relative, so 1e-12 is out of reach. The solver
+    # must stop on its collapsed bracket with the best float, not spin.
+    sig = np.array([-20.45052649, 3.67480336, 22.7524233])
+    psi = np.array([1.32064696e-06, 1.98978820e02, 7.58251907e01])
+    power = 7.775162494687686
+
+    def gap(mu):
+        return abs(np.sum(psi / (sig + 2.0 * mu) ** 2) - power)
+
+    mu, evals = _solve_multiplier(psi, sig, power, 1e-12)
+    assert evals <= 30
+    assert np.all(sig + 2.0 * mu > 0)
+    assert gap(mu) > 1e-12 * power
+    assert gap(mu) <= min(gap(np.nextafter(mu, -np.inf)), gap(np.nextafter(mu, np.inf)))
+
+
+def test_multiplier_root_needs_a_representable_pole_gap():
+    # psi so small that the root lies closer to the pole than one ulp of mu:
+    # no float multiplier keeps the shifted curvature positive definite.
+    with pytest.raises(RuntimeError, match="multiplier root"):
+        _solve_multiplier(np.array([1e-40]), np.array([200.0]), 3.0, 1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 8), hard=st.booleans())
+def test_quad_x_update_kkt_property(seed, n, hard):
+    # Random Hermitian curvature; the hard case removes the target's
+    # component on the bottom eigenvector and asks for more power than the
+    # interior curve reaches. The multiplier is recovered from x alone.
+    rng = np.random.default_rng(seed)
+    g = random_unitary(rng, n)
+    sig = np.sort(rng.uniform(-5.0, 5.0, n))
+    sig[1:] = np.maximum(sig[1:], sig[0] + 0.1)
+    pmat = (g * sig) @ g.conj().T
+    pmat = 0.5 * (pmat + pmat.conj().T)
+    gq = rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))
+    power = float(rng.uniform(0.5, 4.0))
+    if hard:
+        gq[0] = 0.0
+        psi = np.sum(np.abs(gq) ** 2, axis=1)
+        power = float(np.sum(psi[1:] / (sig[1:] - sig[0]) ** 2)) * rng.uniform(1.5, 4.0)
+    q = g @ gq
+    x = quad_x_update(q, pmat, power)
+    assert abs(np.sum(np.abs(x) ** 2) - power) <= 1e-10 * power
+    grad = q - pmat @ x
+    mu = 0.5 * np.vdot(x, grad).real / power
+    assert np.linalg.norm(2.0 * mu * x - grad) <= 1e-8 * (np.linalg.norm(q) + 1.0)
+    assert sig[0] + 2.0 * mu >= -1e-9 * max(1.0, abs(mu))
+    if hard:
+        assert abs(mu + 0.5 * sig[0]) <= 1e-9 * max(1.0, abs(sig[0]))

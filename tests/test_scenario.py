@@ -232,3 +232,25 @@ def test_seed_override_changes_outputs(small_cfg, tmp_path):
     assert run_scenario(small_cfg, out=out2, seed=6) == 0
     ref = (out1 / "pcrb-k1.2" / "waveform.csv").read_bytes()
     assert (out2 / "pcrb-k1.2" / "waveform.csv").read_bytes() != ref
+
+
+def test_solver_metrics_are_recorded_and_validated(small_cfg, tmp_path):
+    out = tmp_path / "out"
+    assert run_scenario(small_cfg, out=out) == 0
+    path = out / "pcrb-k1.2" / "metrics.csv"
+    rows = path.read_text().strip().splitlines()
+    metrics = dict(r.split(",") for r in rows[1:])
+    assert metrics["converged"] in ("0", "1")
+    mean, peak = float(metrics["mu_iterations_mean"]), int(metrics["mu_iterations_max"])
+    assert 1 <= mean <= peak
+    # omni designs nothing, so its metrics carry no solver keys
+    omni = (out / "omni" / "metrics.csv").read_text()
+    assert "converged" not in omni and validate_output_dir(out) == []
+
+    path.write_text("\n".join(r for r in rows if not r.startswith("mu_iterations_max")) + "\n")
+    problems = validate_output_dir(out)
+    assert len(problems) == 1 and "mu_iterations_max" in problems[0]
+    path.write_text("\n".join(rows).replace("converged,1", "converged,yes")
+                    .replace("converged,0", "converged,no") + "\n")
+    problems = validate_output_dir(out)
+    assert len(problems) == 1 and "non-numeric" in problems[0]

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from priorwave import (
     AdmmConfig,
@@ -140,6 +142,41 @@ def test_eta_update_matches_grid_search():
         assert abs(best - eta) <= max(1e-4 * eta, 1.5 * step)
 
 
+def eta_objective(etas, hn, f, rho3):
+    cost = np.maximum(np.sqrt(f[:, None] * etas[None, :]) - hn[:, None], 0.0) ** 2
+    return -etas + 0.5 * rho3 * cost.sum(axis=0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40), n_zero=st.integers(0, 3),
+       n_tied=st.integers(0, 3), margin=st.sampled_from([1e-3, 0.3, 2.0, 10.0]))
+def test_eta_update_matches_brute_force(seed, n, n_zero, n_tied, margin):
+    # Zero norms put breakpoints at 0, tied breakpoints share one segment
+    # end, and a rho3 just above its bound (margin 1e-3) makes every angle
+    # active at the level.
+    rng = np.random.default_rng(seed)
+    hn = rng.uniform(0.0, 2.0, n)
+    f = rng.uniform(0.1, 3.0, n)
+    hn[:n_zero] = 0.0
+    for j in range(n_zero, min(n_zero + n_tied, n - 1)):
+        hn[j] = hn[-1] * np.sqrt(f[j] / f[-1])
+    rho3 = 2.0 / f.sum() * (1.0 + margin)
+    eta = _eta_update(hn, f, rho3)
+
+    # Two-stage grid over [0, hi]: hi bounds the minimizer from above (the
+    # all-active root, or the last breakpoint).
+    half = 0.5 * rho3
+    hi = max((half * float(np.sqrt(f) @ hn) / (half * f.sum() - 1.0)) ** 2,
+             float((hn**2 / f).max()), 1e-12)
+    etas = np.linspace(0.0, hi, 20001)
+    j = int(np.argmin(eta_objective(etas, hn, f, rho3)))
+    fine = np.linspace(etas[max(j - 1, 0)], etas[min(j + 1, etas.size - 1)], 20001)
+    best = fine[np.argmin(eta_objective(fine, hn, f, rho3))]
+    j_best, j_eta = eta_objective(np.array([best, eta]), hn, f, rho3)
+    assert j_eta <= j_best + 1e-11 * (1.0 + abs(j_best))
+    assert abs(eta - best) <= 1e-5 * hi
+
+
 def test_eta_update_requires_large_enough_rho():
     hn = np.ones(4)
     f = np.ones(4)
@@ -154,6 +191,14 @@ def test_fair_metric_is_min_scaled_beampattern(dist12, cfg12, grid361):
     ratios = beampattern(r.waveform, grid361.points[mask]) / f[mask]
     assert abs(float(ratios.min()) - r.metric_value) <= 1e-6 * abs(r.metric_value)
     assert_feasible(r, cfg12)
+
+
+def test_fair_multiplier_root_takes_few_evaluations(dist12, cfg12, grid361):
+    # Case 1-2 at kappa 1.2: Newton needs about 9 power-sum evaluations per
+    # x-update where the former bracket plus bisection needed about 40.
+    r = solve_psbp_fair(dist12, cfg12, grid361, AdmmConfig(), seed=1)
+    assert r.converged
+    assert float(r.trace.mu_iterations.mean()) <= 15.0
 
 
 def test_iteration_cap_reports_non_convergence(dist12, mom12, cfg12, grid361):
