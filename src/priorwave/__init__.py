@@ -6,7 +6,6 @@ from .estimation import (
     MapEstimator,
     MseReport,
     SnrResult,
-    map_estimate,
     monte_carlo_mse,
 )
 from .pcrb import (
@@ -37,8 +36,6 @@ from .ula import (
     ArrayConfig,
     Feasibility,
     beampattern,
-    steering,
-    steering_derivative,
     steering_derivative_matrix,
     steering_matrix,
     synthesize_received,
@@ -70,7 +67,6 @@ __all__ = [
     "beampattern",
     "compute_moments",
     "fim_signal",
-    "map_estimate",
     "monte_carlo_mse",
     "papr_project",
     "pcrb_breakdown",
@@ -80,8 +76,6 @@ __all__ = [
     "solve_pcrb",
     "solve_psbp_fair",
     "solve_psbp_integrated",
-    "steering",
-    "steering_derivative",
     "steering_derivative_matrix",
     "steering_matrix",
     "synthesize_received",

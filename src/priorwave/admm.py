@@ -23,45 +23,19 @@ __all__ = [
 
 @dataclass(frozen=True)
 class AdmmConfig:
-    """Penalty and stopping parameters shared by the solvers.
+    """Iteration cap shared by the solvers.
 
-    With ``rho`` unset the quadratic-objective solvers set their penalty to
-    ``safety * sqrt(3) * ||Xi + Xi^H||_F``; the sqrt(3)-scaled norm is the
-    nominal descent threshold of the augmented Lagrangian, but the descent
-    argument leaks around the power-sphere multiplier, so the default
-    keeps a 2x margin and a damped dual step (``dual_step < 1`` leaves the
-    fixed points unchanged). ``rho`` (or the ``rho_fair`` pair for the
-    max-min solver) overrides the automatic penalty for experimentation.
-    ``primal_tol`` stops on the squared split residual together with the
-    squared auxiliary motion; ``mu_tol`` is the relative power mismatch
-    at which the Newton iteration for the power multiplier stops (the
-    x-update then rescales to the exact power).
+    ``max_iters`` is the only solver setting. The penalty scale, the damped
+    dual step and the stopping tolerances are constants: ``_SAFETY``,
+    ``_DUAL_STEP`` and ``_PRIMAL_TOL`` in ``solvers``, and ``_MU_TOL``, the
+    relative power mismatch at which the multiplier root stops, here.
     """
 
-    rho: float | None = None
-    rho_fair: tuple[float, float] | None = None
-    safety: float = 2.0
-    dual_step: float = 0.5
     max_iters: int = 5000
-    primal_tol: float = 1e-8
-    mu_tol: float = 1e-12
 
     def __post_init__(self) -> None:
-        if self.rho is not None and not self.rho > 0:
-            raise ValueError("rho must be positive")
-        if self.rho_fair is not None:
-            pair = (float(self.rho_fair[0]), float(self.rho_fair[1]))
-            object.__setattr__(self, "rho_fair", pair)
-            if not (pair[0] > 0 and pair[1] > 0):
-                raise ValueError("rho_fair entries must be positive")
-        if not self.safety > 1:
-            raise ValueError("safety must exceed 1")
-        if not 0 < self.dual_step <= 1:
-            raise ValueError("dual_step must lie in (0, 1]")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if not (self.primal_tol > 0 and self.mu_tol > 0):
-            raise ValueError("tolerances must be positive")
 
 
 @dataclass
@@ -87,6 +61,9 @@ class AdmmTrace:
 # Relative slack of the element cap: 8 ulps keep the projection exactly
 # idempotent in floating point.
 _CAP_SLACK = 1.0 + 8.0 * np.finfo(float).eps
+
+# Relative power mismatch at which the multiplier root stops.
+_MU_TOL = 1e-12
 
 # Guard on power-curve evaluations per root; safeguarded Newton takes
 # about ten and each bisection fallback halves the bracket.
@@ -197,8 +174,7 @@ def _x_update_eig(g: np.ndarray, sig: np.ndarray, q: np.ndarray, power: float,
     return x, mu, iters
 
 
-def quad_x_update(target: np.ndarray, curvature: np.ndarray, power: float,
-                  mu_tol: float = 1e-12) -> np.ndarray:
+def quad_x_update(target: np.ndarray, curvature: np.ndarray, power: float) -> np.ndarray:
     """Minimize a quadratic with Hermitian curvature on the power sphere.
 
     Returns ``X(mu) = (curvature + 2 mu I)^-1 target`` with the unique
@@ -215,5 +191,5 @@ def quad_x_update(target: np.ndarray, curvature: np.ndarray, power: float,
     if not power > 0:
         raise ValueError("power must be positive")
     sig, g = np.linalg.eigh(pmat)
-    x, _, _ = _x_update_eig(g, sig, q, power, mu_tol)
+    x, _, _ = _x_update_eig(g, sig, q, power, _MU_TOL)
     return x

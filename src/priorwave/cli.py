@@ -52,6 +52,12 @@ def main(argv: list[str] | None = None) -> int:
             paper_literal=args.paper_literal,
         )
     if args.command == "beampattern":
+        if args.grid_size < 2:
+            print(f"argument error: --grid-size must be at least 2, got {args.grid_size}")
+            return 1
+        if not args.spacing > 0:
+            print(f"argument error: --spacing must be positive, got {args.spacing}")
+            return 1
         try:
             x = read_waveform(args.waveform)
         except (OSError, ValueError) as exc:

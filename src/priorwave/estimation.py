@@ -23,7 +23,6 @@ __all__ = [
     "SnrResult",
     "MseReport",
     "MapEstimator",
-    "map_estimate",
     "monte_carlo_mse",
 ]
 
@@ -191,20 +190,6 @@ class MapEstimator:
         refined = 0.5 * (a + b)
         # Keep the grid argmax if the local search somehow did worse.
         return np.where(self.score_at(ys, refined) >= best, refined, theta)
-
-
-def map_estimate(
-    y: np.ndarray,
-    x: np.ndarray,
-    dist: TargetDistribution,
-    grid: AngularGrid,
-    noise_power: float,
-    spacing: float = 0.5,
-    refine: bool = True,
-) -> float:
-    """One-shot MAP estimate of the angle from a received frame."""
-    est = MapEstimator(x, dist, grid, np.asarray(y).shape[-2], noise_power, spacing, refine)
-    return est.estimate(y)
 
 
 @dataclass(frozen=True)

@@ -19,8 +19,6 @@ from .ula import (
     HALF_DOMAIN,
     ArrayConfig,
     receive_derivative_norm2,
-    steering,
-    steering_derivative,
     steering_derivative_matrix,
     steering_matrix,
 )
@@ -37,6 +35,10 @@ __all__ = [
 _WEIGHT_TOL = 1e-12
 # Gaussian quadrature windows extend this many sigmas around each mean.
 _GAUSS_WINDOW = 5.0
+# Edge ramp half-width and foot floor of interval priors; see
+# ``MixtureUniform.prior_fisher``.
+_RAMP_HALFWIDTH = np.pi / 720
+_RAMP_FLOOR = 1e-3
 
 
 def _check_weights(weights) -> tuple[float, ...]:
@@ -102,25 +104,22 @@ class MixtureUniform:
     def quadrature_windows(self) -> list[tuple[float, float]]:
         return sorted(self.intervals)
 
-    def prior_fisher(self, ramp_halfwidth: float = np.pi / 720,
-                     ramp_floor: float = 1e-3) -> float:
+    def prior_fisher(self) -> float:
         """Prior Fisher information with linear-ramp edge smoothing.
 
         The exact density has step edges whose squared score is not
         integrable, so each edge is replaced by a linear ramp of
-        half-width ``ramp_halfwidth``; the ramp itself still produces a
-        logarithmically divergent score integral at its foot, so the
-        closed-form edge contribution ``slope * log(level / floor)`` is
-        cut off at ``ramp_floor`` times the interval density level. Both
-        knobs are reporting conventions only; the solvers never use this
+        half-width ``pi/720`` (a quarter degree); the ramp itself still
+        produces a logarithmically divergent score integral at its foot,
+        so the closed-form edge contribution ``slope * log(level / floor)``
+        is cut off at ``1e-3`` times the interval density level. Both
+        values are reporting conventions only; the solvers never use this
         value.
         """
-        if not ramp_halfwidth > 0 or not 0 < ramp_floor < 1:
-            raise ValueError("ramp parameters out of range")
         total = 0.0
         for level in self._levels():
-            slope = level / (2.0 * ramp_halfwidth)
-            total += 2.0 * slope * np.log(1.0 / ramp_floor)
+            slope = level / (2.0 * _RAMP_HALFWIDTH)
+            total += 2.0 * slope * np.log(1.0 / _RAMP_FLOOR)
         return total
 
 
@@ -265,7 +264,6 @@ class DistributionMoments:
     xi2: np.ndarray
     xi3: np.ndarray
     lam: float
-    grid_size: int
 
 
 def _window_grid(windows: list[tuple[float, float]], grid_size: int):
@@ -293,32 +291,27 @@ def _window_grid(windows: list[tuple[float, float]], grid_size: int):
 
 
 def _point_mass_moments(dist: PointMass, cfg: ArrayConfig, lam: float) -> DistributionMoments:
-    a = steering(dist.theta0, cfg.m_t, cfg.spacing)
-    da = steering_derivative(dist.theta0, cfg.m_t, cfg.spacing)
+    a = steering_matrix(dist.theta0, cfg.m_t, cfg.spacing)
+    da = steering_derivative_matrix(dist.theta0, cfg.m_t, cfg.spacing)
     r2 = float(receive_derivative_norm2(dist.theta0, cfg.m_r, cfg.spacing))
     aa = np.outer(a, a.conj())
     xi0 = r2 * aa
     xi1 = xi0 + cfg.m_r * np.outer(da, da.conj())
     xi2 = cfg.m_r * np.outer(da, a.conj())
     xi3 = cfg.m_r * aa
-    return DistributionMoments(xi0=xi0, xi1=xi1, xi2=xi2, xi3=xi3, lam=lam, grid_size=0)
+    return DistributionMoments(xi0=xi0, xi1=xi1, xi2=xi2, xi3=xi3, lam=lam)
 
 
 def compute_moments(
     dist: TargetDistribution,
     cfg: ArrayConfig,
     grid_size: int = 2001,
-    *,
-    lambda_override: float | None = None,
-    ramp_halfwidth: float = np.pi / 720,
-    ramp_floor: float = 1e-3,
 ) -> DistributionMoments:
     """Integrate the steering moments of ``dist`` for the array ``cfg``.
 
     Composite trapezoid quadrature on a uniform grid restricted to the
     support of the prior (Gaussian components contribute +-5 sigma
-    windows). ``lambda_override`` replaces the prior Fisher scalar, e.g.
-    to force the interior-only convention ``lam = 0`` for interval priors.
+    windows); ``lam`` is ``dist.prior_fisher()``.
 
     Raises
     ------
@@ -326,12 +319,7 @@ def compute_moments(
         If ``grid_size`` is too small or the quadrature does not
         reproduce unit prior mass (a non-normalized distribution).
     """
-    if lambda_override is not None:
-        lam = float(lambda_override)
-    elif isinstance(dist, MixtureUniform):
-        lam = dist.prior_fisher(ramp_halfwidth, ramp_floor)
-    else:
-        lam = dist.prior_fisher()
+    lam = dist.prior_fisher()
 
     if isinstance(dist, PointMass):
         return _point_mass_moments(dist, cfg, lam)
@@ -359,5 +347,4 @@ def compute_moments(
     xi3 = cfg.m_r * _herm(np.einsum("in,n,kn->ik", at, u, at.conj()))
     xi2 = cfg.m_r * np.einsum("in,n,kn->ik", dat, u, at.conj())
     xi1 = xi0 + cfg.m_r * _herm(np.einsum("in,n,kn->ik", dat, u, dat.conj()))
-    return DistributionMoments(xi0=xi0, xi1=xi1, xi2=xi2, xi3=xi3, lam=lam,
-                               grid_size=int(grid_size))
+    return DistributionMoments(xi0=xi0, xi1=xi1, xi2=xi2, xi3=xi3, lam=lam)

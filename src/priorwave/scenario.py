@@ -96,15 +96,34 @@ def _req(cfg: dict, key: str, kind, path: str):
     if key not in cfg:
         raise ConfigError(f"{path}.{key}: missing required key")
     val = cfg[key]
-    if kind is float and isinstance(val, int):
-        val = float(val)
-    if not isinstance(val, kind):
+    # YAML reads true/false as bool, a subclass of int.
+    if isinstance(val, bool) or not isinstance(val, (int, float) if kind is float else kind):
         raise ConfigError(f"{path}.{key}: expected {kind.__name__}, got {type(val).__name__}")
-    return val
+    return float(val) if kind is float else val
+
+
+def _check_keys(cfg: dict, known: tuple[str, ...], path: str) -> None:
+    for key in cfg:
+        if key not in known:
+            raise ConfigError(f"{path}.{key}: unknown key; choose from {known}")
+
+
+_TOP_KEYS = ("array", "distribution", "methods", "kappa_list", "snr_list_db", "n_trials",
+             "grid_size", "seed", "output_dir", "crb_angle_deg", "pdf_floor", "admm")
+_ARRAY_KEYS = ("m_t", "m_r", "l_samples", "power", "noise_power", "spacing")
+_DISTRIBUTION_KEYS = {
+    "mixture-uniform": ("kind", "intervals_deg", "weights"),
+    "mixture-gaussian": ("kind", "means_deg", "sigma_deg", "weights"),
+    "point-mass": ("kind", "angle_deg"),
+}
 
 
 def _build_distribution(spec: dict) -> TargetDistribution:
     kind = _req(spec, "kind", str, "distribution")
+    if kind not in _DISTRIBUTION_KEYS:
+        raise ConfigError(f"distribution.kind: unknown kind {kind!r}; "
+                          f"choose from {tuple(_DISTRIBUTION_KEYS)}")
+    _check_keys(spec, _DISTRIBUTION_KEYS[kind], "distribution")
     try:
         if kind == "mixture-uniform":
             ivs = _req(spec, "intervals_deg", list, "distribution")
@@ -120,37 +139,17 @@ def _build_distribution(spec: dict) -> TargetDistribution:
                 sigma=float(np.deg2rad(sigma)),
                 weights=tuple(float(w) for w in weights),
             )
-        if kind == "point-mass":
-            return PointMass(np.deg2rad(_req(spec, "angle_deg", float, "distribution")))
+        return PointMass(np.deg2rad(_req(spec, "angle_deg", float, "distribution")))
     except ConfigError:
         raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"distribution: {exc}") from exc
-    raise ConfigError(f"distribution.kind: unknown kind {kind!r}")
-
-
-_ADMM_KEYS = ("rho", "rho_fair", "safety", "dual_step", "max_iters", "primal_tol", "mu_tol")
-_ADMM_FLOAT_KEYS = ("rho", "safety", "dual_step", "primal_tol", "mu_tol")
-
-
-def _coerce_admm(admm_cfg: dict) -> dict:
-    """Normalize scalar kinds; YAML 1.1 reads bare '1e-8' as a string."""
-    out = dict(admm_cfg)
-    try:
-        for key in _ADMM_FLOAT_KEYS:
-            if out.get(key) is not None:
-                out[key] = float(out[key])
-        if out.get("max_iters") is not None:
-            out["max_iters"] = int(out["max_iters"])
-        if out.get("rho_fair") is not None:
-            out["rho_fair"] = tuple(float(v) for v in out["rho_fair"])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"admm: {exc}") from exc
-    return out
 
 
 def _build(cfg: dict) -> Scenario:
+    _check_keys(cfg, _TOP_KEYS, "config")
     arr = _req(cfg, "array", dict, "config")
+    _check_keys(arr, _ARRAY_KEYS, "array")
     try:
         array = ArrayConfig(
             m_t=_req(arr, "m_t", int, "array"),
@@ -190,17 +189,31 @@ def _build(cfg: dict) -> Scenario:
         raise ConfigError("grid_size: must be at least 2")
     if seed < 0:
         raise ConfigError("seed: must be nonnegative")
+    if not -90.0 <= crb_angle_deg <= 90.0:
+        raise ConfigError("crb_angle_deg: must lie in [-90, 90]")
+    if not 0 < pdf_floor <= 1:
+        raise ConfigError("pdf_floor: must lie in (0, 1]")
+    if not kappas and any(m != "omni" for m in methods):
+        raise ConfigError("kappa_list: at least one PAPR threshold is required "
+                          "unless omni is the only method")
+    if isinstance(dist, PointMass):
+        # Beampattern designs and the MAP estimator need a prior density.
+        if "psbp-fair" in methods:
+            raise ConfigError("methods: psbp-fair needs a prior density; "
+                              "a point-mass distribution has none")
+        if n_trials > 0 and snrs:
+            raise ConfigError("n_trials: the Monte-Carlo stage needs a prior density; "
+                              "a point-mass distribution has none (set n_trials: 0)")
 
     admm_cfg = cfg.get("admm", {})
     if not isinstance(admm_cfg, dict):
         raise ConfigError("admm: expected a mapping")
-    for key in admm_cfg:
-        if key not in _ADMM_KEYS:
-            raise ConfigError(f"admm.{key}: unknown key; choose from {_ADMM_KEYS}")
-    admm_cfg = _coerce_admm(admm_cfg)
+    _check_keys(admm_cfg, ("max_iters",), "admm")
+    if "max_iters" in admm_cfg:
+        _req(admm_cfg, "max_iters", int, "admm")
     try:
         admm = AdmmConfig(**admm_cfg)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"admm: {exc}") from exc
 
     canonical = {
@@ -219,7 +232,7 @@ def _build(cfg: dict) -> Scenario:
         "output_dir": str(cfg.get("output_dir", "results")),
         "crb_angle_deg": crb_angle_deg,
         "pdf_floor": pdf_floor,
-        "admm": {k: (list(v) if isinstance(v, tuple) else v) for k, v in admm_cfg.items()},
+        "admm": dict(admm_cfg),
     }
     return Scenario(
         array=array,

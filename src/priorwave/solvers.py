@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .admm import AdmmConfig, AdmmTrace, papr_project, _cap_elements, _x_update_eig
+from .admm import _MU_TOL, AdmmConfig, AdmmTrace, papr_project, _cap_elements, _x_update_eig
 from .estimation import AngularGrid
 from .pcrb import pcrb_upper_bound
 from .priors import DistributionMoments, PointMass, TargetDistribution, compute_moments
@@ -33,6 +33,18 @@ __all__ = [
 # waveform is polished to the tight tolerances afterwards.
 _TRACK_SLACK = 1e-6
 _FINAL_SLACK = 1e-9
+
+# The quadratic designs set their penalty to ``_SAFETY * sqrt(3) *
+# ||Xi + Xi^H||_F``. The sqrt(3)-scaled norm is the nominal descent
+# threshold of the augmented Lagrangian, but the descent argument leaks
+# around the power-sphere multiplier, so the penalty keeps a 2x margin and
+# the dual step is damped (a step below 1 leaves the fixed points
+# unchanged).
+_SAFETY = 2.0
+_DUAL_STEP = 0.5
+# Stop once the squared split residual and the squared auxiliary motion
+# both fall below this.
+_PRIMAL_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -74,16 +86,15 @@ def _polish(x: np.ndarray, power: float, bound: float, max_rounds: int = 200) ->
 class _QuadraticSplit:
     """``min -Tr{X^H Xi X}``: the element cap is the only split.
 
-    The automatic penalty is ``safety * sqrt(3) * ||Xi + Xi^H||_F``.
+    The penalty is ``_SAFETY * sqrt(3) * ||Xi + Xi^H||_F``.
     """
 
     maximize = False
 
-    def __init__(self, xi: np.ndarray, cfg: ArrayConfig, admm: AdmmConfig) -> None:
+    def __init__(self, xi: np.ndarray, cfg: ArrayConfig) -> None:
         sym = xi + xi.conj().T
         self.xi = xi
-        self.rho = (admm.rho if admm.rho is not None
-                    else admm.safety * np.sqrt(3.0) * float(np.linalg.norm(sym)))
+        self.rho = _SAFETY * np.sqrt(3.0) * float(np.linalg.norm(sym))
         self.curvature = self.rho * np.eye(cfg.m_t) - sym
 
     def start(self, x: np.ndarray) -> None:
@@ -112,7 +123,7 @@ def _admm(split, cfg: ArrayConfig, admm: AdmmConfig, seed: int, metric) -> Solve
     rng = np.random.default_rng(seed)
     bound = cfg.elem_bound
     rho = split.rho
-    gamma = admm.dual_step
+    gamma = _DUAL_STEP
     sig, g = np.linalg.eigh(split.curvature)
 
     x = _initial_waveform(cfg, rng)
@@ -131,7 +142,7 @@ def _admm(split, cfg: ArrayConfig, admm: AdmmConfig, seed: int, metric) -> Solve
         u_prev = u
         u = _cap_elements(x - d, bound)
         q = split.target(rho * (u + d))
-        x, _, iters = _x_update_eig(g, sig, q, cfg.power, admm.mu_tol)
+        x, _, iters = _x_update_eig(g, sig, q, cfg.power, _MU_TOL)
         d = d + gamma * u - gamma * x
         obj, al, res, move = split.measure(
             x,
@@ -153,7 +164,7 @@ def _admm(split, cfg: ArrayConfig, admm: AdmmConfig, seed: int, metric) -> Solve
         # A slack element cap keeps the split residual at zero from the
         # first step, so stationarity of the auxiliary must be required
         # as well before stopping.
-        if len(residuals) > 1 and res <= admm.primal_tol and move <= admm.primal_tol:
+        if len(residuals) > 1 and res <= _PRIMAL_TOL and move <= _PRIMAL_TOL:
             converged = True
             break
 
@@ -187,7 +198,7 @@ def solve_pcrb(
     constraints; the reported metric is the resulting bound surrogate at
     unit amplitude.
     """
-    return _admm(_QuadraticSplit(mom.xi0, cfg, admm), cfg, admm, seed,
+    return _admm(_QuadraticSplit(mom.xi0, cfg), cfg, admm, seed,
                  lambda x: pcrb_upper_bound(x, mom, 1.0, cfg.noise_power))
 
 
@@ -228,7 +239,7 @@ def solve_psbp_integrated(
         w = f if bare_sum else f * grid.cell
     a = steering_matrix(pts, cfg.m_t, cfg.spacing)
     xi = np.einsum("ip,p,kp->ik", a, w, a.conj())
-    return _admm(_QuadraticSplit(xi, cfg, admm), cfg, admm, seed,
+    return _admm(_QuadraticSplit(xi, cfg), cfg, admm, seed,
                  lambda x: float(w @ np.sum(np.abs(x.conj().T @ a) ** 2, axis=0)))
 
 
@@ -261,8 +272,8 @@ def _eta_update(hnorms: np.ndarray, fvals: np.ndarray, rho3: float) -> float:
     sum_f = float(fvals.sum())
     if half * sum_f <= 1.0:
         raise RuntimeError(
-            "rho3 too small for a bounded level update; increase rho3 "
-            f"above {2.0 / sum_f:.3e}"
+            f"level penalty rho3 = {rho3:.3e} admits no bounded level update; "
+            f"it must exceed 2 / sum(f) = {2.0 / sum_f:.3e}"
         )
     root_f = np.sqrt(fvals)
     s_brk = hnorms / root_f
@@ -283,25 +294,21 @@ class _FairSplit:
     """Max-min split: one auxiliary vector per constraint angle and a level.
 
     The level ``eta`` and the per-angle vectors are updated jointly from
-    their first-order conditions before each x-update. The automatic
-    penalties sit well above the level-update bound ``2 / sum(f)`` but
-    small enough that the beampattern split stays soft; the element-cap
-    penalty rides a factor above the beampattern one.
+    their first-order conditions before each x-update. The penalties sit
+    well above the level-update bound ``2 / sum(f)`` but small enough that
+    the beampattern split stays soft; the element-cap penalty rides a
+    factor above the beampattern one.
     """
 
     maximize = True
 
-    def __init__(self, a: np.ndarray, f: np.ndarray, cfg: ArrayConfig,
-                 admm: AdmmConfig) -> None:
-        if admm.rho_fair is not None:
-            self.rho, self.rho3 = admm.rho_fair
-        else:
-            self.rho3 = admm.safety * 40.0 / float(f.sum())
-            self.rho = 2.0 * self.rho3
+    def __init__(self, a: np.ndarray, f: np.ndarray, cfg: ArrayConfig) -> None:
+        self.rho3 = _SAFETY * 40.0 / float(f.sum())
+        self.rho = 2.0 * self.rho3
         r = a @ a.conj().T
         r = 0.5 * (r + r.conj().T)
         self.curvature = self.rho * np.eye(cfg.m_t) + self.rho3 * r
-        self.a, self.f, self.gamma = a, f, admm.dual_step
+        self.a, self.f = a, f
 
     def start(self, x: np.ndarray) -> None:
         self.w = x.conj().T @ self.a
@@ -316,7 +323,7 @@ class _FairSplit:
         return q + self.rho3 * (self.a @ (self.gmat + self.b).conj().T)
 
     def measure(self, x, res, move, al):
-        gmat, gamma = self.gmat, self.gamma
+        gmat, gamma = self.gmat, _DUAL_STEP
         w = self.w = x.conj().T @ self.a
         self.b = self.b + gamma * gmat - gamma * w
         obj = float(np.min(np.sum(np.abs(w) ** 2, axis=0) / self.f))
@@ -344,7 +351,7 @@ def solve_psbp_fair(
     """
     pts, f = _psbp_points(dist, grid, pdf_floor)
     a = steering_matrix(pts, cfg.m_t, cfg.spacing)
-    return _admm(_FairSplit(a, f, cfg, admm), cfg, admm, seed,
+    return _admm(_FairSplit(a, f, cfg), cfg, admm, seed,
                  lambda x: float(np.min(np.sum(np.abs(x.conj().T @ a) ** 2, axis=0) / f)))
 
 

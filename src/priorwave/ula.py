@@ -16,8 +16,6 @@ __all__ = [
     "HALF_DOMAIN",
     "ArrayConfig",
     "Feasibility",
-    "steering",
-    "steering_derivative",
     "steering_matrix",
     "steering_derivative_matrix",
     "receive_derivative_norm2",
@@ -132,14 +130,13 @@ def steering_matrix(theta, m: int, spacing: float = 0.5) -> np.ndarray:
     """
     if m < 1:
         raise ValueError("element count must be at least 1")
-    th = _check_angles(theta)
+    return _steer(_check_angles(theta), m, spacing)
+
+
+def _steer(th: np.ndarray, m: int, spacing: float) -> np.ndarray:
+    """``steering_matrix`` on angles already checked."""
     phase = 2.0 * np.pi * spacing * np.multiply.outer(_offsets(m), np.sin(th))
     return np.exp(1j * phase)
-
-
-def steering(theta: float, m: int, spacing: float = 0.5) -> np.ndarray:
-    """Steering vector of an ``m``-element centered ULA toward ``theta``."""
-    return steering_matrix(float(theta), m, spacing)
 
 
 def steering_derivative_matrix(theta, m: int, spacing: float = 0.5) -> np.ndarray:
@@ -147,14 +144,9 @@ def steering_derivative_matrix(theta, m: int, spacing: float = 0.5) -> np.ndarra
     if m < 1:
         raise ValueError("element count must be at least 1")
     th = _check_angles(theta)
-    a = steering_matrix(th, m, spacing)
+    a = _steer(th, m, spacing)
     rate = 2.0 * np.pi * spacing * np.multiply.outer(_offsets(m), np.cos(th))
     return 1j * rate * a
-
-
-def steering_derivative(theta: float, m: int, spacing: float = 0.5) -> np.ndarray:
-    """Analytic angular derivative of the steering vector."""
-    return steering_derivative_matrix(float(theta), m, spacing)
 
 
 def receive_derivative_norm2(theta, m_r: int, spacing: float = 0.5) -> np.ndarray:
@@ -212,8 +204,9 @@ def synthesize_received(
         raise ValueError("waveform must be a 2-D matrix")
     if not noise_power > 0:
         raise ValueError("noise_power must be positive")
-    a_t = steering(theta, x.shape[0], spacing)
-    a_r = steering(theta, m_r, spacing)
+    theta = float(theta)
+    a_t = steering_matrix(theta, x.shape[0], spacing)
+    a_r = steering_matrix(theta, m_r, spacing)
     clean = amplitude * np.outer(a_r, a_t.conj() @ x)
     scale = np.sqrt(noise_power / 2.0)
     noise = rng.normal(scale=scale, size=(m_r, x.shape[1], 2))

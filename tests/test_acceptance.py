@@ -30,8 +30,8 @@ from priorwave import (
     solve_pcrb,
     solve_psbp_fair,
     solve_psbp_integrated,
-    steering,
-    steering_derivative,
+    steering_matrix,
+    steering_derivative_matrix,
 )
 from priorwave.admm import _x_update_eig
 from priorwave.priors import PointMass
@@ -66,8 +66,8 @@ def test_criterion_01_steering_identities():
         worst_mod = 0.0
         for _ in range(100):
             th = rng.uniform(-np.pi / 2, np.pi / 2)
-            a = steering(th, 8)
-            da = steering_derivative(th, 8)
+            a = steering_matrix(th, 8)
+            da = steering_derivative_matrix(th, 8)
             worst_inner = max(worst_inner, abs(np.vdot(da, a)))
             worst_mod = max(worst_mod, float(np.max(np.abs(np.abs(a) - 1.0))))
     ok = worst_inner <= 1e-10 and worst_mod <= 1e-12

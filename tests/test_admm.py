@@ -14,17 +14,7 @@ def random_hermitian(rng, n, shift=0.0):
 
 def test_admm_config_validation():
     with pytest.raises(ValueError):
-        AdmmConfig(rho=-1.0)
-    with pytest.raises(ValueError):
-        AdmmConfig(safety=1.0)
-    with pytest.raises(ValueError):
         AdmmConfig(max_iters=0)
-    with pytest.raises(ValueError):
-        AdmmConfig(primal_tol=0.0)
-    with pytest.raises(ValueError):
-        AdmmConfig(dual_step=0.0)
-    with pytest.raises(ValueError):
-        AdmmConfig(rho_fair=(1.0, -2.0))
 
 
 def test_papr_project_bound_arithmetic():

@@ -14,10 +14,8 @@ from priorwave import (
     PointMass,
     baseline_omni,
     compute_moments,
-    map_estimate,
     monte_carlo_mse,
     solve_psbp_fair,
-    steering,
     steering_matrix,
     synthesize_received,
 )
@@ -27,8 +25,8 @@ SCENARIO3_PRIOR = MixtureGaussian(tuple(np.deg2rad([-60.0, -30.0, 20.0, 50.0])),
 
 
 def clean_echo(x, theta, m_r, amplitude=1.0):
-    a_t = steering(theta, x.shape[0])
-    a_r = steering(theta, m_r)
+    a_t = steering_matrix(theta, x.shape[0])
+    a_r = steering_matrix(theta, m_r)
     return amplitude * np.outer(a_r, a_t.conj() @ x)
 
 
@@ -71,12 +69,12 @@ def test_flat_prior_equals_concentrated_ml(grid361):
     assert est.estimate(y) == grid361.points[ml_idx]
 
 
-def test_map_estimate_function_wrapper(grid361):
+def test_map_estimator_one_shot_estimate(grid361):
     cfg = ArrayConfig(4, 4, 8)
     x = baseline_omni(cfg)
     prior = MixtureUniform(((-0.5, 0.5),), (1.0,))
     y = clean_echo(x, grid361.points[190], cfg.m_r)
-    got = map_estimate(y, x, prior, grid361, cfg.noise_power, refine=False)
+    got = MapEstimator(x, prior, grid361, cfg.m_r, cfg.noise_power, refine=False).estimate(y)
     assert got == grid361.points[190]
 
 
@@ -183,8 +181,8 @@ class ScalarMap:
         f = float(self.dist.pdf(theta))
         if f <= 0:
             return -np.inf
-        w = self.x.conj().T @ steering(theta, self.x.shape[0])
-        s = steering(theta, self.m_r).conj() @ y @ w
+        w = self.x.conj().T @ steering_matrix(theta, self.x.shape[0])
+        s = steering_matrix(theta, self.m_r).conj() @ y @ w
         den = self.noise * self.m_r * float(np.sum(np.abs(w) ** 2))
         if den <= 1e-300:
             return -np.inf

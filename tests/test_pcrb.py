@@ -10,8 +10,8 @@ from priorwave import (
     pcrb_breakdown,
     pcrb_theta,
     pcrb_upper_bound,
-    steering,
-    steering_derivative,
+    steering_matrix,
+    steering_derivative_matrix,
 )
 from conftest import random_feasible_waveform
 
@@ -24,10 +24,10 @@ def expected_loglik_curvature(x, theta0, amp, noise_power, m_r, h=1e-4):
     the moment matrices).
     """
     def expected_ll(th):
-        a_t = steering(th, x.shape[0])
-        a_r = steering(th, m_r)
-        a0_t = steering(theta0, x.shape[0])
-        a0_r = steering(theta0, m_r)
+        a_t = steering_matrix(th, x.shape[0])
+        a_r = steering_matrix(th, m_r)
+        a0_t = steering_matrix(theta0, x.shape[0])
+        a0_r = steering_matrix(theta0, m_r)
         ax = np.outer(a_r, a_t.conj() @ x)
         a0x = np.outer(a0_r, a0_t.conj() @ x)
         cross = np.vdot(ax, a0x)  # Tr{X^H A(th)^H A(th0) X}
@@ -84,9 +84,9 @@ def test_point_mass_fim_closed_form():
     rng = np.random.default_rng(2)
     x = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
     mom = compute_moments(PointMass(theta0), cfg)
-    a = steering(theta0, 3)
-    da = steering_derivative(theta0, 3)
-    dar = steering_derivative(theta0, 5)
+    a = steering_matrix(theta0, 3)
+    da = steering_derivative_matrix(theta0, 3)
+    dar = steering_derivative_matrix(theta0, 5)
     xi1 = np.vdot(dar, dar).real * np.outer(a, a.conj()) + 5 * np.outer(da, da.conj())
     direct = 2.0 * np.vdot(x, xi1 @ x).real
     blocks = fim_signal(x, mom, 1.0, 1.0)

@@ -8,7 +8,7 @@ from priorwave import (
     MixtureUniform,
     PointMass,
     compute_moments,
-    steering,
+    steering_matrix,
 )
 
 SCENARIO3_MEANS = (-np.pi / 3, -np.pi / 6, np.pi / 9, 5 * np.pi / 18)
@@ -69,7 +69,7 @@ def test_point_mass_moments_are_exact():
     cfg = ArrayConfig(4, 6, 8)
     th0 = 0.4
     mom = compute_moments(PointMass(th0), cfg)
-    a = steering(th0, 4)
+    a = steering_matrix(th0, 4)
     assert np.allclose(mom.xi3, 6 * np.outer(a, a.conj()), atol=1e-14)
     assert abs(np.trace(mom.xi3).real - 6 * 4) < 1e-12
     assert mom.lam == 0.0
@@ -110,7 +110,7 @@ def test_gaussian_lambda_matches_direct_score_quadrature():
     assert abs(mom.lam - direct) / direct < 1e-6
 
 
-def test_uniform_lambda_smoothing_and_override():
+def test_uniform_lambda_edge_smoothing():
     dist = MixtureUniform(((-np.pi / 18, np.pi / 18),), (1.0,))
     cfg = ArrayConfig(4, 4, 8)
     eps = np.pi / 720
@@ -118,8 +118,6 @@ def test_uniform_lambda_smoothing_and_override():
     expected = 2 * level / (2 * eps) * np.log(1e3)  # two edges, floor 1e-3
     mom = compute_moments(dist, cfg)
     assert abs(mom.lam - expected) / expected < 1e-12
-    mom0 = compute_moments(dist, cfg, lambda_override=0.0)
-    assert mom0.lam == 0.0
 
 
 def test_moments_hermitian_psd_structure(mom12):

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from priorwave import AngularGrid, ArrayConfig, baseline_omni
+from priorwave import AngularGrid, ArrayConfig, PointMass, baseline_omni
 from priorwave.cli import main as cli_main
 from priorwave.scenario import (
     ConfigError,
@@ -119,6 +119,11 @@ def test_reruns_are_byte_identical(small_cfg, tmp_path):
         assert (outs[2] / rel).read_bytes() == ref
 
 
+SMALL_PRIOR = ("distribution:\n  kind: mixture-uniform\n  intervals_deg: [[-10.0, 10.0]]\n"
+               "  weights: [1.0]\n")
+POINT_MASS = "distribution: {kind: point-mass, angle_deg: 3.0}\n"
+
+
 def test_config_errors_are_line_precise(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("array: {m_t: 4\n  m_r: 3}")
@@ -130,6 +135,52 @@ def test_config_errors_are_line_precise(tmp_path, capsys):
     bad2.write_text(SMALL_CFG.replace("kind: mixture-uniform", "kind: nope"))
     assert run_scenario(bad2) == 1
     assert "distribution.kind" in capsys.readouterr().out
+
+    # Unknown keys at every level, and values that would only fail (or be
+    # silently ignored) inside a cell, are config errors naming the key.
+    cases = [
+        ("seed: 5\n", "seed: 5\nn_trail: 5\n", "config.n_trail: unknown key"),
+        ("l_samples: 8}", "l_samples: 8, papr: 3.0}", "array.papr: unknown key"),
+        ("  weights: [1.0]\n", "  weights: [1.0]\n  sigma_deg: 2.0\n",
+         "distribution.sigma_deg: unknown key"),
+        ("seed: 5\n", "seed: 5\npdf_floor: 2.0\n", "pdf_floor: "),
+        ("seed: 5\n", "seed: 5\npdf_floor: 0\n", "pdf_floor: "),
+        ("kappa_list: [1.2]", "kappa_list: []", "kappa_list: "),
+        ("seed: 5\n", "seed: 5\ncrb_angle_deg: 100\n", "crb_angle_deg: "),
+        ("{max_iters: 300}", "{max_iters: true}", "admm.max_iters: expected int, got bool"),
+        (SMALL_PRIOR + "methods: [pcrb, omni]\nkappa_list: [1.2]\nsnr_list_db: [0.0, 10.0]\n",
+         POINT_MASS + "methods: [pcrb, psbp-fair]\nkappa_list: [1.2]\nsnr_list_db: []\n",
+         "methods: psbp-fair"),
+        (SMALL_PRIOR, POINT_MASS, "n_trials: "),
+    ]
+    for old, new, message in cases:
+        bad3 = tmp_path / "bad3.cfg"
+        bad3.write_text(SMALL_CFG.replace(old, new))
+        out = tmp_path / "out"
+        assert run_scenario(bad3, out=out) == 1, new
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"config error: {message}"), lines
+        assert not out.exists()
+
+    # A point mass still serves the bound designs without Monte-Carlo trials.
+    ok = tmp_path / "ok.cfg"
+    ok.write_text(SMALL_CFG.replace(SMALL_PRIOR, POINT_MASS)
+                  .replace("[pcrb, omni]", "[pcrb, psbp-int, crb, omni]")
+                  .replace("n_trials: 10", "n_trials: 0"))
+    assert isinstance(load_config(ok).distribution, PointMass)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("rho", "1.0"), ("rho_fair", "[1.0, 2.0]"), ("safety", "2.0"),
+    ("dual_step", "0.5"), ("primal_tol", "1.0e-8"), ("mu_tol", "1.0e-12"),
+])
+def test_removed_admm_settings_are_unknown_keys(tmp_path, capsys, key, value):
+    cfg = tmp_path / "admm.cfg"
+    cfg.write_text(SMALL_CFG.replace("admm: {max_iters: 300}",
+                                     f"admm: {{max_iters: 300, {key}: {value}}}"))
+    assert run_scenario(cfg, out=tmp_path / "out") == 1
+    assert capsys.readouterr().out.startswith(
+        f"config error: admm.{key}: unknown key; choose from ('max_iters',)")
 
 
 def test_prior_failing_quadrature_is_a_config_error(tmp_path, capsys):
@@ -202,6 +253,14 @@ def test_cli_subcommands(small_cfg, tmp_path, capsys):
     assert cli_main(["beampattern", "--waveform", str(out / "omni" / "waveform.csv"),
                      "--out", str(bp), "--grid-size", "61"]) == 0
     assert len(bp.read_text().strip().splitlines()) == 62
+    capsys.readouterr()
+    for bad_args in (["--grid-size", "1"], ["--spacing", "0"], ["--spacing", "-0.5"]):
+        bp_bad = tmp_path / "bp_bad.csv"
+        assert cli_main(["beampattern", "--waveform", str(out / "omni" / "waveform.csv"),
+                         "--out", str(bp_bad)] + bad_args) == 1
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert len(lines) == 1 and bad_args[0] in lines[0]
+        assert not bp_bad.exists()
     # corrupt a table: validation must fail
     target = out / "omni" / "beampattern.csv"
     target.write_text("angle_deg,power\n0,1\n")

@@ -74,7 +74,7 @@ def test_shared_kernel_equivalence(dist12, cfg12, grid361):
     pts, w = grid361.points[mask], f[mask] * grid361.cell
     a = steering_matrix(pts, cfg12.m_t)
     xi = np.einsum("ip,p,kp->ik", a, w, a.conj())
-    mom = DistributionMoments(xi0=xi, xi1=xi, xi2=xi, xi3=xi, lam=0.0, grid_size=361)
+    mom = DistributionMoments(xi0=xi, xi1=xi, xi2=xi, xi3=xi, lam=0.0)
     admm = AdmmConfig(max_iters=800)
     r_int = solve_psbp_integrated(dist12, cfg12, grid361, admm, seed=21)
     r_pcrb = solve_pcrb(mom, cfg12, admm, seed=21)

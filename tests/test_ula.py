@@ -4,8 +4,7 @@ import pytest
 from priorwave import (
     ArrayConfig,
     beampattern,
-    steering,
-    steering_derivative,
+    steering_derivative_matrix,
     steering_matrix,
     synthesize_received,
     waveform_feasibility,
@@ -13,7 +12,7 @@ from priorwave import (
 
 
 def test_steering_broadside_is_all_ones():
-    a = steering(0.0, 8, 0.5)
+    a = steering_matrix(0.0, 8, 0.5)
     assert np.allclose(a, np.ones(8), atol=0)
 
 
@@ -22,7 +21,7 @@ def test_steering_self_inner_product_is_element_count():
     for _ in range(20):
         th = rng.uniform(-np.pi / 2, np.pi / 2)
         m = rng.integers(1, 12)
-        a = steering(th, int(m))
+        a = steering_matrix(th, int(m))
         assert abs(np.vdot(a, a) - m) < 1e-12
 
 
@@ -30,7 +29,7 @@ def test_steering_phases_match_centered_exponent():
     # Per-index phase step is 2*pi*spacing*sin(theta): pi*sin(theta) at
     # half-wavelength spacing, with centered offsets (i - (m-1)/2).
     th = np.pi / 6
-    a = steering(th, 4, 0.5)
+    a = steering_matrix(th, 4, 0.5)
     offsets = np.array([-1.5, -0.5, 0.5, 1.5])
     expected = np.exp(1j * np.pi * offsets * np.sin(th))
     assert np.max(np.abs(a - expected)) < 1e-15
@@ -40,14 +39,14 @@ def test_unit_modulus_and_derivative_orthogonality():
     rng = np.random.default_rng(1)
     for _ in range(100):
         th = rng.uniform(-np.pi / 2, np.pi / 2)
-        a = steering(th, 8)
-        da = steering_derivative(th, 8)
+        a = steering_matrix(th, 8)
+        da = steering_derivative_matrix(th, 8)
         assert np.max(np.abs(np.abs(a) - 1.0)) <= 1e-12
         assert abs(np.vdot(da, a)) <= 1e-10
 
 
 def test_derivative_at_broadside():
-    da = steering_derivative(0.0, 8, 0.5)
+    da = steering_derivative_matrix(0.0, 8, 0.5)
     expected = 1j * np.pi * (np.arange(8) - 3.5)
     assert np.max(np.abs(da - expected)) < 1e-14
 
@@ -57,14 +56,14 @@ def test_derivative_matches_central_finite_difference():
     h = 1e-5
     for _ in range(25):
         th = rng.uniform(-np.pi / 2 + 1e-3, np.pi / 2 - 1e-3)
-        fd = (steering(th + h, 8) - steering(th - h, 8)) / (2 * h)
-        da = steering_derivative(th, 8)
+        fd = (steering_matrix(th + h, 8) - steering_matrix(th - h, 8)) / (2 * h)
+        da = steering_derivative_matrix(th, 8)
         assert np.max(np.abs(fd - da)) / np.max(np.abs(da)) < 1e-6
 
 
 def test_out_of_range_angle_rejected():
     with pytest.raises(ValueError):
-        steering(2.0, 8)
+        steering_matrix(2.0, 8)
     with pytest.raises(ValueError):
         steering_matrix(np.array([0.0, -1.7]), 4)
 
@@ -93,7 +92,7 @@ def test_beampattern_matches_gram_path():
     x = rng.normal(size=(6, 10)) + 1j * rng.normal(size=(6, 10))
     gram = x @ x.conj().T
     for th in rng.uniform(-np.pi / 2, np.pi / 2, size=25):
-        a = steering(th, 6)
+        a = steering_matrix(th, 6)
         direct = beampattern(x, th)
         via_gram = float(np.real(a.conj() @ gram @ a))
         assert abs(direct - via_gram) <= 1e-10 * max(1.0, abs(via_gram))
