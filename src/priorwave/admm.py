@@ -5,10 +5,19 @@ waveform, an entrywise projection onto the per-element power cap, and a
 dual ascent step. The quadratic update is solved exactly through one
 Hermitian eigendecomposition plus a safeguarded Newton root of the scalar
 secular equation for the power multiplier.
+
+The ADMM loop warm-starts that root at the previous iteration's
+multiplier, which barely moves between iterations. The warm start changes
+only where Newton begins, not what it converges to: the secular function
+is concave and increasing, so Newton from the right of the root steps once
+to the root or to its left and then climbs monotonically, every iterate
+still shrinks the same bracket, and a start outside the bracket falls back
+to the cold start at its lower end.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -91,26 +100,31 @@ def _cap_elements(w: np.ndarray, bound: float) -> np.ndarray:
 
 
 def _solve_multiplier(psi: np.ndarray, sig: np.ndarray, power: float,
-                      mu_tol: float) -> tuple[float, int]:
+                      mu_tol: float, start: float | None = None) -> tuple[float, int]:
     """Root of ``sum_m psi_m / (sig_m + 2 mu)**2 = power`` with ``Pmat + 2 mu I > 0``.
 
     Safeguarded Newton on the secular equation ``1/||x(mu)|| = 1/sqrt(power)``
     (Moré & Sorensen 1983), whose left side is concave and increasing for
     ``mu > -min(sig)/2``. Each term of the power sum bounds the root from
     below and the smallest eigenvalue carrying all of ``psi`` bounds it
-    from above; Newton started at the lower bound rises monotonically to
-    the root. A step that leaves the shrinking bracket is replaced by its
-    midpoint. Stops once ``|sum - power| <= mu_tol * power``, or, where
-    rounding of ``mu`` cannot reach that, when the bracket has no float
-    left inside; returns the root and the number of power-sum evaluations.
+    from above. Newton begins at ``start`` when it lies strictly inside
+    that bracket and at the lower bound otherwise. From the left of the
+    root Newton rises monotonically to it; from the right, concavity puts
+    the first step on the root or to its left, after which it rises
+    again. Every evaluation shrinks the bracket, and a step that leaves it
+    is replaced by its midpoint, so any start reaches the same root. Stops
+    once ``|sum - power| <= mu_tol * power``, or, where rounding of ``mu``
+    cannot reach that, when the bracket has no float left inside; returns
+    the root and the number of power-sum evaluations.
     """
     sig_min = float(sig.min())
     lo = 0.5 * max(float(np.max(np.sqrt(psi / power) - sig)), -sig_min)
-    hi = 0.5 * (np.sqrt(float(psi.sum()) / power) - sig_min)
-    mu, best_mu, best_gap = lo, None, np.inf
+    hi = 0.5 * (math.sqrt(float(psi.sum()) / power) - sig_min)
+    mu = start if start is not None and lo < start < hi else lo
+    best_mu, best_gap = None, math.inf
     for evals in range(1, _MU_MAX_EVALS + 1):
         denom = sig + 2.0 * mu
-        nxt = np.nan
+        nxt = math.nan
         if denom.min() > 0:
             terms = psi / denom**2
             val = float(terms.sum())
@@ -123,7 +137,7 @@ def _solve_multiplier(psi: np.ndarray, sig: np.ndarray, power: float,
                 lo = mu
             else:
                 hi = mu
-            nxt = mu + 0.5 * val * (np.sqrt(val / power) - 1.0) / float(np.sum(terms / denom))
+            nxt = mu + 0.5 * val * (math.sqrt(val / power) - 1.0) / float((terms / denom).sum())
         else:  # on the pole: psi carries no weight on the bottom eigenvector
             lo = mu
         # The first upper end is a bound, not yet evaluated, so Newton may
@@ -140,23 +154,28 @@ def _solve_multiplier(psi: np.ndarray, sig: np.ndarray, power: float,
 
 
 def _x_update_eig(g: np.ndarray, sig: np.ndarray, q: np.ndarray, power: float,
-                  mu_tol: float) -> tuple[np.ndarray, float, int]:
-    """Quadratic update given the eigendecomposition of the curvature."""
-    if not np.any(np.abs(q) > 0):
+                  mu_tol: float, start: float | None = None) -> tuple[np.ndarray, float, int]:
+    """Quadratic update given the eigendecomposition of the curvature.
+
+    ``start`` is an optional first guess for the multiplier root (see
+    ``_solve_multiplier``); the result does not depend on it beyond rounding.
+    """
+    if not q.any():
         raise ValueError("zero target matrix admits no finite-power solution")
     gq = g.conj().T @ q
-    psi = np.sum(np.abs(gq) ** 2, axis=1)
+    psi = (gq.real**2 + gq.imag**2).sum(1)
 
     # Hard case: the target has no component on the smallest eigenspace and
     # the interior curve never reaches the power budget. Take the boundary
     # multiplier and pad with a null-space direction to hit the power
     # exactly; stationarity is unaffected because that direction is
     # annihilated by (Pmat + 2 mu I).
-    mu_floor = -float(sig.min()) / 2.0
-    tol = 1e-12 * max(float(sig.max() - sig.min()), 1.0)
-    low_block = sig <= sig.min() + tol
+    sig_min, sig_max = float(sig.min()), float(sig.max())
+    mu_floor = -sig_min / 2.0
+    tol = 1e-12 * max(sig_max - sig_min, 1.0)
+    low_block = sig <= sig_min + tol
     psi_scale = float(psi.sum())
-    if float(psi[low_block].sum()) <= 1e-24 * max(psi_scale, 1e-300):
+    if float(psi @ low_block) <= 1e-24 * max(psi_scale, 1e-300):
         denom = np.where(low_block, np.inf, sig + 2.0 * mu_floor)
         if float(np.sum(psi / denom**2)) < power:
             coeff = np.where(low_block, 0.0, 1.0 / denom)
@@ -167,10 +186,10 @@ def _x_update_eig(g: np.ndarray, sig: np.ndarray, q: np.ndarray, power: float,
             x = x0 + np.sqrt(deficit) * pad
             return x, mu_floor, 0
 
-    mu, iters = _solve_multiplier(psi, sig, power, mu_tol)
+    mu, iters = _solve_multiplier(psi, sig, power, mu_tol, start)
     x = g @ (gq / (sig + 2.0 * mu)[:, None])
     # Exact power rescale; relative change is within the root tolerance.
-    x *= np.sqrt(power / float(np.sum(np.abs(x) ** 2)))
+    x *= math.sqrt(power / np.vdot(x, x).real)
     return x, mu, iters
 
 

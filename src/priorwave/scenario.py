@@ -57,7 +57,7 @@ TABLE_SCHEMAS = {
 
 # Keys every solver cell (one that writes trace.csv) records in metrics.csv.
 SOLVER_METRICS = (
-    "metric_value", "iterations", "final_residual", "al_increase_count",
+    "metric_value", "iterations", "best_iteration", "final_residual", "al_increase_count",
     "converged", "mu_iterations_mean", "mu_iterations_max",
 )
 
@@ -100,6 +100,33 @@ def _req(cfg: dict, key: str, kind, path: str):
     if isinstance(val, bool) or not isinstance(val, (int, float) if kind is float else kind):
         raise ConfigError(f"{path}.{key}: expected {kind.__name__}, got {type(val).__name__}")
     return float(val) if kind is float else val
+
+
+def _int_key(cfg: dict, key: str, default: int) -> int:
+    """Optional top-level integer; floats and bools are rejected, not truncated."""
+    return _req(cfg, key, int, "config") if key in cfg else default
+
+
+def _number(val, path: str) -> float:
+    """A float-valued entry. YAML reads ``1e-6`` as a string, which ``float``
+    converts; true/false, which it would read as 1 and 0, are rejected."""
+    if isinstance(val, bool):
+        raise ConfigError(f"{path}: expected a number, got bool")
+    try:
+        return float(val)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
+def _numbers(cfg: dict, key: str, default: list) -> tuple[float, ...]:
+    vals = cfg.get(key, default)
+    if not isinstance(vals, list):
+        raise ConfigError(f"{key}: expected a list, got {type(vals).__name__}")
+    return tuple(_number(v, key) for v in vals)
+
+
+def _cell_name(method: str, kappa: float) -> str:
+    return f"{method}-k{kappa:g}"
 
 
 def _check_keys(cfg: dict, known: tuple[str, ...], path: str) -> None:
@@ -150,15 +177,14 @@ def _build(cfg: dict) -> Scenario:
     _check_keys(cfg, _TOP_KEYS, "config")
     arr = _req(cfg, "array", dict, "config")
     _check_keys(arr, _ARRAY_KEYS, "array")
+    m_t, m_r, l_samples = (_req(arr, key, int, "array") for key in ("m_t", "m_r", "l_samples"))
+    power, noise_power, spacing = (
+        _number(arr.get(key, default), f"array.{key}")
+        for key, default in (("power", 1.0), ("noise_power", 1.0), ("spacing", 0.5))
+    )
     try:
-        array = ArrayConfig(
-            m_t=_req(arr, "m_t", int, "array"),
-            m_r=_req(arr, "m_r", int, "array"),
-            l_samples=_req(arr, "l_samples", int, "array"),
-            power=float(arr.get("power", 1.0)),
-            noise_power=float(arr.get("noise_power", 1.0)),
-            spacing=float(arr.get("spacing", 0.5)),
-        )
+        array = ArrayConfig(m_t=m_t, m_r=m_r, l_samples=l_samples, power=power,
+                            noise_power=noise_power, spacing=spacing)
     except ValueError as exc:
         raise ConfigError(f"array: {exc}") from exc
 
@@ -171,18 +197,20 @@ def _build(cfg: dict) -> Scenario:
         if m not in METHODS:
             raise ConfigError(f"methods: unknown method {m!r}; choose from {METHODS}")
 
-    try:
-        kappas = tuple(float(k) for k in cfg.get("kappa_list", [1.2]))
-        snrs = tuple(float(s) for s in cfg.get("snr_list_db", []))
-        n_trials = int(cfg.get("n_trials", 0))
-        grid_size = int(cfg.get("grid_size", 361))
-        seed = int(cfg.get("seed", 0))
-        pdf_floor = float(cfg.get("pdf_floor", 1e-6))
-        crb_angle_deg = float(cfg.get("crb_angle_deg", 0.0))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"config: {exc}") from exc
+    kappas = _numbers(cfg, "kappa_list", [1.2])
+    snrs = _numbers(cfg, "snr_list_db", [])
+    n_trials = _int_key(cfg, "n_trials", 0)
+    grid_size = _int_key(cfg, "grid_size", 361)
+    seed = _int_key(cfg, "seed", 0)
+    pdf_floor = _number(cfg.get("pdf_floor", 1e-6), "pdf_floor")
+    crb_angle_deg = _number(cfg.get("crb_angle_deg", 0.0), "crb_angle_deg")
     if any(k < 1 for k in kappas):
         raise ConfigError("kappa_list: PAPR thresholds must be >= 1")
+    names = [_cell_name("<method>", k) for k in kappas]
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise ConfigError(f"kappa_list: {kappas[names.index(name)]!r} and {kappas[i]!r} "
+                              f"would share the cell directory {name}")
     if n_trials < 0:
         raise ConfigError("n_trials: must be nonnegative (0 skips estimation)")
     if grid_size < 2:
@@ -385,6 +413,7 @@ def _run_cell(scenario: Scenario, method: str, kappa_index: int, out: Path,
         metrics += [
             ("metric_value", result.metric_value),
             ("iterations", result.iterations),
+            ("best_iteration", result.best_iteration),
             ("final_residual", float(result.trace.residual[-1])),
             ("al_increase_count", result.trace.monotone_violations()),
             ("converged", int(result.converged)),
@@ -454,7 +483,7 @@ def run_scenario(
         if method == "omni":
             cells.append((method, 0, "omni"))
         else:
-            cells.extend((method, ki, f"{method}-k{k:g}")
+            cells.extend((method, ki, _cell_name(method, k))
                          for ki, k in enumerate(scenario.kappa_list))
 
     manifest_files: dict[str, list[str]] = {}

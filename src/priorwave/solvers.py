@@ -55,7 +55,9 @@ class SolveResult:
     the returned waveform: the bound surrogate at unit amplitude for the
     bound-oriented solver, the minimum density-scaled beampattern for the
     fair solver, and the density-weighted beampattern sum for the
-    integrated solver.
+    integrated solver. ``best_iteration`` is the 1-based index of the
+    iterate that was polished into ``waveform``, or 0 when no iterate was
+    track-feasible and the last one was polished instead.
     """
 
     waveform: np.ndarray
@@ -64,6 +66,12 @@ class SolveResult:
     feasibility: Feasibility
     iterations: int
     converged: bool
+    best_iteration: int
+
+
+def _sqnorm(z: np.ndarray) -> float:
+    """Squared Frobenius norm of a complex array in one reduction."""
+    return float(np.vdot(z, z).real)
 
 
 def _initial_waveform(cfg: ArrayConfig, rng: np.random.Generator) -> np.ndarray:
@@ -134,7 +142,9 @@ def _admm(split, cfg: ArrayConfig, admm: AdmmConfig, seed: int, metric) -> Solve
     objective, al_values, residuals, mu_iters = [], [], [], []
     best_loss = np.inf
     best_x = None
+    best_iteration = 0
     converged = False
+    mu = None
     for _ in range(admm.max_iters):
         # Element-cap block first, then the waveform: the augmented
         # Lagrangian descends only when the quadratic block sees the
@@ -142,14 +152,12 @@ def _admm(split, cfg: ArrayConfig, admm: AdmmConfig, seed: int, metric) -> Solve
         u_prev = u
         u = _cap_elements(x - d, bound)
         q = split.target(rho * (u + d))
-        x, _, iters = _x_update_eig(g, sig, q, cfg.power, _MU_TOL)
+        # The multiplier barely moves between iterations: warm-start its root.
+        x, mu, iters = _x_update_eig(g, sig, q, cfg.power, _MU_TOL, mu)
         d = d + gamma * u - gamma * x
+        split_gap = u - x
         obj, al, res, move = split.measure(
-            x,
-            float(np.sum(np.abs(u - x) ** 2)),
-            float(np.sum(np.abs(u - u_prev) ** 2)),
-            0.5 * rho * float(np.sum(np.abs(u - x + d) ** 2)),
-        )
+            x, _sqnorm(split_gap), _sqnorm(u - u_prev), 0.5 * rho * _sqnorm(split_gap + d))
 
         objective.append(obj)
         al_values.append(al)
@@ -158,9 +166,10 @@ def _admm(split, cfg: ArrayConfig, admm: AdmmConfig, seed: int, metric) -> Solve
         # Negation is exact, so a maximizing split tracks its best iterate
         # with the same comparison.
         loss = -obj if split.maximize else obj
-        if float(np.max(np.abs(x) ** 2)) <= bound * (1.0 + _TRACK_SLACK) and loss < best_loss:
+        if loss < best_loss and float(np.abs(x).max()) ** 2 <= bound * (1.0 + _TRACK_SLACK):
             best_loss = loss
             best_x = x.copy()
+            best_iteration = len(residuals)
         # A slack element cap keeps the split residual at zero from the
         # first step, so stationarity of the auxiliary must be required
         # as well before stopping.
@@ -183,6 +192,7 @@ def _admm(split, cfg: ArrayConfig, admm: AdmmConfig, seed: int, metric) -> Solve
         feasibility=waveform_feasibility(final, cfg),
         iterations=len(trace),
         converged=converged,
+        best_iteration=best_iteration,
     )
 
 
@@ -243,16 +253,19 @@ def solve_psbp_integrated(
                  lambda x: float(w @ np.sum(np.abs(x.conj().T @ a) ** 2, axis=0)))
 
 
-def _inflate_columns(h: np.ndarray, fvals: np.ndarray, eta: float) -> np.ndarray:
+def _inflate_columns(h: np.ndarray, hnorms: np.ndarray, fvals: np.ndarray,
+                     eta: float) -> np.ndarray:
     """Per-angle auxiliary update: keep columns already above the level,
-    radially inflate the rest to squared norm ``f * eta``."""
-    hn = np.linalg.norm(h, axis=0)
-    out = h.copy()
-    need = fvals * eta > hn**2
-    if np.any(need):
-        safe = np.maximum(hn[need], 1e-300)
-        out[:, need] = h[:, need] * (np.sqrt(fvals[need] * eta) / safe)
-    return out
+    radially inflate the rest to squared norm ``f * eta``.
+
+    ``hnorms`` are the column norms of ``h``. Returns ``h`` itself when no
+    column needs inflating.
+    """
+    level = fvals * eta
+    need = level > hnorms**2
+    if not need.any():
+        return h
+    return h * np.where(need, np.sqrt(level) / np.maximum(hnorms, 1e-300), 1.0)
 
 
 def _eta_update(hnorms: np.ndarray, fvals: np.ndarray, rho3: float) -> float:
@@ -317,9 +330,10 @@ class _FairSplit:
 
     def target(self, q: np.ndarray) -> np.ndarray:
         h = self.w - self.b
-        self.eta = _eta_update(np.linalg.norm(h, axis=0), self.f, self.rho3)
+        hnorms = np.linalg.norm(h, axis=0)
+        self.eta = _eta_update(hnorms, self.f, self.rho3)
         self.g_prev = self.gmat
-        self.gmat = _inflate_columns(h, self.f, self.eta)
+        self.gmat = _inflate_columns(h, hnorms, self.f, self.eta)
         return q + self.rho3 * (self.a @ (self.gmat + self.b).conj().T)
 
     def measure(self, x, res, move, al):
@@ -327,9 +341,10 @@ class _FairSplit:
         w = self.w = x.conj().T @ self.a
         self.b = self.b + gamma * gmat - gamma * w
         obj = float(np.min(np.sum(np.abs(w) ** 2, axis=0) / self.f))
-        res = res + float(np.sum(np.abs(gmat - w) ** 2))
-        move = move + float(np.sum(np.abs(gmat - self.g_prev) ** 2))
-        al = -self.eta + al + 0.5 * self.rho3 * float(np.sum(np.abs(gmat - w + self.b) ** 2))
+        bp_gap = gmat - w
+        res = res + _sqnorm(bp_gap)
+        move = move + _sqnorm(gmat - self.g_prev)
+        al = -self.eta + al + 0.5 * self.rho3 * _sqnorm(bp_gap + self.b)
         return obj, al, res, move
 
 

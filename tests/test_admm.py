@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from priorwave import AdmmConfig, papr_project, quad_x_update
-from priorwave.admm import _solve_multiplier, _x_update_eig
+from priorwave.admm import _cap_elements, _solve_multiplier, _x_update_eig
 
 
 def random_hermitian(rng, n, shift=0.0):
@@ -53,6 +53,31 @@ def test_papr_project_beats_disc_sampling():
     samples[:2000] = np.sqrt(bound) * np.exp(1j * phi[:2000])
     best = np.min(np.abs(w[:, None] - samples[None, :]), axis=1)
     assert np.all(best >= np.abs(w - proj) - 1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 8), cols=st.integers(1, 30),
+       log_bound=st.floats(-6.0, 2.0), near=st.booleans())
+def test_papr_project_properties(seed, rows, cols, log_bound, near):
+    # Idempotent, non-expansive (the disc is convex), and the loop's
+    # in-place cap agrees bit for bit. ``near`` puts every magnitude within
+    # a few ulps of the cap, where the projection's slack decides.
+    rng = np.random.default_rng(seed)
+    bound = 10.0**log_bound
+    radius = np.sqrt(bound)
+    shape = (2, rows, cols)
+    if near:
+        mags = radius * (1.0 + rng.integers(-16, 17, size=shape) * np.finfo(float).eps)
+    else:
+        mags = radius * 10.0 ** rng.uniform(-2.0, 2.0, size=shape)
+    a, b = mags * np.exp(2j * np.pi * rng.random(size=shape))
+    pa, pb = papr_project(a, bound), papr_project(b, bound)
+    assert np.array_equal(papr_project(pa, bound), pa)
+    slack = 8.0 * np.finfo(float).eps * radius
+    assert np.all(np.abs(pa - pb) <= np.abs(a - b) * (1.0 + 1e-12) + slack)
+    w = a.copy()
+    assert _cap_elements(w, bound) is w
+    assert np.array_equal(w, pa)
 
 
 def test_quad_x_update_isotropic_curvature_rescales():
@@ -148,10 +173,7 @@ def random_unitary(rng, n):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-@settings(max_examples=200, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8), near_hard=st.booleans(),
-       frac=st.floats(0.02, 0.98))
-def test_multiplier_root_meets_power_tolerance(seed, n, near_hard, frac):
+def secular_case(seed, n, near_hard, frac):
     # Spectra in [-10, 10] with psi in [1e-2, 10] keep the root far enough
     # from the pole for 1e-12 to be reachable in double precision. The
     # near-hard case puts 1e-20 on the bottom eigenvector, so Newton starts
@@ -164,10 +186,42 @@ def test_multiplier_root_meets_power_tolerance(seed, n, near_hard, frac):
         sig[1:] = np.maximum(sig[1:], sig[0] + 0.1)
         psi[0] = 1e-20
         power = frac * float(np.sum(psi[1:] / (sig[1:] - sig[0]) ** 2))
+    return psi, sig, power
+
+
+SECULAR_CASES = dict(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8),
+                     near_hard=st.booleans(), frac=st.floats(0.02, 0.98))
+
+
+@settings(max_examples=200, deadline=None)
+@given(**SECULAR_CASES)
+def test_multiplier_root_meets_power_tolerance(seed, n, near_hard, frac):
+    psi, sig, power = secular_case(seed, n, near_hard, frac)
     mu, evals = _solve_multiplier(psi, sig, power, 1e-12)
     assert np.all(sig + 2.0 * mu > 0)
     assert abs(np.sum(psi / (sig + 2.0 * mu) ** 2) - power) <= 1e-12 * power
     assert evals <= 60
+
+
+@settings(max_examples=200, deadline=None)
+@given(t=st.floats(0.01, 0.99), **SECULAR_CASES)
+def test_warm_started_root_meets_power_tolerance(seed, n, near_hard, frac, t):
+    # Any start gives a root as good as the cold start's. Outside the open
+    # bracket (below the pole, at either end, above it) the start is
+    # ignored; inside, Newton reaches the root from either side.
+    psi, sig, power = secular_case(seed, n, near_hard, frac)
+    cold = _solve_multiplier(psi, sig, power, 1e-12)
+    root = cold[0]
+    pole = -0.5 * sig.min()
+    lo = 0.5 * max(float(np.max(np.sqrt(psi / power) - sig)), -sig.min())
+    hi = 0.5 * (np.sqrt(psi.sum() / power) - sig.min())
+    for start in (pole - 1.0, pole, lo, hi, hi + 1.0, 10.0 * abs(hi) + 1e3):
+        assert _solve_multiplier(psi, sig, power, 1e-12, start) == cold, start
+    for start in (lo + t * (root - lo), root, root + t * (hi - root)):
+        mu, evals = _solve_multiplier(psi, sig, power, 1e-12, start)
+        assert np.all(sig + 2.0 * mu > 0), start
+        assert abs(np.sum(psi / (sig + 2.0 * mu) ** 2) - power) <= 1e-12 * power, start
+        assert evals <= 60
 
 
 def test_multiplier_root_next_to_the_pole_returns_best_float():

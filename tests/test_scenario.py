@@ -152,6 +152,22 @@ def test_config_errors_are_line_precise(tmp_path, capsys):
          POINT_MASS + "methods: [pcrb, psbp-fair]\nkappa_list: [1.2]\nsnr_list_db: []\n",
          "methods: psbp-fair"),
         (SMALL_PRIOR, POINT_MASS, "n_trials: "),
+        # Values that print alike would write two cells into one directory.
+        ("kappa_list: [1.2]", "kappa_list: [1.2, 1.2000001]", "kappa_list: 1.2 and 1.2000001"),
+        ("kappa_list: [1.2]", "kappa_list: [1.5, 1.2, 1.5]", "kappa_list: 1.5 and 1.5"),
+        # Integers are not truncated, and true/false is not read as 1/0.
+        ("n_trials: 10", "n_trials: 2.7", "config.n_trials: expected int, got float"),
+        ("n_trials: 10", "n_trials: true", "config.n_trials: expected int, got bool"),
+        ("grid_size: 181", "grid_size: true", "config.grid_size: expected int, got bool"),
+        ("seed: 5\n", "seed: 5.5\n", "config.seed: expected int, got float"),
+        ("seed: 5\n", "seed: false\n", "config.seed: expected int, got bool"),
+        ("kappa_list: [1.2]", "kappa_list: [true]", "kappa_list: expected a number, got bool"),
+        ("snr_list_db: [0.0, 10.0]", "snr_list_db: [0.0, true]",
+         "snr_list_db: expected a number, got bool"),
+        ("seed: 5\n", "seed: 5\ncrb_angle_deg: true\n", "crb_angle_deg: expected a number"),
+        ("seed: 5\n", "seed: 5\npdf_floor: true\n", "pdf_floor: expected a number"),
+        ("l_samples: 8}", "l_samples: 8, power: true}", "array.power: expected a number"),
+        ("l_samples: 8}", "l_samples: 8, spacing: false}", "array.spacing: expected a number"),
     ]
     for old, new, message in cases:
         bad3 = tmp_path / "bad3.cfg"
@@ -300,15 +316,17 @@ def test_solver_metrics_are_recorded_and_validated(small_cfg, tmp_path):
     rows = path.read_text().strip().splitlines()
     metrics = dict(r.split(",") for r in rows[1:])
     assert metrics["converged"] in ("0", "1")
+    assert 0 <= int(metrics["best_iteration"]) <= int(metrics["iterations"])
     mean, peak = float(metrics["mu_iterations_mean"]), int(metrics["mu_iterations_max"])
     assert 1 <= mean <= peak
     # omni designs nothing, so its metrics carry no solver keys
     omni = (out / "omni" / "metrics.csv").read_text()
     assert "converged" not in omni and validate_output_dir(out) == []
 
-    path.write_text("\n".join(r for r in rows if not r.startswith("mu_iterations_max")) + "\n")
-    problems = validate_output_dir(out)
-    assert len(problems) == 1 and "mu_iterations_max" in problems[0]
+    for key in ("mu_iterations_max", "best_iteration"):
+        path.write_text("\n".join(r for r in rows if not r.startswith(key)) + "\n")
+        problems = validate_output_dir(out)
+        assert len(problems) == 1 and key in problems[0]
     path.write_text("\n".join(rows).replace("converged,1", "converged,yes")
                     .replace("converged,0", "converged,no") + "\n")
     problems = validate_output_dir(out)
