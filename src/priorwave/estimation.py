@@ -4,8 +4,10 @@ The unknown deterministic amplitude is profiled out per candidate angle,
 leaving a concentrated log-likelihood that is scanned over the angular
 grid together with the log prior. The estimator works on stacks of
 frames. Trials draw the true angle from the prior and are reproducible
-per (seed, snr index, trial index that seeds an independent generator);
-their frames are estimated a block at a time.
+per (seed, snr index, trial index that seeds an independent generator).
+Only those draws are made trial by trial: each block of trials then
+builds its frames at once, bit-identical to per-trial
+``synthesize_received`` frames, and is estimated as one stack.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 
 from .pcrb import pcrb_theta
 from .priors import DistributionMoments, TargetDistribution, compute_moments
-from .ula import HALF_DOMAIN, ArrayConfig, steering_matrix, synthesize_received
+from .ula import HALF_DOMAIN, ArrayConfig, _check_angles, _received, _steer, steering_matrix
 
 __all__ = [
     "AngularGrid",
@@ -145,10 +147,14 @@ class MapEstimator:
         scalar angle gives a float.
         """
         ys, single = self._frames(y)
-        th = np.broadcast_to(np.asarray(theta, dtype=float), ys.shape[:1])
+        out = self._score_at(ys, np.broadcast_to(_check_angles(theta), ys.shape[:1]))
+        return float(out[0]) if single else out
+
+    def _score_at(self, ys: np.ndarray, th: np.ndarray) -> np.ndarray:
+        """``score_at`` of a stack at checked angles, one per frame."""
         f = np.asarray(self._dist.pdf(th), dtype=float)
-        a_t = steering_matrix(th, self._xh.shape[1], self._spacing).T
-        a_r = steering_matrix(th, self._m_r, self._spacing).T
+        a_t = _steer(th, self._xh.shape[1], self._spacing).T
+        a_r = _steer(th, self._m_r, self._spacing).T
         # One small matmul per frame, the same products a_r^H y and x^H a_t
         # that a lone frame takes: a frame's value is independent of the
         # stack it comes in.
@@ -157,8 +163,7 @@ class MapEstimator:
         den = self._noise * self._m_r * np.sum(np.abs(w) ** 2, axis=1)
         with np.errstate(divide="ignore", invalid="ignore"):
             out = np.abs(s) ** 2 / den + np.log(np.where(f > 0, f, 1.0))
-        out = np.where((f > 0) & (den > 1e-300), out, -np.inf)
-        return float(out[0]) if single else out
+        return np.where((f > 0) & (den > 1e-300), out, -np.inf)
 
     def estimate(self, y: np.ndarray):
         """MAP angle of each frame: a float for one frame, an array for a stack."""
@@ -173,23 +178,24 @@ class MapEstimator:
     def _refine(self, ys: np.ndarray, theta: np.ndarray, best: np.ndarray) -> np.ndarray:
         # Golden section over [theta - cell, theta + cell], one bracket per
         # frame; np.where applies each frame's own branch of the update.
+        # Every probe lies inside the grid, so it skips the angle check.
         pts = self.grid.points
         a = np.maximum(theta - self.grid.cell, pts[0])
         b = np.minimum(theta + self.grid.cell, pts[-1])
         c = b - _GOLDEN * (b - a)
         d = a + _GOLDEN * (b - a)
-        fc, fd = self.score_at(ys, c), self.score_at(ys, d)
+        fc, fd = self._score_at(ys, c), self._score_at(ys, d)
         for _ in range(40):
             left = fc > fd
             a = np.where(left, a, c)
             b = np.where(left, d, b)
             new = np.where(left, b - _GOLDEN * (b - a), a + _GOLDEN * (b - a))
-            f_new = self.score_at(ys, new)
+            f_new = self._score_at(ys, new)
             c, fc, d, fd = (np.where(left, new, d), np.where(left, f_new, fd),
                             np.where(left, c, new), np.where(left, fc, f_new))
         refined = 0.5 * (a + b)
         # Keep the grid argmax if the local search somehow did worse.
-        return np.where(self.score_at(ys, refined) >= best, refined, theta)
+        return np.where(self._score_at(ys, refined) >= best, refined, theta)
 
 
 @dataclass(frozen=True)
@@ -232,7 +238,9 @@ def monte_carlo_mse(
     for the per-angle breakdown.
 
     Each trial draws from its own generator seeded by ``(seed, snr index,
-    trial index)``; frames are estimated in fixed blocks of trials.
+    trial index)``; frames are built and estimated in fixed blocks of
+    trials, each frame bit-identical to ``synthesize_received`` on the
+    trial's generator.
     ``moments`` are the steering moments of ``dist`` for ``cfg``, used for
     the PCRB column; they are computed when not given.
     """
@@ -246,23 +254,28 @@ def monte_carlo_mse(
     if moments is None:
         moments = compute_moments(dist, cfg)
 
+    # Block buffers, refilled in place: frames, their noise, and phases.
     frames = np.empty((min(_BLOCK, n_trials), cfg.m_r, x.shape[1]), dtype=complex)
+    noise = np.empty(frames.shape + (2,))
+    phase = np.empty(len(frames))
+    scale = np.sqrt(cfg.noise_power / 2.0)
     truth = np.empty(n_trials)
     estimate = np.empty(n_trials)
     results = []
     for i_snr, snr_db in enumerate(snr_list_db):
         amp = float(np.sqrt(cfg.noise_power * 10.0 ** (float(snr_db) / 10.0) / cfg.power))
         for start in range(0, n_trials, _BLOCK):
-            stop = min(start + _BLOCK, n_trials)
-            for n in range(start, stop):
-                rng = np.random.default_rng(np.random.SeedSequence([seed, i_snr, n]))
-                theta = float(dist.sample(rng))
-                phase = rng.uniform(0.0, 2.0 * np.pi)
-                varsigma = amp * np.exp(1j * phase)
-                frames[n - start] = synthesize_received(x, theta, varsigma, cfg.m_r,
-                                                        cfg.noise_power, rng, cfg.spacing)
-                truth[n] = theta
-            estimate[start:stop] = estimator.estimate(frames[:stop - start])
+            k = min(_BLOCK, n_trials - start)
+            # Only the draws are per trial, in the order synthesize_received
+            # takes them; the block is then built at once.
+            for j in range(k):
+                rng = np.random.default_rng(np.random.SeedSequence([seed, i_snr, start + j]))
+                truth[start + j] = dist.sample(rng)
+                phase[j] = rng.uniform(0.0, 2.0 * np.pi)
+                noise[j] = rng.normal(scale=scale, size=noise.shape[1:])
+            th = _check_angles(truth[start:start + k])
+            _received(x, th, amp * np.exp(1j * phase[:k]), noise[:k], cfg.spacing, frames[:k])
+            estimate[start:start + k] = estimator.estimate(frames[:k])
         err = estimate - truth
         sq_err = err * err
         mse = float(np.mean(sq_err))

@@ -11,6 +11,7 @@ prior itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -75,15 +76,26 @@ class MixtureUniform:
             if lo < hi:
                 raise ValueError("intervals must be pairwise disjoint")
 
+    # Per-interval arrays for pdf and sample, built on first use and kept:
+    # they are not dataclass fields, so equality and hashing ignore them.
+    @cached_property
     def _levels(self) -> np.ndarray:
         return np.array(
             [w / (hi - lo) for (lo, hi), w in zip(self.intervals, self.weights)]
         )
 
+    @cached_property
+    def _los(self) -> np.ndarray:
+        return np.array([lo for lo, _ in self.intervals])
+
+    @cached_property
+    def _widths(self) -> np.ndarray:
+        return np.array([hi - lo for lo, hi in self.intervals])
+
     def pdf(self, theta) -> np.ndarray:
         th = np.asarray(theta, dtype=float)
         out = np.zeros_like(th)
-        for (lo, hi), level in zip(self.intervals, self._levels()):
+        for (lo, hi), level in zip(self.intervals, self._levels):
             out = out + np.where((th >= lo) & (th <= hi), level, 0.0)
         return float(out) if np.ndim(theta) == 0 else out
 
@@ -96,9 +108,7 @@ class MixtureUniform:
     def sample(self, rng: np.random.Generator, size: int | None = None):
         n = 1 if size is None else int(size)
         ks = rng.choice(len(self.weights), size=n, p=self.weights)
-        los = np.array([iv[0] for iv in self.intervals])
-        his = np.array([iv[1] for iv in self.intervals])
-        draws = los[ks] + (his[ks] - los[ks]) * rng.random(n)
+        draws = self._los[ks] + self._widths[ks] * rng.random(n)
         return float(draws[0]) if size is None else draws
 
     def quadrature_windows(self) -> list[tuple[float, float]]:
@@ -117,7 +127,7 @@ class MixtureUniform:
         value.
         """
         total = 0.0
-        for level in self._levels():
+        for level in self._levels:
             slope = level / (2.0 * _RAMP_HALFWIDTH)
             total += 2.0 * slope * np.log(1.0 / _RAMP_FLOOR)
         return total

@@ -55,6 +55,10 @@ TABLE_SCHEMAS = {
     "mse_by_angle": ("angle_deg", "trials", "mse_rad2"),
 }
 
+# Stages of a cell timed in the manifest's ``stage_seconds``: the waveform
+# design, writing every table, and the Monte-Carlo sweep (0 when skipped).
+STAGES = ("design", "emit", "mc")
+
 # Keys every solver cell (one that writes trace.csv) records in metrics.csv.
 SOLVER_METRICS = (
     "metric_value", "iterations", "best_iteration", "final_residual", "al_increase_count",
@@ -364,7 +368,11 @@ def _cell_seed(seed: int, method: str, kappa_index: int, stream: int) -> int:
 
 
 def _run_cell(scenario: Scenario, method: str, kappa_index: int, out: Path,
-              grid: AngularGrid, moments, paper_literal: bool) -> list[str]:
+              grid: AngularGrid, moments, paper_literal: bool
+              ) -> tuple[list[str], dict[str, float]]:
+    """Run one cell; return its files and its seconds per stage (``STAGES``)."""
+    clock = time.perf_counter
+    t0 = clock()
     kappa = 1.0 if method == "omni" else scenario.kappa_list[kappa_index]
     cfg = replace(scenario.array, papr=kappa)
     cell_seed = _cell_seed(scenario.seed, method, kappa_index, 0)
@@ -387,7 +395,10 @@ def _run_cell(scenario: Scenario, method: str, kappa_index: int, out: Path,
         result = baseline_crb(scenario.crb_angle, cfg, scenario.admm, cell_seed)
         x = result.waveform
     else:
-        x = baseline_omni(cfg, cell_seed)
+        x = baseline_omni(cfg)
+    seconds = dict.fromkeys(STAGES, 0.0)
+    seconds["design"] = clock() - t0
+    t0 = clock()
 
     out.mkdir(parents=True, exist_ok=True)
     files = []
@@ -422,13 +433,17 @@ def _run_cell(scenario: Scenario, method: str, kappa_index: int, out: Path,
         ]
     _write_table(out / "metrics.csv", TABLE_SCHEMAS["metrics.csv"], metrics)
     files.append("metrics.csv")
+    seconds["emit"] = clock() - t0
 
     if scenario.n_trials > 0 and scenario.snr_list_db:
+        t0 = clock()
         mse_seed = _cell_seed(scenario.seed, method, kappa_index, 1)
         report = monte_carlo_mse(
             x, dist, cfg, grid, scenario.snr_list_db, scenario.n_trials, mse_seed,
             refine=not paper_literal, moments=moments,
         )
+        seconds["mc"] = clock() - t0
+        t0 = clock()
         _write_table(
             out / "mse.csv",
             TABLE_SCHEMAS["mse.csv"],
@@ -440,7 +455,8 @@ def _run_cell(scenario: Scenario, method: str, kappa_index: int, out: Path,
             _write_table(out / name, TABLE_SCHEMAS["mse_by_angle"],
                          [(np.rad2deg(a), n, v) for a, n, v in r.per_angle])
             files.append(name)
-    return files
+        seconds["emit"] += clock() - t0
+    return files, seconds
 
 
 def run_scenario(
@@ -489,11 +505,12 @@ def run_scenario(
     manifest_files: dict[str, list[str]] = {}
     failures: list[dict] = []
     timings: dict[str, float] = {}
+    stage_timings: dict[str, dict[str, float]] = {}
     for method, ki, name in cells:
         t0 = time.perf_counter()
         try:
-            manifest_files[name] = _run_cell(scenario, method, ki, out_dir / name, grid,
-                                             moments, paper_literal)
+            manifest_files[name], stage_timings[name] = _run_cell(
+                scenario, method, ki, out_dir / name, grid, moments, paper_literal)
         except Exception as exc:  # noqa: BLE001 - cell isolation by design
             failures.append({
                 "cell": name,
@@ -515,6 +532,10 @@ def run_scenario(
             f"{cell}/{fname}" for cell, fs in manifest_files.items() for fname in fs
         ),
         "cell_seconds": {k: round(v, 3) for k, v in sorted(timings.items())},
+        "stage_seconds": {
+            k: {stage: round(v, 3) for stage, v in stages.items()}
+            for k, stages in sorted(stage_timings.items())
+        },
         "failures": sorted(
             ({"cell": f["cell"], "error": f["error"]} for f in failures),
             key=lambda f: f["cell"],
@@ -541,6 +562,15 @@ def validate_output_dir(path: str | Path) -> list[str]:
         manifest = json.loads(manifest_path.read_text())
     except json.JSONDecodeError as exc:
         return [f"{manifest_path}: invalid JSON ({exc})"]
+
+    stages = manifest.get("stage_seconds", {})
+    for cell in manifest.get("cell_seconds", {}):
+        spans = stages.get(cell) if isinstance(stages, dict) else None
+        if not isinstance(spans, dict) or set(spans) != set(STAGES) or not all(
+                isinstance(v, (int, float)) and not isinstance(v, bool) and v >= 0
+                for v in spans.values()):
+            problems.append(f"manifest.json: stage_seconds.{cell} must give "
+                            f"non-negative seconds for {','.join(STAGES)}")
 
     listed = set(manifest.get("files", []))
     for rel in manifest.get("files", []):

@@ -370,12 +370,11 @@ def solve_psbp_fair(
                  lambda x: float(np.min(np.sum(np.abs(x.conj().T @ a) ** 2, axis=0) / f)))
 
 
-def baseline_omni(cfg: ArrayConfig, seed: int | None = None) -> np.ndarray:
+def baseline_omni(cfg: ArrayConfig) -> np.ndarray:
     """Constant-modulus waveform with an exactly flat transmit beampattern.
 
     Rows are scaled discrete-Fourier rows, so ``X X^H = (P/M_t) I`` and
-    the PAPR equals 1. The waveform is fully deterministic; ``seed`` is
-    accepted for interface uniformity with the solvers.
+    the PAPR equals 1. The waveform is fully deterministic.
     """
     if cfg.l_samples < cfg.m_t:
         raise ValueError("an orthogonal-row waveform needs l_samples >= m_t")

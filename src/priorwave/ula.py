@@ -204,13 +204,34 @@ def synthesize_received(
         raise ValueError("waveform must be a 2-D matrix")
     if not noise_power > 0:
         raise ValueError("noise_power must be positive")
-    theta = float(theta)
-    a_t = steering_matrix(theta, x.shape[0], spacing)
-    a_r = steering_matrix(theta, m_r, spacing)
-    clean = amplitude * np.outer(a_r, a_t.conj() @ x)
-    scale = np.sqrt(noise_power / 2.0)
-    noise = rng.normal(scale=scale, size=(m_r, x.shape[1], 2))
-    return clean + noise[..., 0] + 1j * noise[..., 1]
+    if m_r < 1 or x.shape[0] < 1:
+        raise ValueError("element count must be at least 1")
+    th = _check_angles(float(theta)).reshape(1)
+    noise = rng.normal(scale=np.sqrt(noise_power / 2.0), size=(1, m_r, x.shape[1], 2))
+    frame = np.empty((1, m_r, x.shape[1]), dtype=complex)
+    return _received(x, th, np.array([amplitude], dtype=complex), noise, spacing, frame)[0]
+
+
+def _received(x, th, varsigma, noise, spacing, out) -> np.ndarray:
+    """Frames ``varsigma[n] * a_r a_t^H X + Z[n]`` at checked angles, into ``out``.
+
+    ``th`` and ``varsigma`` have one entry per frame; ``noise`` has shape
+    ``(N, m_r, L, 2)`` (real and imaginary parts) and ``out`` is the
+    complex ``(N, m_r, L)`` block it fills. Each frame is bit-identical to
+    the one-frame product: the stacked ``(N, 1, m_t) @ (m_t, L)`` runs the
+    kernel of a lone C-ordered row, and ``varsigma`` stays the left
+    operand, since numpy's SIMD complex multiply is not commutative bit
+    for bit.
+    """
+    a_t = np.conj(_steer(th, x.shape[0], spacing).T, order="C")
+    w = a_t[:, None, :] @ x
+    np.multiply(_steer(th, out.shape[1], spacing).T[:, :, None], w, out=out)
+    # In place, except for a lone entry: numpy multiplies a single entry in
+    # place with a scalar loop that rounds unlike its vector loop.
+    np.multiply(varsigma[:, None, None], out if out.size > 1 else out.copy(), out=out)
+    out.real += noise[..., 0]
+    out.imag += noise[..., 1]
+    return out
 
 
 def waveform_feasibility(x: np.ndarray, cfg: ArrayConfig) -> Feasibility:

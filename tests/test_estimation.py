@@ -266,6 +266,47 @@ def test_monte_carlo_blocks_and_shared_moments(dist12, cfg12, grid361, mom12):
                                   moments=mom12)
 
 
+def per_trial_mse(x, dist, cfg, grid, snr_list_db, n_trials, seed):
+    """Reference sweep: every frame from synthesize_received on the trial's own
+    generator, estimated in stacks of 64 (a one-frame stack may take another
+    BLAS kernel), then the same summary as ``SnrResult``."""
+    est = MapEstimator(x, dist, grid, cfg.m_r, cfg.noise_power, cfg.spacing)
+    out = []
+    for i_snr, snr_db in enumerate(snr_list_db):
+        amp = float(np.sqrt(cfg.noise_power * 10.0 ** (snr_db / 10.0) / cfg.power))
+        truth, frames = [], []
+        for n in range(n_trials):
+            rng = np.random.default_rng(np.random.SeedSequence([seed, i_snr, n]))
+            theta = float(dist.sample(rng))
+            varsigma = amp * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+            frames.append(synthesize_received(x, theta, varsigma, cfg.m_r, cfg.noise_power,
+                                              rng, cfg.spacing))
+            truth.append(theta)
+        ys = np.stack(frames)
+        got = np.concatenate([est.estimate(ys[i:i + 64]) for i in range(0, n_trials, 64)])
+        sq_err = (got - np.array(truth)) ** 2
+        bins = np.clip(np.rint((np.array(truth) + np.pi / 2) / grid.cell), 0,
+                       len(grid) - 1).astype(int)
+        per_angle = tuple((float(grid.points[b]), int(np.sum(bins == b)),
+                           float(np.mean(sq_err[bins == b]))) for b in np.unique(bins))
+        out.append((float(np.mean(sq_err)),
+                    float(np.std(sq_err, ddof=1) / np.sqrt(n_trials)), per_angle))
+    return out
+
+
+@pytest.mark.parametrize("gaussian", [False, True])
+def test_monte_carlo_matches_per_trial_reference(gaussian, dist12, cfg12, grid361, mom12):
+    # 65 trials: one full block and a block of one. Block synthesis must
+    # reproduce the per-trial frames exactly, so the summaries are equal.
+    prior = SCENARIO3_PRIOR if gaussian else dist12
+    x = random_feasible_waveform(np.random.default_rng(11), cfg12)
+    rep = monte_carlo_mse(x, prior, cfg12, grid361, [0.0, 20.0], 65, seed=3,
+                          moments=mom12)
+    ref = per_trial_mse(x, prior, cfg12, grid361, [0.0, 20.0], 65, seed=3)
+    for r, (mse, std_error, per_angle) in zip(rep.results, ref):
+        assert r.mse == mse and r.std_error == std_error and r.per_angle == per_angle
+
+
 def test_score_shapes_and_frame_validation(dist12, cfg12, grid361):
     x = baseline_omni(cfg12)
     est = MapEstimator(x, dist12, grid361, cfg12.m_r, cfg12.noise_power)
@@ -280,3 +321,8 @@ def test_score_shapes_and_frame_validation(dist12, cfg12, grid361):
     assert at[1] == est.score_at(ys[1], 0.1)
     with pytest.raises(ValueError):
         est.estimate(np.zeros((cfg12.m_r + 1, cfg12.l_samples)))
+    # The public score checks its angles; only the refine skips the check.
+    with pytest.raises(ValueError, match="angle outside"):
+        est.score_at(ys[0], 1.6)
+    with pytest.raises(ValueError, match="angle outside"):
+        est.score_at(ys, np.array([0.0, -1.6, 0.1]))

@@ -172,6 +172,25 @@ def test_sampling_recovers_mixture_weights():
     assert abs(w1 - 0.2) < 0.02 and abs(w2 - 0.5) < 0.02
 
 
+def test_mixture_uniform_keeps_draws_density_and_equality():
+    # pdf and sample reuse per-interval arrays; draws, density values,
+    # equality and hash are those of the plain per-call formulas.
+    ivs, weights = ((-0.5, -0.3), (0.0, 0.1), (0.3, 0.6)), (0.2, 0.5, 0.3)
+    used, fresh = MixtureUniform(ivs, weights), MixtureUniform(ivs, weights)
+    th = np.linspace(-0.6, 0.7, 27)
+    want_pdf = sum(np.where((th >= lo) & (th <= hi), w / (hi - lo), 0.0)
+                   for (lo, hi), w in zip(ivs, weights))
+    assert np.array_equal(used.pdf(th), want_pdf)
+    for seed in range(5):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        ks = ref.choice(3, size=4, p=weights)
+        want = np.array([ivs[k][0] + (ivs[k][1] - ivs[k][0]) * u
+                         for k, u in zip(ks, ref.random(4))])
+        assert np.array_equal(used.sample(rng, size=4), want)
+    assert used == fresh and hash(used) == hash(fresh)
+    assert used != MixtureUniform(ivs, (0.3, 0.4, 0.3))
+
+
 def test_gaussian_sampling_respects_domain():
     dist = MixtureGaussian((np.pi / 2 - 0.01,), np.pi / 90, (1.0,))
     draws = dist.sample(np.random.default_rng(3), size=20000)

@@ -296,6 +296,36 @@ def test_beampattern_rejects_bad_waveform_tables(tmp_path, capsys):
     assert not (tmp_path / "bp.csv").exists()
 
 
+def test_manifest_stage_seconds_are_recorded_and_validated(small_cfg, tmp_path):
+    out = tmp_path / "out"
+    assert run_scenario(small_cfg, out=out) == 0
+    path = out / "manifest.json"
+    manifest = json.loads(path.read_text())
+    stages = manifest["stage_seconds"]
+    assert set(stages) == set(manifest["cell_seconds"])
+    for cell, spans in stages.items():
+        assert set(spans) == {"design", "emit", "mc"} and min(spans.values()) >= 0
+        # Rounded to the millisecond, like cell_seconds.
+        assert sum(spans.values()) <= manifest["cell_seconds"][cell] + 0.003
+    assert validate_output_dir(out) == []
+
+    for spoil in ("drop", "negative", "missing-stage", "bool"):
+        broken = json.loads(json.dumps(manifest))
+        if spoil == "drop":
+            del broken["stage_seconds"]
+        elif spoil == "negative":
+            broken["stage_seconds"]["omni"]["mc"] = -0.5
+        elif spoil == "missing-stage":
+            del broken["stage_seconds"]["pcrb-k1.2"]["emit"]
+        else:
+            broken["stage_seconds"]["omni"]["design"] = True
+        path.write_text(json.dumps(broken))
+        problems = validate_output_dir(out)
+        assert problems and all("stage_seconds" in p for p in problems), spoil
+    path.write_text(json.dumps(manifest))
+    assert validate_output_dir(out) == []
+
+
 def test_validate_reports_missing_manifest(tmp_path):
     problems = validate_output_dir(tmp_path)
     assert problems and "manifest.json" in problems[0]

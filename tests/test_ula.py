@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from priorwave import (
     ArrayConfig,
@@ -9,6 +11,7 @@ from priorwave import (
     synthesize_received,
     waveform_feasibility,
 )
+from priorwave.ula import _check_angles, _received
 
 
 def test_steering_broadside_is_all_ones():
@@ -134,6 +137,73 @@ def test_synthesize_deterministic_per_seed():
     y1 = synthesize_received(x, 0.2, 1 + 1j, 4, 0.5, np.random.default_rng(42))
     y2 = synthesize_received(x, 0.2, 1 + 1j, 4, 0.5, np.random.default_rng(42))
     assert np.array_equal(y1, y2)
+
+
+def formula_frame(x, theta, amplitude, m_r, noise_power, rng, spacing):
+    """One frame as the plain product ``amplitude * a_r (a_t^H X) + Z``."""
+    a_t = steering_matrix(theta, x.shape[0], spacing)
+    a_r = steering_matrix(theta, m_r, spacing)
+    noise = rng.normal(scale=np.sqrt(noise_power / 2.0), size=(m_r, x.shape[1], 2))
+    return amplitude * np.outer(a_r, a_t.conj() @ x) + noise[..., 0] + 1j * noise[..., 1]
+
+
+ANGLES = st.one_of(st.sampled_from([-np.pi / 2, np.pi / 2, 0.0]),
+                   st.floats(-np.pi / 2, np.pi / 2))
+AMPLITUDES = st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), m_t=st.integers(1, 9), m_r=st.integers(1, 9),
+       l_samples=st.integers(1, 12), n=st.integers(1, 70), spacing=st.floats(0.1, 2.0),
+       noise_power=st.floats(1e-3, 10.0), seed=st.integers(0, 2**32 - 1))
+def test_block_frames_match_per_trial_synthesis(data, m_t, m_r, l_samples, n, spacing,
+                                                noise_power, seed):
+    # A block built at once from the trials' own draws is bit-identical to
+    # the per-trial frames, and both to the plain one-frame product.
+    thetas = data.draw(st.lists(ANGLES, min_size=n, max_size=n))
+    amps = data.draw(st.lists(AMPLITUDES, min_size=n, max_size=n))
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(m_t, l_samples)) + 1j * rng.normal(size=(m_t, l_samples))
+    streams = [np.random.SeedSequence([seed, k]) for k in range(n)]
+    per_trial = np.stack([
+        synthesize_received(x, th, amp, m_r, noise_power, np.random.default_rng(ss), spacing)
+        for th, amp, ss in zip(thetas, amps, streams)
+    ])
+    formula = np.stack([
+        formula_frame(x, th, amp, m_r, noise_power, np.random.default_rng(ss), spacing)
+        for th, amp, ss in zip(thetas, amps, streams)
+    ])
+    noise = np.stack([
+        np.random.default_rng(ss).normal(scale=np.sqrt(noise_power / 2.0),
+                                         size=(m_r, l_samples, 2))
+        for ss in streams
+    ])
+    block = _received(x, _check_angles(thetas), np.array(amps, dtype=complex), noise,
+                      spacing, np.empty((n, m_r, l_samples), dtype=complex))
+    assert np.array_equal(block, per_trial)
+    assert np.array_equal(per_trial, formula)
+
+
+def test_single_entry_frame_matches_formula():
+    # m_r = L = 1 makes the frame one entry, which numpy would multiply in
+    # place with another rounding than the one-frame product.
+    rng = np.random.default_rng(5)
+    for k in range(40):
+        x = rng.normal(size=(3, 1)) + 1j * rng.normal(size=(3, 1))
+        th, amp = rng.uniform(-np.pi / 2, np.pi / 2), complex(*rng.normal(size=2) * 3)
+        got = synthesize_received(x, th, amp, 1, 1.0, np.random.default_rng(k))
+        want = formula_frame(x, th, amp, 1, 1.0, np.random.default_rng(k), 0.5)
+        assert np.array_equal(got, want)
+
+
+def test_synthesize_rejects_bad_angle_before_drawing():
+    x = np.ones((2, 3), dtype=complex)
+    rng = np.random.default_rng(1)
+    with pytest.raises(ValueError, match="angle outside"):
+        synthesize_received(x, 1.6, 1.0, 2, 1.0, rng)
+    with pytest.raises(ValueError, match="element count"):
+        synthesize_received(x, 0.1, 1.0, 0, 1.0, rng)
+    assert rng.random() == np.random.default_rng(1).random()
 
 
 def test_array_config_validation():
