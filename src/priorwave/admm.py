@@ -99,6 +99,31 @@ def _cap_elements(w: np.ndarray, bound: float) -> np.ndarray:
     return w
 
 
+def _project_feasible(x: np.ndarray, power: float, bound: float) -> np.ndarray:
+    """Euclidean projection onto ``{||X||_F**2 = power, |x_ml|**2 <= bound}``.
+
+    Phases are kept and ``|x| <- min(c |x|, sqrt(bound))``, with the scale
+    ``c`` that meets the power. With the magnitudes sorted in descending
+    order and the first ``k`` capped, the power where the next one reaches
+    the cap is ``bound * (k + T_k / |x|_(k)**2)``, ``T_k`` summing the
+    squared magnitudes from the ``k``-th on; the first ``k`` where that
+    meets the power gives ``c = sqrt((power - k bound) / T_k)``. If rounding
+    leaves none (``bound * x.size == power``), every entry is capped.
+    Entries must be nonzero and ``bound * x.size >= power``.
+    """
+    mag = np.abs(x)
+    d = np.sort(mag, axis=None)[::-1]
+    d2 = d * d
+    tail = np.cumsum(d2[::-1])[::-1]
+    k = np.arange(d.size)
+    meets = np.flatnonzero(bound * (k + tail / d2) >= power)
+    c = np.inf
+    if meets.size:
+        k0 = int(meets[0])
+        c = math.sqrt((power - k0 * bound) / tail[k0])
+    return x * (np.minimum(c * mag, math.sqrt(bound)) / mag)
+
+
 def _solve_multiplier(psi: np.ndarray, sig: np.ndarray, power: float,
                       mu_tol: float, start: float | None = None) -> tuple[float, int]:
     """Root of ``sum_m psi_m / (sig_m + 2 mu)**2 = power`` with ``Pmat + 2 mu I > 0``.

@@ -224,7 +224,6 @@ def monte_carlo_mse(
     n_trials: int,
     seed: int,
     *,
-    estimator_prior: TargetDistribution | None = None,
     refine: bool = True,
     moments: DistributionMoments | None = None,
 ) -> MseReport:
@@ -232,10 +231,9 @@ def monte_carlo_mse(
 
     SNR is ``10*log10(|amplitude|^2 * P / noise_power)``; the amplitude
     magnitude is swept with a uniformly random phase per trial. The true
-    angle is drawn from ``dist``; the estimator uses ``estimator_prior``
-    when given (e.g. a flat prior against a point-mass truth), otherwise
-    the same distribution. Trials are binned by the nearest grid angle
-    for the per-angle breakdown.
+    angle is drawn from ``dist``, which is also the estimator's prior.
+    Trials are binned by the nearest grid angle for the per-angle
+    breakdown.
 
     Each trial draws from its own generator seeded by ``(seed, snr index,
     trial index)``; frames are built and estimated in fixed blocks of
@@ -249,8 +247,7 @@ def monte_carlo_mse(
     if seed < 0:
         raise ValueError("seed must be nonnegative")
     x = np.asarray(x, dtype=complex)
-    prior = dist if estimator_prior is None else estimator_prior
-    estimator = MapEstimator(x, prior, grid, cfg.m_r, cfg.noise_power, cfg.spacing, refine)
+    estimator = MapEstimator(x, dist, grid, cfg.m_r, cfg.noise_power, cfg.spacing, refine)
     if moments is None:
         moments = compute_moments(dist, cfg)
 

@@ -61,7 +61,7 @@ STAGES = ("design", "emit", "mc")
 
 # Keys every solver cell (one that writes trace.csv) records in metrics.csv.
 SOLVER_METRICS = (
-    "metric_value", "iterations", "best_iteration", "final_residual", "al_increase_count",
+    "metric_value", "iterations", "final_residual", "al_increase_count",
     "converged", "mu_iterations_mean", "mu_iterations_max",
 )
 
@@ -424,7 +424,6 @@ def _run_cell(scenario: Scenario, method: str, kappa_index: int, out: Path,
         metrics += [
             ("metric_value", result.metric_value),
             ("iterations", result.iterations),
-            ("best_iteration", result.best_iteration),
             ("final_residual", float(result.trace.residual[-1])),
             ("al_increase_count", result.trace.monotone_violations()),
             ("converged", int(result.converged)),

@@ -9,16 +9,15 @@ angle and a scalar level variable. Each design supplies only its split.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .admm import _MU_TOL, AdmmConfig, AdmmTrace, papr_project, _cap_elements, _x_update_eig
+from .admm import _MU_TOL, AdmmConfig, AdmmTrace, _cap_elements, _project_feasible, _x_update_eig
 from .estimation import AngularGrid
 from .pcrb import pcrb_upper_bound
 from .priors import DistributionMoments, PointMass, TargetDistribution, compute_moments
-from .ula import ArrayConfig, Feasibility, steering_matrix, waveform_feasibility
+from .ula import ArrayConfig, steering_matrix
 
 __all__ = [
     "SolveResult",
@@ -28,11 +27,6 @@ __all__ = [
     "baseline_omni",
     "baseline_crb",
 ]
-
-# Loose feasibility used while tracking the best iterate; the returned
-# waveform is polished to the tight tolerances afterwards.
-_TRACK_SLACK = 1e-6
-_FINAL_SLACK = 1e-9
 
 # The quadratic designs set their penalty to ``_SAFETY * sqrt(3) *
 # ||Xi + Xi^H||_F``. The sqrt(3)-scaled norm is the nominal descent
@@ -55,18 +49,14 @@ class SolveResult:
     the returned waveform: the bound surrogate at unit amplitude for the
     bound-oriented solver, the minimum density-scaled beampattern for the
     fair solver, and the density-weighted beampattern sum for the
-    integrated solver. ``best_iteration`` is the 1-based index of the
-    iterate that was polished into ``waveform``, or 0 when no iterate was
-    track-feasible and the last one was polished instead.
+    integrated solver.
     """
 
     waveform: np.ndarray
     trace: AdmmTrace
     metric_value: float
-    feasibility: Feasibility
     iterations: int
     converged: bool
-    best_iteration: int
 
 
 def _sqnorm(z: np.ndarray) -> float:
@@ -80,24 +70,11 @@ def _initial_waveform(cfg: ArrayConfig, rng: np.random.Generator) -> np.ndarray:
     return scale * np.exp(1j * phases)
 
 
-def _polish(x: np.ndarray, power: float, bound: float, max_rounds: int = 200) -> np.ndarray:
-    """Alternate the element cap and the exact power rescale to feasibility."""
-    for _ in range(max_rounds):
-        x = papr_project(x, bound)
-        x = x * np.sqrt(power / float(np.sum(np.abs(x) ** 2)))
-        if float(np.max(np.abs(x) ** 2)) <= bound * (1.0 + _FINAL_SLACK):
-            return x
-    warnings.warn("feasibility polish did not converge; returning best effort")
-    return x
-
-
 class _QuadraticSplit:
     """``min -Tr{X^H Xi X}``: the element cap is the only split.
 
     The penalty is ``_SAFETY * sqrt(3) * ||Xi + Xi^H||_F``.
     """
-
-    maximize = False
 
     def __init__(self, xi: np.ndarray, cfg: ArrayConfig) -> None:
         sym = xi + xi.conj().T
@@ -125,8 +102,9 @@ def _admm(split, cfg: ArrayConfig, admm: AdmmConfig, seed: int, metric) -> Solve
     ``split.measure`` receives the element-cap residual, auxiliary motion
     and augmented-Lagrangian term and returns the iteration's objective,
     augmented Lagrangian, residual and motion with its own blocks added.
-    The best track-feasible iterate (lowest objective, or highest when
-    ``split.maximize``) is polished and scored by ``metric``.
+    The last iterate, projected exactly onto the feasible set, is returned
+    and scored by ``metric``; ADMM's convergence results are stated for
+    the last iterate (Boyd et al. 2011, 3.2-3.3).
     """
     rng = np.random.default_rng(seed)
     bound = cfg.elem_bound
@@ -140,9 +118,6 @@ def _admm(split, cfg: ArrayConfig, admm: AdmmConfig, seed: int, metric) -> Solve
     split.start(x)
 
     objective, al_values, residuals, mu_iters = [], [], [], []
-    best_loss = np.inf
-    best_x = None
-    best_iteration = 0
     converged = False
     mu = None
     for _ in range(admm.max_iters):
@@ -163,13 +138,6 @@ def _admm(split, cfg: ArrayConfig, admm: AdmmConfig, seed: int, metric) -> Solve
         al_values.append(al)
         residuals.append(res)
         mu_iters.append(iters)
-        # Negation is exact, so a maximizing split tracks its best iterate
-        # with the same comparison.
-        loss = -obj if split.maximize else obj
-        if loss < best_loss and float(np.abs(x).max()) ** 2 <= bound * (1.0 + _TRACK_SLACK):
-            best_loss = loss
-            best_x = x.copy()
-            best_iteration = len(residuals)
         # A slack element cap keeps the split residual at zero from the
         # first step, so stationarity of the auxiliary must be required
         # as well before stopping.
@@ -177,8 +145,7 @@ def _admm(split, cfg: ArrayConfig, admm: AdmmConfig, seed: int, metric) -> Solve
             converged = True
             break
 
-    final = best_x if best_x is not None else x
-    final = _polish(final, cfg.power, bound)
+    final = _project_feasible(x, cfg.power, bound)
     trace = AdmmTrace(
         objective=np.array(objective),
         augmented_lagrangian=np.array(al_values),
@@ -189,10 +156,8 @@ def _admm(split, cfg: ArrayConfig, admm: AdmmConfig, seed: int, metric) -> Solve
         waveform=final,
         trace=trace,
         metric_value=metric(final),
-        feasibility=waveform_feasibility(final, cfg),
         iterations=len(trace),
         converged=converged,
-        best_iteration=best_iteration,
     )
 
 
@@ -312,8 +277,6 @@ class _FairSplit:
     the beampattern split stays soft; the element-cap penalty rides a
     factor above the beampattern one.
     """
-
-    maximize = True
 
     def __init__(self, a: np.ndarray, f: np.ndarray, cfg: ArrayConfig) -> None:
         self.rho3 = _SAFETY * 40.0 / float(f.sum())

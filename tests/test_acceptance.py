@@ -32,6 +32,7 @@ from priorwave import (
     solve_psbp_integrated,
     steering_matrix,
     steering_derivative_matrix,
+    waveform_feasibility,
 )
 from priorwave.admm import _x_update_eig
 from priorwave.priors import PointMass
@@ -131,7 +132,7 @@ def test_criterion_06_admm_convergence(mom12, cfg12):
         result = solve_pcrb(mom12, cfg12, AdmmConfig(), seed=SEED)
         increases = result.trace.monotone_violations(slack=1e-9)
         resid_ok = result.converged and result.trace.residual[-1] <= 1e-8
-        feas = result.feasibility
+        feas = waveform_feasibility(result.waveform, cfg12)
         power_ok = feas.power_error <= 1e-8 * cfg12.power
         papr_ok = feas.papr_margin >= -1e-9 * cfg12.elem_bound
         ok = increases == 0 and resid_ok and power_ok and papr_ok

@@ -4,7 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from priorwave import AdmmConfig, papr_project, quad_x_update
-from priorwave.admm import _cap_elements, _solve_multiplier, _x_update_eig
+from priorwave.admm import (
+    _CAP_SLACK,
+    _cap_elements,
+    _project_feasible,
+    _solve_multiplier,
+    _x_update_eig,
+)
 
 
 def random_hermitian(rng, n, shift=0.0):
@@ -78,6 +84,45 @@ def test_papr_project_properties(seed, rows, cols, log_bound, near):
     w = a.copy()
     assert _cap_elements(w, bound) is w
     assert np.array_equal(w, pa)
+
+
+def alternating_cap_and_rescale(x, power, bound, rounds=200, slack=1e-12):
+    """Reference: alternate the element cap and the exact power rescale.
+
+    Returns the waveform, or None if it is not within ``slack`` of the cap
+    after ``rounds`` rounds.
+    """
+    for _ in range(rounds):
+        x = papr_project(x, bound)
+        x = x * np.sqrt(power / float(np.sum(np.abs(x) ** 2)))
+        if float(np.max(np.abs(x) ** 2)) <= bound * (1.0 + slack):
+            return x
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 8), cols=st.integers(1, 30),
+       kappa=st.sampled_from([1.0, 1.0001, 1.05, 1.2, 1.5, 2.0, 8.0]),
+       log_power=st.floats(-3.0, 3.0), spread=st.floats(0.0, 2.0))
+def test_project_feasible_properties(seed, rows, cols, kappa, log_power, spread):
+    # Inputs lie on the power sphere, as the ADMM iterates do; ``spread``
+    # 0 gives constant modulus, so at kappa = 1 every entry meets the cap
+    # and only rounding decides the breakpoint.
+    rng = np.random.default_rng(seed)
+    power = 10.0**log_power
+    n = rows * cols
+    bound = kappa * power / n
+    mags = 10.0 ** rng.uniform(-spread / 2, spread / 2, size=(rows, cols))
+    x = mags * np.exp(2j * np.pi * rng.random(size=(rows, cols)))
+    x *= np.sqrt(power / np.vdot(x, x).real)
+    p = _project_feasible(x, power, bound)
+    assert abs(np.vdot(p, p).real - power) <= 1e-12 * power
+    assert np.max(np.abs(p) ** 2) <= bound * _CAP_SLACK
+    assert np.max(np.abs(np.angle(p / x))) <= 1e-12
+    assert np.max(np.abs(_project_feasible(p, power, bound) - p)) <= 1e-12 * np.sqrt(bound)
+    ref = alternating_cap_and_rescale(x, power, bound)
+    if ref is not None:
+        assert np.max(np.abs(p - ref)) <= 1e-9 * np.sqrt(bound)
 
 
 def test_quad_x_update_isotropic_curvature_rescales():

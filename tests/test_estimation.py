@@ -15,6 +15,7 @@ from priorwave import (
     baseline_omni,
     compute_moments,
     monte_carlo_mse,
+    pcrb_theta,
     solve_psbp_fair,
     steering_matrix,
     synthesize_received,
@@ -123,14 +124,23 @@ def test_prior_dominates_at_very_low_snr(dist12, cfg12, grid361):
 
 
 def test_estimator_cannot_beat_crb_on_average(grid361):
+    # A point-mass truth against a flat-prior estimator, with the per-trial
+    # draws of ``monte_carlo_mse`` at 20 dB.
     cfg = ArrayConfig(8, 8, 25)
     truth = PointMass(0.1)
     flat = MixtureUniform(((-np.pi / 2, np.pi / 2),), (1.0,))
     x = baseline_omni(cfg)
-    rep = monte_carlo_mse(x, truth, cfg, grid361, [20.0], 500, seed=7,
-                          estimator_prior=flat)
-    r = rep.results[0]
-    assert r.mse >= r.pcrb - 3 * r.std_error
+    est = MapEstimator(x, flat, grid361, cfg.m_r, cfg.noise_power)
+    amp = np.sqrt(cfg.noise_power * 10 ** (20 / 10) / cfg.power)
+    frames = []
+    for t in range(500):
+        rng = np.random.default_rng(np.random.SeedSequence([7, 0, t]))
+        ph = rng.uniform(0, 2 * np.pi)
+        frames.append(synthesize_received(x, truth.theta0, amp * np.exp(1j * ph),
+                                          cfg.m_r, cfg.noise_power, rng))
+    sq_err = (est.estimate(np.stack(frames)) - truth.theta0) ** 2
+    bound = pcrb_theta(x, compute_moments(truth, cfg), amp, cfg.noise_power)
+    assert sq_err.mean() >= bound - 3 * sq_err.std(ddof=1) / np.sqrt(len(sq_err))
 
 
 def test_per_angle_breakdown_partitions_trials(dist12, cfg12, grid361):

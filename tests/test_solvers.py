@@ -1,3 +1,6 @@
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,13 +22,18 @@ from priorwave import (
     solve_psbp_fair,
     solve_psbp_integrated,
     steering_matrix,
+    waveform_feasibility,
 )
+from priorwave.scenario import _cell_seed, load_config
 from priorwave.solvers import _eta_update, _inflate_columns
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "src" / "priorwave" / "configs"
 
 
 def assert_feasible(result, cfg):
-    assert result.feasibility.power_error <= 1e-8 * cfg.power
-    assert result.feasibility.papr_margin >= -1e-9 * cfg.elem_bound
+    feas = waveform_feasibility(result.waveform, cfg)
+    assert feas.power_error <= 1e-8 * cfg.power
+    assert feas.papr_margin >= -1e-9 * cfg.elem_bound
 
 
 def test_solve_pcrb_feasible_and_deterministic(mom12, cfg12):
@@ -211,6 +219,25 @@ def test_iteration_cap_reports_non_convergence(dist12, mom12, cfg12, grid361):
         assert r.converged is False
         assert r.iterations == len(r.trace) == 5
         assert_feasible(r, cfg12)
+
+
+def test_returned_design_does_not_depend_on_the_seed(mom12, cfg12):
+    # The projected last iterate is returned, so a converged design reads
+    # the same from any start.
+    values = [solve_pcrb(mom12, cfg12, AdmmConfig(), seed=s).metric_value for s in (1, 2, 3)]
+    assert max(values) - min(values) <= 1e-6 * min(values)
+
+
+def test_bundled_case_2_3_fair_design_reaches_its_level():
+    # case-2-3 psbp-fair at kappa 1.2 and its bundled cell seed converges
+    # to 1.060, near the weak-duality bound 1.0686.
+    sc = load_config(CONFIG_DIR / "case-2-3.cfg")
+    cfg = replace(sc.array, papr=sc.kappa_list[0])
+    r = solve_psbp_fair(sc.distribution, cfg, AngularGrid.uniform(sc.grid_size), sc.admm,
+                        _cell_seed(sc.seed, "psbp-fair", 0, 0), pdf_floor=sc.pdf_floor)
+    assert r.converged
+    assert r.metric_value >= 1.05
+    assert_feasible(r, cfg)
 
 
 def test_fair_rejects_point_mass(grid361, cfg12):
