@@ -55,6 +55,9 @@ class AdmmTrace:
     augmented_lagrangian: np.ndarray = field(default_factory=lambda: np.empty(0))
     residual: np.ndarray = field(default_factory=lambda: np.empty(0))
     mu_iterations: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
+    # x-updates whose multiplier root missed ``_MU_TOL``; the exact power
+    # rescale that follows them hides the miss from the waveform.
+    mu_tol_misses: int = 0
 
     def __len__(self) -> int:
         return len(self.residual)
@@ -125,7 +128,7 @@ def _project_feasible(x: np.ndarray, power: float, bound: float) -> np.ndarray:
 
 
 def _solve_multiplier(psi: np.ndarray, sig: np.ndarray, power: float,
-                      mu_tol: float, start: float | None = None) -> tuple[float, int]:
+                      mu_tol: float, start: float | None = None) -> tuple[float, int, bool]:
     """Root of ``sum_m psi_m / (sig_m + 2 mu)**2 = power`` with ``Pmat + 2 mu I > 0``.
 
     Safeguarded Newton on the secular equation ``1/||x(mu)|| = 1/sqrt(power)``
@@ -140,7 +143,8 @@ def _solve_multiplier(psi: np.ndarray, sig: np.ndarray, power: float,
     is replaced by its midpoint, so any start reaches the same root. Stops
     once ``|sum - power| <= mu_tol * power``, or, where rounding of ``mu``
     cannot reach that, when the bracket has no float left inside; returns
-    the root and the number of power-sum evaluations.
+    the root, the number of power-sum evaluations, and whether the root
+    met ``mu_tol`` (False for the best float of a collapsed bracket).
     """
     sig_min = float(sig.min())
     lo = 0.5 * max(float(np.max(np.sqrt(psi / power) - sig)), -sig_min)
@@ -155,7 +159,7 @@ def _solve_multiplier(psi: np.ndarray, sig: np.ndarray, power: float,
             val = float(terms.sum())
             gap = abs(val - power)
             if gap <= mu_tol * power:
-                return mu, evals
+                return mu, evals, True
             if gap < best_gap:
                 best_mu, best_gap = mu, gap
             if val > power:
@@ -172,18 +176,21 @@ def _solve_multiplier(psi: np.ndarray, sig: np.ndarray, power: float,
             if not lo < nxt < hi:  # no float left inside the bracket
                 if best_mu is None:
                     break
-                return best_mu, evals
+                return best_mu, evals, False
         mu = nxt
     raise RuntimeError(
         f"no multiplier root in [{lo!r}, {hi!r}] after {evals} power evaluations")
 
 
 def _x_update_eig(g: np.ndarray, sig: np.ndarray, q: np.ndarray, power: float,
-                  mu_tol: float, start: float | None = None) -> tuple[np.ndarray, float, int]:
+                  mu_tol: float, start: float | None = None
+                  ) -> tuple[np.ndarray, float, int, bool]:
     """Quadratic update given the eigendecomposition of the curvature.
 
     ``start`` is an optional first guess for the multiplier root (see
     ``_solve_multiplier``); the result does not depend on it beyond rounding.
+    Returns the update, the multiplier, the power-sum evaluations and
+    whether the multiplier met ``mu_tol`` (the hard case is exact).
     """
     if not q.any():
         raise ValueError("zero target matrix admits no finite-power solution")
@@ -209,13 +216,13 @@ def _x_update_eig(g: np.ndarray, sig: np.ndarray, q: np.ndarray, power: float,
             pad = np.zeros_like(x0)
             pad[:, 0] = g[:, int(np.argmax(low_block))]
             x = x0 + np.sqrt(deficit) * pad
-            return x, mu_floor, 0
+            return x, mu_floor, 0, True
 
-    mu, iters = _solve_multiplier(psi, sig, power, mu_tol, start)
+    mu, iters, met = _solve_multiplier(psi, sig, power, mu_tol, start)
     x = g @ (gq / (sig + 2.0 * mu)[:, None])
     # Exact power rescale; relative change is within the root tolerance.
     x *= math.sqrt(power / np.vdot(x, x).real)
-    return x, mu, iters
+    return x, mu, iters, met
 
 
 def quad_x_update(target: np.ndarray, curvature: np.ndarray, power: float) -> np.ndarray:
@@ -235,5 +242,4 @@ def quad_x_update(target: np.ndarray, curvature: np.ndarray, power: float) -> np
     if not power > 0:
         raise ValueError("power must be positive")
     sig, g = np.linalg.eigh(pmat)
-    x, _, _ = _x_update_eig(g, sig, q, power, _MU_TOL)
-    return x
+    return _x_update_eig(g, sig, q, power, _MU_TOL)[0]

@@ -18,7 +18,7 @@ import numpy as np
 
 from .pcrb import pcrb_theta
 from .priors import DistributionMoments, TargetDistribution, compute_moments
-from .ula import HALF_DOMAIN, ArrayConfig, _check_angles, _received, _steer, steering_matrix
+from .ula import HALF_DOMAIN, ArrayConfig, _check_angles, _offsets, _received, steering_matrix
 
 __all__ = [
     "AngularGrid",
@@ -57,11 +57,34 @@ class AngularGrid:
         return len(self.points)
 
 
-_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
-
 # Trials per Monte-Carlo block: each block is one stack handed to
 # ``MapEstimator.estimate``, which bounds the scan's temporaries.
 _BLOCK = 64
+
+# The refine: the cap on Brent steps after the seed probe; the tolerance
+# (radians): a frame's search ends once its bracket lies within twice
+# this of its best angle on both sides, since probes closer than about
+# 1e-8 rad to a peak compare rounding noise; and the golden-section
+# fraction of the fallback step.
+_REFINE_STEPS = 40
+_REFINE_TOL = 3e-9
+_CGOLD = (3.0 - np.sqrt(5.0)) / 2.0
+# Columns of (x, w, v, u) that become (x, w, v) after a probe at u: u is
+# the new best, the second best, the third best, or dropped.
+_KEEP = np.array([[3, 0, 1], [0, 3, 1], [0, 1, 3], [0, 1, 2]])
+
+
+def _support_edge(pdf, inside: np.ndarray, outside: np.ndarray) -> np.ndarray:
+    """Bisect from angles of positive density toward angles of zero density.
+
+    Returns, per pair, the last angle of positive density found, within
+    ``2**-60`` of the starting gap from where the density turns zero.
+    """
+    for _ in range(60):
+        mid = 0.5 * (inside + outside)
+        pos = np.asarray(pdf(mid)) > 0
+        inside, outside = np.where(pos, mid, inside), np.where(pos, outside, mid)
+    return inside
 
 
 class MapEstimator:
@@ -75,9 +98,18 @@ class MapEstimator:
     positive: their kernel ``conj(a_r) w^T`` is precomputed, so scanning
     a stack is one matrix product; points outside the support score
     ``-inf``. ``refine`` polishes each grid argmax by maximizing the
-    exact posterior score over the bracketing cells (golden section, run
-    in lockstep over the stack, deterministic); switch it off to
-    reproduce a plain grid argmax.
+    exact posterior score over the bracketing cells, clipped to the
+    prior's support; switch it off to reproduce a plain grid argmax.
+
+    Off the grid the score is evaluated through element-offset lags: for a
+    uniform linear array, ``a_r^H y X^H a_t`` and ``||X^H a_t||^2`` are
+    trigonometric polynomials in ``sin(theta)`` whose coefficients are
+    computed once per frame and once per waveform. ``score_at`` and the
+    refine share that evaluator. The refine is safeguarded parabolic
+    interpolation (Brent 1973), seeded with five angles across the bracket
+    and run in lockstep over the stack until every frame has converged; it
+    returns the best angle it evaluated, so it never does worse than the
+    grid argmax and it lands exactly on a maximum at a bracket end.
     """
 
     def __init__(
@@ -98,8 +130,6 @@ class MapEstimator:
         self._xh = x.conj().T
         self._dist = dist
         self._m_r = int(m_r)
-        self._noise = float(noise_power)
-        self._spacing = float(spacing)
         f = np.asarray(dist.pdf(grid.points), dtype=float)
         if not np.any(f > 0):
             raise ValueError("prior density is zero at every grid point")
@@ -113,6 +143,34 @@ class MapEstimator:
         self._kernel = (a_r.conj()[:, None, :] * w[None, :, :]).reshape(-1, w.shape[1])
         den = noise_power * m_r * np.sum(np.abs(w) ** 2, axis=0)
         self._den = np.where(den > 1e-300, den, np.inf)
+
+        # Off-grid score: a_r^H y X^H a_t sums y[i, l] conj(x[m, l]) at phase
+        # lag off_t[m] - off_r[i], and ||X^H a_t||^2 sums R[m, n] at lag
+        # off_t[n] - off_t[m], with R = X X^H. Both run over one lag set.
+        off_t, off_r = _offsets(x.shape[0]), _offsets(self._m_r)
+        num_lag = off_t[None, :] - off_r[:, None]
+        den_lag = off_t[None, :] - off_t[:, None]
+        lags, at = np.unique(np.concatenate([num_lag.ravel(), den_lag.ravel()]),
+                             return_inverse=True)
+        pick = at[:, None] == np.arange(len(lags))
+        num_pick = pick[:num_lag.size].reshape(*num_lag.shape, -1)
+        den_pick = pick[num_lag.size:].reshape(*den_lag.shape, -1)
+        self._lag_kernel = np.einsum("imk,ml->ilk", num_pick, x.conj()).reshape(-1, len(lags))
+        self._den_coef = noise_power * m_r * np.einsum("mnk,mn->k", den_pick, x @ self._xh)
+        self._lag_phase = 2.0 * np.pi * spacing * lags
+
+        # Refine brackets per support point: the neighbouring cells, cut at
+        # the +-pi/2 ends and where a neighbour outside the support puts a
+        # support edge inside the cell.
+        pts, sup, cell = grid.points, self._support, grid.cell
+        self._bracket_lo = np.maximum(pts[sup] - cell, pts[0])
+        self._bracket_hi = np.minimum(pts[sup] + cell, pts[-1])
+        for end, step in ((self._bracket_lo, -1), (self._bracket_hi, 1)):
+            nb = sup + step
+            cut = (nb >= 0) & (nb < len(pts))
+            cut[cut] = f[nb[cut]] <= 0
+            if cut.any():
+                end[cut] = _support_edge(dist.pdf, pts[sup[cut]], pts[nb[cut]])
 
     def _frames(self, y) -> tuple[np.ndarray, bool]:
         """Frames as an ``(N, m_r, L)`` stack, and whether one frame was given."""
@@ -147,55 +205,103 @@ class MapEstimator:
         scalar angle gives a float.
         """
         ys, single = self._frames(y)
-        out = self._score_at(ys, np.broadcast_to(_check_angles(theta), ys.shape[:1]))
+        th = np.broadcast_to(_check_angles(theta), ys.shape[:1])
+        out = self._score_at(self._lag_coef(ys), th[:, None])[:, 0]
         return float(out[0]) if single else out
 
-    def _score_at(self, ys: np.ndarray, th: np.ndarray) -> np.ndarray:
-        """``score_at`` of a stack at checked angles, one per frame."""
+    def _lag_coef(self, ys: np.ndarray) -> np.ndarray:
+        """Lag coefficients of ``a_r^H y X^H a_t`` per frame, shape ``(N, lags)``."""
+        # A stacked product runs frame by frame: a frame's coefficients do
+        # not depend on the stack it comes in.
+        return (ys.reshape(len(ys), 1, -1) @ self._lag_kernel)[:, 0]
+
+    def _score_at(self, coef: np.ndarray, th: np.ndarray) -> np.ndarray:
+        """Posterior score at checked angles ``th`` of shape ``(N, k)``, from lag coefficients."""
         f = np.asarray(self._dist.pdf(th), dtype=float)
-        a_t = _steer(th, self._xh.shape[1], self._spacing).T
-        a_r = _steer(th, self._m_r, self._spacing).T
-        # One small matmul per frame, the same products a_r^H y and x^H a_t
-        # that a lone frame takes: a frame's value is independent of the
-        # stack it comes in.
-        w = (self._xh @ a_t[:, :, None])[:, :, 0]
-        s = ((a_r.conj()[:, None, :] @ ys) @ w[:, :, None])[:, 0, 0]
-        den = self._noise * self._m_r * np.sum(np.abs(w) ** 2, axis=1)
+        e = np.exp(1j * np.multiply.outer(np.sin(th), self._lag_phase))
+        # Stacked products, one frame at a time, like the coefficients.
+        s = (e @ coef[:, :, None])[..., 0]
+        den = (e @ self._den_coef).real
         with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.abs(s) ** 2 / den + np.log(np.where(f > 0, f, 1.0))
+            out = (s.real**2 + s.imag**2) / den + np.log(np.where(f > 0, f, 1.0))
         return np.where((f > 0) & (den > 1e-300), out, -np.inf)
 
     def estimate(self, y: np.ndarray):
         """MAP angle of each frame: a float for one frame, an array for a stack."""
         ys, single = self._frames(y)
-        score = self._scan(ys)
-        i = np.argmax(score, axis=1)
-        theta = self.grid.points[self._support[i]]
-        if self.refine:
-            theta = self._refine(ys, theta, score[np.arange(len(ys)), i])
+        i = np.argmax(self._scan(ys), axis=1)
+        theta = self._refine(ys, i) if self.refine else self.grid.points[self._support[i]]
         return float(theta[0]) if single else theta
 
-    def _refine(self, ys: np.ndarray, theta: np.ndarray, best: np.ndarray) -> np.ndarray:
-        # Golden section over [theta - cell, theta + cell], one bracket per
-        # frame; np.where applies each frame's own branch of the update.
-        # Every probe lies inside the grid, so it skips the angle check.
-        pts = self.grid.points
-        a = np.maximum(theta - self.grid.cell, pts[0])
-        b = np.minimum(theta + self.grid.cell, pts[-1])
-        c = b - _GOLDEN * (b - a)
-        d = a + _GOLDEN * (b - a)
-        fc, fd = self._score_at(ys, c), self._score_at(ys, d)
-        for _ in range(40):
-            left = fc > fd
-            a = np.where(left, a, c)
-            b = np.where(left, d, b)
-            new = np.where(left, b - _GOLDEN * (b - a), a + _GOLDEN * (b - a))
-            f_new = self._score_at(ys, new)
-            c, fc, d, fd = (np.where(left, new, d), np.where(left, f_new, fd),
-                            np.where(left, c, new), np.where(left, fc, f_new))
-        refined = 0.5 * (a + b)
-        # Keep the grid argmax if the local search somehow did worse.
-        return np.where(self._score_at(ys, refined) >= best, refined, theta)
+    def _refine(self, ys: np.ndarray, i: np.ndarray) -> np.ndarray:
+        """Maximize the score over each frame's bracket around support point ``i``.
+
+        One seed probe scores five angles: the grid argmax, the bracket ends
+        and the midpoints between; the best three start Brent's
+        minimization of the negated score. The frames run in lockstep, with
+        np.where applying each frame's own branch, until every frame has
+        stopped or the step cap is reached; a stopped frame keeps its
+        state, so no frame depends on the others in its stack. Every probe
+        lies in the grid's range, so it skips the angle check.
+        """
+        coef = self._lag_coef(ys)
+        rows = np.arange(len(ys))[:, None]
+        theta = self.grid.points[self._support[i]]
+        lo, hi = self._bracket_lo[i], self._bracket_hi[i]
+        seeds = np.stack([theta, lo, hi, 0.5 * (lo + theta), 0.5 * (theta + hi)], 1)
+        g_seeds = -self._score_at(coef, seeds)
+        order = np.argsort(g_seeds, axis=1, kind="stable")[:, :3]
+        # Columns x, w, v (best value so far, second, third) and the probe u.
+        pts, g = np.empty((len(ys), 4)), np.empty((len(ys), 4))
+        pts[:, :3], g[:, :3] = seeds[rows, order], g_seeds[rows, order]
+        # Bracket ends, and a column that takes the updates of stopped frames.
+        ab = np.stack([lo, hi, hi], 1)
+        step = last = hi - lo
+        tol = _REFINE_TOL
+        live = np.ones(len(ys), dtype=bool)
+        for _ in range(_REFINE_STEPS):
+            x, w, v = pts[:, 0], pts[:, 1], pts[:, 2]
+            gx, gw, gv = g[:, 0], g[:, 1], g[:, 2]
+            a, b = ab[:, 0], ab[:, 1]
+            mid = 0.5 * (a + b)
+            # Stop once the bracket is within 2 tol of x on both sides.
+            live &= np.abs(x - mid) > 2.0 * tol - 0.5 * (b - a)
+            if not live.any():
+                break
+            # Step to the vertex of the parabola through (v, w, x): taken when
+            # it stays inside the bracket and under half the step before
+            # last (nan or inf when degenerate fails that); else a golden
+            # step into the larger side.
+            with np.errstate(divide="ignore", invalid="ignore"):
+                dw, dv = x - w, x - v
+                r, q = dw * (gx - gv), dv * (gx - gw)
+                vertex = (dw * r - dv * q) / (2.0 * (q - r))
+            ok = (np.abs(vertex) < 0.5 * np.abs(last)) & (vertex > a - x) & (vertex < b - x)
+            span = np.where(x >= mid, a - x, b - x)
+            last = np.where(ok, step, span)
+            step = np.where(ok, vertex, _CGOLD * span)
+            # A vertex under tol from x means x has converged; x on a bracket
+            # end means the maximum is there (an end is a support or domain
+            # edge, or a grid point no better than the argmax). Either way,
+            # probes 2 tol away, on the larger side first, end the search in
+            # at most two steps, where golden steps would shrink the far
+            # side of the bracket only linearly.
+            closing = (ok & (np.abs(vertex) < tol)) | (x == a) | (x == b)
+            step = np.where(closing, 2.0 * np.copysign(tol, span), step)
+            u = np.clip(x + step, a + tol, b - tol)
+            gu = -self._score_at(coef, u[:, None])[:, 0]
+
+            # A tie is no improvement: it shrinks the bracket.
+            better = gu < gx
+            rank = np.where(better, 0, np.where((gu <= gw) | (w == x), 1,
+                                                np.where((gu <= gv) | (v == x) | (v == w), 2, 3)))
+            # A better probe moves the bracket end behind x up to x; a worse
+            # one moves the end on its own side to u.
+            ab[rows[:, 0], np.where(live, better != (u >= x), 2)] = np.where(better, x, u)
+            pts[:, 3], g[:, 3] = u, gu
+            keep = _KEEP[np.where(live, rank, 3)]
+            pts[:, :3], g[:, :3] = pts[rows, keep], g[rows, keep]
+        return pts[:, 0].copy()
 
 
 @dataclass(frozen=True)

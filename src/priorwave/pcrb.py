@@ -55,15 +55,6 @@ class FimBlocks:
     f_varsigma_scale: float
     b_theta_theta: float
 
-    def posterior_fim(self) -> np.ndarray:
-        """Assemble the full 3x3 posterior information matrix."""
-        fim = np.zeros((3, 3))
-        fim[0, 0] = self.f_theta_theta + self.b_theta_theta
-        fim[0, 1:] = self.f_theta_varsigma
-        fim[1:, 0] = self.f_theta_varsigma
-        fim[1, 1] = fim[2, 2] = self.f_varsigma_scale
-        return fim
-
 
 @dataclass(frozen=True)
 class PcrbBreakdown:

@@ -53,6 +53,17 @@ def _check_weights(weights) -> tuple[float, ...]:
     return w
 
 
+def _weights_cdf(weights: tuple[float, ...]) -> np.ndarray:
+    """Normalized cumulative weights for a categorical draw.
+
+    ``cdf.searchsorted(rng.random(n), side="right")`` is the algorithm of
+    ``rng.choice(len(weights), size=n, p=weights)``: the same picks from
+    the same stream, without the call's argument checks.
+    """
+    cdf = np.cumsum(weights, dtype=float)
+    return cdf / cdf[-1]
+
+
 @dataclass(frozen=True)
 class MixtureUniform:
     """Mixture of uniform densities on disjoint angular intervals."""
@@ -92,6 +103,10 @@ class MixtureUniform:
     def _widths(self) -> np.ndarray:
         return np.array([hi - lo for lo, hi in self.intervals])
 
+    @cached_property
+    def _cdf(self) -> np.ndarray:
+        return _weights_cdf(self.weights)
+
     def pdf(self, theta) -> np.ndarray:
         th = np.asarray(theta, dtype=float)
         out = np.zeros_like(th)
@@ -107,7 +122,7 @@ class MixtureUniform:
 
     def sample(self, rng: np.random.Generator, size: int | None = None):
         n = 1 if size is None else int(size)
-        ks = rng.choice(len(self.weights), size=n, p=self.weights)
+        ks = self._cdf.searchsorted(rng.random(n), side="right")
         draws = self._los[ks] + self._widths[ks] * rng.random(n)
         return float(draws[0]) if size is None else draws
 
@@ -170,9 +185,13 @@ class MixtureGaussian:
         out = num / np.sum(w, axis=-1)
         return float(out) if np.ndim(theta) == 0 else out
 
+    @cached_property
+    def _cdf(self) -> np.ndarray:
+        return _weights_cdf(self.weights)
+
     def sample(self, rng: np.random.Generator, size: int | None = None):
         n = 1 if size is None else int(size)
-        ks = rng.choice(len(self.weights), size=n, p=self.weights)
+        ks = self._cdf.searchsorted(rng.random(n), side="right")
         draws = np.array(self.means)[ks] + self.sigma * rng.standard_normal(n)
         # Rejection against the angle domain; the density is deliberately
         # not renormalized for this truncation.

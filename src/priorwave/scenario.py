@@ -62,7 +62,7 @@ STAGES = ("design", "emit", "mc")
 # Keys every solver cell (one that writes trace.csv) records in metrics.csv.
 SOLVER_METRICS = (
     "metric_value", "iterations", "final_residual", "al_increase_count",
-    "converged", "mu_iterations_mean", "mu_iterations_max",
+    "converged", "mu_iterations_mean", "mu_iterations_max", "mu_tol_misses",
 )
 
 
@@ -429,6 +429,7 @@ def _run_cell(scenario: Scenario, method: str, kappa_index: int, out: Path,
             ("converged", int(result.converged)),
             ("mu_iterations_mean", float(mu_iters.mean())),
             ("mu_iterations_max", int(mu_iters.max())),
+            ("mu_tol_misses", result.trace.mu_tol_misses),
         ]
     _write_table(out / "metrics.csv", TABLE_SCHEMAS["metrics.csv"], metrics)
     files.append("metrics.csv")

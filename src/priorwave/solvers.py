@@ -118,6 +118,7 @@ def _admm(split, cfg: ArrayConfig, admm: AdmmConfig, seed: int, metric) -> Solve
     split.start(x)
 
     objective, al_values, residuals, mu_iters = [], [], [], []
+    mu_misses = 0
     converged = False
     mu = None
     for _ in range(admm.max_iters):
@@ -128,7 +129,8 @@ def _admm(split, cfg: ArrayConfig, admm: AdmmConfig, seed: int, metric) -> Solve
         u = _cap_elements(x - d, bound)
         q = split.target(rho * (u + d))
         # The multiplier barely moves between iterations: warm-start its root.
-        x, mu, iters = _x_update_eig(g, sig, q, cfg.power, _MU_TOL, mu)
+        x, mu, iters, met = _x_update_eig(g, sig, q, cfg.power, _MU_TOL, mu)
+        mu_misses += not met
         d = d + gamma * u - gamma * x
         split_gap = u - x
         obj, al, res, move = split.measure(
@@ -151,6 +153,7 @@ def _admm(split, cfg: ArrayConfig, admm: AdmmConfig, seed: int, metric) -> Solve
         augmented_lagrangian=np.array(al_values),
         residual=np.array(residuals),
         mu_iterations=np.array(mu_iters, dtype=int),
+        mu_tol_misses=mu_misses,
     )
     return SolveResult(
         waveform=final,

@@ -45,3 +45,13 @@ def random_feasible_waveform(rng, cfg, kappa=None):
         if np.max(np.abs(x) ** 2) <= bound * (1 + 1e-12):
             break
     return x
+
+
+def posterior_fim(blocks):
+    """The full 3x3 posterior information matrix assembled from ``FimBlocks``."""
+    fim = np.zeros((3, 3))
+    fim[0, 0] = blocks.f_theta_theta + blocks.b_theta_theta
+    fim[0, 1:] = blocks.f_theta_varsigma
+    fim[1:, 0] = blocks.f_theta_varsigma
+    fim[1, 1] = fim[2, 2] = blocks.f_varsigma_scale
+    return fim

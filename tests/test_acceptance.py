@@ -39,7 +39,7 @@ from priorwave.priors import PointMass
 from priorwave.scenario import run_scenario
 from priorwave.solvers import _eta_update
 
-from conftest import random_feasible_waveform
+from conftest import posterior_fim, random_feasible_waveform
 from test_pcrb import expected_loglik_curvature
 
 SEED = 2024
@@ -110,7 +110,7 @@ def test_criterion_04_schur_equivalence(mom12, cfg12):
             x = random_feasible_waveform(rng, cfg12)
             amp = rng.normal() + 1j * rng.normal()
             bd = pcrb_breakdown(x, mom12, amp, 1.1)
-            inv11 = np.linalg.inv(bd.fim.posterior_fim())[0, 0]
+            inv11 = np.linalg.inv(posterior_fim(bd.fim))[0, 0]
             worst = max(worst, abs(inv11 - bd.pcrb) / bd.pcrb)
     _report(4, worst <= 1e-10, f"worst rel err {worst:.2e} (tol 1e-10)",
             t["elapsed"], 5.0)
@@ -222,7 +222,7 @@ def test_criterion_09_subproblem_oracles():
             q = rng.normal(size=(n, 6)) + 1j * rng.normal(size=(n, 6))
             power = float(rng.uniform(0.5, 3.0))
             sig, g = np.linalg.eigh(pmat)
-            x, mu, _ = _x_update_eig(g, sig, q, power, 1e-12)
+            x, mu, _, _ = _x_update_eig(g, sig, q, power, 1e-12)
             resid = float(np.linalg.norm((pmat + 2 * mu * np.eye(n)) @ x - q))
             worst_kkt = max(worst_kkt, resid)
             if resid > 1e-8 or abs(np.sum(np.abs(x) ** 2) - power) > 1e-10 * power:

@@ -141,7 +141,7 @@ def test_quad_x_update_kkt_residual():
         q = rng.normal(size=(n, 5)) + 1j * rng.normal(size=(n, 5))
         power = float(rng.uniform(0.5, 4.0))
         sig, g = np.linalg.eigh(pmat)
-        x, mu, _ = _x_update_eig(g, sig, q, power, 1e-12)
+        x, mu, _, _ = _x_update_eig(g, sig, q, power, 1e-12)
         assert abs(np.sum(np.abs(x) ** 2) - power) <= 1e-10 * power
         resid = np.linalg.norm((pmat + 2 * mu * np.eye(n)) @ x - q)
         assert resid <= 1e-8 * np.linalg.norm(q)
@@ -157,7 +157,7 @@ def test_quad_x_update_matches_multiplier_grid_search():
     q = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
     power = 1.7
     sig, g = np.linalg.eigh(pmat)
-    x, mu, _ = _x_update_eig(g, sig, q, power, 1e-14)
+    x, mu, _, _ = _x_update_eig(g, sig, q, power, 1e-14)
     gq = g.conj().T @ q
     psi = np.sum(np.abs(gq) ** 2, axis=1)
     mus = np.linspace(mu - 0.5 * abs(mu) - 1.0, mu + 0.5 * abs(mu) + 1.0, 100000)
@@ -179,7 +179,7 @@ def test_multiplier_curve_is_decreasing():
     mus = lo + np.geomspace(1e-6, 1e3, 60)
     vals = [np.sum(psi / (sig + 2 * m) ** 2) for m in mus]
     assert all(a > b for a, b in zip(vals, vals[1:]))
-    root, _ = _solve_multiplier(psi, sig, 1.0, 1e-12)
+    root, _, _ = _solve_multiplier(psi, sig, 1.0, 1e-12)
     assert abs(np.sum(psi / (sig + 2 * root) ** 2) - 1.0) <= 1e-10
 
 
@@ -204,7 +204,7 @@ def test_quad_x_update_hard_case():
     q = np.zeros((2, 3), dtype=complex)
     q[1, 0] = 1.0  # lives on the large-eigenvalue axis only
     power = 10.0
-    x, mu, _ = _x_update_eig(g, sig, q, power, 1e-12)
+    x, mu, _, _ = _x_update_eig(g, sig, q, power, 1e-12)
     assert abs(np.sum(np.abs(x) ** 2) - power) <= 1e-10 * power
     pmat = np.diag(sig).astype(complex)
     resid = np.linalg.norm((pmat + 2 * mu * np.eye(2)) @ x - q)
@@ -242,8 +242,8 @@ SECULAR_CASES = dict(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8),
 @given(**SECULAR_CASES)
 def test_multiplier_root_meets_power_tolerance(seed, n, near_hard, frac):
     psi, sig, power = secular_case(seed, n, near_hard, frac)
-    mu, evals = _solve_multiplier(psi, sig, power, 1e-12)
-    assert np.all(sig + 2.0 * mu > 0)
+    mu, evals, met = _solve_multiplier(psi, sig, power, 1e-12)
+    assert met and np.all(sig + 2.0 * mu > 0)
     assert abs(np.sum(psi / (sig + 2.0 * mu) ** 2) - power) <= 1e-12 * power
     assert evals <= 60
 
@@ -263,8 +263,8 @@ def test_warm_started_root_meets_power_tolerance(seed, n, near_hard, frac, t):
     for start in (pole - 1.0, pole, lo, hi, hi + 1.0, 10.0 * abs(hi) + 1e3):
         assert _solve_multiplier(psi, sig, power, 1e-12, start) == cold, start
     for start in (lo + t * (root - lo), root, root + t * (hi - root)):
-        mu, evals = _solve_multiplier(psi, sig, power, 1e-12, start)
-        assert np.all(sig + 2.0 * mu > 0), start
+        mu, evals, met = _solve_multiplier(psi, sig, power, 1e-12, start)
+        assert met and np.all(sig + 2.0 * mu > 0), start
         assert abs(np.sum(psi / (sig + 2.0 * mu) ** 2) - power) <= 1e-12 * power, start
         assert evals <= 60
 
@@ -280,8 +280,8 @@ def test_multiplier_root_next_to_the_pole_returns_best_float():
     def gap(mu):
         return abs(np.sum(psi / (sig + 2.0 * mu) ** 2) - power)
 
-    mu, evals = _solve_multiplier(psi, sig, power, 1e-12)
-    assert evals <= 30
+    mu, evals, met = _solve_multiplier(psi, sig, power, 1e-12)
+    assert evals <= 30 and not met
     assert np.all(sig + 2.0 * mu > 0)
     assert gap(mu) > 1e-12 * power
     assert gap(mu) <= min(gap(np.nextafter(mu, -np.inf)), gap(np.nextafter(mu, np.inf)))

@@ -265,6 +265,81 @@ def test_estimates_do_not_depend_on_block_split(dist12, cfg12, grid361):
         assert np.array_equal(whole, parts)
 
 
+def frames_at(rng, x, thetas, snr_db, m_r=8):
+    amp = np.sqrt(10.0 ** (snr_db / 10.0))
+    return np.array([synthesize_received(x, float(t), amp * np.exp(2j * np.pi * rng.random()),
+                                         m_r, 1.0, rng) for t in thetas])
+
+
+@pytest.mark.parametrize("case", ["support-edge", "domain-edge", "gaussian"])
+def test_refine_matches_scalar_reference_at_edges(case, cfg12, dist12, grid361):
+    # support-edge: case-1-2 frames whose grid argmax is +-9.5 deg, next to
+    # the interval edges at +-10 deg (the grid points at +-10 deg lie one
+    # ulp outside), where the maximum often lies on the edge itself.
+    # domain-edge: frames whose grid argmax is +90 deg, so the bracket is
+    # cut at the end of the domain. There the score depends on the angle
+    # through sin(theta), whose slope vanishes: both searches stop within
+    # the score's rounding-flat neighbourhood, up to ~4e-6 rad apart in the
+    # angle but within 1e-7 in sin(theta), and the refined score is never
+    # below the reference's beyond rounding.
+    # gaussian: the scenario-3 prior.
+    prior = {"support-edge": dist12, "domain-edge": MixtureUniform(((0.0, np.pi / 2),), (1.0,)),
+             "gaussian": SCENARIO3_PRIOR}[case]
+    picked, at_edge = [], 0
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        x = random_feasible_waveform(rng, cfg12) if seed % 2 else baseline_omni(cfg12)
+        if case == "support-edge":
+            thetas = rng.choice([-1.0, 1.0], 64) * rng.uniform(np.deg2rad(9.3), np.pi / 18, 64)
+        elif case == "domain-edge":
+            thetas = rng.uniform(np.deg2rad(89.6), np.pi / 2, 64)
+        else:
+            thetas = prior.sample(rng, size=64)
+        ys = frames_at(rng, x, thetas, rng.uniform(0.0, 40.0))
+        est = MapEstimator(x, prior, grid361, cfg12.m_r, cfg12.noise_power)
+        ref = ScalarMap(x, prior, grid361, cfg12.m_r, cfg12.noise_power, True)
+        theta0 = grid361.points[np.argmax(est.score(ys), axis=1)]
+        if case == "support-edge":
+            keep = np.isclose(np.abs(theta0), np.deg2rad(9.5), rtol=0.0, atol=1e-12)
+        elif case == "domain-edge":
+            keep = theta0 == np.pi / 2
+        else:
+            keep = np.ones(len(ys), dtype=bool)
+        got = est.estimate(ys[keep])
+        want = np.array([ref.estimate(y) for y in ys[keep]])
+        if case == "domain-edge":
+            assert np.max(np.abs(np.sin(got) - np.sin(want)), initial=0.0) <= 1e-7
+            s_got = np.array([ref.score_at(y, t) for y, t in zip(ys[keep], got)])
+            s_want = np.array([ref.score_at(y, t) for y, t in zip(ys[keep], want)])
+            assert np.all(s_got >= s_want - 1e-13 * np.abs(s_want))
+        else:
+            assert np.max(np.abs(got - want), initial=0.0) <= 1e-7
+        picked.append(int(keep.sum()))
+        if case == "support-edge":
+            at_edge += int(np.sum(np.abs(got) >= dist12.intervals[0][1] - 1e-12))
+    assert sum(picked) >= 100
+    if case == "support-edge":
+        assert at_edge >= 20  # maxima on the interval edge are among them
+
+
+def test_refine_probe_count(dist12, cfg12, grid361, monkeypatch):
+    # One seed probe (five angles a frame), then Brent steps until every
+    # frame of the block has stopped: a case-1-2 block takes at most 12
+    # probes.
+    rng = np.random.default_rng(4)
+    calls = []
+    probe = MapEstimator._score_at
+    monkeypatch.setattr(MapEstimator, "_score_at",
+                        lambda self, coef, th: calls.append(len(coef)) or probe(self, coef, th))
+    for x in (baseline_omni(cfg12), random_feasible_waveform(rng, cfg12)):
+        est = MapEstimator(x, dist12, grid361, cfg12.m_r, cfg12.noise_power)
+        for snr_db in (-10.0, 10.0, 30.0):
+            for n in (64, 1):
+                calls.clear()
+                est.estimate(random_frames(rng, x, dist12, snr_db, n))
+                assert set(calls) == {n} and 2 <= len(calls) <= 12
+
+
 def test_monte_carlo_blocks_and_shared_moments(dist12, cfg12, grid361, mom12):
     x = baseline_omni(cfg12)
     one = monte_carlo_mse(x, dist12, cfg12, grid361, [10.0], 1, seed=2)
@@ -315,6 +390,26 @@ def test_monte_carlo_matches_per_trial_reference(gaussian, dist12, cfg12, grid36
     ref = per_trial_mse(x, prior, cfg12, grid361, [0.0, 20.0], 65, seed=3)
     for r, (mse, std_error, per_angle) in zip(rep.results, ref):
         assert r.mse == mse and r.std_error == std_error and r.per_angle == per_angle
+
+
+@pytest.mark.parametrize("m_t, m_r, spacing", [(8, 8, 0.5), (3, 6, 0.37), (5, 2, 0.5)])
+def test_score_at_matches_steering_formula(m_t, m_r, spacing):
+    # The lag form of the off-grid score against the steering vectors
+    # themselves, on square and non-square arrays (odd m_r - m_t puts the
+    # transmit and receive lags half a step apart).
+    cfg = ArrayConfig(m_t, m_r, 9)
+    rng = np.random.default_rng(m_t + m_r)
+    x = random_feasible_waveform(rng, cfg)
+    prior = MixtureGaussian((0.3, -0.5), 0.2, (0.6, 0.4))
+    est = MapEstimator(x, prior, AngularGrid.uniform(181), m_r, 0.7, spacing)
+    ys = rng.normal(size=(6, m_r, 9)) + 1j * rng.normal(size=(6, m_r, 9))
+    theta = rng.uniform(-np.pi / 2, np.pi / 2, 6)
+    want = []
+    for y, th in zip(ys, theta):
+        w = x.conj().T @ steering_matrix(th, m_t, spacing)
+        s = steering_matrix(th, m_r, spacing).conj() @ y @ w
+        want.append(abs(s) ** 2 / (0.7 * m_r * np.vdot(w, w).real) + np.log(prior.pdf(th)))
+    assert np.allclose(est.score_at(ys, theta), want, rtol=1e-12, atol=0.0)
 
 
 def test_score_shapes_and_frame_validation(dist12, cfg12, grid361):

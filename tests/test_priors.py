@@ -191,6 +191,42 @@ def test_mixture_uniform_keeps_draws_density_and_equality():
     assert used != MixtureUniform(ivs, (0.3, 0.4, 0.3))
 
 
+def choice_reference_sample(dist, rng, n):
+    """The mixture draws with the component picked by ``rng.choice``."""
+    ks = rng.choice(len(dist.weights), size=n, p=dist.weights)
+    if isinstance(dist, MixtureUniform):
+        ivs = np.array(dist.intervals)
+        return ivs[ks, 0] + (ivs[ks, 1] - ivs[ks, 0]) * rng.random(n)
+    means = np.array(dist.means)
+    draws = means[ks] + dist.sigma * rng.standard_normal(n)
+    bad = np.abs(draws) > np.pi / 2
+    while bad.any():
+        draws[bad] = means[ks[bad]] + dist.sigma * rng.standard_normal(bad.sum())
+        bad = np.abs(draws) > np.pi / 2
+    return draws
+
+
+def test_component_draw_matches_rng_choice():
+    # The inline categorical draw picks what ``rng.choice(p=weights)``
+    # picks and leaves the generator where it leaves it, for one weight or
+    # several, one draw or many.
+    for seed in range(400):
+        setup = np.random.default_rng(seed)
+        k = int(setup.integers(1, 7))
+        w = setup.random(k) + 0.01
+        weights = tuple(w / w.sum())
+        edges = np.sort(setup.uniform(-1.5, 1.5, 2 * k))
+        dists = (MixtureUniform(tuple(zip(edges[::2], edges[1::2])), weights),
+                 MixtureGaussian(tuple(setup.uniform(-1.5, 1.5, k)), 0.05, weights))
+        for dist in dists:
+            for size in (None, 1, int(setup.integers(2, 40))):
+                rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+                want = choice_reference_sample(dist, ref, 1 if size is None else size)
+                got = dist.sample(rng, size)
+                assert np.array_equal(np.atleast_1d(got), want), (seed, dist, size)
+                assert rng.random() == ref.random()
+
+
 def test_gaussian_sampling_respects_domain():
     dist = MixtureGaussian((np.pi / 2 - 0.01,), np.pi / 90, (1.0,))
     draws = dist.sample(np.random.default_rng(3), size=20000)

@@ -348,11 +348,12 @@ def test_solver_metrics_are_recorded_and_validated(small_cfg, tmp_path):
     assert metrics["converged"] in ("0", "1")
     mean, peak = float(metrics["mu_iterations_mean"]), int(metrics["mu_iterations_max"])
     assert 1 <= mean <= peak
+    assert int(metrics["mu_tol_misses"]) >= 0
     # omni designs nothing, so its metrics carry no solver keys
     omni = (out / "omni" / "metrics.csv").read_text()
     assert "converged" not in omni and validate_output_dir(out) == []
 
-    for key in ("mu_iterations_max", "converged"):
+    for key in ("mu_iterations_max", "converged", "mu_tol_misses"):
         path.write_text("\n".join(r for r in rows if not r.startswith(key)) + "\n")
         problems = validate_output_dir(out)
         assert len(problems) == 1 and key in problems[0]

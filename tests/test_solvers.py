@@ -25,7 +25,7 @@ from priorwave import (
     waveform_feasibility,
 )
 from priorwave.scenario import _cell_seed, load_config
-from priorwave.solvers import _eta_update, _inflate_columns
+from priorwave.solvers import _admm, _eta_update, _inflate_columns
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "src" / "priorwave" / "configs"
 
@@ -210,6 +210,41 @@ def test_fair_multiplier_root_takes_few_evaluations(dist12, cfg12, grid361):
     r = solve_psbp_fair(dist12, cfg12, grid361, AdmmConfig(), seed=1)
     assert r.converged
     assert float(r.trace.mu_iterations.mean()) <= 4.0
+
+
+class FixedTargetSplit:
+    """A split whose quadratic target never changes: every x-update sees one spectrum."""
+
+    rho = 1.0
+
+    def __init__(self, sig, q):
+        self.curvature = np.diag(sig).astype(complex)
+        self.q = q
+
+    def start(self, x):
+        pass
+
+    def target(self, q):
+        return self.q
+
+    def measure(self, x, res, move, al):
+        return 0.0, al, res, move
+
+
+def test_multiplier_root_misses_are_counted():
+    # Stress spectrum: 1e-20 of psi on the bottom eigenvector (above the
+    # hard-case cut) and a budget the other terms cannot reach at the pole,
+    # so the root sits ~3e-11 above the pole, where one ulp of mu moves the
+    # power sum by ~1e-5 relative and no float meets the 1e-12 tolerance.
+    sig = np.array([1.0, 2.0, 3.0, 5.0])
+    q = np.outer([1e-10, 1.0, 1.0, 1.0], [1.0, 1j, -1.0]).astype(complex)
+    cfg = ArrayConfig(4, 4, 3, power=8.0, papr=2.0)
+    r = _admm(FixedTargetSplit(sig, q), cfg, AdmmConfig(max_iters=4), 0, lambda x: 0.0)
+    assert r.trace.mu_tol_misses == r.iterations == 4
+    # Spectra away from the pole meet the tolerance: no misses counted.
+    q[0] = 1.0
+    r = _admm(FixedTargetSplit(sig, q), cfg, AdmmConfig(max_iters=4), 0, lambda x: 0.0)
+    assert r.trace.mu_tol_misses == 0
 
 
 def test_iteration_cap_reports_non_convergence(dist12, mom12, cfg12, grid361):
