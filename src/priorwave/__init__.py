@@ -25,6 +25,7 @@ from .priors import (
     compute_moments,
 )
 from .solvers import (
+    AdmmState,
     SolveResult,
     baseline_crb,
     baseline_omni,
@@ -47,6 +48,7 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     "AdmmConfig",
+    "AdmmState",
     "AdmmTrace",
     "AngularGrid",
     "ArrayConfig",

@@ -3,14 +3,17 @@
 A scenario file is YAML with angles in degrees; it fans out into
 (method x kappa) cells, each of which designs one waveform, dumps its
 beampattern and iteration trace, and optionally runs the Monte-Carlo MSE
-sweep. Cells run one after another in config order and are seeded
-deterministically, so reruns with one seed produce byte-identical tables.
+sweep. Methods run in config order and each method's cells in ascending
+kappa, every design after the first resuming from the previous kappa's
+final solver state. Cells are seeded deterministically from their kappa's
+rank, so reruns with one seed produce byte-identical tables.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import sys
 import time
 import traceback
@@ -32,6 +35,7 @@ from .priors import (
     compute_moments,
 )
 from .solvers import (
+    AdmmState,
     SolveResult,
     baseline_crb,
     baseline_omni,
@@ -63,7 +67,14 @@ STAGES = ("design", "emit", "mc")
 SOLVER_METRICS = (
     "metric_value", "iterations", "final_residual", "al_increase_count",
     "converged", "mu_iterations_mean", "mu_iterations_max", "mu_tol_misses",
+    "warm_started",
 )
+
+# Methods whose metric_value is a bound surrogate (lower is better); the
+# beampattern designs' metric is a level (higher is better).
+_LOWER_IS_BETTER = ("pcrb", "crb")
+# Relative worsening from one kappa to the next that the run reports.
+_MONOTONE_RTOL = 1e-5
 
 
 class ConfigError(ValueError):
@@ -362,37 +373,42 @@ def _emit_trace(result: SolveResult, path: Path) -> None:
     _write_table(path, TABLE_SCHEMAS["trace.csv"], rows)
 
 
-def _cell_seed(seed: int, method: str, kappa_index: int, stream: int) -> int:
-    ss = np.random.SeedSequence([seed, METHODS.index(method), kappa_index, stream])
+def _cell_seed(seed: int, method: str, kappa_rank: int, stream: int) -> int:
+    ss = np.random.SeedSequence([seed, METHODS.index(method), kappa_rank, stream])
     return int(ss.generate_state(1, np.uint64)[0] % (2**63))
 
 
-def _run_cell(scenario: Scenario, method: str, kappa_index: int, out: Path,
-              grid: AngularGrid, moments, paper_literal: bool
-              ) -> tuple[list[str], dict[str, float]]:
-    """Run one cell; return its files and its seconds per stage (``STAGES``)."""
+def _run_cell(scenario: Scenario, method: str, kappa: float, kappa_rank: int, out: Path,
+              grid: AngularGrid, moments, paper_literal: bool, warm_start: AdmmState | None
+              ) -> tuple[list[str], dict[str, float], SolveResult | None]:
+    """Run one cell; return its files, its seconds per stage (``STAGES``)
+    and the solver result (None for omni).
+
+    ``kappa_rank`` is the threshold's place in ascending order and seeds
+    the cell. A ``warm_start`` design ignores its seed.
+    """
     clock = time.perf_counter
     t0 = clock()
-    kappa = 1.0 if method == "omni" else scenario.kappa_list[kappa_index]
     cfg = replace(scenario.array, papr=kappa)
-    cell_seed = _cell_seed(scenario.seed, method, kappa_index, 0)
+    cell_seed = _cell_seed(scenario.seed, method, kappa_rank, 0)
     dist = scenario.distribution
 
     result: SolveResult | None = None
     if method == "pcrb":
-        result = solve_pcrb(moments, cfg, scenario.admm, cell_seed)
+        result = solve_pcrb(moments, cfg, scenario.admm, cell_seed, warm_start=warm_start)
         x = result.waveform
     elif method == "psbp-fair":
         result = solve_psbp_fair(dist, cfg, grid, scenario.admm, cell_seed,
-                                 pdf_floor=scenario.pdf_floor)
+                                 pdf_floor=scenario.pdf_floor, warm_start=warm_start)
         x = result.waveform
     elif method == "psbp-int":
         result = solve_psbp_integrated(dist, cfg, grid, scenario.admm, cell_seed,
                                        pdf_floor=scenario.pdf_floor,
-                                       bare_sum=paper_literal)
+                                       bare_sum=paper_literal, warm_start=warm_start)
         x = result.waveform
     elif method == "crb":
-        result = baseline_crb(scenario.crb_angle, cfg, scenario.admm, cell_seed)
+        result = baseline_crb(scenario.crb_angle, cfg, scenario.admm, cell_seed,
+                              warm_start=warm_start)
         x = result.waveform
     else:
         x = baseline_omni(cfg)
@@ -430,6 +446,7 @@ def _run_cell(scenario: Scenario, method: str, kappa_index: int, out: Path,
             ("mu_iterations_mean", float(mu_iters.mean())),
             ("mu_iterations_max", int(mu_iters.max())),
             ("mu_tol_misses", result.trace.mu_tol_misses),
+            ("warm_started", int(warm_start is not None)),
         ]
     _write_table(out / "metrics.csv", TABLE_SCHEMAS["metrics.csv"], metrics)
     files.append("metrics.csv")
@@ -437,7 +454,7 @@ def _run_cell(scenario: Scenario, method: str, kappa_index: int, out: Path,
 
     if scenario.n_trials > 0 and scenario.snr_list_db:
         t0 = clock()
-        mse_seed = _cell_seed(scenario.seed, method, kappa_index, 1)
+        mse_seed = _cell_seed(scenario.seed, method, kappa_rank, 1)
         report = monte_carlo_mse(
             x, dist, cfg, grid, scenario.snr_list_db, scenario.n_trials, mse_seed,
             refine=not paper_literal, moments=moments,
@@ -456,7 +473,27 @@ def _run_cell(scenario: Scenario, method: str, kappa_index: int, out: Path,
                          [(np.rad2deg(a), n, v) for a, n, v in r.per_angle])
             files.append(name)
         seconds["emit"] += clock() - t0
-    return files, seconds
+    return files, seconds, result
+
+
+def _kappa_monotonicity_report(method: str, levels: list[tuple[float, float]]) -> list[str]:
+    """One line per adjacent pair of ``(kappa, metric_value)`` that got worse.
+
+    ``levels`` is in ascending kappa. A larger kappa only enlarges the
+    feasible set, so a design should not get worse as it rises; a pair
+    whose metric worsens by more than ``_MONOTONE_RTOL`` relative is
+    reported. Lower is better for pcrb and crb, higher for the beampattern
+    designs.
+    """
+    sign = 1.0 if method in _LOWER_IS_BETTER else -1.0
+    lines = []
+    for (k0, v0), (k1, v1) in zip(levels, levels[1:]):
+        gap = sign * (v1 - v0)
+        if gap > _MONOTONE_RTOL * abs(v0):
+            rel = gap / abs(v0) if v0 else math.inf
+            lines.append(f"kappa monotonicity: {_cell_name(method, k1)} metric_value {v1:.8e} "
+                         f"is {rel:.2e} relative worse than {_cell_name(method, k0)} {v0:.8e}")
+    return lines
 
 
 def run_scenario(
@@ -465,7 +502,13 @@ def run_scenario(
     seed: int | None = None,
     paper_literal: bool = False,
 ) -> int:
-    """Execute every (method x kappa) cell of a scenario, in config order.
+    """Execute every (method x kappa) cell of a scenario.
+
+    Methods run in config order, each method's cells in ascending kappa.
+    Every kappa after the first resumes from the previous kappa's final
+    solver state; the first, and any kappa after a failed one, starts
+    cold from its cell seed. After each method the kappa pairs whose
+    metric got worse as kappa rose are printed (``_kappa_monotonicity_report``).
 
     Returns the process exit code: 0 on success, 1 on a configuration
     error, 2 when at least one cell failed (the rest still complete and
@@ -494,31 +537,40 @@ def run_scenario(
 
     grid = AngularGrid.uniform(scenario.grid_size)
 
-    cells = []
-    for method in scenario.methods:
-        if method == "omni":
-            cells.append((method, 0, "omni"))
-        else:
-            cells.extend((method, ki, _cell_name(method, k))
-                         for ki, k in enumerate(scenario.kappa_list))
-
     manifest_files: dict[str, list[str]] = {}
     failures: list[dict] = []
     timings: dict[str, float] = {}
     stage_timings: dict[str, dict[str, float]] = {}
-    for method, ki, name in cells:
+
+    def run_cell(method: str, kappa: float, rank: int, name: str,
+                 warm_start: AdmmState | None) -> SolveResult | None:
         t0 = time.perf_counter()
         try:
-            manifest_files[name], stage_timings[name] = _run_cell(
-                scenario, method, ki, out_dir / name, grid, moments, paper_literal)
+            manifest_files[name], stage_timings[name], result = _run_cell(
+                scenario, method, kappa, rank, out_dir / name, grid, moments, paper_literal,
+                warm_start)
         except Exception as exc:  # noqa: BLE001 - cell isolation by design
             failures.append({
                 "cell": name,
                 "error": f"{type(exc).__name__}: {exc}",
                 "traceback": traceback.format_exc(),
             })
-            continue
+            return None
         timings[name] = time.perf_counter() - t0
+        return result
+
+    for method in scenario.methods:
+        if method == "omni":
+            run_cell(method, 1.0, 0, "omni", None)
+            continue
+        previous, levels = None, []
+        for rank, kappa in enumerate(sorted(scenario.kappa_list)):
+            previous = run_cell(method, kappa, rank, _cell_name(method, kappa),
+                                previous.state if previous is not None else None)
+            if previous is not None:
+                levels.append((kappa, previous.metric_value))
+        for line in _kappa_monotonicity_report(method, levels):
+            print(line)
 
     manifest = {
         "tool": "priorwave",

@@ -20,6 +20,7 @@ from .priors import DistributionMoments, PointMass, TargetDistribution, compute_
 from .ula import ArrayConfig, steering_matrix
 
 __all__ = [
+    "AdmmState",
     "SolveResult",
     "solve_pcrb",
     "solve_psbp_integrated",
@@ -42,6 +43,27 @@ _PRIMAL_TOL = 1e-8
 
 
 @dataclass(frozen=True)
+class AdmmState:
+    """Everything one ADMM solve carries from iteration to iteration.
+
+    ``x`` is the last waveform iterate before the final projection, ``u``
+    the element-cap auxiliary, ``d`` the scaled dual of ``u = x``, ``mu``
+    the power multiplier (None before the first x-update) and ``split``
+    the split's own auxiliaries: none for the quadratic designs, the
+    per-angle vectors ``w``, ``gmat`` and their scaled dual ``b`` for the
+    fair design. Passed back as ``warm_start``, it resumes the loop where
+    it stopped, under the new problem's element cap; the result of a
+    smaller threshold is feasible at a larger one.
+    """
+
+    x: np.ndarray
+    u: np.ndarray
+    d: np.ndarray
+    mu: float | None
+    split: tuple[np.ndarray, ...] = ()
+
+
+@dataclass(frozen=True)
 class SolveResult:
     """Designed waveform with its iteration history and native metric.
 
@@ -49,7 +71,9 @@ class SolveResult:
     the returned waveform: the bound surrogate at unit amplitude for the
     bound-oriented solver, the minimum density-scaled beampattern for the
     fair solver, and the density-weighted beampattern sum for the
-    integrated solver.
+    integrated solver. ``state`` is the loop's final state; passed as
+    ``warm_start`` to the same design at a larger PAPR threshold, it
+    resumes the solve from there.
     """
 
     waveform: np.ndarray
@@ -57,6 +81,7 @@ class SolveResult:
     metric_value: float
     iterations: int
     converged: bool
+    state: AdmmState
 
 
 def _sqnorm(z: np.ndarray) -> float:
@@ -82,8 +107,11 @@ class _QuadraticSplit:
         self.rho = _SAFETY * np.sqrt(3.0) * float(np.linalg.norm(sym))
         self.curvature = self.rho * np.eye(cfg.m_t) - sym
 
-    def start(self, x: np.ndarray) -> None:
+    def start(self, x: np.ndarray, state: tuple | None = None) -> None:
         pass
+
+    def state(self) -> tuple:
+        return ()
 
     def target(self, q: np.ndarray) -> np.ndarray:
         return q
@@ -93,7 +121,8 @@ class _QuadraticSplit:
         return obj, obj + al, res, move
 
 
-def _admm(split, cfg: ArrayConfig, admm: AdmmConfig, seed: int, metric) -> SolveResult:
+def _admm(split, cfg: ArrayConfig, admm: AdmmConfig, seed: int, metric,
+          warm_start: AdmmState | None = None) -> SolveResult:
     """ADMM over the element-cap split shared by every design.
 
     Each iteration projects onto the element cap, lets ``split`` add its
@@ -105,22 +134,33 @@ def _admm(split, cfg: ArrayConfig, admm: AdmmConfig, seed: int, metric) -> Solve
     The last iterate, projected exactly onto the feasible set, is returned
     and scored by ``metric``; ADMM's convergence results are stated for
     the last iterate (Boyd et al. 2011, 3.2-3.3).
+
+    Without ``warm_start`` the loop starts from a random constant-modulus
+    waveform drawn from ``seed``, a copy of it as the auxiliary and zero
+    duals. With it, every variable resumes from that state and ``seed``
+    is unused.
     """
-    rng = np.random.default_rng(seed)
     bound = cfg.elem_bound
     rho = split.rho
     gamma = _DUAL_STEP
     sig, g = np.linalg.eigh(split.curvature)
 
-    x = _initial_waveform(cfg, rng)
-    u = x.copy()
-    d = np.zeros_like(x)
-    split.start(x)
+    if warm_start is None:
+        x = _initial_waveform(cfg, np.random.default_rng(seed))
+        u = x.copy()
+        d = np.zeros_like(x)
+        mu = None
+        split.start(x)
+    else:
+        if warm_start.x.shape != (cfg.m_t, cfg.l_samples):
+            raise ValueError(f"warm start of shape {warm_start.x.shape} does not fit "
+                             f"a {cfg.m_t}x{cfg.l_samples} waveform")
+        x, u, d, mu = warm_start.x, warm_start.u, warm_start.d, warm_start.mu
+        split.start(x, warm_start.split)
 
     objective, al_values, residuals, mu_iters = [], [], [], []
     mu_misses = 0
     converged = False
-    mu = None
     for _ in range(admm.max_iters):
         # Element-cap block first, then the waveform: the augmented
         # Lagrangian descends only when the quadratic block sees the
@@ -161,6 +201,7 @@ def _admm(split, cfg: ArrayConfig, admm: AdmmConfig, seed: int, metric) -> Solve
         metric_value=metric(final),
         iterations=len(trace),
         converged=converged,
+        state=AdmmState(x=x, u=u, d=d, mu=mu, split=split.state()),
     )
 
 
@@ -169,15 +210,18 @@ def solve_pcrb(
     cfg: ArrayConfig,
     admm: AdmmConfig,
     seed: int,
+    *,
+    warm_start: AdmmState | None = None,
 ) -> SolveResult:
     """Minimize the angle-bound surrogate over feasible waveforms.
 
     Maximizes ``Tr{X^H xi0 X}`` under the total power and per-element
     constraints; the reported metric is the resulting bound surrogate at
-    unit amplitude.
+    unit amplitude. ``warm_start`` (a ``SolveResult.state`` of the same
+    design) resumes from that state instead of a ``seed``-drawn start.
     """
     return _admm(_QuadraticSplit(mom.xi0, cfg), cfg, admm, seed,
-                 lambda x: pcrb_upper_bound(x, mom, 1.0, cfg.noise_power))
+                 lambda x: pcrb_upper_bound(x, mom, 1.0, cfg.noise_power), warm_start)
 
 
 def _psbp_points(dist: TargetDistribution, grid: AngularGrid, pdf_floor: float):
@@ -201,13 +245,15 @@ def solve_psbp_integrated(
     *,
     pdf_floor: float = 1e-6,
     bare_sum: bool = False,
+    warm_start: AdmmState | None = None,
 ) -> SolveResult:
     """Maximize the density-weighted beampattern sum over the grid.
 
     By default the sum is scaled by the grid cell width so it approximates
     the density-weighted integral and is stable under grid refinement;
     ``bare_sum`` reproduces the unscaled sum instead. A point-mass prior
-    yields the rank-one weighting at its angle.
+    yields the rank-one weighting at its angle. ``warm_start`` as in
+    ``solve_pcrb``.
     """
     if isinstance(dist, PointMass):
         pts = np.array([dist.theta0])
@@ -218,7 +264,8 @@ def solve_psbp_integrated(
     a = steering_matrix(pts, cfg.m_t, cfg.spacing)
     xi = np.einsum("ip,p,kp->ik", a, w, a.conj())
     return _admm(_QuadraticSplit(xi, cfg), cfg, admm, seed,
-                 lambda x: float(w @ np.sum(np.abs(x.conj().T @ a) ** 2, axis=0)))
+                 lambda x: float(w @ np.sum(np.abs(x.conj().T @ a) ** 2, axis=0)),
+                 warm_start)
 
 
 def _inflate_columns(h: np.ndarray, hnorms: np.ndarray, fvals: np.ndarray,
@@ -289,10 +336,16 @@ class _FairSplit:
         self.curvature = self.rho * np.eye(cfg.m_t) + self.rho3 * r
         self.a, self.f = a, f
 
-    def start(self, x: np.ndarray) -> None:
-        self.w = x.conj().T @ self.a
-        self.gmat = self.w.copy()
-        self.b = np.zeros_like(self.w)
+    def start(self, x: np.ndarray, state: tuple | None = None) -> None:
+        if state is None:
+            self.w = x.conj().T @ self.a
+            self.gmat = self.w.copy()
+            self.b = np.zeros_like(self.w)
+        else:
+            self.w, self.gmat, self.b = state
+
+    def state(self) -> tuple:
+        return self.w, self.gmat, self.b
 
     def target(self, q: np.ndarray) -> np.ndarray:
         h = self.w - self.b
@@ -322,18 +375,20 @@ def solve_psbp_fair(
     seed: int,
     *,
     pdf_floor: float = 1e-6,
+    warm_start: AdmmState | None = None,
 ) -> SolveResult:
     """Maximize the minimum density-scaled beampattern over the grid.
 
     Splits the element cap onto one auxiliary matrix and the per-angle
     beampattern onto one auxiliary vector per constraint angle; the level
     variable and those vectors are updated jointly from their first-order
-    conditions.
+    conditions. ``warm_start`` as in ``solve_pcrb``.
     """
     pts, f = _psbp_points(dist, grid, pdf_floor)
     a = steering_matrix(pts, cfg.m_t, cfg.spacing)
     return _admm(_FairSplit(a, f, cfg), cfg, admm, seed,
-                 lambda x: float(np.min(np.sum(np.abs(x.conj().T @ a) ** 2, axis=0) / f)))
+                 lambda x: float(np.min(np.sum(np.abs(x.conj().T @ a) ** 2, axis=0) / f)),
+                 warm_start)
 
 
 def baseline_omni(cfg: ArrayConfig) -> np.ndarray:
@@ -355,7 +410,9 @@ def baseline_crb(
     cfg: ArrayConfig,
     admm: AdmmConfig,
     seed: int,
+    *,
+    warm_start: AdmmState | None = None,
 ) -> SolveResult:
     """Bound-oriented design for one deterministic angle (no prior term)."""
     mom = compute_moments(PointMass(theta0), cfg)
-    return solve_pcrb(mom, cfg, admm, seed)
+    return solve_pcrb(mom, cfg, admm, seed, warm_start=warm_start)

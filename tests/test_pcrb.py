@@ -1,9 +1,14 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from priorwave import (
     ArrayConfig,
     MixtureGaussian,
+    MixtureUniform,
     PointMass,
     compute_moments,
     fim_signal,
@@ -127,6 +132,33 @@ def test_bound_ordering(mom12, cfg12):
         x = random_feasible_waveform(rng, cfg12)
         amp = rng.normal() + 1j * rng.normal()
         assert pcrb_theta(x, mom12, amp, 1.0) <= pcrb_upper_bound(x, mom12, amp, 1.0)
+
+
+MIXTURES = {
+    "uniform": MixtureUniform(intervals=((-0.6, -0.2), (0.1, 0.45)), weights=(0.3, 0.7)),
+    "gaussian": MixtureGaussian(means=(-0.5, 0.1, 0.6), sigma=0.07, weights=(0.2, 0.5, 0.3)),
+}
+
+
+@functools.cache
+def mixture_moments(kind):
+    return compute_moments(MIXTURES[kind], ArrayConfig(6, 6, 10))
+
+
+@settings(max_examples=120, deadline=None)
+@given(kind=st.sampled_from(sorted(MIXTURES)), seed=st.integers(0, 2**32 - 1),
+       amp_db=st.floats(-40.0, 40.0), phase=st.floats(0.0, 2 * np.pi),
+       noise=st.floats(0.05, 20.0), spread=st.floats(0.0, 3.0))
+def test_pcrb_never_exceeds_trace_upper_bound(kind, seed, amp_db, phase, noise, spread):
+    # Any waveform, not only feasible ones: rows of uneven power (spread)
+    # tilt the beampattern toward one part of the prior.
+    mom = mixture_moments(kind)
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(6, 10)) + 1j * rng.normal(size=(6, 10))
+    x *= np.exp(spread * rng.normal(size=(6, 1)))
+    amp = 10.0 ** (amp_db / 20.0) * np.exp(1j * phase)
+    up = pcrb_upper_bound(x, mom, amp, noise)
+    assert pcrb_theta(x, mom, amp, noise) <= up * (1.0 + 1e-12)
 
 
 def test_bound_gap_matches_cauchy_schwarz_term(mom12, cfg12):

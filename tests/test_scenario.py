@@ -1,16 +1,20 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import priorwave.scenario as scenario_mod
 from priorwave import AngularGrid, ArrayConfig, PointMass, baseline_omni
 from priorwave.cli import main as cli_main
 from priorwave.scenario import (
     ConfigError,
+    _cell_seed,
     dump_config,
     emit_beampattern,
     emit_waveform,
+    _kappa_monotonicity_report,
     load_config,
     read_waveform,
     run_scenario,
@@ -349,11 +353,12 @@ def test_solver_metrics_are_recorded_and_validated(small_cfg, tmp_path):
     mean, peak = float(metrics["mu_iterations_mean"]), int(metrics["mu_iterations_max"])
     assert 1 <= mean <= peak
     assert int(metrics["mu_tol_misses"]) >= 0
+    assert metrics["warm_started"] == "0"  # a single kappa starts cold
     # omni designs nothing, so its metrics carry no solver keys
     omni = (out / "omni" / "metrics.csv").read_text()
     assert "converged" not in omni and validate_output_dir(out) == []
 
-    for key in ("mu_iterations_max", "converged", "mu_tol_misses"):
+    for key in ("mu_iterations_max", "converged", "mu_tol_misses", "warm_started"):
         path.write_text("\n".join(r for r in rows if not r.startswith(key)) + "\n")
         problems = validate_output_dir(out)
         assert len(problems) == 1 and key in problems[0]
@@ -361,3 +366,99 @@ def test_solver_metrics_are_recorded_and_validated(small_cfg, tmp_path):
                     .replace("converged,0", "converged,no") + "\n")
     problems = validate_output_dir(out)
     assert len(problems) == 1 and "non-numeric" in problems[0]
+
+
+KAPPA_CFG = SMALL_CFG.replace("[pcrb, omni]", "[pcrb, psbp-fair]").replace(
+    "snr_list_db: [0.0, 10.0]\nn_trials: 10", "snr_list_db: [10.0]\nn_trials: 3")
+
+
+def read_metrics(path):
+    rows = path.read_text().strip().splitlines()[1:]
+    return dict(r.split(",") for r in rows)
+
+
+def test_kappa_cells_do_not_depend_on_config_order(tmp_path):
+    # Cells run in ascending kappa and are seeded by rank, so the order of
+    # kappa_list changes nothing, Monte-Carlo tables included.
+    outs = []
+    for order in ("[1.2, 1.5, 2.0]", "[2.0, 1.2, 1.5]"):
+        cfg = tmp_path / f"k{len(outs)}.cfg"
+        cfg.write_text(KAPPA_CFG.replace("kappa_list: [1.2]", f"kappa_list: {order}"))
+        outs.append(tmp_path / f"out{len(outs)}")
+        assert run_scenario(cfg, out=outs[-1]) == 0
+    files = json.loads((outs[0] / "manifest.json").read_text())["files"]
+    assert len({rel.split("/")[0] for rel in files}) == 6
+    assert sum(rel.endswith("/mse.csv") for rel in files) == 6
+    for rel in files:
+        assert (outs[1] / rel).read_bytes() == (outs[0] / rel).read_bytes(), rel
+    for method in ("pcrb", "psbp-fair"):
+        warm = [read_metrics(outs[0] / f"{method}-k{k}" / "metrics.csv")["warm_started"]
+                for k in ("1.2", "1.5", "2")]
+        assert warm == ["0", "1", "1"]
+    assert validate_output_dir(outs[0]) == []
+
+
+@pytest.mark.parametrize("failing", [1.2, 1.5])
+def test_kappa_after_a_failed_cell_starts_cold(tmp_path, monkeypatch, capsys, failing):
+    real = scenario_mod.solve_pcrb
+
+    def fail_at(mom, cfg, admm, seed, **kw):
+        if cfg.papr == failing:
+            raise RuntimeError("injected failure")
+        return real(mom, cfg, admm, seed, **kw)
+
+    monkeypatch.setattr(scenario_mod, "solve_pcrb", fail_at)
+    cfg = tmp_path / "k.cfg"
+    cfg.write_text(SMALL_CFG.replace("kappa_list: [1.2]", "kappa_list: [1.2, 1.5, 2.0]"))
+    out = tmp_path / "out"
+    assert run_scenario(cfg, out=out) == 2
+    capsys.readouterr()
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert [f["cell"] for f in manifest["failures"]] == [f"pcrb-k{failing:g}"]
+    ran = [k for k in (1.2, 1.5, 2.0) if k != failing]
+    warm = [read_metrics(out / f"pcrb-k{k:g}" / "metrics.csv")["warm_started"] for k in ran]
+    # The kappa right after the failed one starts cold; a kappa after a
+    # successful one resumes.
+    assert warm == (["0", "1"] if failing == 1.2 else ["0", "0"])
+    # That cold design is the one its own cell seed gives.
+    sc = load_config(cfg)
+    rank = sc.kappa_list.index(failing) + 1
+    after = sc.kappa_list[rank]
+    cold = real(scenario_mod.compute_moments(sc.distribution, sc.array),
+                replace(sc.array, papr=after), sc.admm, _cell_seed(sc.seed, "pcrb", rank, 0))
+    got = read_waveform(out / f"pcrb-k{after:g}" / "waveform.csv")
+    assert np.array_equal(got, cold.waveform)
+
+
+def test_kappa_monotonicity_report_compares_adjacent_thresholds():
+    # Lower is better for the bound designs, higher for the beampattern ones.
+    assert _kappa_monotonicity_report("pcrb", [(1.2, 2.0), (1.5, 1.9), (2.0, 1.9)]) == []
+    lines = _kappa_monotonicity_report("pcrb", [(1.2, 2.0), (1.5, 2.0 * (1 + 3e-5)), (2.0, 2.0)])
+    assert len(lines) == 1 and "pcrb-k1.5" in lines[0] and "pcrb-k1.2" in lines[0]
+    assert "3.00e-05 relative worse" in lines[0]
+    assert _kappa_monotonicity_report("crb", [(1.2, 1.0), (2.0, 1.0 + 5e-6)]) == []
+    assert _kappa_monotonicity_report("crb", [(1.2, 1.0), (2.0, 1.0 + 2e-5)]) != []
+    for method in ("psbp-fair", "psbp-int"):
+        assert _kappa_monotonicity_report(method, [(1.2, 1.0), (1.5, 1.2)]) == []
+        assert _kappa_monotonicity_report(method, [(1.2, 1.0), (1.5, 1.0 - 5e-6)]) == []
+        lines = _kappa_monotonicity_report(method, [(1.2, 1.0), (1.5, 0.9), (2.0, 0.8)])
+        assert [line.split()[2] for line in lines] == [f"{method}-k1.5", f"{method}-k2"]
+    assert _kappa_monotonicity_report("pcrb", [(1.2, 1.0)]) == []
+
+
+def test_run_reports_kappa_monotonicity_without_failing(tmp_path, monkeypatch, capsys):
+    real = scenario_mod.solve_pcrb
+
+    def worse_at_1_5(mom, cfg, admm, seed, **kw):
+        result = real(mom, cfg, admm, seed, **kw)
+        if cfg.papr == 1.5:
+            result = replace(result, metric_value=2.0 * result.metric_value)
+        return result
+
+    monkeypatch.setattr(scenario_mod, "solve_pcrb", worse_at_1_5)
+    cfg = tmp_path / "k.cfg"
+    cfg.write_text(SMALL_CFG.replace("kappa_list: [1.2]", "kappa_list: [1.2, 1.5]"))
+    assert run_scenario(cfg, out=tmp_path / "out") == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("kappa monotonicity: pcrb-k1.5 metric_value")

@@ -203,11 +203,17 @@ def test_fair_metric_is_min_scaled_beampattern(dist12, cfg12, grid361):
     assert_feasible(r, cfg12)
 
 
-def test_fair_multiplier_root_takes_few_evaluations(dist12, cfg12, grid361):
+@pytest.fixture(scope="module")
+def fair12(dist12, cfg12, grid361):
+    """Case 1-2 fair design at kappa 1.2 and seed 1, run to convergence."""
+    return solve_psbp_fair(dist12, cfg12, grid361, AdmmConfig(), seed=1)
+
+
+def test_fair_multiplier_root_takes_few_evaluations(fair12):
     # Case 1-2 at kappa 1.2: Newton warm-started at the previous multiplier
     # needs about 2.3 power-sum evaluations per x-update; from the lower
     # bound it needed about 9, and bracket plus bisection about 40.
-    r = solve_psbp_fair(dist12, cfg12, grid361, AdmmConfig(), seed=1)
+    r = fair12
     assert r.converged
     assert float(r.trace.mu_iterations.mean()) <= 4.0
 
@@ -221,8 +227,11 @@ class FixedTargetSplit:
         self.curvature = np.diag(sig).astype(complex)
         self.q = q
 
-    def start(self, x):
+    def start(self, x, state=None):
         pass
+
+    def state(self):
+        return ()
 
     def target(self, q):
         return self.q
@@ -273,6 +282,46 @@ def test_bundled_case_2_3_fair_design_reaches_its_level():
     assert r.converged
     assert r.metric_value >= 1.05
     assert_feasible(r, cfg)
+
+
+def test_warm_restart_from_a_converged_state_stops_at_once(
+        dist12, mom12, cfg12, grid361, fair12):
+    # Resuming at the same kappa continues a loop that has already met its
+    # stop rule: the second iteration (the first that may stop) stops it.
+    admm = AdmmConfig()
+    solves = {
+        "pcrb": lambda **kw: solve_pcrb(mom12, cfg12, admm, seed=1, **kw),
+        "fair": lambda **kw: solve_psbp_fair(dist12, cfg12, grid361, admm, seed=1, **kw),
+        "int": lambda **kw: solve_psbp_integrated(dist12, cfg12, grid361, admm, seed=1, **kw),
+        "crb": lambda **kw: baseline_crb(0.05, cfg12, admm, seed=1, **kw),
+    }
+    for name, solve in solves.items():
+        first = fair12 if name == "fair" else solve()
+        assert first.converged, name
+        again = solve(warm_start=first.state)
+        assert again.converged and again.iterations <= 2, name
+        gap = abs(again.metric_value - first.metric_value)
+        assert gap <= 1e-6 * abs(first.metric_value), name
+        assert_feasible(again, cfg12)
+
+
+def test_warm_start_at_a_larger_kappa_is_feasible_and_no_worse(dist12, cfg12, grid361, fair12):
+    # The kappa 1.2 design is feasible at 1.5, so resuming from it keeps
+    # the level and the seed no longer matters.
+    cfg = replace(cfg12, papr=1.5)
+    runs = [solve_psbp_fair(dist12, cfg, grid361, AdmmConfig(), seed=s, warm_start=fair12.state)
+            for s in (1, 2)]
+    assert runs[0].waveform.tobytes() == runs[1].waveform.tobytes()
+    assert runs[0].converged
+    assert runs[0].metric_value >= fair12.metric_value * (1 - 1e-5)
+    assert_feasible(runs[0], cfg)
+
+
+def test_warm_start_must_fit_the_waveform(mom12, cfg12):
+    r = solve_pcrb(mom12, cfg12, AdmmConfig(max_iters=5), seed=1)
+    with pytest.raises(ValueError, match="warm start"):
+        solve_pcrb(mom12, replace(cfg12, l_samples=20), AdmmConfig(), seed=1,
+                   warm_start=r.state)
 
 
 def test_fair_rejects_point_mass(grid361, cfg12):
