@@ -136,17 +136,18 @@ class MapEstimator:
         with np.errstate(divide="ignore"):
             self._log_prior = np.where(f > 0, np.log(np.maximum(f, 1e-300)), -np.inf)
         self._support = np.flatnonzero(f > 0)
-        a_r = steering_matrix(grid.points[self._support], m_r, spacing)
+        sup_pts = grid.points[self._support]
+        self._log_prior_sup = self._log_prior[self._support]
+        # The exact sum of |X^H a_t|^2 at each support point: nonnegative by
+        # construction, where the lag form below can cancel near transmit nulls.
         w = (self._xh @ steering_matrix(grid.points, x.shape[0], spacing)).take(self._support, 1)
-        # kernel[(r, l), p] = conj(a_r[r, p]) * w[l, p]: frames @ kernel is the scan.
-        # ``take`` keeps w C-ordered, so the product is too and reshapes without a copy.
-        self._kernel = (a_r.conj()[:, None, :] * w[None, :, :]).reshape(-1, w.shape[1])
         den = noise_power * m_r * np.sum(np.abs(w) ** 2, axis=0)
         self._den = np.where(den > 1e-300, den, np.inf)
 
-        # Off-grid score: a_r^H y X^H a_t sums y[i, l] conj(x[m, l]) at phase
-        # lag off_t[m] - off_r[i], and ||X^H a_t||^2 sums R[m, n] at lag
-        # off_t[n] - off_t[m], with R = X X^H. Both run over one lag set.
+        # The score through element-offset lags: a_r^H y X^H a_t sums
+        # y[i, l] conj(x[m, l]) at phase lag off_t[m] - off_r[i], and
+        # ||X^H a_t||^2 sums R[m, n] at lag off_t[n] - off_t[m], with
+        # R = X X^H. Both run over one lag set.
         off_t, off_r = _offsets(x.shape[0]), _offsets(self._m_r)
         num_lag = off_t[None, :] - off_r[:, None]
         den_lag = off_t[None, :] - off_t[:, None]
@@ -158,6 +159,9 @@ class MapEstimator:
         self._lag_kernel = np.einsum("imk,ml->ilk", num_pick, x.conj()).reshape(-1, len(lags))
         self._den_coef = noise_power * m_r * np.einsum("mnk,mn->k", den_pick, x @ self._xh)
         self._lag_phase = 2.0 * np.pi * spacing * lags
+        # The scan's lag phasors at the support points: coef @ phasors is
+        # a_r^H y X^H a_t there, a (N, lags) @ (lags, support) product.
+        self._sup_phasor = np.exp(1j * np.multiply.outer(self._lag_phase, np.sin(sup_pts)))
 
         # Refine brackets per support point: the neighbouring cells, cut at
         # the +-pi/2 ends and where a neighbour outside the support puts a
@@ -182,20 +186,20 @@ class MapEstimator:
             )
         return ys.reshape(-1, *ys.shape[-2:]), ys.ndim == 2
 
-    def _scan(self, ys: np.ndarray) -> np.ndarray:
-        """Scores of a stack at the support points, shape ``(N, len(support))``."""
-        # In place: a block's scan holds one complex and one real array.
-        out = np.abs(ys.reshape(len(ys), -1) @ self._kernel)
-        out **= 2
+    def _scan(self, coef: np.ndarray) -> np.ndarray:
+        """Scores at the support points from lag coefficients, shape ``(N, len(support))``."""
+        s = coef @ self._sup_phasor
+        out = s.real**2
+        out += s.imag**2
         out /= self._den
-        out += self._log_prior[self._support]
+        out += self._log_prior_sup
         return out
 
     def score(self, y: np.ndarray) -> np.ndarray:
         """Posterior score (concentrated log-likelihood + log prior) per grid angle."""
         ys, single = self._frames(y)
         out = np.full((len(ys), len(self.grid)), -np.inf)
-        out[:, self._support] = self._scan(ys)
+        out[:, self._support] = self._scan(self._lag_coef(ys))
         return out[0] if single else out
 
     def score_at(self, y: np.ndarray, theta):
@@ -229,11 +233,12 @@ class MapEstimator:
     def estimate(self, y: np.ndarray):
         """MAP angle of each frame: a float for one frame, an array for a stack."""
         ys, single = self._frames(y)
-        i = np.argmax(self._scan(ys), axis=1)
-        theta = self._refine(ys, i) if self.refine else self.grid.points[self._support[i]]
+        coef = self._lag_coef(ys)
+        i = np.argmax(self._scan(coef), axis=1)
+        theta = self._refine(coef, i) if self.refine else self.grid.points[self._support[i]]
         return float(theta[0]) if single else theta
 
-    def _refine(self, ys: np.ndarray, i: np.ndarray) -> np.ndarray:
+    def _refine(self, coef: np.ndarray, i: np.ndarray) -> np.ndarray:
         """Maximize the score over each frame's bracket around support point ``i``.
 
         One seed probe scores five angles: the grid argmax, the bracket ends
@@ -244,21 +249,20 @@ class MapEstimator:
         state, so no frame depends on the others in its stack. Every probe
         lies in the grid's range, so it skips the angle check.
         """
-        coef = self._lag_coef(ys)
-        rows = np.arange(len(ys))[:, None]
+        rows = np.arange(len(coef))[:, None]
         theta = self.grid.points[self._support[i]]
         lo, hi = self._bracket_lo[i], self._bracket_hi[i]
         seeds = np.stack([theta, lo, hi, 0.5 * (lo + theta), 0.5 * (theta + hi)], 1)
         g_seeds = -self._score_at(coef, seeds)
         order = np.argsort(g_seeds, axis=1, kind="stable")[:, :3]
         # Columns x, w, v (best value so far, second, third) and the probe u.
-        pts, g = np.empty((len(ys), 4)), np.empty((len(ys), 4))
+        pts, g = np.empty((len(coef), 4)), np.empty((len(coef), 4))
         pts[:, :3], g[:, :3] = seeds[rows, order], g_seeds[rows, order]
         # Bracket ends, and a column that takes the updates of stopped frames.
         ab = np.stack([lo, hi, hi], 1)
         step = last = hi - lo
         tol = _REFINE_TOL
-        live = np.ones(len(ys), dtype=bool)
+        live = np.ones(len(coef), dtype=bool)
         for _ in range(_REFINE_STEPS):
             x, w, v = pts[:, 0], pts[:, 1], pts[:, 2]
             gx, gw, gv = g[:, 0], g[:, 1], g[:, 2]
