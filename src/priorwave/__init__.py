@@ -1,6 +1,6 @@
 """Prior-aware MIMO radar transmit waveform design and evaluation."""
 
-from .admm import AdmmConfig, AdmmTrace, papr_project, quad_x_update
+from .admm import AdmmConfig, AdmmTrace, papr_project
 from .estimation import (
     AngularGrid,
     MapEstimator,
@@ -74,7 +74,6 @@ __all__ = [
     "pcrb_breakdown",
     "pcrb_theta",
     "pcrb_upper_bound",
-    "quad_x_update",
     "solve_pcrb",
     "solve_psbp_fair",
     "solve_psbp_integrated",

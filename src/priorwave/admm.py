@@ -25,7 +25,6 @@ import numpy as np
 __all__ = [
     "AdmmConfig",
     "AdmmTrace",
-    "quad_x_update",
     "papr_project",
 ]
 
@@ -223,23 +222,3 @@ def _x_update_eig(g: np.ndarray, sig: np.ndarray, q: np.ndarray, power: float,
     # Exact power rescale; relative change is within the root tolerance.
     x *= math.sqrt(power / np.vdot(x, x).real)
     return x, mu, iters, met
-
-
-def quad_x_update(target: np.ndarray, curvature: np.ndarray, power: float) -> np.ndarray:
-    """Minimize a quadratic with Hermitian curvature on the power sphere.
-
-    Returns ``X(mu) = (curvature + 2 mu I)^-1 target`` with the unique
-    multiplier ``mu`` that gives ``||X||_F**2 = power`` while keeping the
-    shifted curvature positive definite.
-    """
-    q = np.asarray(target, dtype=complex)
-    pmat = np.asarray(curvature, dtype=complex)
-    if pmat.ndim != 2 or pmat.shape[0] != pmat.shape[1] or pmat.shape[0] != q.shape[0]:
-        raise ValueError("curvature must be square and match the target rows")
-    herm_err = float(np.max(np.abs(pmat - pmat.conj().T)))
-    if herm_err > 1e-10 * max(1.0, float(np.max(np.abs(pmat)))):
-        raise ValueError("curvature matrix is not Hermitian")
-    if not power > 0:
-        raise ValueError("power must be positive")
-    sig, g = np.linalg.eigh(pmat)
-    return _x_update_eig(g, sig, q, power, _MU_TOL)[0]

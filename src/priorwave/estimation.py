@@ -3,11 +3,10 @@
 The unknown deterministic amplitude is profiled out per candidate angle,
 leaving a concentrated log-likelihood that is scanned over the angular
 grid together with the log prior. The estimator works on stacks of
-frames. Trials draw the true angle from the prior and are reproducible
-per (seed, snr index, trial index that seeds an independent generator).
-Only those draws are made trial by trial: each block of trials then
-builds its frames at once, bit-identical to per-trial
-``synthesize_received`` frames, and is estimated as one stack.
+frames. Monte-Carlo trials run in fixed blocks of ``_BLOCK``: each block
+draws its true angles from the prior, its phases and its noise as vectors
+from one generator seeded by (seed, snr index, block index), builds its
+frames at once and is estimated as one stack.
 """
 
 from __future__ import annotations
@@ -57,8 +56,9 @@ class AngularGrid:
         return len(self.points)
 
 
-# Trials per Monte-Carlo block: each block is one stack handed to
-# ``MapEstimator.estimate``, which bounds the scan's temporaries.
+# Trials per Monte-Carlo block. Part of the output contract: each block
+# draws from its own generator, so changing it changes every table. Each
+# block is one stack handed to ``MapEstimator.estimate``.
 _BLOCK = 64
 
 # The refine: the cap on Brent steps after the seed probe; the tolerance
@@ -94,22 +94,25 @@ class MapEstimator:
     stack ``(N, m_r, L)`` and returns a scalar or an array of ``N``
     values.
 
-    The grid scan only visits the grid points where the prior is
-    positive: their kernel ``conj(a_r) w^T`` is precomputed, so scanning
-    a stack is one matrix product; points outside the support score
+    The score is evaluated through element-offset lags: for a uniform
+    linear array, ``a_r^H y X^H a_t`` and ``||X^H a_t||^2`` are
+    trigonometric polynomials in ``sin(theta)`` whose coefficients are
+    computed once per frame and once per waveform. The grid scan only
+    visits the grid points where the prior is positive: their lag
+    phasors are precomputed, so scanning a stack is one ``(N, lags) @
+    (lags, support)`` product on the frames' coefficients, over the exact
+    ``||X^H a_t||^2`` at each point; points outside the support score
     ``-inf``. ``refine`` polishes each grid argmax by maximizing the
     exact posterior score over the bracketing cells, clipped to the
     prior's support; switch it off to reproduce a plain grid argmax.
 
-    Off the grid the score is evaluated through element-offset lags: for a
-    uniform linear array, ``a_r^H y X^H a_t`` and ``||X^H a_t||^2`` are
-    trigonometric polynomials in ``sin(theta)`` whose coefficients are
-    computed once per frame and once per waveform. ``score_at`` and the
-    refine share that evaluator. The refine is safeguarded parabolic
-    interpolation (Brent 1973), seeded with five angles across the bracket
-    and run in lockstep over the stack until every frame has converged; it
-    returns the best angle it evaluated, so it never does worse than the
-    grid argmax and it lands exactly on a maximum at a bracket end.
+    Off the grid, ``score_at`` and the refine evaluate the same
+    polynomials; the refine reuses the coefficients the scan computed.
+    The refine is safeguarded parabolic interpolation (Brent 1973),
+    seeded with five angles across the bracket and run in lockstep over
+    the stack until every frame has converged; it returns the best angle
+    it evaluated, so it never does worse than the grid argmax and it
+    lands exactly on a maximum at a bracket end.
     """
 
     def __init__(
@@ -133,11 +136,13 @@ class MapEstimator:
         f = np.asarray(dist.pdf(grid.points), dtype=float)
         if not np.any(f > 0):
             raise ValueError("prior density is zero at every grid point")
-        with np.errstate(divide="ignore"):
-            self._log_prior = np.where(f > 0, np.log(np.maximum(f, 1e-300)), -np.inf)
         self._support = np.flatnonzero(f > 0)
         sup_pts = grid.points[self._support]
-        self._log_prior_sup = self._log_prior[self._support]
+        # The log density itself, as off the grid: a subnormal density is
+        # not clamped.
+        self._log_prior_sup = np.log(f[self._support])
+        self._log_prior = np.full(len(f), -np.inf)
+        self._log_prior[self._support] = self._log_prior_sup
         # The exact sum of |X^H a_t|^2 at each support point: nonnegative by
         # construction, where the lag form below can cancel near transmit nulls.
         w = (self._xh @ steering_matrix(grid.points, x.shape[0], spacing)).take(self._support, 1)
@@ -345,10 +350,13 @@ def monte_carlo_mse(
     Trials are binned by the nearest grid angle for the per-angle
     breakdown.
 
-    Each trial draws from its own generator seeded by ``(seed, snr index,
-    trial index)``; frames are built and estimated in fixed blocks of
-    trials, each frame bit-identical to ``synthesize_received`` on the
-    trial's generator.
+    Trials run in blocks of ``_BLOCK`` (the last may be partial). Block
+    ``b`` at SNR index ``i`` draws from one generator seeded by
+    ``SeedSequence([seed, i, b])``, in this order: ``dist.sample(rng, k)``
+    for its ``k`` true angles, ``2*pi*rng.random(k)`` for the phases, and
+    one ``rng.standard_normal`` fill of its ``(k, m_r, L, 2)`` noise (real
+    and imaginary parts), scaled to the noise power. Results therefore
+    depend on the block size, not on how the work is scheduled.
     ``moments`` are the steering moments of ``dist`` for ``cfg``, used for
     the PCRB column; they are computed when not given.
     """
@@ -361,10 +369,9 @@ def monte_carlo_mse(
     if moments is None:
         moments = compute_moments(dist, cfg)
 
-    # Block buffers, refilled in place: frames, their noise, and phases.
+    # Block buffers, refilled in place: frames and their noise.
     frames = np.empty((min(_BLOCK, n_trials), cfg.m_r, x.shape[1]), dtype=complex)
     noise = np.empty(frames.shape + (2,))
-    phase = np.empty(len(frames))
     scale = np.sqrt(cfg.noise_power / 2.0)
     truth = np.empty(n_trials)
     estimate = np.empty(n_trials)
@@ -373,15 +380,13 @@ def monte_carlo_mse(
         amp = float(np.sqrt(cfg.noise_power * 10.0 ** (float(snr_db) / 10.0) / cfg.power))
         for start in range(0, n_trials, _BLOCK):
             k = min(_BLOCK, n_trials - start)
-            # Only the draws are per trial, in the order synthesize_received
-            # takes them; the block is then built at once.
-            for j in range(k):
-                rng = np.random.default_rng(np.random.SeedSequence([seed, i_snr, start + j]))
-                truth[start + j] = dist.sample(rng)
-                phase[j] = rng.uniform(0.0, 2.0 * np.pi)
-                noise[j] = rng.normal(scale=scale, size=noise.shape[1:])
-            th = _check_angles(truth[start:start + k])
-            _received(x, th, amp * np.exp(1j * phase[:k]), noise[:k], cfg.spacing, frames[:k])
+            rng = np.random.default_rng(np.random.SeedSequence([seed, i_snr, start // _BLOCK]))
+            th = _check_angles(dist.sample(rng, k))
+            phase = 2.0 * np.pi * rng.random(k)
+            rng.standard_normal(out=noise[:k])
+            noise[:k] *= scale
+            truth[start:start + k] = th
+            _received(x, th, amp * np.exp(1j * phase), noise[:k], cfg.spacing, frames[:k])
             estimate[start:start + k] = estimator.estimate(frames[:k])
         err = estimate - truth
         sq_err = err * err

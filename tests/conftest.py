@@ -8,6 +8,7 @@ from priorwave import (
     compute_moments,
     papr_project,
 )
+from priorwave.admm import _MU_TOL, _x_update_eig
 
 
 @pytest.fixture(scope="session")
@@ -55,3 +56,23 @@ def posterior_fim(blocks):
     fim[1:, 0] = blocks.f_theta_varsigma
     fim[1, 1] = fim[2, 2] = blocks.f_varsigma_scale
     return fim
+
+
+def x_update(target, curvature, power):
+    """The ADMM waveform update for a curvature given as a matrix.
+
+    Minimizes the quadratic on the power sphere through ``eigh`` and
+    ``admm._x_update_eig`` at the loop's multiplier tolerance. ``eigh``
+    reads one triangle only, so a curvature that is not Hermitian is
+    rejected here rather than silently symmetrized.
+    """
+    q = np.asarray(target, dtype=complex)
+    pmat = np.asarray(curvature, dtype=complex)
+    if pmat.ndim != 2 or pmat.shape[0] != pmat.shape[1] or pmat.shape[0] != q.shape[0]:
+        raise ValueError("curvature must be square and match the target rows")
+    if np.max(np.abs(pmat - pmat.conj().T)) > 1e-10 * max(1.0, np.max(np.abs(pmat))):
+        raise ValueError("curvature matrix is not Hermitian")
+    if not power > 0:
+        raise ValueError("power must be positive")
+    sig, g = np.linalg.eigh(pmat)
+    return _x_update_eig(g, sig, q, power, _MU_TOL)[0]

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from priorwave import AdmmConfig, papr_project, quad_x_update
+from conftest import x_update
+from priorwave import AdmmConfig, papr_project
 from priorwave.admm import (
     _CAP_SLACK,
     _cap_elements,
@@ -128,7 +129,7 @@ def test_project_feasible_properties(seed, rows, cols, kappa, log_power, spread)
 def test_quad_x_update_isotropic_curvature_rescales():
     rng = np.random.default_rng(3)
     q = rng.normal(size=(4, 7)) + 1j * rng.normal(size=(4, 7))
-    x = quad_x_update(q, 2.5 * np.eye(4), power=3.0)
+    x = x_update(q, 2.5 * np.eye(4), power=3.0)
     expected = q * np.sqrt(3.0) / np.linalg.norm(q)
     assert np.max(np.abs(x - expected)) < 1e-9
 
@@ -185,14 +186,14 @@ def test_multiplier_curve_is_decreasing():
 
 def test_quad_x_update_rejects_bad_inputs():
     with pytest.raises(ValueError):
-        quad_x_update(np.zeros((3, 4)), np.eye(3), 1.0)  # zero target
+        x_update(np.zeros((3, 4)), np.eye(3), 1.0)  # zero target
     rng = np.random.default_rng(7)
     q = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
     skew = np.array([[0.0, 1.0, 0], [-1.0, 0, 0], [0, 0, 1.0]])
     with pytest.raises(ValueError, match="Hermitian"):
-        quad_x_update(q, skew, 1.0)
+        x_update(q, skew, 1.0)
     with pytest.raises(ValueError):
-        quad_x_update(q, np.eye(3), -1.0)
+        x_update(q, np.eye(3), -1.0)
 
 
 def test_quad_x_update_hard_case():
@@ -313,7 +314,7 @@ def test_quad_x_update_kkt_property(seed, n, hard):
         psi = np.sum(np.abs(gq) ** 2, axis=1)
         power = float(np.sum(psi[1:] / (sig[1:] - sig[0]) ** 2)) * rng.uniform(1.5, 4.0)
     q = g @ gq
-    x = quad_x_update(q, pmat, power)
+    x = x_update(q, pmat, power)
     assert abs(np.sum(np.abs(x) ** 2) - power) <= 1e-10 * power
     grad = q - pmat @ x
     mu = 0.5 * np.vdot(x, grad).real / power

@@ -20,6 +20,7 @@ from priorwave import (
     steering_matrix,
     synthesize_received,
 )
+from priorwave.ula import _received
 
 SCENARIO3_PRIOR = MixtureGaussian(tuple(np.deg2rad([-60.0, -30.0, 20.0, 50.0])),
                                   np.deg2rad(1.0), (0.15, 0.25, 0.4, 0.2))
@@ -351,27 +352,34 @@ def test_monte_carlo_blocks_and_shared_moments(dist12, cfg12, grid361, mom12):
                                   moments=mom12)
 
 
-def per_trial_mse(x, dist, cfg, grid, snr_list_db, n_trials, seed):
-    """Reference sweep: every frame from synthesize_received on the trial's own
-    generator, estimated in stacks of 64 (a one-frame stack may take another
-    BLAS kernel), then the same summary as ``SnrResult``."""
+# Trials per Monte-Carlo block in the output contract of ``monte_carlo_mse``.
+CONTRACT_BLOCK = 64
+
+
+def per_block_mse(x, dist, cfg, grid, snr_list_db, n_trials, seed):
+    """Reference sweep: each block of 64 trials draws from its own generator,
+    seeded by (seed, SNR index, block index), the true angles, then the
+    phases, then the noise; its frames come from ``_received`` and are
+    estimated as one stack. Then the same summary as ``SnrResult``."""
     est = MapEstimator(x, dist, grid, cfg.m_r, cfg.noise_power, cfg.spacing)
     out = []
     for i_snr, snr_db in enumerate(snr_list_db):
         amp = float(np.sqrt(cfg.noise_power * 10.0 ** (snr_db / 10.0) / cfg.power))
-        truth, frames = [], []
-        for n in range(n_trials):
-            rng = np.random.default_rng(np.random.SeedSequence([seed, i_snr, n]))
-            theta = float(dist.sample(rng))
-            varsigma = amp * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
-            frames.append(synthesize_received(x, theta, varsigma, cfg.m_r, cfg.noise_power,
-                                              rng, cfg.spacing))
+        truth, got = [], []
+        for block, start in enumerate(range(0, n_trials, CONTRACT_BLOCK)):
+            k = min(CONTRACT_BLOCK, n_trials - start)
+            rng = np.random.default_rng(np.random.SeedSequence([seed, i_snr, block]))
+            theta = dist.sample(rng, k)
+            varsigma = amp * np.exp(1j * (2.0 * np.pi * rng.random(k)))
+            noise = rng.standard_normal((k, cfg.m_r, cfg.l_samples, 2))
+            noise *= np.sqrt(cfg.noise_power / 2.0)
+            frames = np.empty((k, cfg.m_r, cfg.l_samples), dtype=complex)
+            _received(x, theta, varsigma, noise, cfg.spacing, frames)
             truth.append(theta)
-        ys = np.stack(frames)
-        got = np.concatenate([est.estimate(ys[i:i + 64]) for i in range(0, n_trials, 64)])
-        sq_err = (got - np.array(truth)) ** 2
-        bins = np.clip(np.rint((np.array(truth) + np.pi / 2) / grid.cell), 0,
-                       len(grid) - 1).astype(int)
+            got.append(est.estimate(frames))
+        truth, got = np.concatenate(truth), np.concatenate(got)
+        sq_err = (got - truth) ** 2
+        bins = np.clip(np.rint((truth + np.pi / 2) / grid.cell), 0, len(grid) - 1).astype(int)
         per_angle = tuple((float(grid.points[b]), int(np.sum(bins == b)),
                            float(np.mean(sq_err[bins == b]))) for b in np.unique(bins))
         out.append((float(np.mean(sq_err)),
@@ -380,14 +388,15 @@ def per_trial_mse(x, dist, cfg, grid, snr_list_db, n_trials, seed):
 
 
 @pytest.mark.parametrize("gaussian", [False, True])
-def test_monte_carlo_matches_per_trial_reference(gaussian, dist12, cfg12, grid361, mom12):
-    # 65 trials: one full block and a block of one. Block synthesis must
-    # reproduce the per-trial frames exactly, so the summaries are equal.
+def test_monte_carlo_matches_per_block_reference(gaussian, dist12, cfg12, grid361, mom12):
+    # 65 trials: one full block and a partial block of one. The sweep must
+    # reproduce the reference's draws and frames exactly, so the summaries
+    # are equal.
     prior = SCENARIO3_PRIOR if gaussian else dist12
     x = random_feasible_waveform(np.random.default_rng(11), cfg12)
     rep = monte_carlo_mse(x, prior, cfg12, grid361, [0.0, 20.0], 65, seed=3,
                           moments=mom12)
-    ref = per_trial_mse(x, prior, cfg12, grid361, [0.0, 20.0], 65, seed=3)
+    ref = per_block_mse(x, prior, cfg12, grid361, [0.0, 20.0], 65, seed=3)
     for r, (mse, std_error, per_angle) in zip(rep.results, ref):
         assert r.mse == mse and r.std_error == std_error and r.per_angle == per_angle
 
@@ -410,6 +419,41 @@ def test_score_at_matches_steering_formula(m_t, m_r, spacing):
         s = steering_matrix(th, m_r, spacing).conj() @ y @ w
         want.append(abs(s) ** 2 / (0.7 * m_r * np.vdot(w, w).real) + np.log(prior.pdf(th)))
     assert np.allclose(est.score_at(ys, theta), want, rtol=1e-12, atol=0.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m_t=st.integers(1, 8), m_r=st.integers(1, 8),
+       spacing=st.floats(0.1, 2.0), snr_db=st.floats(-10.0, 30.0), gaussian=st.booleans())
+def test_lag_scan_matches_steering_formula(seed, m_t, m_r, spacing, snr_db, gaussian):
+    # The grid scan on lag coefficients against the explicit score
+    # |a_r^H Y X^H a_t|^2 / (sigma^2 m_r ||X^H a_t||^2) + log f at every
+    # grid angle, from spacings with grating lobes down to a tenth of a
+    # wavelength. L = 9 > m_t keeps X^H a_t away from zero.
+    rng = np.random.default_rng(seed)
+    cfg = ArrayConfig(m_t, m_r, 9, noise_power=0.7, spacing=spacing)
+    x = random_feasible_waveform(rng, cfg)
+    prior = SCENARIO3_PRIOR if gaussian else MixtureUniform(((-0.7, 0.4),), (1.0,))
+    grid = AngularGrid.uniform(181)
+    amp = np.sqrt(cfg.noise_power * 10.0 ** (snr_db / 10.0) / cfg.power)
+    ys = np.array([synthesize_received(x, float(t), amp * np.exp(2j * np.pi * rng.random()),
+                                       m_r, cfg.noise_power, rng, spacing)
+                   for t in prior.sample(rng, 4)])
+    got = MapEstimator(x, prior, grid, m_r, cfg.noise_power, spacing, refine=False).score(ys)
+
+    w = x.conj().T @ steering_matrix(grid.points, m_t, spacing)
+    s = np.einsum("rp,nrl,lp->np", steering_matrix(grid.points, m_r, spacing).conj(), ys, w)
+    ll = np.abs(s) ** 2 / (cfg.noise_power * m_r * np.sum(np.abs(w) ** 2, axis=0))
+    f = prior.pdf(grid.points)
+    inside = f > 0
+    log_f = np.log(f[inside])
+    want = ll[:, inside] + log_f
+    assert np.all(np.isneginf(got[:, ~inside]))
+    # Relative to the size of the two terms: their sum may cross zero.
+    assert np.all(np.abs(got[:, inside] - want) <= 1e-9 * (ll[:, inside] + np.abs(log_f)))
+    top2 = np.sort(want, axis=1)[:, -2:]
+    clear = top2[:, 1] - top2[:, 0] > 1e-9 * np.abs(top2[:, 1])
+    assert np.array_equal(np.argmax(got, axis=1)[clear],
+                          np.flatnonzero(inside)[np.argmax(want, axis=1)][clear])
 
 
 def test_score_shapes_and_frame_validation(dist12, cfg12, grid361):

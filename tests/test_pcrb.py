@@ -195,6 +195,24 @@ def test_unitary_right_multiplication_invariance(mom12, cfg12):
     assert abs(a - b) <= 1e-10 * a
 
 
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(sorted(MIXTURES)), seed=st.integers(0, 2**32 - 1),
+       amp_db=st.floats(-30.0, 30.0), phase=st.floats(0.0, 2 * np.pi),
+       noise=st.floats(0.05, 20.0))
+def test_bounds_invariant_under_right_unitary(kind, seed, amp_db, phase, noise):
+    # The bounds see X only through X X^H, so X -> XQ with a Haar-random
+    # L x L unitary Q leaves both unchanged.
+    mom = mixture_moments(kind)
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(6, 10)) + 1j * rng.normal(size=(6, 10))
+    z, r = np.linalg.qr(rng.normal(size=(10, 10)) + 1j * rng.normal(size=(10, 10)))
+    q = z * (np.diag(r) / np.abs(np.diag(r)))
+    amp = 10.0 ** (amp_db / 20.0) * np.exp(1j * phase)
+    for bound in (pcrb_theta, pcrb_upper_bound):
+        a, b = bound(x, mom, amp, noise), bound(x @ q, mom, amp, noise)
+        assert abs(a - b) <= 1e-10 * a
+
+
 def test_non_hermitian_moments_rejected(mom12):
     from dataclasses import replace
     bad = replace(mom12, xi1=mom12.xi1 + 1e-3j * np.eye(8))
