@@ -138,8 +138,7 @@ class MapEstimator:
             raise ValueError("prior density is zero at every grid point")
         self._support = np.flatnonzero(f > 0)
         sup_pts = grid.points[self._support]
-        # The log density itself, as off the grid: a subnormal density is
-        # not clamped.
+        # The exact log density, as ``_score_at`` takes it off the grid.
         self._log_prior_sup = np.log(f[self._support])
         self._log_prior = np.full(len(f), -np.inf)
         self._log_prior[self._support] = self._log_prior_sup
