@@ -1,6 +1,6 @@
 """Prior-aware MIMO radar transmit waveform design and evaluation."""
 
-from .admm import AdmmConfig, AdmmTrace, papr_project
+from .admm import AdmmConfig, AdmmTrace
 from .estimation import (
     AngularGrid,
     MapEstimator,
@@ -70,7 +70,6 @@ __all__ = [
     "compute_moments",
     "fim_signal",
     "monte_carlo_mse",
-    "papr_project",
     "pcrb_breakdown",
     "pcrb_theta",
     "pcrb_upper_bound",

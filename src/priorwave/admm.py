@@ -25,7 +25,6 @@ import numpy as np
 __all__ = [
     "AdmmConfig",
     "AdmmTrace",
-    "papr_project",
 ]
 
 
@@ -81,23 +80,17 @@ _MU_TOL = 1e-12
 _MU_MAX_EVALS = 200
 
 
-def papr_project(w: np.ndarray, bound: float) -> np.ndarray:
-    """Euclidean projection onto the per-element disc ``|w|^2 <= bound``.
-
-    Entries within the cap are untouched; the rest are shrunk radially to
-    magnitude ``sqrt(bound)`` with their phase preserved.
-    """
-    if not bound > 0:
-        raise ValueError("bound must be positive")
-    return _cap_elements(np.array(w, dtype=complex), bound)
-
-
 def _cap_elements(w: np.ndarray, bound: float) -> np.ndarray:
-    """``papr_project`` in place on a complex array, without input checks."""
+    """Euclidean projection onto the per-element disc ``|w|^2 <= bound``, in place.
+
+    Entries within the cap (up to ``_CAP_SLACK``) are untouched; the rest
+    are shrunk radially to magnitude ``sqrt(bound)`` with their phase
+    preserved. ``w`` must be a complex array; it is returned.
+    """
     mag2 = w.real**2 + w.imag**2
     outside = mag2 > bound * _CAP_SLACK
-    if np.any(outside):
-        w[outside] *= np.sqrt(bound) / np.sqrt(mag2[outside])
+    if outside.any():
+        w[outside] *= math.sqrt(bound) / np.sqrt(mag2[outside])
     return w
 
 
@@ -126,9 +119,13 @@ def _project_feasible(x: np.ndarray, power: float, bound: float) -> np.ndarray:
     return x * (np.minimum(c * mag, math.sqrt(bound)) / mag)
 
 
-def _solve_multiplier(psi: np.ndarray, sig: np.ndarray, power: float,
-                      mu_tol: float, start: float | None = None) -> tuple[float, int, bool]:
+def _solve_multiplier(psi, sig, power: float, mu_tol: float,
+                      start: float | None = None) -> tuple[float, int, bool]:
     """Root of ``sum_m psi_m / (sig_m + 2 mu)**2 = power`` with ``Pmat + 2 mu I > 0``.
+
+    ``psi`` and ``sig`` are sequences of floats over the eigenvalues, ``sig``
+    in ascending order (as ``eigh`` returns it), so the shifted curvature
+    is positive definite exactly when ``sig[0] + 2 mu > 0``.
 
     Safeguarded Newton on the secular equation ``1/||x(mu)|| = 1/sqrt(power)``
     (Moré & Sorensen 1983), whose left side is concave and increasing for
@@ -145,17 +142,22 @@ def _solve_multiplier(psi: np.ndarray, sig: np.ndarray, power: float,
     the root, the number of power-sum evaluations, and whether the root
     met ``mu_tol`` (False for the best float of a collapsed bracket).
     """
-    sig_min = float(sig.min())
-    lo = 0.5 * max(float(np.max(np.sqrt(psi / power) - sig)), -sig_min)
-    hi = 0.5 * (math.sqrt(float(psi.sum()) / power) - sig_min)
+    sig_min = sig[0]
+    terms = tuple(zip(psi, sig))
+    lo = 0.5 * max(max(math.sqrt(p / power) - s for p, s in terms), -sig_min)
+    hi = 0.5 * (math.sqrt(math.fsum(psi) / power) - sig_min)
     mu = start if start is not None and lo < start < hi else lo
     best_mu, best_gap = None, math.inf
     for evals in range(1, _MU_MAX_EVALS + 1):
-        denom = sig + 2.0 * mu
+        two_mu = 2.0 * mu
         nxt = math.nan
-        if denom.min() > 0:
-            terms = psi / denom**2
-            val = float(terms.sum())
+        if sig_min + two_mu > 0:
+            val = slope = 0.0
+            for p, s in terms:
+                denom = s + two_mu
+                t = p / (denom * denom)
+                val += t
+                slope += t / denom
             gap = abs(val - power)
             if gap <= mu_tol * power:
                 return mu, evals, True
@@ -165,7 +167,7 @@ def _solve_multiplier(psi: np.ndarray, sig: np.ndarray, power: float,
                 lo = mu
             else:
                 hi = mu
-            nxt = mu + 0.5 * val * (math.sqrt(val / power) - 1.0) / float((terms / denom).sum())
+            nxt = mu + 0.5 * val * (math.sqrt(val / power) - 1.0) / slope
         else:  # on the pole: psi carries no weight on the bottom eigenvector
             lo = mu
         # The first upper end is a bound, not yet evaluated, so Newton may
@@ -181,44 +183,60 @@ def _solve_multiplier(psi: np.ndarray, sig: np.ndarray, power: float,
         f"no multiplier root in [{lo!r}, {hi!r}] after {evals} power evaluations")
 
 
-def _x_update_eig(g: np.ndarray, sig: np.ndarray, q: np.ndarray, power: float,
-                  mu_tol: float, start: float | None = None
-                  ) -> tuple[np.ndarray, float, int, bool]:
-    """Quadratic update given the eigendecomposition of the curvature.
+class _XUpdate:
+    """The power-sphere waveform update for one curvature, built once per solve.
 
-    ``start`` is an optional first guess for the multiplier root (see
-    ``_solve_multiplier``); the result does not depend on it beyond rounding.
-    Returns the update, the multiplier, the power-sum evaluations and
-    whether the multiplier met ``mu_tol`` (the hard case is exact).
+    Each call minimizes ``Tr{X^H Pmat X} - 2 Re Tr{Q^H X}`` over
+    ``||X||_F**2 = power`` for a target ``Q``: with ``Pmat = G diag(sig) G^H``
+    the minimizer is ``G (G^H Q) / (sig + 2 mu)`` at the multiplier root
+    (``_solve_multiplier``). The eigendecomposition, the smallest-eigenvalue
+    block and the spectrum as floats depend on the curvature only and are
+    kept here.
     """
-    if not q.any():
-        raise ValueError("zero target matrix admits no finite-power solution")
-    gq = g.conj().T @ q
-    psi = (gq.real**2 + gq.imag**2).sum(1)
 
-    # Hard case: the target has no component on the smallest eigenspace and
-    # the interior curve never reaches the power budget. Take the boundary
-    # multiplier and pad with a null-space direction to hit the power
-    # exactly; stationarity is unaffected because that direction is
-    # annihilated by (Pmat + 2 mu I).
-    sig_min, sig_max = float(sig.min()), float(sig.max())
-    mu_floor = -sig_min / 2.0
-    tol = 1e-12 * max(sig_max - sig_min, 1.0)
-    low_block = sig <= sig_min + tol
-    psi_scale = float(psi.sum())
-    if float(psi @ low_block) <= 1e-24 * max(psi_scale, 1e-300):
-        denom = np.where(low_block, np.inf, sig + 2.0 * mu_floor)
-        if float(np.sum(psi / denom**2)) < power:
-            coeff = np.where(low_block, 0.0, 1.0 / denom)
-            x0 = g @ (coeff[:, None] * gq)
-            deficit = power - float(np.sum(np.abs(x0) ** 2))
-            pad = np.zeros_like(x0)
-            pad[:, 0] = g[:, int(np.argmax(low_block))]
-            x = x0 + np.sqrt(deficit) * pad
-            return x, mu_floor, 0, True
+    def __init__(self, curvature: np.ndarray, power: float) -> None:
+        sig, g = np.linalg.eigh(curvature)
+        self.g, self.gh, self.sig = g, np.ascontiguousarray(g.conj().T), sig
+        self.sig_list = sig.tolist()
+        self.power = power
+        sig_min = self.sig_list[0]
+        # ``eigh`` sorts ascending, so the block within rounding of the
+        # smallest eigenvalue is a prefix.
+        tol = 1e-12 * max(self.sig_list[-1] - sig_min, 1.0)
+        self.n_low = int(np.count_nonzero(sig <= sig_min + tol))
+        self.mu_floor = -sig_min / 2.0
 
-    mu, iters, met = _solve_multiplier(psi, sig, power, mu_tol, start)
-    x = g @ (gq / (sig + 2.0 * mu)[:, None])
-    # Exact power rescale; relative change is within the root tolerance.
-    x *= math.sqrt(power / np.vdot(x, x).real)
-    return x, mu, iters, met
+    def __call__(self, q: np.ndarray, start: float | None = None
+                 ) -> tuple[np.ndarray, float, int, bool]:
+        """Update for target ``q``; ``start`` is an optional first guess for
+        the multiplier root, which the result does not depend on beyond
+        rounding. Returns the update, the multiplier, the power-sum
+        evaluations and whether the multiplier met ``_MU_TOL`` (the hard
+        case is exact).
+        """
+        power = self.power
+        gq = self.gh @ q
+        psi = (gq.real**2 + gq.imag**2).sum(1)
+        psi_list = psi.tolist()
+
+        # Hard case: the target has no component on the smallest eigenspace
+        # and the interior curve never reaches the power budget. Take the
+        # boundary multiplier and pad with a null-space direction to hit the
+        # power exactly; stationarity is unaffected because that direction
+        # is annihilated by (Pmat + 2 mu I). A zero target lands here too and
+        # gets the bottom eigenvector.
+        n_low = self.n_low
+        if math.fsum(psi_list[:n_low]) <= 1e-24 * max(math.fsum(psi_list), 1e-300):
+            mu_floor = self.mu_floor
+            denom = self.sig[n_low:] + 2.0 * mu_floor
+            if float(np.sum(psi[n_low:] / denom**2)) < power:
+                x = self.g[:, n_low:] @ (gq[n_low:] / denom[:, None])
+                deficit = power - float(np.vdot(x, x).real)
+                x[:, 0] += math.sqrt(deficit) * self.g[:, 0]
+                return x, mu_floor, 0, True
+
+        mu, iters, met = _solve_multiplier(psi_list, self.sig_list, power, _MU_TOL, start)
+        x = self.g @ (gq / (self.sig + 2.0 * mu)[:, None])
+        # Exact power rescale; relative change is within the root tolerance.
+        x *= math.sqrt(power / np.vdot(x, x).real)
+        return x, mu, iters, met

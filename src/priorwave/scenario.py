@@ -18,6 +18,7 @@ import sys
 import time
 import traceback
 from dataclasses import dataclass, replace
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -313,29 +314,29 @@ def dump_config(scenario: Scenario) -> str:
     return yaml.safe_dump(scenario.to_dict(), sort_keys=False)
 
 
-def _fmt(value: float) -> str:
-    if not np.isfinite(value):
-        return "-inf" if value < 0 else ("inf" if value > 0 else "nan")
-    return f"{value:.8e}"
+# Cell format by numpy dtype kind: integers as such, floats with nine
+# significant digits (``inf``, ``-inf`` and ``nan`` print as those words).
+_CELL_FORMAT = {"i": "%d", "u": "%d", "f": "%.8e"}
 
 
-def _write_table(path: Path, header: tuple[str, ...], rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(
-            str(v) if isinstance(v, (str, int, np.integer)) else _fmt(float(v))
-            for v in row
-        ))
-    path.write_text("\n".join(lines) + "\n")
+def _write_table(path: Path, header: tuple[str, ...], columns) -> None:
+    """Write equal-length columns under ``header`` as CSV in one ``%`` format.
+
+    Each column takes its cell format from its dtype (``_CELL_FORMAT``);
+    a column of strings is written as is.
+    """
+    cols = [np.asarray(c) for c in columns]
+    row = ",".join(_CELL_FORMAT.get(c.dtype.kind, "%s") for c in cols) + "\n"
+    cells = tuple(chain.from_iterable(zip(*(c.tolist() for c in cols))))
+    path.write_text(",".join(header) + "\n" + row * len(cols[0]) % cells)
 
 
 def emit_waveform(x: np.ndarray, path: Path) -> None:
     """Entry dump with full precision so the matrix round-trips exactly."""
-    lines = ["m,l,re,im"]
-    for m in range(x.shape[0]):
-        for l in range(x.shape[1]):
-            lines.append(f"{m},{l},{float(x[m, l].real)!r},{float(x[m, l].imag)!r}")
-    path.write_text("\n".join(lines) + "\n")
+    m, l = np.indices(x.shape).reshape(2, -1).tolist()
+    cells = tuple(chain.from_iterable(
+        zip(m, l, x.real.ravel().tolist(), x.imag.ravel().tolist())))
+    path.write_text("m,l,re,im\n" + "%d,%d,%r,%r\n" * x.size % cells)
 
 
 def read_waveform(path: str | Path) -> np.ndarray:
@@ -363,14 +364,14 @@ def emit_beampattern(x: np.ndarray, grid: AngularGrid, path: str | Path,
     power = beampattern(x, grid.points, spacing)
     with np.errstate(divide="ignore"):
         power_db = 10.0 * np.log10(np.maximum(power, 0.0))
-    rows = zip(np.rad2deg(grid.points), power, power_db)
-    _write_table(Path(path), TABLE_SCHEMAS["beampattern.csv"], rows)
+    _write_table(Path(path), TABLE_SCHEMAS["beampattern.csv"],
+                 (np.rad2deg(grid.points), power, power_db))
 
 
 def _emit_trace(result: SolveResult, path: Path) -> None:
     tr = result.trace
-    rows = zip(range(1, len(tr) + 1), tr.objective, tr.augmented_lagrangian, tr.residual)
-    _write_table(path, TABLE_SCHEMAS["trace.csv"], rows)
+    _write_table(path, TABLE_SCHEMAS["trace.csv"],
+                 (np.arange(1, len(tr) + 1), tr.objective, tr.augmented_lagrangian, tr.residual))
 
 
 def _cell_seed(seed: int, method: str, kappa_rank: int, stream: int) -> int:
@@ -448,7 +449,10 @@ def _run_cell(scenario: Scenario, method: str, kappa: float, kappa_rank: int, ou
             ("mu_tol_misses", result.trace.mu_tol_misses),
             ("warm_started", int(warm_start is not None)),
         ]
-    _write_table(out / "metrics.csv", TABLE_SCHEMAS["metrics.csv"], metrics)
+    # Integer and float metrics share the value column: format each alone.
+    _write_table(out / "metrics.csv", TABLE_SCHEMAS["metrics.csv"],
+                 ([k for k, _ in metrics],
+                  [_CELL_FORMAT[np.asarray(v).dtype.kind] % v for _, v in metrics]))
     files.append("metrics.csv")
     seconds["emit"] = clock() - t0
 
@@ -464,13 +468,14 @@ def _run_cell(scenario: Scenario, method: str, kappa: float, kappa_rank: int, ou
         _write_table(
             out / "mse.csv",
             TABLE_SCHEMAS["mse.csv"],
-            [(r.snr_db, r.mse, r.std_error, r.pcrb, r.n_trials) for r in report.results],
+            tuple(zip(*[(r.snr_db, r.mse, r.std_error, r.pcrb, r.n_trials)
+                        for r in report.results])),
         )
         files.append("mse.csv")
         for r in report.results:
             name = f"mse_by_angle_snr{r.snr_db:+.0f}dB.csv"
-            _write_table(out / name, TABLE_SCHEMAS["mse_by_angle"],
-                         [(np.rad2deg(a), n, v) for a, n, v in r.per_angle])
+            angle, n, v = zip(*r.per_angle)
+            _write_table(out / name, TABLE_SCHEMAS["mse_by_angle"], (np.rad2deg(angle), n, v))
             files.append(name)
         seconds["emit"] += clock() - t0
     return files, seconds, result

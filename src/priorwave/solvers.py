@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .admm import _MU_TOL, AdmmConfig, AdmmTrace, _cap_elements, _project_feasible, _x_update_eig
+from .admm import AdmmConfig, AdmmTrace, _cap_elements, _project_feasible, _XUpdate
 from .estimation import AngularGrid
 from .pcrb import pcrb_upper_bound
 from .priors import DistributionMoments, PointMass, TargetDistribution, compute_moments
@@ -143,7 +143,7 @@ def _admm(split, cfg: ArrayConfig, admm: AdmmConfig, seed: int, metric,
     bound = cfg.elem_bound
     rho = split.rho
     gamma = _DUAL_STEP
-    sig, g = np.linalg.eigh(split.curvature)
+    x_update = _XUpdate(split.curvature, cfg.power)
 
     if warm_start is None:
         x = _initial_waveform(cfg, np.random.default_rng(seed))
@@ -169,10 +169,10 @@ def _admm(split, cfg: ArrayConfig, admm: AdmmConfig, seed: int, metric,
         u = _cap_elements(x - d, bound)
         q = split.target(rho * (u + d))
         # The multiplier barely moves between iterations: warm-start its root.
-        x, mu, iters, met = _x_update_eig(g, sig, q, cfg.power, _MU_TOL, mu)
+        x, mu, iters, met = x_update(q, mu)
         mu_misses += not met
-        d = d + gamma * u - gamma * x
         split_gap = u - x
+        d = d + gamma * split_gap
         obj, al, res, move = split.measure(
             x, _sqnorm(split_gap), _sqnorm(u - u_prev), 0.5 * rho * _sqnorm(split_gap + d))
 
@@ -283,37 +283,33 @@ def _inflate_columns(h: np.ndarray, hnorms: np.ndarray, fvals: np.ndarray,
     return h * np.where(need, np.sqrt(level) / np.maximum(hnorms, 1e-300), 1.0)
 
 
-def _eta_update(hnorms: np.ndarray, fvals: np.ndarray, rho3: float) -> float:
+def _eta_update(hnorms: np.ndarray, fvals: np.ndarray, root_f: np.ndarray,
+                half: float) -> float:
     """Level update of the max-min solver, solved exactly.
 
-    Minimizes ``-eta + (rho3/2) * sum_p [sqrt(f_p eta) - |h_p|]_+**2``, which
-    is convex in ``eta``. In ``s = sqrt(eta)`` angle ``p`` is active beyond
+    Minimizes ``-eta + half * sum_p [sqrt(f_p eta) - |h_p|]_+**2`` with
+    ``half = rho3 / 2`` and ``root_f = sqrt(fvals)``, which is convex in
+    ``eta`` and bounded below when ``half * sum(f) > 1`` (``_FairSplit``
+    checks that once). In ``s = sqrt(eta)`` angle ``p`` is active beyond
     its breakpoint ``s_p = |h_p| / sqrt(f_p)``, and on a fixed active set
     ``A`` the optimality condition is linear:
-    ``s * ((rho3/2) * sum_A f - 1) = (rho3/2) * sum_A sqrt(f) |h|``.
+    ``s * (half * sum_A f - 1) = half * sum_A sqrt(f) |h|``.
     Sorting the breakpoints gives every prefix active set by cumulative
     sums; the derivative's sign at every breakpoint, taken over the angles
     below it, picks the first segment where it turns positive, and the
     root on that segment (or beyond the last breakpoint) is the level.
     """
-    half = 0.5 * rho3
-    sum_f = float(fvals.sum())
-    if half * sum_f <= 1.0:
-        raise RuntimeError(
-            f"level penalty rho3 = {rho3:.3e} admits no bounded level update; "
-            f"it must exceed 2 / sum(f) = {2.0 / sum_f:.3e}"
-        )
-    root_f = np.sqrt(fvals)
     s_brk = hnorms / root_f
-    order = np.argsort(s_brk)
-    s_brk = s_brk[order]
-    cum_f = np.concatenate(([0.0], np.cumsum(fvals[order])))
-    cum_g = np.concatenate(([0.0], np.cumsum((root_f * hnorms)[order])))
-    # s times the derivative at each breakpoint; the angle at its own
-    # breakpoint contributes zero, so the prefix before it suffices. A
-    # positive value needs a positive slope, so the division below is safe.
-    turn = np.flatnonzero(s_brk * (half * cum_f[:-1] - 1.0) - half * cum_g[:-1] > 0.0)
-    k = int(turn[0]) if turn.size else len(fvals)
+    order = s_brk.argsort()
+    cum_f = fvals[order].cumsum()
+    cum_g = (root_f * hnorms)[order].cumsum()
+    # s times the derivative at each breakpoint after the first (at the
+    # first it is -s <= 0); the angle at its own breakpoint contributes
+    # zero, so the sums over the angles before it, ``cum[j]`` for the
+    # breakpoint ``j + 1``, suffice. A positive value needs a positive
+    # slope, so the division below is safe.
+    turn = (s_brk[order[1:]] * (half * cum_f[:-1] - 1.0) - half * cum_g[:-1] > 0.0).nonzero()[0]
+    k = int(turn[0]) if turn.size else len(fvals) - 1
     s = half * cum_g[k] / (half * cum_f[k] - 1.0)
     return s * s
 
@@ -329,8 +325,16 @@ class _FairSplit:
     """
 
     def __init__(self, a: np.ndarray, f: np.ndarray, cfg: ArrayConfig) -> None:
-        self.rho3 = _SAFETY * 40.0 / float(f.sum())
+        sum_f = float(f.sum())
+        self.rho3 = _SAFETY * 40.0 / sum_f
         self.rho = 2.0 * self.rho3
+        self.half3 = 0.5 * self.rho3
+        if self.half3 * sum_f <= 1.0:
+            raise RuntimeError(
+                f"level penalty rho3 = {self.rho3:.3e} admits no bounded level update; "
+                f"it must exceed 2 / sum(f) = {2.0 / sum_f:.3e}"
+            )
+        self.root_f = np.sqrt(f)
         r = a @ a.conj().T
         r = 0.5 * (r + r.conj().T)
         self.curvature = self.rho * np.eye(cfg.m_t) + self.rho3 * r
@@ -349,8 +353,8 @@ class _FairSplit:
 
     def target(self, q: np.ndarray) -> np.ndarray:
         h = self.w - self.b
-        hnorms = np.linalg.norm(h, axis=0)
-        self.eta = _eta_update(hnorms, self.f, self.rho3)
+        hnorms = np.sqrt((h.real**2 + h.imag**2).sum(0))
+        self.eta = _eta_update(hnorms, self.f, self.root_f, self.half3)
         self.g_prev = self.gmat
         self.gmat = _inflate_columns(h, hnorms, self.f, self.eta)
         return q + self.rho3 * (self.a @ (self.gmat + self.b).conj().T)
@@ -358,9 +362,9 @@ class _FairSplit:
     def measure(self, x, res, move, al):
         gmat, gamma = self.gmat, _DUAL_STEP
         w = self.w = x.conj().T @ self.a
-        self.b = self.b + gamma * gmat - gamma * w
-        obj = float(np.min(np.sum(np.abs(w) ** 2, axis=0) / self.f))
         bp_gap = gmat - w
+        self.b = self.b + gamma * bp_gap
+        obj = float(((w.real**2 + w.imag**2).sum(0) / self.f).min())
         res = res + _sqnorm(bp_gap)
         move = move + _sqnorm(gmat - self.g_prev)
         al = -self.eta + al + 0.5 * self.rho3 * _sqnorm(bp_gap + self.b)

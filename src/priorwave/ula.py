@@ -163,6 +163,10 @@ def receive_derivative_norm2(theta, m_r: int, spacing: float = 0.5) -> np.ndarra
 def beampattern(x: np.ndarray, theta, spacing: float = 0.5):
     """Transmit power ``||a_t(theta)^H X||_F**2`` toward ``theta``.
 
+    Computed as ``Re(a^H R a)`` with the Gram matrix ``R = X X^H``, so the
+    product is ``(m_t x m_t) @ (m_t x n)`` whatever the waveform length,
+    and clamped at 0 against rounding.
+
     Parameters
     ----------
     x : np.ndarray
@@ -179,8 +183,8 @@ def beampattern(x: np.ndarray, theta, spacing: float = 0.5):
     if x.ndim != 2:
         raise ValueError("waveform must be a 2-D matrix")
     a = steering_matrix(theta, x.shape[0], spacing)
-    proj = a.conj().T @ x if a.ndim == 2 else a.conj() @ x
-    out = np.sum(np.abs(proj) ** 2, axis=-1)
+    ra = (x @ x.conj().T) @ a
+    out = np.maximum((a.real * ra.real + a.imag * ra.imag).sum(axis=0), 0.0)
     return float(out) if np.isscalar(theta) or np.ndim(theta) == 0 else out
 
 

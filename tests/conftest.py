@@ -6,9 +6,8 @@ from priorwave import (
     ArrayConfig,
     MixtureUniform,
     compute_moments,
-    papr_project,
 )
-from priorwave.admm import _MU_TOL, _x_update_eig
+from priorwave.admm import _cap_elements, _XUpdate
 
 
 @pytest.fixture(scope="session")
@@ -41,7 +40,7 @@ def random_feasible_waveform(rng, cfg, kappa=None):
         size=(cfg.m_t, cfg.l_samples)
     )
     for _ in range(100):
-        x = papr_project(x, bound)
+        x = _cap_elements(x, bound)
         x = x * np.sqrt(cfg.power / np.sum(np.abs(x) ** 2))
         if np.max(np.abs(x) ** 2) <= bound * (1 + 1e-12):
             break
@@ -61,10 +60,11 @@ def posterior_fim(blocks):
 def x_update(target, curvature, power):
     """The ADMM waveform update for a curvature given as a matrix.
 
-    Minimizes the quadratic on the power sphere through ``eigh`` and
-    ``admm._x_update_eig`` at the loop's multiplier tolerance. ``eigh``
-    reads one triangle only, so a curvature that is not Hermitian is
-    rejected here rather than silently symmetrized.
+    Minimizes the quadratic on the power sphere through ``admm._XUpdate``,
+    as the solvers do, and returns the update and its power multiplier.
+    ``eigh`` reads one triangle only, so a curvature that is not Hermitian
+    is rejected here rather than silently symmetrized; a zero target, which
+    the update itself answers with the bottom eigenvector, is rejected too.
     """
     q = np.asarray(target, dtype=complex)
     pmat = np.asarray(curvature, dtype=complex)
@@ -74,5 +74,7 @@ def x_update(target, curvature, power):
         raise ValueError("curvature matrix is not Hermitian")
     if not power > 0:
         raise ValueError("power must be positive")
-    sig, g = np.linalg.eigh(pmat)
-    return _x_update_eig(g, sig, q, power, _MU_TOL)[0]
+    if not q.any():
+        raise ValueError("zero target matrix admits no finite-power solution")
+    x, mu, _, _ = _XUpdate(pmat, power)(q)
+    return x, mu

@@ -23,7 +23,6 @@ from priorwave import (
     beampattern,
     compute_moments,
     fim_signal,
-    papr_project,
     pcrb_breakdown,
     pcrb_theta,
     pcrb_upper_bound,
@@ -34,12 +33,12 @@ from priorwave import (
     steering_derivative_matrix,
     waveform_feasibility,
 )
-from priorwave.admm import _x_update_eig
+from priorwave.admm import _cap_elements
 from priorwave.priors import PointMass
 from priorwave.scenario import run_scenario
 from priorwave.solvers import _eta_update
 
-from conftest import posterior_fim, random_feasible_waveform
+from conftest import posterior_fim, random_feasible_waveform, x_update
 from test_pcrb import expected_loglik_curvature
 
 SEED = 2024
@@ -181,7 +180,7 @@ def test_criterion_09_subproblem_oracles():
         # Element projection against a brute-force disc search.
         bound = 0.04
         w = 0.5 * (rng.normal(size=10000) + 1j * rng.normal(size=10000))
-        proj = papr_project(w.reshape(-1, 1), bound).ravel()
+        proj = _cap_elements(w.copy(), bound)
         proj_dist = np.abs(w - proj)
         r = np.sqrt(bound) * np.sqrt(rng.random(10000))
         phi = rng.uniform(0, 2 * np.pi, 10000)
@@ -201,7 +200,7 @@ def test_criterion_09_subproblem_oracles():
             hn = rng.uniform(0.0, 2.0, 12)
             f = rng.uniform(0.5, 3.0, 12)
             rho3 = 2.0 / f.sum() * rng.uniform(2.0, 6.0)
-            eta = _eta_update(hn, f, rho3)
+            eta = _eta_update(hn, f, np.sqrt(f), 0.5 * rho3)
             etas = np.linspace(1e-9, max(3 * eta, 1.0), 100000)
             act = f[:, None] * etas[None, :] > (hn**2)[:, None]
             cost = (np.sqrt(f[:, None] * etas[None, :]) - hn[:, None]) ** 2
@@ -221,8 +220,7 @@ def test_criterion_09_subproblem_oracles():
             pmat = 0.5 * (h + h.conj().T)
             q = rng.normal(size=(n, 6)) + 1j * rng.normal(size=(n, 6))
             power = float(rng.uniform(0.5, 3.0))
-            sig, g = np.linalg.eigh(pmat)
-            x, mu, _, _ = _x_update_eig(g, sig, q, power, 1e-12)
+            x, mu = x_update(q, pmat, power)
             resid = float(np.linalg.norm((pmat + 2 * mu * np.eye(n)) @ x - q))
             worst_kkt = max(worst_kkt, resid)
             if resid > 1e-8 or abs(np.sum(np.abs(x) ** 2) - power) > 1e-10 * power:

@@ -177,8 +177,9 @@ class ScalarMap:
         self.x, self.dist, self.grid, self.m_r = x, dist, grid, m_r
         self.noise, self.refine = noise_power, refine
         f = dist.pdf(grid.points)
-        with np.errstate(divide="ignore"):
-            self.log_prior = np.where(f > 0, np.log(np.maximum(f, 1e-300)), -np.inf)
+        # The exact log density, as the estimator takes it: -inf off the support.
+        self.log_prior = np.full(len(f), -np.inf)
+        self.log_prior[f > 0] = np.log(f[f > 0])
         self.a_r = steering_matrix(grid.points, m_r)
         self.w = x.conj().T @ steering_matrix(grid.points, x.shape[0])
         den = noise_power * m_r * np.sum(np.abs(self.w) ** 2, axis=0)

@@ -265,6 +265,32 @@ def test_waveform_round_trip_and_beampattern_dump(tmp_path):
     assert max(powers) - min(powers) <= 1e-9
 
 
+def per_value_cell(v):
+    """Reference cell text: integers and strings as ``str``, floats as ``%.8e``."""
+    if isinstance(v, (str, int, np.integer)):
+        return str(v)
+    v = float(v)
+    if not np.isfinite(v):
+        return "-inf" if v < 0 else ("inf" if v > 0 else "nan")
+    return f"{v:.8e}"
+
+
+def test_table_writer_matches_per_value_formatting(tmp_path):
+    rng = np.random.default_rng(12)
+    n = 2000
+    floats = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+    specials = [np.inf, -np.inf, np.nan, -np.nan, -0.0, 0.0, 5e-324, -1.7976931348623157e308]
+    floats[:len(specials)] = specials
+    ints = list(range(-3, n - 3))
+    columns = (ints, np.arange(n, dtype=np.int64) * 7919, floats, rng.permutation(floats),
+               np.array(["k%d" % i for i in range(n)]))
+    path = tmp_path / "t.csv"
+    scenario_mod._write_table(path, ("a", "b", "c", "d", "e"), columns)
+    expected = ["a,b,c,d,e"] + [",".join(per_value_cell(v) for v in row)
+                                for row in zip(*columns)]
+    assert path.read_text() == "\n".join(expected) + "\n"
+
+
 def test_cli_subcommands(small_cfg, tmp_path, capsys):
     out = tmp_path / "cliout"
     assert cli_main(["run", "--config", str(small_cfg), "--out", str(out)]) == 0

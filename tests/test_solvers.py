@@ -25,7 +25,8 @@ from priorwave import (
     waveform_feasibility,
 )
 from priorwave.scenario import _cell_seed, load_config
-from priorwave.solvers import _admm, _eta_update, _inflate_columns
+from priorwave import solvers
+from priorwave.solvers import _admm, _eta_update, _FairSplit, _inflate_columns
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "src" / "priorwave" / "configs"
 
@@ -139,7 +140,7 @@ def test_eta_update_matches_grid_search():
         hn = rng.uniform(0.0, 2.0, n)
         f = rng.uniform(0.5, 3.0, n)
         rho3 = 2.0 / f.sum() * rng.uniform(2.0, 6.0)
-        eta = _eta_update(hn, f, rho3)
+        eta = _eta_update(hn, f, np.sqrt(f), 0.5 * rho3)
 
         def objective(etas):
             act = f[:, None] * etas[None, :] > (hn**2)[:, None]
@@ -171,7 +172,7 @@ def test_eta_update_matches_brute_force(seed, n, n_zero, n_tied, margin):
     for j in range(n_zero, min(n_zero + n_tied, n - 1)):
         hn[j] = hn[-1] * np.sqrt(f[j] / f[-1])
     rho3 = 2.0 / f.sum() * (1.0 + margin)
-    eta = _eta_update(hn, f, rho3)
+    eta = _eta_update(hn, f, np.sqrt(f), 0.5 * rho3)
 
     # Two-stage grid over [0, hi]: hi bounds the minimizer from above (the
     # all-active root, or the last breakpoint).
@@ -187,11 +188,15 @@ def test_eta_update_matches_brute_force(seed, n, n_zero, n_tied, margin):
     assert abs(eta - best) <= 1e-5 * hi
 
 
-def test_eta_update_requires_large_enough_rho():
-    hn = np.ones(4)
+def test_eta_update_requires_large_enough_rho(monkeypatch, cfg12):
+    # The fair split checks the level-update bound (rho3/2) * sum(f) > 1
+    # once, when it is built; its own penalty clears it 40-fold.
+    a = steering_matrix(np.linspace(-0.2, 0.2, 4), cfg12.m_t)
     f = np.ones(4)
+    assert 0.5 * _FairSplit(a, f, cfg12).rho3 * f.sum() > 1.0
+    monkeypatch.setattr(solvers, "_SAFETY", 0.02)  # (rho3/2) * sum(f) = 0.8
     with pytest.raises(RuntimeError, match="rho3"):
-        _eta_update(hn, f, rho3=0.1)  # (rho3/2) * sum(f) < 1
+        _FairSplit(a, f, cfg12)
 
 
 def test_fair_metric_is_min_scaled_beampattern(dist12, cfg12, grid361):
@@ -216,6 +221,8 @@ def test_fair_multiplier_root_takes_few_evaluations(fair12):
     r = fair12
     assert r.converged
     assert float(r.trace.mu_iterations.mean()) <= 4.0
+    # Within 1% of the level every converging seed reaches (1.2765-1.2766).
+    assert r.metric_value >= 0.99 * 1.2765
 
 
 class FixedTargetSplit:
