@@ -317,18 +317,24 @@ def dump_config(scenario: Scenario) -> str:
 # Cell format by numpy dtype kind: integers as such, floats with nine
 # significant digits (``inf``, ``-inf`` and ``nan`` print as those words).
 _CELL_FORMAT = {"i": "%d", "u": "%d", "f": "%.8e"}
+# Rows formatted per write: one ``%`` per block keeps the Python objects
+# of a long trace from all being alive at once.
+_ROWS_PER_WRITE = 512
 
 
 def _write_table(path: Path, header: tuple[str, ...], columns) -> None:
-    """Write equal-length columns under ``header`` as CSV in one ``%`` format.
+    """Write equal-length columns under ``header`` as CSV, one ``%`` format per block of rows.
 
     Each column takes its cell format from its dtype (``_CELL_FORMAT``);
     a column of strings is written as is.
     """
     cols = [np.asarray(c) for c in columns]
     row = ",".join(_CELL_FORMAT.get(c.dtype.kind, "%s") for c in cols) + "\n"
-    cells = tuple(chain.from_iterable(zip(*(c.tolist() for c in cols))))
-    path.write_text(",".join(header) + "\n" + row * len(cols[0]) % cells)
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for start in range(0, len(cols[0]), _ROWS_PER_WRITE):
+            block = [c[start:start + _ROWS_PER_WRITE].tolist() for c in cols]
+            fh.write(row * len(block[0]) % tuple(chain.from_iterable(zip(*block))))
 
 
 def emit_waveform(x: np.ndarray, path: Path) -> None:
