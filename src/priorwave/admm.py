@@ -186,12 +186,12 @@ def _solve_multiplier(psi, sig, power: float, mu_tol: float,
 class _XUpdate:
     """The power-sphere waveform update for one curvature, built once per solve.
 
-    Each call minimizes ``Tr{X^H Pmat X} - 2 Re Tr{Q^H X}`` over
-    ``||X||_F**2 = power`` for a target ``Q``: with ``Pmat = G diag(sig) G^H``
-    the minimizer is ``G (G^H Q) / (sig + 2 mu)`` at the multiplier root
-    (``_solve_multiplier``). The eigendecomposition, the smallest-eigenvalue
-    block and the spectrum as floats depend on the curvature only and are
-    kept here.
+    Each call minimizes ``Tr{X^H Pmat X} / 2 - Re Tr{Q^H X}`` over
+    ``||X||_F**2 = power`` for a target ``Q``, so ``(Pmat + 2 mu I) X = Q``:
+    with ``Pmat = G diag(sig) G^H`` the minimizer is ``G (G^H Q) / (sig + 2 mu)``
+    at the multiplier root (``_solve_multiplier``). The eigendecomposition,
+    the smallest-eigenvalue block and the spectrum as floats depend on the
+    curvature only and are kept here.
     """
 
     def __init__(self, curvature: np.ndarray, power: float) -> None:
