@@ -194,7 +194,7 @@ def test_eta_update_requires_large_enough_rho(monkeypatch, cfg12):
     a = steering_matrix(np.linspace(-0.2, 0.2, 4), cfg12.m_t)
     f = np.ones(4)
     assert 0.5 * _FairSplit(a, f, cfg12).rho3 * f.sum() > 1.0
-    monkeypatch.setattr(solvers, "_SAFETY", 0.02)  # (rho3/2) * sum(f) = 0.8
+    monkeypatch.setattr(solvers, "_SAFETY", 0.02)  # (rho3/2) * sum(f) = 0.4
     with pytest.raises(RuntimeError, match="rho3"):
         _FairSplit(a, f, cfg12)
 
