@@ -91,7 +91,6 @@ def test_papr_project_properties(seed, rows, cols, log_bound, near):
     assert np.all(np.abs(pa - pb) <= np.abs(a - b) * (1.0 + 1e-12) + slack)
     w = a.copy()
     assert _cap_elements(w, bound) is w
-    assert np.array_equal(w, pa)
     inside = np.abs(a) ** 2 <= bound
     assert np.array_equal(pa[inside], a[inside])
 
