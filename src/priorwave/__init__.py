@@ -4,15 +4,12 @@ from .admm import AdmmConfig, AdmmTrace
 from .estimation import (
     AngularGrid,
     MapEstimator,
-    MseReport,
     SnrResult,
     monte_carlo_mse,
 )
 from .pcrb import (
     FimBlocks,
-    PcrbBreakdown,
     fim_signal,
-    pcrb_breakdown,
     pcrb_theta,
     pcrb_upper_bound,
 )
@@ -58,8 +55,6 @@ __all__ = [
     "MapEstimator",
     "MixtureGaussian",
     "MixtureUniform",
-    "MseReport",
-    "PcrbBreakdown",
     "PointMass",
     "SnrResult",
     "SolveResult",
@@ -70,7 +65,6 @@ __all__ = [
     "compute_moments",
     "fim_signal",
     "monte_carlo_mse",
-    "pcrb_breakdown",
     "pcrb_theta",
     "pcrb_upper_bound",
     "solve_pcrb",

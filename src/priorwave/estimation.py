@@ -22,7 +22,6 @@ from .ula import HALF_DOMAIN, ArrayConfig, _check_angles, _offsets, _received, s
 __all__ = [
     "AngularGrid",
     "SnrResult",
-    "MseReport",
     "MapEstimator",
     "monte_carlo_mse",
 ]
@@ -39,8 +38,11 @@ class AngularGrid:
         object.__setattr__(self, "points", pts)
         if pts.ndim != 1 or pts.size < 2:
             raise ValueError("grid needs at least two points")
-        if np.any(np.diff(pts) <= 0):
-            raise ValueError("grid points must be strictly increasing")
+        # The cell, the Monte-Carlo angle bins, the psbp-int weights and
+        # the refine brackets all take the spacing as uniform.
+        step = np.diff(pts)
+        if not np.all(np.abs(step - step[0]) <= 1e-9 * step[0]):
+            raise ValueError("grid points must be uniformly spaced and increasing")
         if pts[0] != -HALF_DOMAIN or pts[-1] != HALF_DOMAIN:
             raise ValueError("grid endpoints must be exactly -pi/2 and pi/2")
 
@@ -90,9 +92,8 @@ def _support_edge(pdf, inside: np.ndarray, outside: np.ndarray) -> np.ndarray:
 class MapEstimator:
     """Reusable MAP scanner for a fixed waveform, prior, and grid.
 
-    Every method takes one received frame of shape ``(m_r, L)`` or a
-    stack ``(N, m_r, L)`` and returns a scalar or an array of ``N``
-    values.
+    ``estimate`` takes a stack of received frames ``(N, m_r, L)`` and
+    returns their ``N`` angles.
 
     The score is evaluated through element-offset lags: for a uniform
     linear array, ``a_r^H y X^H a_t`` and ``||X^H a_t||^2`` are
@@ -106,8 +107,8 @@ class MapEstimator:
     exact posterior score over the bracketing cells, clipped to the
     prior's support; switch it off to reproduce a plain grid argmax.
 
-    Off the grid, ``score_at`` and the refine evaluate the same
-    polynomials; the refine reuses the coefficients the scan computed.
+    Off the grid, the refine evaluates the same polynomials on the
+    coefficients the scan computed.
     The refine is safeguarded parabolic interpolation (Brent 1973),
     seeded with five angles across the bracket and run in lockstep over
     the stack until every frame has converged; it returns the best angle
@@ -140,8 +141,6 @@ class MapEstimator:
         sup_pts = grid.points[self._support]
         # The exact log density, as ``_score_at`` takes it off the grid.
         self._log_prior_sup = np.log(f[self._support])
-        self._log_prior = np.full(len(f), -np.inf)
-        self._log_prior[self._support] = self._log_prior_sup
         # The exact sum of |X^H a_t|^2 at each support point: nonnegative by
         # construction, where the lag form below can cancel near transmit nulls.
         w = (self._xh @ steering_matrix(grid.points, x.shape[0], spacing)).take(self._support, 1)
@@ -180,15 +179,15 @@ class MapEstimator:
             if cut.any():
                 end[cut] = _support_edge(dist.pdf, pts[sup[cut]], pts[nb[cut]])
 
-    def _frames(self, y) -> tuple[np.ndarray, bool]:
-        """Frames as an ``(N, m_r, L)`` stack, and whether one frame was given."""
-        ys = np.asarray(y, dtype=complex)
-        if ys.ndim not in (2, 3) or ys.shape[-2:] != (self._m_r, self._xh.shape[0]):
+    def _frames(self, ys) -> np.ndarray:
+        """Frames checked as an ``(N, m_r, L)`` stack."""
+        ys = np.asarray(ys, dtype=complex)
+        if ys.ndim != 3 or ys.shape[1:] != (self._m_r, self._xh.shape[0]):
             raise ValueError(
-                f"frames must have shape (m_r, L) or (N, m_r, L) with "
+                f"frames must have shape (N, m_r, L) with "
                 f"(m_r, L) = ({self._m_r}, {self._xh.shape[0]}), got {ys.shape}"
             )
-        return ys.reshape(-1, *ys.shape[-2:]), ys.ndim == 2
+        return ys
 
     def _scan(self, coef: np.ndarray) -> np.ndarray:
         """Scores at the support points from lag coefficients, shape ``(N, len(support))``."""
@@ -198,24 +197,6 @@ class MapEstimator:
         out /= self._den
         out += self._log_prior_sup
         return out
-
-    def score(self, y: np.ndarray) -> np.ndarray:
-        """Posterior score (concentrated log-likelihood + log prior) per grid angle."""
-        ys, single = self._frames(y)
-        out = np.full((len(ys), len(self.grid)), -np.inf)
-        out[:, self._support] = self._scan(self._lag_coef(ys))
-        return out[0] if single else out
-
-    def score_at(self, y: np.ndarray, theta):
-        """Posterior score at arbitrary (off-grid) angles, one per frame.
-
-        ``theta`` is broadcast against the frames; a single frame with a
-        scalar angle gives a float.
-        """
-        ys, single = self._frames(y)
-        th = np.broadcast_to(_check_angles(theta), ys.shape[:1])
-        out = self._score_at(self._lag_coef(ys), th[:, None])[:, 0]
-        return float(out[0]) if single else out
 
     def _lag_coef(self, ys: np.ndarray) -> np.ndarray:
         """Lag coefficients of ``a_r^H y X^H a_t`` per frame, shape ``(N, lags)``."""
@@ -234,13 +215,11 @@ class MapEstimator:
             out = (s.real**2 + s.imag**2) / den + np.log(np.where(f > 0, f, 1.0))
         return np.where((f > 0) & (den > 1e-300), out, -np.inf)
 
-    def estimate(self, y: np.ndarray):
-        """MAP angle of each frame: a float for one frame, an array for a stack."""
-        ys, single = self._frames(y)
-        coef = self._lag_coef(ys)
+    def estimate(self, ys: np.ndarray) -> np.ndarray:
+        """MAP angle of each frame of an ``(N, m_r, L)`` stack."""
+        coef = self._lag_coef(self._frames(ys))
         i = np.argmax(self._scan(coef), axis=1)
-        theta = self._refine(coef, i) if self.refine else self.grid.points[self._support[i]]
-        return float(theta[0]) if single else theta
+        return self._refine(coef, i) if self.refine else self.grid.points[self._support[i]]
 
     def _refine(self, coef: np.ndarray, i: np.ndarray) -> np.ndarray:
         """Maximize the score over each frame's bracket around support point ``i``.
@@ -324,11 +303,6 @@ class SnrResult:
     per_angle: tuple[tuple[float, int, float], ...]
 
 
-@dataclass(frozen=True)
-class MseReport:
-    results: tuple[SnrResult, ...]
-
-
 def monte_carlo_mse(
     x: np.ndarray,
     dist: TargetDistribution,
@@ -340,7 +314,7 @@ def monte_carlo_mse(
     *,
     refine: bool = True,
     moments: DistributionMoments | None = None,
-) -> MseReport:
+) -> tuple[SnrResult, ...]:
     """Estimate the angle-MSE of a waveform across an SNR sweep.
 
     SNR is ``10*log10(|amplitude|^2 * P / noise_power)``; the amplitude
@@ -400,4 +374,4 @@ def monte_carlo_mse(
         )
         results.append(SnrResult(snr_db=float(snr_db), mse=mse, std_error=std_error,
                                  pcrb=bound, n_trials=n_trials, per_angle=per_angle))
-    return MseReport(results=tuple(results))
+    return tuple(results)

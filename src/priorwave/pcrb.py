@@ -17,9 +17,7 @@ from .priors import DistributionMoments
 
 __all__ = [
     "FimBlocks",
-    "PcrbBreakdown",
     "fim_signal",
-    "pcrb_breakdown",
     "pcrb_theta",
     "pcrb_upper_bound",
 ]
@@ -54,19 +52,6 @@ class FimBlocks:
     f_theta_varsigma: np.ndarray
     f_varsigma_scale: float
     b_theta_theta: float
-
-
-@dataclass(frozen=True)
-class PcrbBreakdown:
-    """Schur-complement information for the angle and its degeneracy flag."""
-
-    fim: FimBlocks
-    information: float
-    degenerate: bool
-
-    @property
-    def pcrb(self) -> float:
-        return 1.0 / self.information
 
 
 def fim_signal(
@@ -110,23 +95,22 @@ def fim_signal(
     )
 
 
-def pcrb_breakdown(
+def pcrb_theta(
     x: np.ndarray,
     mom: DistributionMoments,
     amplitude: complex,
     noise_power: float,
-) -> PcrbBreakdown:
-    """Angle information after eliminating the unknown amplitude.
+) -> float:
+    """Posterior Cramer-Rao bound on the angle MSE, in radians squared.
 
-    A waveform that radiates (numerically) no energy into the prior
-    support makes the amplitude block singular; the Schur correction is
-    then dropped and the bound degrades to the prior-only value, flagged
-    via ``degenerate``.
+    The inverse of the angle information after eliminating the unknown
+    amplitude. A waveform that radiates (numerically) no energy into the
+    prior support makes the amplitude block singular; the Schur
+    correction is then dropped and the bound degrades to the prior-only
+    value.
     """
     blocks = fim_signal(x, mom, amplitude, noise_power)
-    t3 = blocks.f_varsigma_scale * noise_power / 2.0
-    degenerate = t3 < _DEGENERATE_TRACE
-    if degenerate:
+    if blocks.f_varsigma_scale * noise_power / 2.0 < _DEGENERATE_TRACE:
         schur = 0.0
     else:
         schur = float(blocks.f_theta_varsigma @ blocks.f_theta_varsigma) / blocks.f_varsigma_scale
@@ -134,17 +118,7 @@ def pcrb_breakdown(
     if not information > 0:
         raise ValueError("posterior information is not positive; "
                          "no angle information in signal or prior")
-    return PcrbBreakdown(fim=blocks, information=information, degenerate=degenerate)
-
-
-def pcrb_theta(
-    x: np.ndarray,
-    mom: DistributionMoments,
-    amplitude: complex,
-    noise_power: float,
-) -> float:
-    """Posterior Cramer-Rao bound on the angle MSE, in radians squared."""
-    return pcrb_breakdown(x, mom, amplitude, noise_power).pcrb
+    return 1.0 / information
 
 
 def pcrb_upper_bound(

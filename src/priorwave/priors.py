@@ -34,6 +34,8 @@ __all__ = [
 ]
 
 _WEIGHT_TOL = 1e-12
+# Trapezoid nodes of the moment quadrature, shared out over the windows.
+_MOMENT_NODES = 2001
 # Gaussian quadrature windows extend this many sigmas around each mean.
 _GAUSS_WINDOW = 5.0
 # Edge ramp half-width and foot floor of interval priors; see
@@ -334,29 +336,25 @@ def _point_mass_moments(dist: PointMass, cfg: ArrayConfig, lam: float) -> Distri
 def compute_moments(
     dist: TargetDistribution,
     cfg: ArrayConfig,
-    grid_size: int = 2001,
 ) -> DistributionMoments:
     """Integrate the steering moments of ``dist`` for the array ``cfg``.
 
-    Composite trapezoid quadrature on a uniform grid restricted to the
-    support of the prior (Gaussian components contribute +-5 sigma
-    windows); ``lam`` is ``dist.prior_fisher()``.
+    Composite trapezoid quadrature on ``_MOMENT_NODES`` uniform nodes
+    restricted to the support of the prior (Gaussian components
+    contribute +-5 sigma windows); ``lam`` is ``dist.prior_fisher()``.
 
     Raises
     ------
     ValueError
-        If ``grid_size`` is too small or the quadrature does not
-        reproduce unit prior mass (a non-normalized distribution).
+        If the quadrature does not reproduce unit prior mass (a
+        non-normalized distribution).
     """
     lam = dist.prior_fisher()
 
     if isinstance(dist, PointMass):
         return _point_mass_moments(dist, cfg, lam)
 
-    if grid_size < 91:
-        raise ValueError("grid_size must be at least 91")
-
-    th, wq = _window_grid(dist.quadrature_windows(), grid_size)
+    th, wq = _window_grid(dist.quadrature_windows(), _MOMENT_NODES)
     f = dist.pdf(th)
     mass = float(wq @ f)
     if abs(mass - 1.0) > 1e-4:

@@ -309,11 +309,6 @@ def load_config(path: str | Path) -> Scenario:
     return _build(data)
 
 
-def dump_config(scenario: Scenario) -> str:
-    """Serialize back to YAML; load(dump(load(f))) is the identity."""
-    return yaml.safe_dump(scenario.to_dict(), sort_keys=False)
-
-
 # Cell format by numpy dtype kind: integers as such, floats with nine
 # significant digits (``inf``, ``-inf`` and ``nan`` print as those words).
 _CELL_FORMAT = {"i": "%d", "u": "%d", "f": "%.8e"}
@@ -357,10 +352,15 @@ def read_waveform(path: str | Path) -> np.ndarray:
                    for m, l, re, im in (line.split(",") for line in rows[1:])]
     except ValueError as exc:
         raise ValueError(f"{path}: malformed waveform row ({exc})") from exc
-    x = np.zeros((max(e[0] for e in entries) + 1, max(e[1] for e in entries) + 1),
-                 dtype=complex)
-    for m, l, v in entries:
-        x[m, l] = v
+    m, l, v = (np.array(col) for col in zip(*entries))
+    if min(m.min(), l.min()) < 0:
+        raise ValueError(f"{path}: negative waveform index")
+    x = np.empty((m.max() + 1, l.max() + 1), dtype=complex)
+    at = m * x.shape[1] + l
+    if not np.all(np.bincount(at, minlength=x.size) == 1):
+        raise ValueError(f"{path}: waveform table must list every (m, l) of its "
+                         f"{x.shape[0]} x {x.shape[1]} rectangle exactly once")
+    x.flat[at] = v
     return x
 
 
@@ -465,7 +465,7 @@ def _run_cell(scenario: Scenario, method: str, kappa: float, kappa_rank: int, ou
     if scenario.n_trials > 0 and scenario.snr_list_db:
         t0 = clock()
         mse_seed = _cell_seed(scenario.seed, method, kappa_rank, 1)
-        report = monte_carlo_mse(
+        results = monte_carlo_mse(
             x, dist, cfg, grid, scenario.snr_list_db, scenario.n_trials, mse_seed,
             refine=not paper_literal, moments=moments,
         )
@@ -475,10 +475,10 @@ def _run_cell(scenario: Scenario, method: str, kappa: float, kappa_rank: int, ou
             out / "mse.csv",
             TABLE_SCHEMAS["mse.csv"],
             tuple(zip(*[(r.snr_db, r.mse, r.std_error, r.pcrb, r.n_trials)
-                        for r in report.results])),
+                        for r in results])),
         )
         files.append("mse.csv")
-        for r in report.results:
+        for r in results:
             name = f"mse_by_angle_snr{r.snr_db:+.0f}dB.csv"
             angle, n, v = zip(*r.per_angle)
             _write_table(out / name, TABLE_SCHEMAS["mse_by_angle"], (np.rad2deg(angle), n, v))

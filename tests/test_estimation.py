@@ -42,6 +42,10 @@ def test_angular_grid_validation():
         AngularGrid(np.array([-1.0, 0.0, 1.0]))  # endpoints not +-pi/2
     with pytest.raises(ValueError):
         AngularGrid(np.array([np.pi / 2, 0.0, -np.pi / 2]))
+    with pytest.raises(ValueError, match="uniformly spaced"):
+        AngularGrid(np.array([-np.pi / 2, -1.5, 0.0, 0.2, np.pi / 2]))
+    # A half-degree grid built in degrees is uniform up to rounding.
+    assert len(AngularGrid(np.deg2rad(np.arange(-90, 90.5, 0.5)))) == 361
 
 
 def test_noiseless_echo_recovers_grid_angle(grid361):
@@ -49,10 +53,11 @@ def test_noiseless_echo_recovers_grid_angle(grid361):
     x = baseline_omni(cfg)
     prior = MixtureUniform(((-np.pi / 4, np.pi / 4),), (1.0,))
     th = grid361.points[200]
+    y = clean_echo(x, th, cfg.m_r)[None]
     est = MapEstimator(x, prior, grid361, cfg.m_r, cfg.noise_power, refine=False)
-    assert est.estimate(clean_echo(x, th, cfg.m_r)) == th
+    assert est.estimate(y)[0] == th
     est_r = MapEstimator(x, prior, grid361, cfg.m_r, cfg.noise_power, refine=True)
-    assert abs(est_r.estimate(clean_echo(x, th, cfg.m_r)) - th) <= 1e-6
+    assert abs(est_r.estimate(y)[0] - th) <= 1e-6
 
 
 def test_flat_prior_equals_concentrated_ml(grid361):
@@ -60,24 +65,24 @@ def test_flat_prior_equals_concentrated_ml(grid361):
     x = baseline_omni(cfg)
     prior = MixtureUniform(((-0.6, 0.6),), (1.0,))
     rng = np.random.default_rng(0)
-    y = synthesize_received(x, 0.21, 1.2, cfg.m_r, 1.0, rng)
+    ys = synthesize_received(x, 0.21, 1.2, cfg.m_r, 1.0, rng)[None]
     est = MapEstimator(x, prior, grid361, cfg.m_r, 1.0, refine=False)
-    score = est.score(y)
+    # The scan covers the support points, where the prior is positive.
+    score = est._scan(est._lag_coef(ys))[0]
     # Inside the interval the prior is constant: the MAP argmax must match
     # the bare concentrated likelihood argmax restricted to the interval.
-    inside = np.isfinite(est._log_prior)
-    ll = score[inside] - est._log_prior[inside]
-    ml_idx = np.where(inside)[0][np.argmax(ll)]
-    assert est.estimate(y) == grid361.points[ml_idx]
+    ll = score - est._log_prior_sup
+    ml_idx = est._support[np.argmax(ll)]
+    assert est.estimate(ys)[0] == grid361.points[ml_idx]
 
 
 def test_map_estimator_one_shot_estimate(grid361):
     cfg = ArrayConfig(4, 4, 8)
     x = baseline_omni(cfg)
     prior = MixtureUniform(((-0.5, 0.5),), (1.0,))
-    y = clean_echo(x, grid361.points[190], cfg.m_r)
-    got = MapEstimator(x, prior, grid361, cfg.m_r, cfg.noise_power, refine=False).estimate(y)
-    assert got == grid361.points[190]
+    ys = clean_echo(x, grid361.points[190], cfg.m_r)[None]
+    got = MapEstimator(x, prior, grid361, cfg.m_r, cfg.noise_power, refine=False).estimate(ys)
+    assert got[0] == grid361.points[190]
 
 
 def test_zero_prior_everywhere_rejected(grid361):
@@ -93,14 +98,14 @@ def test_low_noise_mse_below_quantization_bound():
     dist = MixtureUniform(((-0.3, 0.3),), (1.0,))
     x = baseline_omni(cfg)
     rep = monte_carlo_mse(x, dist, cfg, grid, [60.0], 100, seed=4)
-    assert rep.results[0].mse <= grid.cell**2 / 4
+    assert rep[0].mse <= grid.cell**2 / 4
 
 
 def test_mse_decreases_with_snr_and_reproducible(dist12, cfg12, grid361):
     x = baseline_omni(cfg12)
     rep = monte_carlo_mse(x, dist12, cfg12, grid361, [0.0, 10.0, 20.0], 150, seed=8)
-    mse = [r.mse for r in rep.results]
-    se = [r.std_error for r in rep.results]
+    mse = [r.mse for r in rep]
+    se = [r.std_error for r in rep]
     for i in range(2):
         assert mse[i + 1] <= mse[i] + 2 * (se[i] + se[i + 1])
     rep2 = monte_carlo_mse(x, dist12, cfg12, grid361, [0.0, 10.0, 20.0], 150, seed=8)
@@ -119,7 +124,7 @@ def test_prior_dominates_at_very_low_snr(dist12, cfg12, grid361):
         th = dist12.sample(rng)
         ph = rng.uniform(0, 2 * np.pi)
         y = synthesize_received(x, th, amp * np.exp(1j * ph), cfg12.m_r, 1.0, rng)
-        e = est.estimate(y)
+        e = est.estimate(y[None])[0]
         inside += (lo - grid361.cell <= e <= hi + grid361.cell)
     assert inside / n >= 0.99
 
@@ -147,7 +152,7 @@ def test_estimator_cannot_beat_crb_on_average(grid361):
 def test_per_angle_breakdown_partitions_trials(dist12, cfg12, grid361):
     x = baseline_omni(cfg12)
     rep = monte_carlo_mse(x, dist12, cfg12, grid361, [10.0], 120, seed=12)
-    r = rep.results[0]
+    r = rep[0]
     assert sum(n for _, n, _ in r.per_angle) == r.n_trials
     lo, hi = dist12.intervals[0]
     for angle, _, _ in r.per_angle:
@@ -165,7 +170,7 @@ def test_estimator_focused_waveform_rarely_misses(dist12, cfg12, grid361):
         th = dist12.sample(rng)
         ph = rng.uniform(0, 2 * np.pi)
         y = synthesize_received(x, th, amp * np.exp(1j * ph), cfg12.m_r, 1.0, rng)
-        if abs(est.estimate(y) - th) > 3 * grid361.cell:
+        if abs(est.estimate(y[None])[0] - th) > 3 * grid361.cell:
             misses += 1
     assert misses / n < 0.01
 
@@ -300,7 +305,7 @@ def test_refine_matches_scalar_reference_at_edges(case, cfg12, dist12, grid361):
         ys = frames_at(rng, x, thetas, rng.uniform(0.0, 40.0))
         est = MapEstimator(x, prior, grid361, cfg12.m_r, cfg12.noise_power)
         ref = ScalarMap(x, prior, grid361, cfg12.m_r, cfg12.noise_power, True)
-        theta0 = grid361.points[np.argmax(est.score(ys), axis=1)]
+        theta0 = grid361.points[est._support[np.argmax(est._scan(est._lag_coef(ys)), axis=1)]]
         if case == "support-edge":
             keep = np.isclose(np.abs(theta0), np.deg2rad(9.5), rtol=0.0, atol=1e-12)
         elif case == "domain-edge":
@@ -345,7 +350,7 @@ def test_refine_probe_count(dist12, cfg12, grid361, monkeypatch):
 def test_monte_carlo_blocks_and_shared_moments(dist12, cfg12, grid361, mom12):
     x = baseline_omni(cfg12)
     one = monte_carlo_mse(x, dist12, cfg12, grid361, [10.0], 1, seed=2)
-    assert one.results[0].std_error == 0.0 and one.results[0].n_trials == 1
+    assert one[0].std_error == 0.0 and one[0].n_trials == 1
     # 65 trials: one full block and a block of one.
     rep = monte_carlo_mse(x, dist12, cfg12, grid361, [0.0, 20.0], 65, seed=2)
     assert rep == monte_carlo_mse(x, dist12, cfg12, grid361, [0.0, 20.0], 65, seed=2)
@@ -398,7 +403,7 @@ def test_monte_carlo_matches_per_block_reference(gaussian, dist12, cfg12, grid36
     rep = monte_carlo_mse(x, prior, cfg12, grid361, [0.0, 20.0], 65, seed=3,
                           moments=mom12)
     ref = per_block_mse(x, prior, cfg12, grid361, [0.0, 20.0], 65, seed=3)
-    for r, (mse, std_error, per_angle) in zip(rep.results, ref):
+    for r, (mse, std_error, per_angle) in zip(rep, ref):
         assert r.mse == mse and r.std_error == std_error and r.per_angle == per_angle
 
 
@@ -419,7 +424,8 @@ def test_score_at_matches_steering_formula(m_t, m_r, spacing):
         w = x.conj().T @ steering_matrix(th, m_t, spacing)
         s = steering_matrix(th, m_r, spacing).conj() @ y @ w
         want.append(abs(s) ** 2 / (0.7 * m_r * np.vdot(w, w).real) + np.log(prior.pdf(th)))
-    assert np.allclose(est.score_at(ys, theta), want, rtol=1e-12, atol=0.0)
+    got = est._score_at(est._lag_coef(ys), theta[:, None])[:, 0]
+    assert np.allclose(got, want, rtol=1e-12, atol=0.0)
 
 
 @settings(max_examples=40, deadline=None)
@@ -439,7 +445,8 @@ def test_lag_scan_matches_steering_formula(seed, m_t, m_r, spacing, snr_db, gaus
     ys = np.array([synthesize_received(x, float(t), amp * np.exp(2j * np.pi * rng.random()),
                                        m_r, cfg.noise_power, rng, spacing)
                    for t in prior.sample(rng, 4)])
-    got = MapEstimator(x, prior, grid, m_r, cfg.noise_power, spacing, refine=False).score(ys)
+    est = MapEstimator(x, prior, grid, m_r, cfg.noise_power, spacing, refine=False)
+    got = est._scan(est._lag_coef(ys))
 
     w = x.conj().T @ steering_matrix(grid.points, m_t, spacing)
     s = np.einsum("rp,nrl,lp->np", steering_matrix(grid.points, m_r, spacing).conj(), ys, w)
@@ -448,31 +455,31 @@ def test_lag_scan_matches_steering_formula(seed, m_t, m_r, spacing, snr_db, gaus
     inside = f > 0
     log_f = np.log(f[inside])
     want = ll[:, inside] + log_f
-    assert np.all(np.isneginf(got[:, ~inside]))
+    # The scan covers exactly the points of positive prior density.
+    assert np.array_equal(est._support, np.flatnonzero(inside))
     # Relative to the size of the two terms: their sum may cross zero.
-    assert np.all(np.abs(got[:, inside] - want) <= 1e-9 * (ll[:, inside] + np.abs(log_f)))
+    assert np.all(np.abs(got - want) <= 1e-9 * (ll[:, inside] + np.abs(log_f)))
     top2 = np.sort(want, axis=1)[:, -2:]
     clear = top2[:, 1] - top2[:, 0] > 1e-9 * np.abs(top2[:, 1])
-    assert np.array_equal(np.argmax(got, axis=1)[clear],
-                          np.flatnonzero(inside)[np.argmax(want, axis=1)][clear])
+    assert np.array_equal(np.argmax(got, axis=1)[clear], np.argmax(want, axis=1)[clear])
 
 
 def test_score_shapes_and_frame_validation(dist12, cfg12, grid361):
     x = baseline_omni(cfg12)
     est = MapEstimator(x, dist12, grid361, cfg12.m_r, cfg12.noise_power)
     ys = random_frames(np.random.default_rng(0), x, dist12, 10.0, 3)
-    scores = est.score(ys)
-    assert scores.shape == (3, len(grid361))
+    coef = est._lag_coef(ys)
+    scores = est._scan(coef)
+    # The scan covers exactly the grid points where the prior is positive.
+    assert np.array_equal(est._support, np.flatnonzero(dist12.pdf(grid361.points) > 0))
+    assert scores.shape == (3, len(est._support))
     # BLAS may take another kernel for a single row: equal up to rounding.
-    assert np.allclose(scores[1], est.score(ys[1]), rtol=1e-12, atol=0.0)
-    assert np.all(np.isneginf(scores[:, ~np.isfinite(est._log_prior)]))
-    at = est.score_at(ys, np.array([0.0, 0.1, 1.0]))
+    assert np.allclose(scores[1], est._scan(est._lag_coef(ys[1:2]))[0], rtol=1e-12, atol=0.0)
+    at = est._score_at(coef, np.array([[0.0], [0.1], [1.0]]))[:, 0]
     assert at.shape == (3,) and np.isneginf(at[2])  # 1 rad is outside the prior
-    assert at[1] == est.score_at(ys[1], 0.1)
+    assert at[1] == est._score_at(est._lag_coef(ys[1:2]), np.array([[0.1]]))[0, 0]
+    # Only stacks are taken: a wrong frame shape and a bare frame are rejected.
     with pytest.raises(ValueError):
-        est.estimate(np.zeros((cfg12.m_r + 1, cfg12.l_samples)))
-    # The public score checks its angles; only the refine skips the check.
-    with pytest.raises(ValueError, match="angle outside"):
-        est.score_at(ys[0], 1.6)
-    with pytest.raises(ValueError, match="angle outside"):
-        est.score_at(ys, np.array([0.0, -1.6, 0.1]))
+        est.estimate(np.zeros((1, cfg12.m_r + 1, cfg12.l_samples)))
+    with pytest.raises(ValueError, match="N, m_r, L"):
+        est.estimate(ys[0])

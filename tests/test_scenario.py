@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 import priorwave.scenario as scenario_mod
 from priorwave import AngularGrid, ArrayConfig, PointMass, baseline_omni
@@ -11,7 +12,6 @@ from priorwave.cli import main as cli_main
 from priorwave.scenario import (
     ConfigError,
     _cell_seed,
-    dump_config,
     emit_beampattern,
     emit_waveform,
     _kappa_monotonicity_report,
@@ -47,7 +47,7 @@ def small_cfg(tmp_path):
 def test_config_round_trip_is_identity(small_cfg, tmp_path):
     sc1 = load_config(small_cfg)
     second = tmp_path / "second.cfg"
-    second.write_text(dump_config(sc1))
+    second.write_text(yaml.safe_dump(sc1.to_dict(), sort_keys=False))
     sc2 = load_config(second)
     assert sc1.to_dict() == sc2.to_dict()
     assert sc1.config_hash() == sc2.config_hash()
@@ -318,7 +318,13 @@ def test_beampattern_rejects_bad_waveform_tables(tmp_path, capsys):
     empty.write_text("")
     header_only = tmp_path / "header.csv"
     header_only.write_text("m,l,re,im\n")
-    for bad in (tmp_path / "missing.csv", empty, header_only):
+    tables = []
+    for name, rows in (("gap", ["0,0", "0,1", "1,0"]),  # (1, 1) missing
+                       ("repeat", ["0,0", "0,1", "1,0", "1,1", "1,1"]),
+                       ("negative", ["0,0", "0,1", "1,0", "-1,1", "1,1"])):
+        tables.append(tmp_path / f"{name}.csv")
+        tables[-1].write_text("m,l,re,im\n" + "".join(f"{r},1.0,0.0\n" for r in rows))
+    for bad in (tmp_path / "missing.csv", empty, header_only, *tables):
         assert cli_main(["beampattern", "--waveform", str(bad),
                          "--out", str(tmp_path / "bp.csv")]) == 1
         lines = capsys.readouterr().out.strip().splitlines()
