@@ -17,7 +17,6 @@ from .priors import (
     DistributionMoments,
     MixtureGaussian,
     MixtureUniform,
-    PointMass,
     TargetDistribution,
     compute_moments,
 )
@@ -55,7 +54,6 @@ __all__ = [
     "MapEstimator",
     "MixtureGaussian",
     "MixtureUniform",
-    "PointMass",
     "SnrResult",
     "SolveResult",
     "TargetDistribution",

@@ -1,11 +1,11 @@
 """Angular priors on the target location and their information moments.
 
-Two density families are supported (a mixture of disjoint uniform
-intervals and a common-width Gaussian mixture) plus a point mass used by
-the deterministic-angle benchmark. The moments ``xi0 ... xi3`` are the
-steering-vector integrals that enter the Fisher information of the
-received signal, and ``lam`` is the Fisher information carried by the
-prior itself.
+Two density families are supported: a mixture of disjoint uniform
+intervals and a common-width Gaussian mixture. The moments ``xi0 ... xi3``
+are the steering-vector integrals that enter the Fisher information of
+the received signal, and ``lam`` is the Fisher information carried by the
+prior itself. The deterministic-angle benchmark takes the moments of one
+known angle instead (``_point_moments``).
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .ula import (
 __all__ = [
     "MixtureUniform",
     "MixtureGaussian",
-    "PointMass",
     "TargetDistribution",
     "DistributionMoments",
     "compute_moments",
@@ -115,12 +114,6 @@ class MixtureUniform:
         for (lo, hi), level in zip(self.intervals, self._levels):
             out = out + np.where((th >= lo) & (th <= hi), level, 0.0)
         return float(out) if np.ndim(theta) == 0 else out
-
-    def log_pdf_grad(self, theta: float) -> float:
-        if self.pdf(float(theta)) <= 0.0:
-            raise ValueError("log-density gradient undefined where the density is zero")
-        # Piecewise-constant density: zero slope on interval interiors.
-        return 0.0
 
     def sample(self, rng: np.random.Generator, size: int | None = None):
         n = 1 if size is None else int(size)
@@ -250,35 +243,7 @@ class MixtureGaussian:
         return max(1.0 / self.sigma**2 - float(correction), 0.0)
 
 
-@dataclass(frozen=True)
-class PointMass:
-    """Degenerate prior at a single known angle (deterministic benchmark)."""
-
-    theta0: float
-
-    def __post_init__(self) -> None:
-        th = float(self.theta0)
-        object.__setattr__(self, "theta0", th)
-        if th < -HALF_DOMAIN or th > HALF_DOMAIN:
-            raise ValueError("angle outside [-pi/2, pi/2]")
-
-    def pdf(self, theta):
-        raise ValueError("a point mass has no density; use an interval or Gaussian prior")
-
-    def log_pdf_grad(self, theta):
-        raise ValueError("a point mass has no density; use an interval or Gaussian prior")
-
-    def sample(self, rng: np.random.Generator, size: int | None = None):
-        if size is None:
-            return self.theta0
-        return np.full(int(size), self.theta0)
-
-    def prior_fisher(self) -> float:
-        # The deterministic benchmark carries no prior information term.
-        return 0.0
-
-
-TargetDistribution = Union[MixtureUniform, MixtureGaussian, PointMass]
+TargetDistribution = Union[MixtureUniform, MixtureGaussian]
 
 
 @dataclass(frozen=True)
@@ -321,16 +286,24 @@ def _window_grid(windows: list[tuple[float, float]], grid_size: int):
     return np.concatenate(nodes), np.concatenate(weights)
 
 
-def _point_mass_moments(dist: PointMass, cfg: ArrayConfig, lam: float) -> DistributionMoments:
-    a = steering_matrix(dist.theta0, cfg.m_t, cfg.spacing)
-    da = steering_derivative_matrix(dist.theta0, cfg.m_t, cfg.spacing)
-    r2 = float(receive_derivative_norm2(dist.theta0, cfg.m_r, cfg.spacing))
+def _point_moments(theta0: float, cfg: ArrayConfig) -> DistributionMoments:
+    """Moments of one known angle, for the deterministic-angle benchmark.
+
+    The steering outer products at ``theta0`` itself, with no prior
+    information term (``lam = 0``).
+    """
+    theta0 = float(theta0)
+    if theta0 < -HALF_DOMAIN or theta0 > HALF_DOMAIN:
+        raise ValueError("angle outside [-pi/2, pi/2]")
+    a = steering_matrix(theta0, cfg.m_t, cfg.spacing)
+    da = steering_derivative_matrix(theta0, cfg.m_t, cfg.spacing)
+    r2 = float(receive_derivative_norm2(theta0, cfg.m_r, cfg.spacing))
     aa = np.outer(a, a.conj())
     xi0 = r2 * aa
     xi1 = xi0 + cfg.m_r * np.outer(da, da.conj())
     xi2 = cfg.m_r * np.outer(da, a.conj())
     xi3 = cfg.m_r * aa
-    return DistributionMoments(xi0=xi0, xi1=xi1, xi2=xi2, xi3=xi3, lam=lam)
+    return DistributionMoments(xi0=xi0, xi1=xi1, xi2=xi2, xi3=xi3, lam=0.0)
 
 
 def compute_moments(
@@ -350,10 +323,6 @@ def compute_moments(
         non-normalized distribution).
     """
     lam = dist.prior_fisher()
-
-    if isinstance(dist, PointMass):
-        return _point_mass_moments(dist, cfg, lam)
-
     th, wq = _window_grid(dist.quadrature_windows(), _MOMENT_NODES)
     f = dist.pdf(th)
     mass = float(wq @ f)

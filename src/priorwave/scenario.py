@@ -28,13 +28,7 @@ from . import __version__
 from .admm import AdmmConfig
 from .estimation import AngularGrid, monte_carlo_mse
 from .pcrb import pcrb_theta
-from .priors import (
-    MixtureGaussian,
-    MixtureUniform,
-    PointMass,
-    TargetDistribution,
-    compute_moments,
-)
+from .priors import MixtureGaussian, MixtureUniform, TargetDistribution, compute_moments
 from .solvers import (
     AdmmState,
     SolveResult,
@@ -96,7 +90,6 @@ class Scenario:
     seed: int
     output_dir: str
     crb_angle: float
-    pdf_floor: float
     admm: AdmmConfig
     raw: dict
 
@@ -152,12 +145,11 @@ def _check_keys(cfg: dict, known: tuple[str, ...], path: str) -> None:
 
 
 _TOP_KEYS = ("array", "distribution", "methods", "kappa_list", "snr_list_db", "n_trials",
-             "grid_size", "seed", "output_dir", "crb_angle_deg", "pdf_floor", "admm")
+             "grid_size", "seed", "output_dir", "crb_angle_deg", "admm")
 _ARRAY_KEYS = ("m_t", "m_r", "l_samples", "power", "noise_power", "spacing")
 _DISTRIBUTION_KEYS = {
     "mixture-uniform": ("kind", "intervals_deg", "weights"),
     "mixture-gaussian": ("kind", "means_deg", "sigma_deg", "weights"),
-    "point-mass": ("kind", "angle_deg"),
 }
 
 
@@ -173,16 +165,14 @@ def _build_distribution(spec: dict) -> TargetDistribution:
             weights = _req(spec, "weights", list, "distribution")
             rad = tuple((np.deg2rad(a), np.deg2rad(b)) for a, b in ivs)
             return MixtureUniform(intervals=rad, weights=tuple(float(w) for w in weights))
-        if kind == "mixture-gaussian":
-            means = _req(spec, "means_deg", list, "distribution")
-            sigma = _req(spec, "sigma_deg", float, "distribution")
-            weights = _req(spec, "weights", list, "distribution")
-            return MixtureGaussian(
-                means=tuple(np.deg2rad(float(m)) for m in means),
-                sigma=float(np.deg2rad(sigma)),
-                weights=tuple(float(w) for w in weights),
-            )
-        return PointMass(np.deg2rad(_req(spec, "angle_deg", float, "distribution")))
+        means = _req(spec, "means_deg", list, "distribution")
+        sigma = _req(spec, "sigma_deg", float, "distribution")
+        weights = _req(spec, "weights", list, "distribution")
+        return MixtureGaussian(
+            means=tuple(np.deg2rad(float(m)) for m in means),
+            sigma=float(np.deg2rad(sigma)),
+            weights=tuple(float(w) for w in weights),
+        )
     except ConfigError:
         raise
     except (TypeError, ValueError) as exc:
@@ -218,7 +208,6 @@ def _build(cfg: dict) -> Scenario:
     n_trials = _int_key(cfg, "n_trials", 0)
     grid_size = _int_key(cfg, "grid_size", 361)
     seed = _int_key(cfg, "seed", 0)
-    pdf_floor = _number(cfg.get("pdf_floor", 1e-6), "pdf_floor")
     crb_angle_deg = _number(cfg.get("crb_angle_deg", 0.0), "crb_angle_deg")
     if any(k < 1 for k in kappas):
         raise ConfigError("kappa_list: PAPR thresholds must be >= 1")
@@ -235,19 +224,9 @@ def _build(cfg: dict) -> Scenario:
         raise ConfigError("seed: must be nonnegative")
     if not -90.0 <= crb_angle_deg <= 90.0:
         raise ConfigError("crb_angle_deg: must lie in [-90, 90]")
-    if not 0 < pdf_floor <= 1:
-        raise ConfigError("pdf_floor: must lie in (0, 1]")
     if not kappas and any(m != "omni" for m in methods):
         raise ConfigError("kappa_list: at least one PAPR threshold is required "
                           "unless omni is the only method")
-    if isinstance(dist, PointMass):
-        # Beampattern designs and the MAP estimator need a prior density.
-        if "psbp-fair" in methods:
-            raise ConfigError("methods: psbp-fair needs a prior density; "
-                              "a point-mass distribution has none")
-        if n_trials > 0 and snrs:
-            raise ConfigError("n_trials: the Monte-Carlo stage needs a prior density; "
-                              "a point-mass distribution has none (set n_trials: 0)")
 
     admm_cfg = cfg.get("admm", {})
     if not isinstance(admm_cfg, dict):
@@ -275,7 +254,6 @@ def _build(cfg: dict) -> Scenario:
         "seed": seed,
         "output_dir": str(cfg.get("output_dir", "results")),
         "crb_angle_deg": crb_angle_deg,
-        "pdf_floor": pdf_floor,
         "admm": dict(admm_cfg),
     }
     return Scenario(
@@ -289,7 +267,6 @@ def _build(cfg: dict) -> Scenario:
         seed=seed,
         output_dir=canonical["output_dir"],
         crb_angle=float(np.deg2rad(canonical["crb_angle_deg"])),
-        pdf_floor=pdf_floor,
         admm=admm,
         raw=canonical,
     )
@@ -297,7 +274,10 @@ def _build(cfg: dict) -> Scenario:
 
 def load_config(path: str | Path) -> Scenario:
     """Parse and validate a scenario file; errors carry file:line context."""
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from exc
     try:
         data = yaml.safe_load(text)
     except yaml.YAMLError as exc:
@@ -355,11 +335,14 @@ def read_waveform(path: str | Path) -> np.ndarray:
     m, l, v = (np.array(col) for col in zip(*entries))
     if min(m.min(), l.min()) < 0:
         raise ValueError(f"{path}: negative waveform index")
-    x = np.empty((m.max() + 1, l.max() + 1), dtype=complex)
-    at = m * x.shape[1] + l
-    if not np.all(np.bincount(at, minlength=x.size) == 1):
+    rows, cols = int(m.max()) + 1, int(l.max()) + 1
+    # Count the entries before indexing anything: an index far past them
+    # must not size an allocation.
+    at = m * cols + l if len(v) == rows * cols else None
+    if at is None or not np.all(np.bincount(at, minlength=len(v)) == 1):
         raise ValueError(f"{path}: waveform table must list every (m, l) of its "
-                         f"{x.shape[0]} x {x.shape[1]} rectangle exactly once")
+                         f"{rows} x {cols} rectangle exactly once")
+    x = np.empty((rows, cols), dtype=complex)
     x.flat[at] = v
     return x
 
@@ -406,11 +389,10 @@ def _run_cell(scenario: Scenario, method: str, kappa: float, kappa_rank: int, ou
         x = result.waveform
     elif method == "psbp-fair":
         result = solve_psbp_fair(dist, cfg, grid, scenario.admm, cell_seed,
-                                 pdf_floor=scenario.pdf_floor, warm_start=warm_start)
+                                 warm_start=warm_start)
         x = result.waveform
     elif method == "psbp-int":
         result = solve_psbp_integrated(dist, cfg, grid, scenario.admm, cell_seed,
-                                       pdf_floor=scenario.pdf_floor,
                                        bare_sum=paper_literal, warm_start=warm_start)
         x = result.waveform
     elif method == "crb":
@@ -534,10 +516,17 @@ def run_scenario(
     except ConfigError as exc:
         print(f"config error: {exc}")
         return 1
+    grid = AngularGrid.uniform(scenario.grid_size)
     try:
         # A prior can validate and still fail the quadrature, e.g. when
-        # mass spills past +-90 degrees; report it before writing anything.
+        # mass spills past +-90 degrees, or miss every grid point that the
+        # beampattern designs and the MAP scan weight by its density;
+        # report either before writing anything.
         moments = compute_moments(scenario.distribution, scenario.array)
+        weighs_grid = (not {"psbp-fair", "psbp-int"}.isdisjoint(scenario.methods)
+                       or scenario.n_trials > 0 and bool(scenario.snr_list_db))
+        if weighs_grid and not np.any(scenario.distribution.pdf(grid.points) > 0):
+            raise ValueError("prior density is zero at every grid point")
     except ValueError as exc:
         print(f"config error: distribution: {exc}")
         return 1
@@ -545,8 +534,6 @@ def run_scenario(
     out_dir = Path(out) if out is not None else Path(scenario.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     started = time.strftime("%Y-%m-%dT%H:%M:%S")
-
-    grid = AngularGrid.uniform(scenario.grid_size)
 
     manifest_files: dict[str, list[str]] = {}
     failures: list[dict] = []
@@ -617,7 +604,6 @@ def validate_output_dir(path: str | Path) -> list[str]:
     Returns a list of problems (empty when the directory is valid).
     """
     root = Path(path)
-    problems = []
     manifest_path = root / "manifest.json"
     if not manifest_path.exists():
         return [f"{root}: manifest.json is missing"]
@@ -625,9 +611,20 @@ def validate_output_dir(path: str | Path) -> list[str]:
         manifest = json.loads(manifest_path.read_text())
     except json.JSONDecodeError as exc:
         return [f"{manifest_path}: invalid JSON ({exc})"]
+    if not isinstance(manifest, dict):
+        return [f"{manifest_path}: expected a JSON object, got {type(manifest).__name__}"]
+    problems = [f"manifest.json: {key} is missing"
+                for key in ("files", "cell_seconds", "stage_seconds") if key not in manifest]
+    files = manifest.get("files", [])
+    if not isinstance(files, list) or not all(isinstance(rel, str) for rel in files):
+        problems.append("manifest.json: files must be a list of strings")
+    if not isinstance(manifest.get("cell_seconds", {}), dict):
+        problems.append("manifest.json: cell_seconds must be a JSON object")
+    if problems:
+        return problems
 
-    stages = manifest.get("stage_seconds", {})
-    for cell in manifest.get("cell_seconds", {}):
+    stages = manifest["stage_seconds"]
+    for cell in manifest["cell_seconds"]:
         spans = stages.get(cell) if isinstance(stages, dict) else None
         if not isinstance(spans, dict) or set(spans) != set(STAGES) or not all(
                 isinstance(v, (int, float)) and not isinstance(v, bool) and v >= 0
@@ -635,8 +632,8 @@ def validate_output_dir(path: str | Path) -> list[str]:
             problems.append(f"manifest.json: stage_seconds.{cell} must give "
                             f"non-negative seconds for {','.join(STAGES)}")
 
-    listed = set(manifest.get("files", []))
-    for rel in manifest.get("files", []):
+    listed = set(files)
+    for rel in files:
         fpath = root / rel
         if not fpath.exists():
             problems.append(f"{rel}: listed in manifest but missing")

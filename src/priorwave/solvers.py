@@ -16,7 +16,7 @@ import numpy as np
 from .admm import AdmmConfig, AdmmTrace, _cap_elements, _project_feasible, _XUpdate
 from .estimation import AngularGrid
 from .pcrb import pcrb_upper_bound
-from .priors import DistributionMoments, PointMass, TargetDistribution, compute_moments
+from .priors import DistributionMoments, TargetDistribution, _point_moments
 from .ula import ArrayConfig, steering_matrix
 
 __all__ = [
@@ -40,6 +40,9 @@ _DUAL_STEP = 0.5
 # Stop once the squared split residual and the squared auxiliary motion
 # both fall below this.
 _PRIMAL_TOL = 1e-8
+# The beampattern designs constrain the grid angles whose prior density is
+# at least this fraction of its peak.
+_PDF_FLOOR = 1e-6
 
 
 @dataclass(frozen=True)
@@ -224,15 +227,13 @@ def solve_pcrb(
                  lambda x: pcrb_upper_bound(x, mom, 1.0, cfg.noise_power), warm_start)
 
 
-def _psbp_points(dist: TargetDistribution, grid: AngularGrid, pdf_floor: float):
+def _psbp_points(dist: TargetDistribution, grid: AngularGrid):
     """Constraint angles and density values over the possible target region."""
-    if isinstance(dist, PointMass):
-        raise ValueError("beampattern grids need a density; got a point mass")
     f = np.asarray(dist.pdf(grid.points), dtype=float)
     peak = float(f.max())
     if peak <= 0:
         raise ValueError("prior density is zero at every grid point")
-    mask = f >= pdf_floor * peak
+    mask = f >= _PDF_FLOOR * peak
     return grid.points[mask], f[mask]
 
 
@@ -243,7 +244,6 @@ def solve_psbp_integrated(
     admm: AdmmConfig,
     seed: int,
     *,
-    pdf_floor: float = 1e-6,
     bare_sum: bool = False,
     warm_start: AdmmState | None = None,
 ) -> SolveResult:
@@ -251,16 +251,11 @@ def solve_psbp_integrated(
 
     By default the sum is scaled by the grid cell width so it approximates
     the density-weighted integral and is stable under grid refinement;
-    ``bare_sum`` reproduces the unscaled sum instead. A point-mass prior
-    yields the rank-one weighting at its angle. ``warm_start`` as in
+    ``bare_sum`` reproduces the unscaled sum instead. ``warm_start`` as in
     ``solve_pcrb``.
     """
-    if isinstance(dist, PointMass):
-        pts = np.array([dist.theta0])
-        w = np.array([1.0])
-    else:
-        pts, f = _psbp_points(dist, grid, pdf_floor)
-        w = f if bare_sum else f * grid.cell
+    pts, f = _psbp_points(dist, grid)
+    w = f if bare_sum else f * grid.cell
     a = steering_matrix(pts, cfg.m_t, cfg.spacing)
     xi = np.einsum("ip,p,kp->ik", a, w, a.conj())
     return _admm(_QuadraticSplit(xi, cfg), cfg, admm, seed,
@@ -378,7 +373,6 @@ def solve_psbp_fair(
     admm: AdmmConfig,
     seed: int,
     *,
-    pdf_floor: float = 1e-6,
     warm_start: AdmmState | None = None,
 ) -> SolveResult:
     """Maximize the minimum density-scaled beampattern over the grid.
@@ -388,7 +382,7 @@ def solve_psbp_fair(
     variable and those vectors are updated jointly from their first-order
     conditions. ``warm_start`` as in ``solve_pcrb``.
     """
-    pts, f = _psbp_points(dist, grid, pdf_floor)
+    pts, f = _psbp_points(dist, grid)
     a = steering_matrix(pts, cfg.m_t, cfg.spacing)
     return _admm(_FairSplit(a, f, cfg), cfg, admm, seed,
                  lambda x: float(np.min(np.sum(np.abs(x.conj().T @ a) ** 2, axis=0) / f)),
@@ -418,5 +412,4 @@ def baseline_crb(
     warm_start: AdmmState | None = None,
 ) -> SolveResult:
     """Bound-oriented design for one deterministic angle (no prior term)."""
-    mom = compute_moments(PointMass(theta0), cfg)
-    return solve_pcrb(mom, cfg, admm, seed, warm_start=warm_start)
+    return solve_pcrb(_point_moments(theta0, cfg), cfg, admm, seed, warm_start=warm_start)

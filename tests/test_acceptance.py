@@ -33,7 +33,7 @@ from priorwave import (
     waveform_feasibility,
 )
 from priorwave.admm import _cap_elements
-from priorwave.priors import PointMass
+from priorwave.priors import _point_moments
 from priorwave.scenario import run_scenario
 from priorwave.solvers import _eta_update
 
@@ -80,7 +80,7 @@ def test_criterion_02_fisher_oracle():
         theta0, amp = 0.35, 0.7 + 0.4j
         rng = np.random.default_rng(SEED)
         x = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
-        mom = compute_moments(PointMass(theta0), cfg)
+        mom = _point_moments(theta0, cfg)
         got = fim_signal(x, mom, amp, cfg.noise_power).f_theta_theta
         oracle = expected_loglik_curvature(x, theta0, amp, cfg.noise_power, cfg.m_r)
         rel = abs(got - oracle) / abs(oracle)

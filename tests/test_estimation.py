@@ -11,15 +11,14 @@ from priorwave import (
     MapEstimator,
     MixtureGaussian,
     MixtureUniform,
-    PointMass,
     baseline_omni,
-    compute_moments,
     monte_carlo_mse,
     pcrb_theta,
     solve_psbp_fair,
     steering_matrix,
     synthesize_received,
 )
+from priorwave.priors import _point_moments
 from priorwave.ula import _received
 
 SCENARIO3_PRIOR = MixtureGaussian(tuple(np.deg2rad([-60.0, -30.0, 20.0, 50.0])),
@@ -88,8 +87,10 @@ def test_map_estimator_one_shot_estimate(grid361):
 def test_zero_prior_everywhere_rejected(grid361):
     cfg = ArrayConfig(4, 4, 8)
     x = baseline_omni(cfg)
+    # 0.1 to 0.3 degrees lies between the 0 and 0.5 degree grid points.
+    between = MixtureUniform(((np.deg2rad(0.1), np.deg2rad(0.3)),), (1.0,))
     with pytest.raises(ValueError):
-        MapEstimator(x, PointMass(0.1), grid361, cfg.m_r, 1.0)
+        MapEstimator(x, between, grid361, cfg.m_r, 1.0)
 
 
 def test_low_noise_mse_below_quantization_bound():
@@ -130,10 +131,10 @@ def test_prior_dominates_at_very_low_snr(dist12, cfg12, grid361):
 
 
 def test_estimator_cannot_beat_crb_on_average(grid361):
-    # A point-mass truth against a flat-prior estimator, with the per-trial
+    # A fixed true angle against a flat-prior estimator, with the per-trial
     # draws of ``monte_carlo_mse`` at 20 dB.
     cfg = ArrayConfig(8, 8, 25)
-    truth = PointMass(0.1)
+    truth = 0.1
     flat = MixtureUniform(((-np.pi / 2, np.pi / 2),), (1.0,))
     x = baseline_omni(cfg)
     est = MapEstimator(x, flat, grid361, cfg.m_r, cfg.noise_power)
@@ -142,10 +143,10 @@ def test_estimator_cannot_beat_crb_on_average(grid361):
     for t in range(500):
         rng = np.random.default_rng(np.random.SeedSequence([7, 0, t]))
         ph = rng.uniform(0, 2 * np.pi)
-        frames.append(synthesize_received(x, truth.theta0, amp * np.exp(1j * ph),
+        frames.append(synthesize_received(x, truth, amp * np.exp(1j * ph),
                                           cfg.m_r, cfg.noise_power, rng))
-    sq_err = (est.estimate(np.stack(frames)) - truth.theta0) ** 2
-    bound = pcrb_theta(x, compute_moments(truth, cfg), amp, cfg.noise_power)
+    sq_err = (est.estimate(np.stack(frames)) - truth) ** 2
+    bound = pcrb_theta(x, _point_moments(truth, cfg), amp, cfg.noise_power)
     assert sq_err.mean() >= bound - 3 * sq_err.std(ddof=1) / np.sqrt(len(sq_err))
 
 

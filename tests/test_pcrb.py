@@ -9,7 +9,6 @@ from priorwave import (
     ArrayConfig,
     MixtureGaussian,
     MixtureUniform,
-    PointMass,
     compute_moments,
     fim_signal,
     pcrb_theta,
@@ -17,6 +16,7 @@ from priorwave import (
     steering_matrix,
     steering_derivative_matrix,
 )
+from priorwave.priors import _point_moments
 from conftest import posterior_fim, random_feasible_waveform
 
 
@@ -76,7 +76,7 @@ def test_point_mass_fim_matches_finite_difference_oracle():
     amp = 0.7 + 0.4j
     rng = np.random.default_rng(1)
     x = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
-    mom = compute_moments(PointMass(theta0), cfg)
+    mom = _point_moments(theta0, cfg)
     blocks = fim_signal(x, mom, amp, cfg.noise_power)
     oracle = expected_loglik_curvature(x, theta0, amp, cfg.noise_power, cfg.m_r)
     assert abs(blocks.f_theta_theta - oracle) / oracle < 1e-4
@@ -87,7 +87,7 @@ def test_point_mass_fim_closed_form():
     theta0 = -0.2
     rng = np.random.default_rng(2)
     x = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
-    mom = compute_moments(PointMass(theta0), cfg)
+    mom = _point_moments(theta0, cfg)
     a = steering_matrix(theta0, 3)
     da = steering_derivative_matrix(theta0, 3)
     dar = steering_derivative_matrix(theta0, 5)
@@ -221,6 +221,6 @@ def test_non_hermitian_moments_rejected(mom12):
 
 def test_no_information_raises():
     cfg = ArrayConfig(4, 4, 8)
-    mom = compute_moments(PointMass(0.0), cfg)  # lam = 0
+    mom = _point_moments(0.0, cfg)  # lam = 0
     with pytest.raises(ValueError):
         pcrb_theta(np.zeros((4, 8)), mom, 1.0, 1.0)

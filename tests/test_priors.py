@@ -7,10 +7,10 @@ from priorwave import (
     ArrayConfig,
     MixtureGaussian,
     MixtureUniform,
-    PointMass,
     compute_moments,
     steering_matrix,
 )
+from priorwave.priors import _point_moments
 
 SCENARIO3_MEANS = (-np.pi / 3, -np.pi / 6, np.pi / 9, 5 * np.pi / 18)
 SCENARIO3_WEIGHTS = (0.15, 0.25, 0.4, 0.2)
@@ -38,10 +38,6 @@ def test_log_pdf_grad_values():
     g1 = MixtureGaussian((0.1,), np.pi / 90, (1.0,))
     th = 0.08
     assert abs(g1.log_pdf_grad(th) - (0.1 - th) / (np.pi / 90) ** 2) < 1e-9
-    uni = MixtureUniform(((-0.2, 0.2),), (1.0,))
-    assert uni.log_pdf_grad(0.05) == 0.0
-    with pytest.raises(ValueError):
-        uni.log_pdf_grad(0.5)
     sym = MixtureGaussian((-0.3, 0.3), np.pi / 45, (0.5, 0.5))
     assert abs(sym.log_pdf_grad(0.0)) < 1e-12
 
@@ -63,13 +59,13 @@ def test_validation_rejects_bad_mixtures():
     with pytest.raises(ValueError):
         MixtureGaussian((0.0,), -0.1, (1.0,))
     with pytest.raises(ValueError):
-        PointMass(3.0)
+        _point_moments(3.0, ArrayConfig(4, 6, 8))
 
 
 def test_point_mass_moments_are_exact():
     cfg = ArrayConfig(4, 6, 8)
     th0 = 0.4
-    mom = compute_moments(PointMass(th0), cfg)
+    mom = _point_moments(th0, cfg)
     a = steering_matrix(th0, 4)
     assert np.allclose(mom.xi3, 6 * np.outer(a, a.conj()), atol=1e-14)
     assert abs(np.trace(mom.xi3).real - 6 * 4) < 1e-12
@@ -154,9 +150,6 @@ def test_moments_reject_bad_grid_and_mass():
 
 
 def test_sampling_point_mass_and_uniform_moments():
-    rng = np.random.default_rng(0)
-    pm = PointMass(0.3)
-    assert pm.sample(rng) == 0.3
     dist = MixtureUniform(((0.1, 0.5),), (1.0,))
     draws = dist.sample(np.random.default_rng(1), size=100000)
     half_width = 0.2
@@ -231,8 +224,3 @@ def test_gaussian_sampling_respects_domain():
     dist = MixtureGaussian((np.pi / 2 - 0.01,), np.pi / 90, (1.0,))
     draws = dist.sample(np.random.default_rng(3), size=20000)
     assert np.all(draws <= np.pi / 2) and np.all(draws >= -np.pi / 2)
-
-
-def test_point_mass_has_no_density():
-    with pytest.raises(ValueError):
-        PointMass(0.1).pdf(0.1)

@@ -7,7 +7,7 @@ import pytest
 import yaml
 
 import priorwave.scenario as scenario_mod
-from priorwave import AngularGrid, ArrayConfig, PointMass, baseline_omni
+from priorwave import AngularGrid, ArrayConfig, baseline_omni
 from priorwave.cli import main as cli_main
 from priorwave.scenario import (
     ConfigError,
@@ -126,6 +126,9 @@ def test_reruns_are_byte_identical(small_cfg, tmp_path):
 SMALL_PRIOR = ("distribution:\n  kind: mixture-uniform\n  intervals_deg: [[-10.0, 10.0]]\n"
                "  weights: [1.0]\n")
 POINT_MASS = "distribution: {kind: point-mass, angle_deg: 3.0}\n"
+# Density only between the 0 and 1 degree points of the 181-point grid.
+OFF_GRID = ("distribution:\n  kind: mixture-uniform\n  intervals_deg: [[0.1, 0.3]]\n"
+            "  weights: [1.0]\n")
 
 
 def test_config_errors_are_line_precise(tmp_path, capsys):
@@ -147,15 +150,13 @@ def test_config_errors_are_line_precise(tmp_path, capsys):
         ("l_samples: 8}", "l_samples: 8, papr: 3.0}", "array.papr: unknown key"),
         ("  weights: [1.0]\n", "  weights: [1.0]\n  sigma_deg: 2.0\n",
          "distribution.sigma_deg: unknown key"),
-        ("seed: 5\n", "seed: 5\npdf_floor: 2.0\n", "pdf_floor: "),
-        ("seed: 5\n", "seed: 5\npdf_floor: 0\n", "pdf_floor: "),
+        # The psbp designs' density floor is a constant, not a key.
+        ("seed: 5\n", "seed: 5\npdf_floor: 1.0e-6\n", "config.pdf_floor: unknown key"),
         ("kappa_list: [1.2]", "kappa_list: []", "kappa_list: "),
         ("seed: 5\n", "seed: 5\ncrb_angle_deg: 100\n", "crb_angle_deg: "),
         ("{max_iters: 300}", "{max_iters: true}", "admm.max_iters: expected int, got bool"),
-        (SMALL_PRIOR + "methods: [pcrb, omni]\nkappa_list: [1.2]\nsnr_list_db: [0.0, 10.0]\n",
-         POINT_MASS + "methods: [pcrb, psbp-fair]\nkappa_list: [1.2]\nsnr_list_db: []\n",
-         "methods: psbp-fair"),
-        (SMALL_PRIOR, POINT_MASS, "n_trials: "),
+        # A known angle is the crb method's crb_angle_deg, not a distribution.
+        (SMALL_PRIOR, POINT_MASS, "distribution.kind: unknown kind 'point-mass'"),
         # Values that print alike would write two cells into one directory.
         ("kappa_list: [1.2]", "kappa_list: [1.2, 1.2000001]", "kappa_list: 1.2 and 1.2000001"),
         ("kappa_list: [1.2]", "kappa_list: [1.5, 1.2, 1.5]", "kappa_list: 1.5 and 1.5"),
@@ -169,7 +170,6 @@ def test_config_errors_are_line_precise(tmp_path, capsys):
         ("snr_list_db: [0.0, 10.0]", "snr_list_db: [0.0, true]",
          "snr_list_db: expected a number, got bool"),
         ("seed: 5\n", "seed: 5\ncrb_angle_deg: true\n", "crb_angle_deg: expected a number"),
-        ("seed: 5\n", "seed: 5\npdf_floor: true\n", "pdf_floor: expected a number"),
         ("l_samples: 8}", "l_samples: 8, power: true}", "array.power: expected a number"),
         ("l_samples: 8}", "l_samples: 8, spacing: false}", "array.spacing: expected a number"),
     ]
@@ -182,12 +182,18 @@ def test_config_errors_are_line_precise(tmp_path, capsys):
         assert len(lines) == 1 and lines[0].startswith(f"config error: {message}"), lines
         assert not out.exists()
 
-    # A point mass still serves the bound designs without Monte-Carlo trials.
-    ok = tmp_path / "ok.cfg"
-    ok.write_text(SMALL_CFG.replace(SMALL_PRIOR, POINT_MASS)
-                  .replace("[pcrb, omni]", "[pcrb, psbp-int, crb, omni]")
-                  .replace("n_trials: 10", "n_trials: 0"))
-    assert isinstance(load_config(ok).distribution, PointMass)
+
+@pytest.mark.parametrize("where", ["missing", "directory"])
+def test_unreadable_config_is_a_config_error(tmp_path, capsys, where):
+    path = tmp_path / "missing.cfg"
+    if where == "directory":
+        path.mkdir()
+    assert cli_main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    out, err = capsys.readouterr()
+    lines = out.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"config error: {path}: "), lines
+    assert err == ""
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("key, value", [
@@ -217,6 +223,27 @@ def test_prior_failing_quadrature_is_a_config_error(tmp_path, capsys):
     assert run_scenario(cfg, out=out) == 1
     assert capsys.readouterr().out.startswith("config error: distribution: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("methods, n_trials", [
+    ("[pcrb, psbp-fair]", 0), ("[psbp-int]", 0), ("[pcrb, omni]", 10),
+])
+def test_prior_missing_every_grid_point_is_a_config_error(tmp_path, capsys, methods, n_trials):
+    # Validates and integrates to 1, but the beampattern designs and the
+    # MAP scan weight the grid points by a density that is zero at all of them.
+    cfg = tmp_path / "offgrid.cfg"
+    cfg.write_text(SMALL_CFG.replace(SMALL_PRIOR, OFF_GRID).replace("[pcrb, omni]", methods)
+                   .replace("n_trials: 10", f"n_trials: {n_trials}"))
+    load_config(cfg)
+    out = tmp_path / "out"
+    assert run_scenario(cfg, out=out) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "config error: distribution: prior density is zero at every grid point"]
+    assert not out.exists()
+    # The bound designs alone never weigh the grid, so they still run.
+    cfg.write_text(cfg.read_text().replace(methods, "[pcrb, crb, omni]")
+                   .replace(f"n_trials: {n_trials}", "n_trials: 0"))
+    assert run_scenario(cfg, out=out) == 0
 
 
 def test_unknown_method_rejected(tmp_path):
@@ -321,7 +348,9 @@ def test_beampattern_rejects_bad_waveform_tables(tmp_path, capsys):
     tables = []
     for name, rows in (("gap", ["0,0", "0,1", "1,0"]),  # (1, 1) missing
                        ("repeat", ["0,0", "0,1", "1,0", "1,1", "1,1"]),
-                       ("negative", ["0,0", "0,1", "1,0", "-1,1", "1,1"])):
+                       ("negative", ["0,0", "0,1", "1,0", "-1,1", "1,1"]),
+                       # One entry claiming a rectangle of 1e15 rows.
+                       ("huge", ["1000000000000000,0"])):
         tables.append(tmp_path / f"{name}.csv")
         tables[-1].write_text("m,l,re,im\n" + "".join(f"{r},1.0,0.0\n" for r in rows))
     for bad in (tmp_path / "missing.csv", empty, header_only, *tables):
@@ -365,6 +394,24 @@ def test_manifest_stage_seconds_are_recorded_and_validated(small_cfg, tmp_path):
 def test_validate_reports_missing_manifest(tmp_path):
     problems = validate_output_dir(tmp_path)
     assert problems and "manifest.json" in problems[0]
+
+
+@pytest.mark.parametrize("manifest, expected", [
+    ([], ["expected a JSON object, got list"]),
+    ({"files": [5], "cell_seconds": {}, "stage_seconds": {}},
+     ["files must be a list of strings"]),
+    ({"files": [], "cell_seconds": 5, "stage_seconds": {}},
+     ["cell_seconds must be a JSON object"]),
+    ({}, ["files is missing", "cell_seconds is missing", "stage_seconds is missing"]),
+])
+def test_validate_reports_malformed_manifests(tmp_path, capsys, manifest, expected):
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    problems = validate_output_dir(tmp_path)
+    assert len(problems) == len(expected)
+    for problem, text in zip(problems, expected):
+        assert text in problem
+    assert cli_main(["validate", str(tmp_path)]) == 1
+    assert capsys.readouterr().out.splitlines() == problems
 
 
 def test_seed_override_changes_outputs(small_cfg, tmp_path):

@@ -12,11 +12,9 @@ from priorwave import (
     ArrayConfig,
     DistributionMoments,
     MixtureUniform,
-    PointMass,
     baseline_crb,
     baseline_omni,
     beampattern,
-    compute_moments,
     pcrb_theta,
     solve_pcrb,
     solve_psbp_fair,
@@ -26,6 +24,7 @@ from priorwave import (
 )
 from priorwave.scenario import _cell_seed, load_config
 from priorwave import solvers
+from priorwave.priors import _point_moments
 from priorwave.solvers import _admm, _eta_update, _FairSplit, _inflate_columns
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "src" / "priorwave" / "configs"
@@ -89,17 +88,6 @@ def test_shared_kernel_equivalence(dist12, cfg12, grid361):
     r_pcrb = solve_pcrb(mom, cfg12, admm, seed=21)
     assert r_int.waveform.tobytes() == r_pcrb.waveform.tobytes()
     assert np.array_equal(r_int.trace.objective, r_pcrb.trace.objective)
-
-
-def test_integrated_point_mass_focuses_on_target(grid361):
-    cfg = ArrayConfig(8, 8, 25, power=1.0, papr=1.5)
-    th0 = grid361.points[215]
-    r = solve_psbp_integrated(PointMass(th0), cfg, grid361, AdmmConfig(max_iters=1500),
-                              seed=3)
-    bp = beampattern(r.waveform, grid361.points)
-    peak = grid361.points[np.argmax(bp)]
-    assert abs(peak - th0) <= grid361.cell + 1e-12
-    assert_feasible(r, cfg)
 
 
 def test_integrated_metric_matches_independent_sum(dist12, cfg12, grid361):
@@ -285,7 +273,7 @@ def test_bundled_case_2_3_fair_design_reaches_its_level():
     sc = load_config(CONFIG_DIR / "case-2-3.cfg")
     cfg = replace(sc.array, papr=sc.kappa_list[0])
     r = solve_psbp_fair(sc.distribution, cfg, AngularGrid.uniform(sc.grid_size), sc.admm,
-                        _cell_seed(sc.seed, "psbp-fair", 0, 0), pdf_floor=sc.pdf_floor)
+                        _cell_seed(sc.seed, "psbp-fair", 0, 0))
     assert r.converged
     assert r.metric_value >= 1.05
     assert_feasible(r, cfg)
@@ -331,11 +319,6 @@ def test_warm_start_must_fit_the_waveform(mom12, cfg12):
                    warm_start=r.state)
 
 
-def test_fair_rejects_point_mass(grid361, cfg12):
-    with pytest.raises(ValueError, match="density"):
-        solve_psbp_fair(PointMass(0.1), cfg12, grid361, AdmmConfig(), seed=0)
-
-
 def test_omni_baseline_properties():
     cfg = ArrayConfig(8, 8, 25, power=2.0)
     x = baseline_omni(cfg)
@@ -355,7 +338,7 @@ def test_crb_baseline_focuses_and_beats_omni(grid361):
     r = baseline_crb(th0, cfg, AdmmConfig(max_iters=1500), seed=6)
     bp = beampattern(r.waveform, grid361.points)
     assert abs(grid361.points[np.argmax(bp)] - th0) <= grid361.cell + 1e-12
-    mom0 = compute_moments(PointMass(th0), cfg)
+    mom0 = _point_moments(th0, cfg)
     crb_designed = pcrb_theta(r.waveform, mom0, 1.0, cfg.noise_power)
     crb_omni = pcrb_theta(baseline_omni(cfg), mom0, 1.0, cfg.noise_power)
     assert crb_designed <= crb_omni
