@@ -63,7 +63,11 @@ def main(argv: list[str] | None = None) -> int:
         except (OSError, ValueError) as exc:
             print(f"waveform error: {exc}")
             return 1
-        emit_beampattern(x, AngularGrid.uniform(args.grid_size), args.out, args.spacing)
+        try:
+            emit_beampattern(x, AngularGrid.uniform(args.grid_size), args.out, args.spacing)
+        except OSError as exc:
+            print(f"output error: {exc}")
+            return 1
         return 0
     problems = validate_output_dir(args.directory)
     for p in problems:

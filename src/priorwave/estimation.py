@@ -63,17 +63,12 @@ class AngularGrid:
 # block is one stack handed to ``MapEstimator.estimate``.
 _BLOCK = 64
 
-# The refine: the cap on Brent steps after the seed probe; the tolerance
-# (radians): a frame's search ends once its bracket lies within twice
-# this of its best angle on both sides, since probes closer than about
-# 1e-8 rad to a peak compare rounding noise; and the golden-section
-# fraction of the fallback step.
-_REFINE_STEPS = 40
+# The refine: the cap on Newton steps after the first probe, and the
+# tolerance (radians) under which a Newton step or a bracket ends a
+# frame's search, since probes closer than about 1e-8 rad to a peak
+# compare rounding noise.
+_NEWTON_STEPS = 30
 _REFINE_TOL = 3e-9
-_CGOLD = (3.0 - np.sqrt(5.0)) / 2.0
-# Columns of (x, w, v, u) that become (x, w, v) after a probe at u: u is
-# the new best, the second best, the third best, or dropped.
-_KEEP = np.array([[3, 0, 1], [0, 3, 1], [0, 1, 3], [0, 1, 2]])
 
 
 def _support_edge(pdf, inside: np.ndarray, outside: np.ndarray) -> np.ndarray:
@@ -108,12 +103,12 @@ class MapEstimator:
     prior's support; switch it off to reproduce a plain grid argmax.
 
     Off the grid, the refine evaluates the same polynomials on the
-    coefficients the scan computed.
-    The refine is safeguarded parabolic interpolation (Brent 1973),
-    seeded with five angles across the bracket and run in lockstep over
-    the stack until every frame has converged; it returns the best angle
-    it evaluated, so it never does worse than the grid argmax and it
-    lands exactly on a maximum at a bracket end.
+    coefficients the scan computed, with their first and second
+    derivatives. It is safeguarded Newton on the score's slope (Rife &
+    Boorstyn 1974), run in lockstep over the stack until every frame has
+    converged; it returns the best angle it evaluated, so it never does
+    worse than the grid argmax and it lands exactly on a maximum at a
+    bracket end.
     """
 
     def __init__(
@@ -139,7 +134,7 @@ class MapEstimator:
             raise ValueError("prior density is zero at every grid point")
         self._support = np.flatnonzero(f > 0)
         sup_pts = grid.points[self._support]
-        # The exact log density, as ``_score_at`` takes it off the grid.
+        # The exact log density, as ``_probe`` takes it off the grid.
         self._log_prior_sup = np.log(f[self._support])
         # The exact sum of |X^H a_t|^2 at each support point: nonnegative by
         # construction, where the lag form below can cancel near transmit nulls.
@@ -160,8 +155,12 @@ class MapEstimator:
         num_pick = pick[:num_lag.size].reshape(*num_lag.shape, -1)
         den_pick = pick[num_lag.size:].reshape(*den_lag.shape, -1)
         self._lag_kernel = np.einsum("imk,ml->ilk", num_pick, x.conj()).reshape(-1, len(lags))
-        self._den_coef = noise_power * m_r * np.einsum("mnk,mn->k", den_pick, x @ self._xh)
-        self._lag_phase = 2.0 * np.pi * spacing * lags
+        den_coef = noise_power * m_r * np.einsum("mnk,mn->k", den_pick, x @ self._xh)
+        self._lag_phase = phase = 2.0 * np.pi * spacing * lags
+        # Weights of the coefficients for the polynomials and their first
+        # and second derivatives in sin(theta).
+        self._lag_w = np.stack([np.ones_like(phase), 1j * phase, -phase**2], axis=1)
+        self._den_w = den_coef[:, None] * self._lag_w
         # The scan's lag phasors at the support points: coef @ phasors is
         # a_r^H y X^H a_t there, a (N, lags) @ (lags, support) product.
         self._sup_phasor = np.exp(1j * np.multiply.outer(self._lag_phase, np.sin(sup_pts)))
@@ -204,16 +203,30 @@ class MapEstimator:
         # not depend on the stack it comes in.
         return (ys.reshape(len(ys), 1, -1) @ self._lag_kernel)[:, 0]
 
-    def _score_at(self, coef: np.ndarray, th: np.ndarray) -> np.ndarray:
-        """Posterior score at checked angles ``th`` of shape ``(N, k)``, from lag coefficients."""
+    def _probe(self, coef: np.ndarray, th: np.ndarray):
+        """Score, slope and curvature in theta at checked angles ``th`` of
+        shape ``(N, k)``, from lag coefficients.
+
+        In u = sin(theta) the likelihood term is g = |s|^2 / D, a ratio of
+        lag polynomials; the chain rule turns its u-derivatives into theta
+        ones, and the prior adds the derivatives of its log density.
+        """
         f = np.asarray(self._dist.pdf(th), dtype=float)
-        e = np.exp(1j * np.multiply.outer(np.sin(th), self._lag_phase))
-        # Stacked products, one frame at a time, like the coefficients.
-        s = (e @ coef[:, :, None])[..., 0]
-        den = (e @ self._den_coef).real
+        u = np.sin(th)
+        e = np.exp(1j * np.multiply.outer(u, self._lag_phase))
+        # Stacked products, one frame at a time, like the coefficients:
+        # s, s', s'' and D, D', D'' in u.
+        s0, s1, s2 = np.moveaxis(e @ (coef[:, :, None] * self._lag_w), -1, 0)
+        d0, d1, d2 = np.moveaxis((e @ self._den_w).real, -1, 0)
         with np.errstate(divide="ignore", invalid="ignore"):
-            out = (s.real**2 + s.imag**2) / den + np.log(np.where(f > 0, f, 1.0))
-        return np.where((f > 0) & (den > 1e-300), out, -np.inf)
+            g = (s0.real**2 + s0.imag**2) / d0
+            g1 = (2.0 * (s0.conj() * s1).real - g * d1) / d0
+            g2 = (2.0 * (s0.conj() * s2 + s1.conj() * s1).real - 2.0 * g1 * d1 - g * d2) / d0
+            out = g + np.log(np.where(f > 0, f, 1.0))
+        l1, l2 = self._dist.log_pdf_derivs(th)
+        cos = np.cos(th)
+        return (np.where((f > 0) & (d0 > 1e-300), out, -np.inf),
+                cos * g1 + l1, cos * cos * g2 - u * g1 + l2)
 
     def estimate(self, ys: np.ndarray) -> np.ndarray:
         """MAP angle of each frame of an ``(N, m_r, L)`` stack."""
@@ -224,71 +237,47 @@ class MapEstimator:
     def _refine(self, coef: np.ndarray, i: np.ndarray) -> np.ndarray:
         """Maximize the score over each frame's bracket around support point ``i``.
 
-        One seed probe scores five angles: the grid argmax, the bracket ends
-        and the midpoints between; the best three start Brent's
-        minimization of the negated score. The frames run in lockstep, with
-        np.where applying each frame's own branch, until every frame has
-        stopped or the step cap is reached; a stopped frame keeps its
-        state, so no frame depends on the others in its stack. Every probe
-        lies in the grid's range, so it skips the angle check.
+        One probe scores the grid argmax and both bracket ends, and the best
+        of them starts as the frame's best angle x; an end that scores best
+        with its slope pointing out of the bracket is the maximum. Otherwise
+        the slope at x moves the bracket end on its falling side to x, and x
+        takes a Newton step on the slope; a step that leaves the bracket or
+        meets a curvature >= 0 bisects the bracket instead. A probe that
+        scores higher becomes x, and any other becomes the bracket end on
+        its side. A frame stops once its Newton step or its bracket is under
+        ``_REFINE_TOL``. The frames run in lockstep, with np.where applying
+        each frame's own branch, until every frame has stopped or the step
+        cap is reached; a stopped frame keeps its state, so no frame depends
+        on the others in its stack. Every probe lies in the grid's range, so
+        it skips the angle check.
         """
-        rows = np.arange(len(coef))[:, None]
-        theta = self.grid.points[self._support[i]]
-        lo, hi = self._bracket_lo[i], self._bracket_hi[i]
-        seeds = np.stack([theta, lo, hi, 0.5 * (lo + theta), 0.5 * (theta + hi)], 1)
-        g_seeds = -self._score_at(coef, seeds)
-        order = np.argsort(g_seeds, axis=1, kind="stable")[:, :3]
-        # Columns x, w, v (best value so far, second, third) and the probe u.
-        pts, g = np.empty((len(coef), 4)), np.empty((len(coef), 4))
-        pts[:, :3], g[:, :3] = seeds[rows, order], g_seeds[rows, order]
-        # Bracket ends, and a column that takes the updates of stopped frames.
-        ab = np.stack([lo, hi, hi], 1)
-        step = last = hi - lo
-        tol = _REFINE_TOL
-        live = np.ones(len(coef), dtype=bool)
-        for _ in range(_REFINE_STEPS):
-            x, w, v = pts[:, 0], pts[:, 1], pts[:, 2]
-            gx, gw, gv = g[:, 0], g[:, 1], g[:, 2]
-            a, b = ab[:, 0], ab[:, 1]
-            mid = 0.5 * (a + b)
-            # Stop once the bracket is within 2 tol of x on both sides.
-            live &= np.abs(x - mid) > 2.0 * tol - 0.5 * (b - a)
+        rows = np.arange(len(coef))
+        first = np.stack([self.grid.points[self._support[i]],
+                          self._bracket_lo[i], self._bracket_hi[i]], 1)
+        val, slope, curv = self._probe(coef, first)
+        j = np.argmax(val, axis=1)
+        x, top, slope, curv = first[rows, j], val[rows, j], slope[rows, j], curv[rows, j]
+        a, b = first[:, 1], first[:, 2]
+        live = ~(((j == 1) & (slope <= 0)) | ((j == 2) & (slope >= 0)))
+        for _ in range(_NEWTON_STEPS):
+            up = slope > 0
+            a, b = np.where(up, x, a), np.where(up, b, x)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                step = -slope / curv
+            # A converged step lands on x, now a bracket end: test it before
+            # the step is checked against the bracket.
+            live &= ~((curv < 0) & (np.abs(step) < _REFINE_TOL)) & (b - a > _REFINE_TOL)
             if not live.any():
                 break
-            # Step to the vertex of the parabola through (v, w, x): taken when
-            # it stays inside the bracket and under half the step before
-            # last (nan or inf when degenerate fails that); else a golden
-            # step into the larger side.
-            with np.errstate(divide="ignore", invalid="ignore"):
-                dw, dv = x - w, x - v
-                r, q = dw * (gx - gv), dv * (gx - gw)
-                vertex = (dw * r - dv * q) / (2.0 * (q - r))
-            ok = (np.abs(vertex) < 0.5 * np.abs(last)) & (vertex > a - x) & (vertex < b - x)
-            span = np.where(x >= mid, a - x, b - x)
-            last = np.where(ok, step, span)
-            step = np.where(ok, vertex, _CGOLD * span)
-            # A vertex under tol from x means x has converged; x on a bracket
-            # end means the maximum is there (an end is a support or domain
-            # edge, or a grid point no better than the argmax). Either way,
-            # probes 2 tol away, on the larger side first, end the search in
-            # at most two steps, where golden steps would shrink the far
-            # side of the bracket only linearly.
-            closing = (ok & (np.abs(vertex) < tol)) | (x == a) | (x == b)
-            step = np.where(closing, 2.0 * np.copysign(tol, span), step)
-            u = np.clip(x + step, a + tol, b - tol)
-            gu = -self._score_at(coef, u[:, None])[:, 0]
-
-            # A tie is no improvement: it shrinks the bracket.
-            better = gu < gx
-            rank = np.where(better, 0, np.where((gu <= gw) | (w == x), 1,
-                                                np.where((gu <= gv) | (v == x) | (v == w), 2, 3)))
-            # A better probe moves the bracket end behind x up to x; a worse
-            # one moves the end on its own side to u.
-            ab[rows[:, 0], np.where(live, better != (u >= x), 2)] = np.where(better, x, u)
-            pts[:, 3], g[:, 3] = u, gu
-            keep = _KEEP[np.where(live, rank, 3)]
-            pts[:, :3], g[:, :3] = pts[rows, keep], g[rows, keep]
-        return pts[:, 0].copy()
+            u = x + step
+            u = np.where((curv < 0) & (u > a) & (u < b), u, 0.5 * (a + b))
+            v, g1, g2 = (c[:, 0] for c in self._probe(coef, u[:, None]))
+            gain = live & (v > top)
+            lose = live & ~gain
+            a, b = np.where(lose & (u < x), u, a), np.where(lose & (u > x), u, b)
+            x, top, slope, curv = (np.where(gain, new, old) for new, old in
+                                   ((u, x), (v, top), (g1, slope), (g2, curv)))
+        return x
 
 
 @dataclass(frozen=True)

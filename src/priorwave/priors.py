@@ -115,6 +115,11 @@ class MixtureUniform:
             out = out + np.where((th >= lo) & (th <= hi), level, 0.0)
         return float(out) if np.ndim(theta) == 0 else out
 
+    def log_pdf_derivs(self, theta) -> tuple[np.ndarray, np.ndarray]:
+        """Derivatives of ``log pdf``: zero, as the density is flat on its intervals."""
+        zero = np.zeros_like(np.asarray(theta, dtype=float))
+        return zero, zero
+
     def sample(self, rng: np.random.Generator, size: int | None = None):
         n = 1 if size is None else int(size)
         ks = self._cdf.searchsorted(rng.random(n), side="right")
@@ -170,15 +175,20 @@ class MixtureGaussian:
         out = dens @ np.array(self.weights)
         return float(out) if np.ndim(theta) == 0 else out
 
-    def log_pdf_grad(self, theta) -> np.ndarray:
-        th = np.asarray(theta, dtype=float)
+    def log_pdf_derivs(self, theta) -> tuple[np.ndarray, np.ndarray]:
+        """First and second derivatives of ``log pdf``: the mean and, less
+        ``1 / sigma**2``, the variance of the component scores ``z`` under
+        the component responsibilities ``r``."""
+        th = np.asarray(theta, dtype=float)[..., None]
         means = np.array(self.means)
-        ll = -0.5 * ((th[..., None] - means) / self.sigma) ** 2
+        ll = -0.5 * ((th - means) / self.sigma) ** 2
         ll -= ll.max(axis=-1, keepdims=True)  # keeps the ratio finite in the tails
-        w = np.array(self.weights) * np.exp(ll)
-        num = np.sum(w * (means - th[..., None]), axis=-1) / self.sigma**2
-        out = num / np.sum(w, axis=-1)
-        return float(out) if np.ndim(theta) == 0 else out
+        r = np.array(self.weights) * np.exp(ll)
+        r /= np.sum(r, axis=-1, keepdims=True)
+        z = (means - th) / self.sigma**2
+        d1 = np.sum(r * z, axis=-1)
+        d2 = np.sum(r * (z - d1[..., None]) ** 2, axis=-1) - 1.0 / self.sigma**2
+        return d1, d2
 
     @cached_property
     def _cdf(self) -> np.ndarray:

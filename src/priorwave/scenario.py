@@ -532,7 +532,11 @@ def run_scenario(
         return 1
 
     out_dir = Path(out) if out is not None else Path(scenario.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"output error: {exc}")
+        return 1
     started = time.strftime("%Y-%m-%dT%H:%M:%S")
 
     manifest_files: dict[str, list[str]] = {}
@@ -633,10 +637,19 @@ def validate_output_dir(path: str | Path) -> list[str]:
                             f"non-negative seconds for {','.join(STAGES)}")
 
     listed = set(files)
+    inside = root.resolve()
     for rel in files:
         fpath = root / rel
-        if not fpath.exists():
-            problems.append(f"{rel}: listed in manifest but missing")
+        try:
+            outside = not fpath.resolve().is_relative_to(inside)
+        except ValueError:  # an embedded NUL byte
+            outside = True
+        if outside:
+            problems.append(f"{rel}: not a path inside the run directory")
+            continue
+        if not fpath.is_file():
+            problems.append(f"{rel}: listed in manifest but "
+                            + ("not a file" if fpath.exists() else "missing"))
             continue
         base = fpath.name
         schema = TABLE_SCHEMAS.get(base)
@@ -645,7 +658,11 @@ def validate_output_dir(path: str | Path) -> list[str]:
         if schema is None:
             problems.append(f"{rel}: no schema for this file name")
             continue
-        lines = fpath.read_text().strip().splitlines()
+        try:
+            lines = fpath.read_text().strip().splitlines()
+        except (OSError, UnicodeDecodeError) as exc:
+            problems.append(f"{rel}: unreadable ({exc})")
+            continue
         if not lines or tuple(lines[0].split(",")) != schema:
             problems.append(f"{rel}: header does not match {','.join(schema)}")
             continue

@@ -331,13 +331,13 @@ def test_refine_matches_scalar_reference_at_edges(case, cfg12, dist12, grid361):
 
 
 def test_refine_probe_count(dist12, cfg12, grid361, monkeypatch):
-    # One seed probe (five angles a frame), then Brent steps until every
-    # frame of the block has stopped: a case-1-2 block takes at most 12
-    # probes.
+    # One probe of the grid argmax and the bracket ends, then Newton steps
+    # until every frame of the block has stopped: a case-1-2 block takes at
+    # most 6 probes.
     rng = np.random.default_rng(4)
     calls = []
-    probe = MapEstimator._score_at
-    monkeypatch.setattr(MapEstimator, "_score_at",
+    probe = MapEstimator._probe
+    monkeypatch.setattr(MapEstimator, "_probe",
                         lambda self, coef, th: calls.append(len(coef)) or probe(self, coef, th))
     for x in (baseline_omni(cfg12), random_feasible_waveform(rng, cfg12)):
         est = MapEstimator(x, dist12, grid361, cfg12.m_r, cfg12.noise_power)
@@ -345,7 +345,7 @@ def test_refine_probe_count(dist12, cfg12, grid361, monkeypatch):
             for n in (64, 1):
                 calls.clear()
                 est.estimate(random_frames(rng, x, dist12, snr_db, n))
-                assert set(calls) == {n} and 2 <= len(calls) <= 12
+                assert set(calls) == {n} and 1 <= len(calls) <= 6, calls
 
 
 def test_monte_carlo_blocks_and_shared_moments(dist12, cfg12, grid361, mom12):
@@ -425,7 +425,7 @@ def test_score_at_matches_steering_formula(m_t, m_r, spacing):
         w = x.conj().T @ steering_matrix(th, m_t, spacing)
         s = steering_matrix(th, m_r, spacing).conj() @ y @ w
         want.append(abs(s) ** 2 / (0.7 * m_r * np.vdot(w, w).real) + np.log(prior.pdf(th)))
-    got = est._score_at(est._lag_coef(ys), theta[:, None])[:, 0]
+    got = est._probe(est._lag_coef(ys), theta[:, None])[0][:, 0]
     assert np.allclose(got, want, rtol=1e-12, atol=0.0)
 
 
@@ -465,6 +465,48 @@ def test_lag_scan_matches_steering_formula(seed, m_t, m_r, spacing, snr_db, gaus
     assert np.array_equal(np.argmax(got, axis=1)[clear], np.argmax(want, axis=1)[clear])
 
 
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), snr_db=st.floats(-10.0, 40.0), gaussian=st.booleans())
+def test_probe_derivatives_match_finite_differences(seed, snr_db, gaussian, cfg12, grid361):
+    # The probe's slope and curvature in theta against central differences
+    # of its own value, on random feasible waveforms, at angles drawn from
+    # the prior, at +-pi/2 and at the bracket ends cut at a support edge.
+    # An interval prior scores -inf off its support, so at its edges the
+    # differences are one-sided, into the support.
+    rng = np.random.default_rng(seed)
+    x = random_feasible_waveform(rng, cfg12)
+    if gaussian:
+        prior = MixtureGaussian(tuple(rng.uniform(-1.0, 1.0, 2)), rng.uniform(0.1, 0.5),
+                                (0.3, 0.7))
+    else:
+        # Two intervals reaching +-pi/2, with a gap wide enough to cut brackets.
+        c = rng.uniform(-1.0, 0.8)
+        prior = MixtureUniform(((-np.pi / 2, c), (c + rng.uniform(0.05, 0.5), np.pi / 2)),
+                               (0.5, 0.5))
+    est = MapEstimator(x, prior, grid361, cfg12.m_r, cfg12.noise_power)
+    ends = np.concatenate([est._bracket_lo, est._bracket_hi])
+    cut = ends[np.min(np.abs(ends[:, None] - grid361.points), axis=1) > 1e-9]
+    assert gaussian or len(cut) == 2
+    angles = np.concatenate([prior.sample(rng, 4), [-np.pi / 2, np.pi / 2], cut])
+    coef = est._lag_coef(random_frames(rng, x, prior, snr_db, 3))
+    h = 3e-5
+
+    def value(th):
+        return est._probe(coef, np.tile(th, (len(coef), 1)))[0]
+
+    val, slope, curv = est._probe(coef, np.tile(angles, (len(coef), 1)))
+    side = np.where(np.isfinite(value(angles + h)[0]), 1.0, -1.0)
+    both = np.isfinite(value(angles + h)[0]) & np.isfinite(value(angles - h)[0])
+    s1, s2, s3 = (value(angles + k * side * h) for k in (1, 2, 3))
+    s_1 = np.where(both, value(angles - side * h), 0.0)
+    fd1 = np.where(both, (s1 - s_1) / (2 * h), side * (-3 * val + 4 * s1 - s2) / (2 * h))
+    fd2 = np.where(both, (s1 - 2 * val + s_1) / h**2, (2 * val - 5 * s1 + 4 * s2 - s3) / h**2)
+    # The likelihood term changes on a scale of about 0.02 rad.
+    scale = np.abs(val - np.log(prior.pdf(angles))) + 1.0
+    assert np.all(np.abs(slope - fd1) <= 1e-4 * (np.abs(fd1) + scale / 0.02))
+    assert np.all(np.abs(curv - fd2) <= 1e-3 * (np.abs(fd2) + scale / 0.02**2))
+
+
 def test_score_shapes_and_frame_validation(dist12, cfg12, grid361):
     x = baseline_omni(cfg12)
     est = MapEstimator(x, dist12, grid361, cfg12.m_r, cfg12.noise_power)
@@ -476,9 +518,9 @@ def test_score_shapes_and_frame_validation(dist12, cfg12, grid361):
     assert scores.shape == (3, len(est._support))
     # BLAS may take another kernel for a single row: equal up to rounding.
     assert np.allclose(scores[1], est._scan(est._lag_coef(ys[1:2]))[0], rtol=1e-12, atol=0.0)
-    at = est._score_at(coef, np.array([[0.0], [0.1], [1.0]]))[:, 0]
+    at = est._probe(coef, np.array([[0.0], [0.1], [1.0]]))[0][:, 0]
     assert at.shape == (3,) and np.isneginf(at[2])  # 1 rad is outside the prior
-    assert at[1] == est._score_at(est._lag_coef(ys[1:2]), np.array([[0.1]]))[0, 0]
+    assert at[1] == est._probe(est._lag_coef(ys[1:2]), np.array([[0.1]]))[0][0, 0]
     # Only stacks are taken: a wrong frame shape and a bare frame are rejected.
     with pytest.raises(ValueError):
         est.estimate(np.zeros((1, cfg12.m_r + 1, cfg12.l_samples)))

@@ -37,14 +37,25 @@ def test_scenario3_mixture_normalizes():
 def test_log_pdf_grad_values():
     g1 = MixtureGaussian((0.1,), np.pi / 90, (1.0,))
     th = 0.08
-    assert abs(g1.log_pdf_grad(th) - (0.1 - th) / (np.pi / 90) ** 2) < 1e-9
+    d1, d2 = g1.log_pdf_derivs(th)
+    assert abs(d1 - (0.1 - th) / (np.pi / 90) ** 2) < 1e-9
+    assert abs(d2 + 1 / (np.pi / 90) ** 2) < 1e-9
     sym = MixtureGaussian((-0.3, 0.3), np.pi / 45, (0.5, 0.5))
-    assert abs(sym.log_pdf_grad(0.0)) < 1e-12
+    assert abs(sym.log_pdf_derivs(0.0)[0]) < 1e-12
+    # Both derivatives against central differences of log pdf, in the tails too.
+    mix = MixtureGaussian(SCENARIO3_MEANS, np.pi / 90, SCENARIO3_WEIGHTS)
+    th, h = np.linspace(-1.2, 1.2, 97), 1e-5
+    d1, d2 = mix.log_pdf_derivs(th)
+    lp = [np.log(mix.pdf(th + k * h)) for k in (-1, 0, 1)]
+    assert np.allclose(d1, (lp[2] - lp[0]) / (2 * h), rtol=1e-6, atol=1e-3)
+    assert np.allclose(d2, (lp[2] - 2 * lp[1] + lp[0]) / h**2, rtol=1e-4, atol=1.0)
+    flat = MixtureUniform(((-0.2, 0.3),), (1.0,)).log_pdf_derivs(th)
+    assert np.array_equal(flat[0], np.zeros_like(th)) and np.array_equal(flat[1], flat[0])
 
 
 def test_expected_score_is_zero():
     dist = MixtureGaussian((-0.2, 0.25), np.pi / 60, (0.4, 0.6))
-    val, _ = quad(lambda t: dist.pdf(t) * dist.log_pdf_grad(t), -np.pi / 2, np.pi / 2,
+    val, _ = quad(lambda t: dist.pdf(t) * dist.log_pdf_derivs(t)[0], -np.pi / 2, np.pi / 2,
                   limit=400)
     assert abs(val) < 1e-6
 
@@ -101,7 +112,7 @@ def test_gaussian_lambda_matches_direct_score_quadrature():
     dist = MixtureGaussian((-0.3, 0.2), np.pi / 60, (0.45, 0.55))
     th = np.linspace(-np.pi / 2, np.pi / 2, 400001)
     f = dist.pdf(th)
-    score = dist.log_pdf_grad(th)
+    score = dist.log_pdf_derivs(th)[0]
     direct = np.trapezoid(f * score**2, th)
     mom = compute_moments(dist, ArrayConfig(2, 2, 4))
     assert abs(mom.lam - direct) / direct < 1e-6

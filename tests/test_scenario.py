@@ -196,6 +196,16 @@ def test_unreadable_config_is_a_config_error(tmp_path, capsys, where):
     assert not (tmp_path / "out").exists()
 
 
+def test_run_out_on_an_existing_file_is_an_output_error(small_cfg, tmp_path, capsys):
+    out = tmp_path / "o.txt"
+    out.write_text("keep\n")
+    assert cli_main(["run", "--config", str(small_cfg), "--out", str(out)]) == 1
+    text, err = capsys.readouterr()
+    lines = text.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("output error: ") and str(out) in lines[0]
+    assert err == "" and out.read_text() == "keep\n"
+
+
 @pytest.mark.parametrize("key, value", [
     ("rho", "1.0"), ("rho_fair", "[1.0, 2.0]"), ("safety", "2.0"),
     ("dual_step", "0.5"), ("primal_tol", "1.0e-8"), ("mu_tol", "1.0e-12"),
@@ -361,6 +371,17 @@ def test_beampattern_rejects_bad_waveform_tables(tmp_path, capsys):
     assert not (tmp_path / "bp.csv").exists()
 
 
+def test_beampattern_into_a_missing_directory_is_an_output_error(tmp_path, capsys):
+    waveform = tmp_path / "waveform.csv"
+    emit_waveform(baseline_omni(ArrayConfig(4, 4, 8)), waveform)
+    out = tmp_path / "nodir" / "bp.csv"
+    assert cli_main(["beampattern", "--waveform", str(waveform), "--out", str(out)]) == 1
+    text, err = capsys.readouterr()
+    lines = text.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("output error: ") and str(out) in lines[0]
+    assert err == "" and not out.parent.exists()
+
+
 def test_manifest_stage_seconds_are_recorded_and_validated(small_cfg, tmp_path):
     out = tmp_path / "out"
     assert run_scenario(small_cfg, out=out) == 0
@@ -411,6 +432,26 @@ def test_validate_reports_malformed_manifests(tmp_path, capsys, manifest, expect
     for problem, text in zip(problems, expected):
         assert text in problem
     assert cli_main(["validate", str(tmp_path)]) == 1
+    assert capsys.readouterr().out.splitlines() == problems
+
+
+def test_validate_reports_unreadable_and_outside_tables(tmp_path, capsys):
+    # A listed directory, an undecodable table, a path out of the run
+    # directory (to a valid table) and a path with a NUL byte: one problem
+    # each, and no table is read outside the run directory.
+    run = tmp_path / "run"
+    (run / "c" / "beampattern.csv").mkdir(parents=True)
+    (run / "c" / "waveform.csv").write_bytes(b"m,l,re,im\n\xff\xfe\n")
+    emit_waveform(baseline_omni(ArrayConfig(4, 4, 8)), tmp_path / "waveform.csv")
+    files = ["c/beampattern.csv", "c/waveform.csv", "../waveform.csv", "c/\x00.csv"]
+    (run / "manifest.json").write_text(json.dumps(
+        {"files": files, "cell_seconds": {}, "stage_seconds": {}}))
+    problems = validate_output_dir(run)
+    assert len(problems) == 4
+    for problem, rel, text in zip(problems, files, ["not a file", "unreadable",
+                                                    "not a path inside", "not a path inside"]):
+        assert problem.startswith(f"{rel}: ") and text in problem, problem
+    assert cli_main(["validate", str(run)]) == 1
     assert capsys.readouterr().out.splitlines() == problems
 
 
