@@ -28,7 +28,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--paper-literal",
         action="store_true",
-        help="grid-only MAP argmax and bare-sum integrated weighting",
+        help="grid-only MAP argmax, without the refine",
     )
 
     bp = sub.add_parser("beampattern", help="dump the beampattern of a waveform table")
@@ -55,8 +55,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.grid_size < 2:
             print(f"argument error: --grid-size must be at least 2, got {args.grid_size}")
             return 1
-        if not args.spacing > 0:
-            print(f"argument error: --spacing must be positive, got {args.spacing}")
+        if not 0 < args.spacing < float("inf"):
+            print(f"argument error: --spacing must be positive and finite, got {args.spacing}")
             return 1
         try:
             x = read_waveform(args.waveform)
@@ -64,7 +64,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"waveform error: {exc}")
             return 1
         try:
-            emit_beampattern(x, AngularGrid.uniform(args.grid_size), args.out, args.spacing)
+            emit_beampattern(x, AngularGrid(args.grid_size), args.out, args.spacing)
         except OSError as exc:
             print(f"output error: {exc}")
             return 1

@@ -12,12 +12,13 @@ frames at once and is estimated as one stack.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .pcrb import pcrb_theta
 from .priors import DistributionMoments, TargetDistribution, compute_moments
-from .ula import HALF_DOMAIN, ArrayConfig, _check_angles, _offsets, _received, steering_matrix
+from .ula import HALF_DOMAIN, ArrayConfig, _check_angles, _offsets, _received, beampattern
 
 __all__ = [
     "AngularGrid",
@@ -29,33 +30,25 @@ __all__ = [
 
 @dataclass(frozen=True)
 class AngularGrid:
-    """Uniform angle grid spanning [-pi/2, pi/2] inclusive."""
+    """Uniform grid of ``size`` angles spanning [-pi/2, pi/2] inclusive."""
 
-    points: np.ndarray
+    size: int
 
     def __post_init__(self) -> None:
-        pts = np.asarray(self.points, dtype=float)
-        object.__setattr__(self, "points", pts)
-        if pts.ndim != 1 or pts.size < 2:
+        if self.size < 2:
             raise ValueError("grid needs at least two points")
-        # The cell, the Monte-Carlo angle bins, the psbp-int weights and
-        # the refine brackets all take the spacing as uniform.
-        step = np.diff(pts)
-        if not np.all(np.abs(step - step[0]) <= 1e-9 * step[0]):
-            raise ValueError("grid points must be uniformly spaced and increasing")
-        if pts[0] != -HALF_DOMAIN or pts[-1] != HALF_DOMAIN:
-            raise ValueError("grid endpoints must be exactly -pi/2 and pi/2")
 
-    @classmethod
-    def uniform(cls, d: int = 361) -> "AngularGrid":
-        return cls(np.linspace(-HALF_DOMAIN, HALF_DOMAIN, int(d)))
+    # Built on first use and kept: not a field, so equality and hashing ignore it.
+    @cached_property
+    def points(self) -> np.ndarray:
+        return np.linspace(-HALF_DOMAIN, HALF_DOMAIN, self.size)
 
     @property
     def cell(self) -> float:
         return float(self.points[1] - self.points[0])
 
     def __len__(self) -> int:
-        return len(self.points)
+        return self.size
 
 
 # Trials per Monte-Carlo block. Part of the output contract: each block
@@ -136,10 +129,9 @@ class MapEstimator:
         sup_pts = grid.points[self._support]
         # The exact log density, as ``_probe`` takes it off the grid.
         self._log_prior_sup = np.log(f[self._support])
-        # The exact sum of |X^H a_t|^2 at each support point: nonnegative by
-        # construction, where the lag form below can cancel near transmit nulls.
-        w = (self._xh @ steering_matrix(grid.points, x.shape[0], spacing)).take(self._support, 1)
-        den = noise_power * m_r * np.sum(np.abs(w) ** 2, axis=0)
+        # The scan's denominator: the transmit beampattern at each support
+        # point, clamped at zero against rounding near transmit nulls.
+        den = noise_power * m_r * beampattern(x, sup_pts, spacing)
         self._den = np.where(den > 1e-300, den, np.inf)
 
         # The score through element-offset lags: a_r^H y X^H a_t sums

@@ -108,7 +108,7 @@ def _req(cfg: dict, key: str, kind, path: str):
     # YAML reads true/false as bool, a subclass of int.
     if isinstance(val, bool) or not isinstance(val, (int, float) if kind is float else kind):
         raise ConfigError(f"{path}.{key}: expected {kind.__name__}, got {type(val).__name__}")
-    return float(val) if kind is float else val
+    return _number(val, f"{path}.{key}") if kind is float else val
 
 
 def _int_key(cfg: dict, key: str, default: int) -> int:
@@ -117,14 +117,18 @@ def _int_key(cfg: dict, key: str, default: int) -> int:
 
 
 def _number(val, path: str) -> float:
-    """A float-valued entry. YAML reads ``1e-6`` as a string, which ``float``
-    converts; true/false, which it would read as 1 and 0, are rejected."""
+    """A finite float-valued entry. YAML reads ``1e-6`` as a string, which
+    ``float`` converts; true/false, which it would read as 1 and 0, are
+    rejected, and so are ``.nan`` and ``.inf``."""
     if isinstance(val, bool):
         raise ConfigError(f"{path}: expected a number, got bool")
     try:
-        return float(val)
+        num = float(val)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+    if not math.isfinite(num):
+        raise ConfigError(f"{path}: expected a finite number, got {num}")
+    return num
 
 
 def _numbers(cfg: dict, key: str, default: list) -> tuple[float, ...]:
@@ -369,13 +373,14 @@ def _cell_seed(seed: int, method: str, kappa_rank: int, stream: int) -> int:
 
 
 def _run_cell(scenario: Scenario, method: str, kappa: float, kappa_rank: int, out: Path,
-              grid: AngularGrid, moments, paper_literal: bool, warm_start: AdmmState | None
+              grid: AngularGrid, moments, refine: bool, warm_start: AdmmState | None
               ) -> tuple[list[str], dict[str, float], SolveResult | None]:
     """Run one cell; return its files, its seconds per stage (``STAGES``)
     and the solver result (None for omni).
 
     ``kappa_rank`` is the threshold's place in ascending order and seeds
-    the cell. A ``warm_start`` design ignores its seed.
+    the cell, and ``refine`` is the Monte-Carlo estimator's. A
+    ``warm_start`` design ignores its seed.
     """
     clock = time.perf_counter
     t0 = clock()
@@ -393,7 +398,7 @@ def _run_cell(scenario: Scenario, method: str, kappa: float, kappa_rank: int, ou
         x = result.waveform
     elif method == "psbp-int":
         result = solve_psbp_integrated(dist, cfg, grid, scenario.admm, cell_seed,
-                                       bare_sum=paper_literal, warm_start=warm_start)
+                                       warm_start=warm_start)
         x = result.waveform
     elif method == "crb":
         result = baseline_crb(scenario.crb_angle, cfg, scenario.admm, cell_seed,
@@ -449,7 +454,7 @@ def _run_cell(scenario: Scenario, method: str, kappa: float, kappa_rank: int, ou
         mse_seed = _cell_seed(scenario.seed, method, kappa_rank, 1)
         results = monte_carlo_mse(
             x, dist, cfg, grid, scenario.snr_list_db, scenario.n_trials, mse_seed,
-            refine=not paper_literal, moments=moments,
+            refine=refine, moments=moments,
         )
         seconds["mc"] = clock() - t0
         t0 = clock()
@@ -502,6 +507,7 @@ def run_scenario(
     solver state; the first, and any kappa after a failed one, starts
     cold from its cell seed. After each method the kappa pairs whose
     metric got worse as kappa rose are printed (``_kappa_monotonicity_report``).
+    ``paper_literal`` turns the Monte-Carlo refine off, leaving a grid argmax.
 
     Returns the process exit code: 0 on success, 1 on a configuration
     error, 2 when at least one cell failed (the rest still complete and
@@ -516,7 +522,7 @@ def run_scenario(
     except ConfigError as exc:
         print(f"config error: {exc}")
         return 1
-    grid = AngularGrid.uniform(scenario.grid_size)
+    grid = AngularGrid(scenario.grid_size)
     try:
         # A prior can validate and still fail the quadrature, e.g. when
         # mass spills past +-90 degrees, or miss every grid point that the
@@ -549,8 +555,8 @@ def run_scenario(
         t0 = time.perf_counter()
         try:
             manifest_files[name], stage_timings[name], result = _run_cell(
-                scenario, method, kappa, rank, out_dir / name, grid, moments, paper_literal,
-                warm_start)
+                scenario, method, kappa, rank, out_dir / name, grid, moments,
+                not paper_literal, warm_start)
         except Exception as exc:  # noqa: BLE001 - cell isolation by design
             failures.append({
                 "cell": name,

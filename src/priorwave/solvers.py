@@ -17,7 +17,7 @@ from .admm import AdmmConfig, AdmmTrace, _cap_elements, _project_feasible, _XUpd
 from .estimation import AngularGrid
 from .pcrb import pcrb_upper_bound
 from .priors import DistributionMoments, TargetDistribution, _point_moments
-from .ula import ArrayConfig, steering_matrix
+from .ula import ArrayConfig, beampattern, steering_matrix
 
 __all__ = [
     "AdmmState",
@@ -244,23 +244,20 @@ def solve_psbp_integrated(
     admm: AdmmConfig,
     seed: int,
     *,
-    bare_sum: bool = False,
     warm_start: AdmmState | None = None,
 ) -> SolveResult:
     """Maximize the density-weighted beampattern sum over the grid.
 
-    By default the sum is scaled by the grid cell width so it approximates
-    the density-weighted integral and is stable under grid refinement;
-    ``bare_sum`` reproduces the unscaled sum instead. ``warm_start`` as in
-    ``solve_pcrb``.
+    The sum is scaled by the grid cell width so it approximates the
+    density-weighted integral and is stable under grid refinement.
+    ``warm_start`` as in ``solve_pcrb``.
     """
     pts, f = _psbp_points(dist, grid)
-    w = f if bare_sum else f * grid.cell
+    w = f * grid.cell
     a = steering_matrix(pts, cfg.m_t, cfg.spacing)
     xi = np.einsum("ip,p,kp->ik", a, w, a.conj())
     return _admm(_QuadraticSplit(xi, cfg), cfg, admm, seed,
-                 lambda x: float(w @ np.sum(np.abs(x.conj().T @ a) ** 2, axis=0)),
-                 warm_start)
+                 lambda x: float(w @ beampattern(x, pts, cfg.spacing)), warm_start)
 
 
 def _inflate_columns(h: np.ndarray, hnorms: np.ndarray, fvals: np.ndarray,
@@ -385,8 +382,7 @@ def solve_psbp_fair(
     pts, f = _psbp_points(dist, grid)
     a = steering_matrix(pts, cfg.m_t, cfg.spacing)
     return _admm(_FairSplit(a, f, cfg), cfg, admm, seed,
-                 lambda x: float(np.min(np.sum(np.abs(x.conj().T @ a) ** 2, axis=0) / f)),
-                 warm_start)
+                 lambda x: float(np.min(beampattern(x, pts, cfg.spacing) / f)), warm_start)
 
 
 def baseline_omni(cfg: ArrayConfig) -> np.ndarray:

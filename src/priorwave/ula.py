@@ -67,14 +67,11 @@ class ArrayConfig:
             raise ValueError("antenna counts must be at least 1")
         if self.l_samples < 1:
             raise ValueError("l_samples must be at least 1")
-        if not self.power > 0:
-            raise ValueError("power must be positive")
-        if self.papr < 1:
-            raise ValueError("papr threshold must be >= 1")
-        if not self.noise_power > 0:
-            raise ValueError("noise_power must be positive")
-        if not self.spacing > 0:
-            raise ValueError("spacing must be positive")
+        if not 1 <= self.papr < np.inf:
+            raise ValueError("papr threshold must be >= 1 and finite")
+        for name in ("power", "noise_power", "spacing"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite")
 
     @property
     def elem_bound(self) -> float:

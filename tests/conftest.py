@@ -29,7 +29,7 @@ def mom12(dist12, cfg12):
 
 @pytest.fixture(scope="session")
 def grid361():
-    return AngularGrid.uniform(361)
+    return AngularGrid(361)
 
 
 def random_feasible_waveform(rng, cfg, kappa=None):

@@ -32,19 +32,15 @@ def clean_echo(x, theta, m_r, amplitude=1.0):
 
 
 def test_angular_grid_validation():
-    g = AngularGrid.uniform(181)
-    assert len(g) == 181
+    g = AngularGrid(181)
+    assert len(g) == 181 and len(g.points) == 181
     assert g.points[0] == -np.pi / 2 and g.points[-1] == np.pi / 2
-    with pytest.raises(ValueError):
-        AngularGrid(np.array([0.0]))
-    with pytest.raises(ValueError):
-        AngularGrid(np.array([-1.0, 0.0, 1.0]))  # endpoints not +-pi/2
-    with pytest.raises(ValueError):
-        AngularGrid(np.array([np.pi / 2, 0.0, -np.pi / 2]))
-    with pytest.raises(ValueError, match="uniformly spaced"):
-        AngularGrid(np.array([-np.pi / 2, -1.5, 0.0, 0.2, np.pi / 2]))
-    # A half-degree grid built in degrees is uniform up to rounding.
-    assert len(AngularGrid(np.deg2rad(np.arange(-90, 90.5, 0.5)))) == 361
+    assert np.allclose(np.diff(g.points), g.cell, rtol=1e-12, atol=0)
+    assert abs(g.cell - np.pi / 180) <= 1e-15
+    assert AngularGrid(181) == g
+    for size in (1, 0, -3):
+        with pytest.raises(ValueError):
+            AngularGrid(size)
 
 
 def test_noiseless_echo_recovers_grid_angle(grid361):
@@ -95,7 +91,7 @@ def test_zero_prior_everywhere_rejected(grid361):
 
 def test_low_noise_mse_below_quantization_bound():
     cfg = ArrayConfig(8, 8, 25, noise_power=1.0)
-    grid = AngularGrid.uniform(721)
+    grid = AngularGrid(721)
     dist = MixtureUniform(((-0.3, 0.3),), (1.0,))
     x = baseline_omni(cfg)
     rep = monte_carlo_mse(x, dist, cfg, grid, [60.0], 100, seed=4)
@@ -417,7 +413,7 @@ def test_score_at_matches_steering_formula(m_t, m_r, spacing):
     rng = np.random.default_rng(m_t + m_r)
     x = random_feasible_waveform(rng, cfg)
     prior = MixtureGaussian((0.3, -0.5), 0.2, (0.6, 0.4))
-    est = MapEstimator(x, prior, AngularGrid.uniform(181), m_r, 0.7, spacing)
+    est = MapEstimator(x, prior, AngularGrid(181), m_r, 0.7, spacing)
     ys = rng.normal(size=(6, m_r, 9)) + 1j * rng.normal(size=(6, m_r, 9))
     theta = rng.uniform(-np.pi / 2, np.pi / 2, 6)
     want = []
@@ -441,7 +437,7 @@ def test_lag_scan_matches_steering_formula(seed, m_t, m_r, spacing, snr_db, gaus
     cfg = ArrayConfig(m_t, m_r, 9, noise_power=0.7, spacing=spacing)
     x = random_feasible_waveform(rng, cfg)
     prior = SCENARIO3_PRIOR if gaussian else MixtureUniform(((-0.7, 0.4),), (1.0,))
-    grid = AngularGrid.uniform(181)
+    grid = AngularGrid(181)
     amp = np.sqrt(cfg.noise_power * 10.0 ** (snr_db / 10.0) / cfg.power)
     ys = np.array([synthesize_received(x, float(t), amp * np.exp(2j * np.pi * rng.random()),
                                        m_r, cfg.noise_power, rng, spacing)

@@ -69,6 +69,13 @@ def test_validation_rejects_bad_mixtures():
         MixtureUniform(((-0.2, 0.1), (0.0, 0.3)), (0.5, 0.5))  # overlap
     with pytest.raises(ValueError):
         MixtureGaussian((0.0,), -0.1, (1.0,))
+    for means, sigma, weights in (((np.nan,), 0.1, (1.0,)), ((0.0,), np.inf, (1.0,)),
+                                  ((0.0,), np.nan, (1.0,)), ((0.0,), 0.1, (np.nan,)),
+                                  ((0.0, 0.1), 0.1, (np.inf, 0.5))):
+        with pytest.raises(ValueError):
+            MixtureGaussian(means, sigma, weights)
+    with pytest.raises(ValueError, match="finite"):
+        MixtureUniform(((-0.1, 0.1),), (np.nan,))
     with pytest.raises(ValueError):
         _point_moments(3.0, ArrayConfig(4, 6, 8))
 
@@ -108,14 +115,26 @@ def test_gaussian_lambda_nonnegative_and_below_k1_value():
 
 
 def test_gaussian_lambda_matches_direct_score_quadrature():
-    # Independent oracle: integrate f * score^2 directly on a fine grid.
-    dist = MixtureGaussian((-0.3, 0.2), np.pi / 60, (0.45, 0.55))
-    th = np.linspace(-np.pi / 2, np.pi / 2, 400001)
-    f = dist.pdf(th)
-    score = dist.log_pdf_derivs(th)[0]
-    direct = np.trapezoid(f * score**2, th)
-    mom = compute_moments(dist, ArrayConfig(2, 2, 4))
-    assert abs(mom.lam - direct) / direct < 1e-6
+    # Independent oracle: the score from central differences of log pdf,
+    # integrated adaptively by quad out to 10 sigma past the outer means.
+    cases = [
+        ((-0.3, 0.2), np.pi / 60, (0.45, 0.55), 364.733),
+        # Heavily overlapping components: well below 1 / sigma**2 = 204.1.
+        ((0.0, 0.05), 0.07, (0.5, 0.5), 181.016),
+    ]
+    for means, sigma, weights, expected in cases:
+        dist = MixtureGaussian(means, sigma, weights)
+        h = 1e-5 * sigma
+
+        def integrand(t):
+            score = (np.log(dist.pdf(t + h)) - np.log(dist.pdf(t - h))) / (2 * h)
+            return dist.pdf(t) * score**2
+
+        direct, _ = quad(integrand, min(means) - 10 * sigma, max(means) + 10 * sigma,
+                         points=means, limit=200, epsabs=0.0, epsrel=1e-10)
+        lam = compute_moments(dist, ArrayConfig(2, 2, 4)).lam
+        assert abs(lam - direct) / direct < 1e-6, (means, lam, direct)
+        assert abs(lam - expected) < 1e-3
 
 
 def test_uniform_lambda_edge_smoothing():

@@ -126,6 +126,8 @@ def test_reruns_are_byte_identical(small_cfg, tmp_path):
 SMALL_PRIOR = ("distribution:\n  kind: mixture-uniform\n  intervals_deg: [[-10.0, 10.0]]\n"
                "  weights: [1.0]\n")
 POINT_MASS = "distribution: {kind: point-mass, angle_deg: 3.0}\n"
+SMALL_GAUSS = ("distribution:\n  kind: mixture-gaussian\n  means_deg: [0.0]\n"
+               "  sigma_deg: 2.0\n  weights: [1.0]\n")
 # Density only between the 0 and 1 degree points of the 181-point grid.
 OFF_GRID = ("distribution:\n  kind: mixture-uniform\n  intervals_deg: [[0.1, 0.3]]\n"
             "  weights: [1.0]\n")
@@ -172,6 +174,23 @@ def test_config_errors_are_line_precise(tmp_path, capsys):
         ("seed: 5\n", "seed: 5\ncrb_angle_deg: true\n", "crb_angle_deg: expected a number"),
         ("l_samples: 8}", "l_samples: 8, power: true}", "array.power: expected a number"),
         ("l_samples: 8}", "l_samples: 8, spacing: false}", "array.spacing: expected a number"),
+        # NaN and infinity are caught before any cell runs.
+        ("kappa_list: [1.2]", "kappa_list: [.nan]", "kappa_list: expected a finite number"),
+        ("kappa_list: [1.2]", "kappa_list: [.inf]", "kappa_list: expected a finite number"),
+        ("snr_list_db: [0.0, 10.0]", "snr_list_db: [0.0, .nan]",
+         "snr_list_db: expected a finite number"),
+        ("snr_list_db: [0.0, 10.0]", "snr_list_db: [.inf]",
+         "snr_list_db: expected a finite number"),
+        ("l_samples: 8}", "l_samples: 8, power: .inf}", "array.power: expected a finite number"),
+        ("l_samples: 8}", "l_samples: 8, noise_power: .inf}",
+         "array.noise_power: expected a finite number"),
+        ("l_samples: 8}", "l_samples: 8, spacing: .inf}", "array.spacing: expected a finite number"),
+        ("  weights: [1.0]\n", "  weights: [.nan]\n",
+         "distribution: mixture weights must be positive and finite"),
+        (SMALL_PRIOR, SMALL_GAUSS.replace("[0.0]", "[.nan]"),
+         "distribution: component mean outside"),
+        (SMALL_PRIOR, SMALL_GAUSS.replace("2.0", ".inf"),
+         "distribution.sigma_deg: expected a finite number"),
     ]
     for old, new, message in cases:
         bad3 = tmp_path / "bad3.cfg"
@@ -181,6 +200,22 @@ def test_config_errors_are_line_precise(tmp_path, capsys):
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 1 and lines[0].startswith(f"config error: {message}"), lines
         assert not out.exists()
+
+
+def test_paper_literal_leaves_the_design_tables_alone(tmp_path):
+    # The flag only turns the Monte-Carlo refine off: every other table,
+    # psbp-int's design included, is the same with and without it.
+    cfg = tmp_path / "literal.cfg"
+    cfg.write_text(SMALL_CFG.replace("methods: [pcrb, omni]", "methods: [pcrb, psbp-int, omni]"))
+    tables = []
+    for literal in (False, True):
+        out = tmp_path / f"out{int(literal)}"
+        assert run_scenario(cfg, out=out, paper_literal=literal) == 0
+        tables.append({str(p.relative_to(out)): p.read_bytes() for p in out.rglob("*.csv")})
+    assert tables[0].keys() == tables[1].keys()
+    design = [rel for rel in tables[0] if not Path(rel).name.startswith("mse")]
+    assert "psbp-int-k1.2/metrics.csv" in design and "omni/mse.csv" in tables[0]
+    assert [rel for rel in design if tables[0][rel] != tables[1][rel]] == []
 
 
 @pytest.mark.parametrize("where", ["missing", "directory"])
@@ -295,7 +330,7 @@ def test_waveform_round_trip_and_beampattern_dump(tmp_path):
     emit_waveform(x, wf)
     assert np.array_equal(read_waveform(wf), x)
     bp = tmp_path / "bp.csv"
-    emit_beampattern(x, AngularGrid.uniform(91), bp)
+    emit_beampattern(x, AngularGrid(91), bp)
     lines = bp.read_text().strip().splitlines()
     assert lines[0] == "angle_deg,power,power_db"
     powers = [float(l.split(",")[1]) for l in lines[1:]]
@@ -337,7 +372,8 @@ def test_cli_subcommands(small_cfg, tmp_path, capsys):
                      "--out", str(bp), "--grid-size", "61"]) == 0
     assert len(bp.read_text().strip().splitlines()) == 62
     capsys.readouterr()
-    for bad_args in (["--grid-size", "1"], ["--spacing", "0"], ["--spacing", "-0.5"]):
+    for bad_args in (["--grid-size", "1"], ["--spacing", "0"], ["--spacing", "-0.5"],
+                     ["--spacing", "nan"], ["--spacing", "inf"]):
         bp_bad = tmp_path / "bp_bad.csv"
         assert cli_main(["beampattern", "--waveform", str(out / "omni" / "waveform.csv"),
                          "--out", str(bp_bad)] + bad_args) == 1

@@ -215,6 +215,10 @@ def test_array_config_validation():
         ArrayConfig(4, 4, 8, power=0.0)
     with pytest.raises(ValueError):
         ArrayConfig(4, 4, 8, noise_power=-1.0)
+    for key in ("power", "papr", "noise_power", "spacing"):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                ArrayConfig(4, 4, 8, **{key: bad})
 
 
 def test_waveform_feasibility_reports_margins():
