@@ -8,8 +8,6 @@ from .estimation import (
     monte_carlo_mse,
 )
 from .pcrb import (
-    FimBlocks,
-    fim_signal,
     pcrb_theta,
     pcrb_upper_bound,
 )
@@ -50,7 +48,6 @@ __all__ = [
     "ArrayConfig",
     "DistributionMoments",
     "Feasibility",
-    "FimBlocks",
     "MapEstimator",
     "MixtureGaussian",
     "MixtureUniform",
@@ -61,7 +58,6 @@ __all__ = [
     "baseline_omni",
     "beampattern",
     "compute_moments",
-    "fim_signal",
     "monte_carlo_mse",
     "pcrb_theta",
     "pcrb_upper_bound",

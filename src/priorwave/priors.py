@@ -280,24 +280,33 @@ def _window_grid(windows: list[tuple[float, float]], grid_size: int):
     return np.concatenate(nodes), np.concatenate(weights)
 
 
+def _moments(th: np.ndarray, u: np.ndarray, cfg: ArrayConfig, lam: float) -> DistributionMoments:
+    """Moments of the nodes ``th`` weighted by ``u``, with the prior Fisher ``lam``."""
+    at = steering_matrix(th, cfg.m_t, cfg.spacing)
+    dat = steering_derivative_matrix(th, cfg.m_t, cfg.spacing)
+    r2 = receive_derivative_norm2(th, cfg.m_r, cfg.spacing)
+
+    def _herm(z: np.ndarray) -> np.ndarray:
+        # Exact Hermitian symmetrization of the accumulated quadrature.
+        return 0.5 * (z + z.conj().T)
+
+    xi0 = _herm(np.einsum("in,n,kn->ik", at, u * r2, at.conj()))
+    xi3 = cfg.m_r * _herm(np.einsum("in,n,kn->ik", at, u, at.conj()))
+    xi2 = cfg.m_r * np.einsum("in,n,kn->ik", dat, u, at.conj())
+    xi1 = xi0 + cfg.m_r * _herm(np.einsum("in,n,kn->ik", dat, u, dat.conj()))
+    return DistributionMoments(xi0=xi0, xi1=xi1, xi2=xi2, xi3=xi3, lam=lam)
+
+
 def _point_moments(theta0: float, cfg: ArrayConfig) -> DistributionMoments:
     """Moments of one known angle, for the deterministic-angle benchmark.
 
-    The steering outer products at ``theta0`` itself, with no prior
-    information term (``lam = 0``).
+    One node at ``theta0`` of weight 1, with no prior information term
+    (``lam = 0``).
     """
     theta0 = float(theta0)
     if theta0 < -HALF_DOMAIN or theta0 > HALF_DOMAIN:
         raise ValueError("angle outside [-pi/2, pi/2]")
-    a = steering_matrix(theta0, cfg.m_t, cfg.spacing)
-    da = steering_derivative_matrix(theta0, cfg.m_t, cfg.spacing)
-    r2 = float(receive_derivative_norm2(theta0, cfg.m_r, cfg.spacing))
-    aa = np.outer(a, a.conj())
-    xi0 = r2 * aa
-    xi1 = xi0 + cfg.m_r * np.outer(da, da.conj())
-    xi2 = cfg.m_r * np.outer(da, a.conj())
-    xi3 = cfg.m_r * aa
-    return DistributionMoments(xi0=xi0, xi1=xi1, xi2=xi2, xi3=xi3, lam=0.0)
+    return _moments(np.array([theta0]), np.ones(1), cfg, 0.0)
 
 
 def compute_moments(
@@ -323,18 +332,4 @@ def compute_moments(
     if abs(mass - 1.0) > 1e-4:
         raise ValueError(f"prior mass integrates to {mass:.6f}, not 1; "
                          "distribution is not normalized on its support")
-
-    at = steering_matrix(th, cfg.m_t, cfg.spacing)
-    dat = steering_derivative_matrix(th, cfg.m_t, cfg.spacing)
-    r2 = receive_derivative_norm2(th, cfg.m_r, cfg.spacing)
-    u = wq * f
-
-    def _herm(z: np.ndarray) -> np.ndarray:
-        # Exact Hermitian symmetrization of the accumulated quadrature.
-        return 0.5 * (z + z.conj().T)
-
-    xi0 = _herm(np.einsum("in,n,kn->ik", at, u * r2, at.conj()))
-    xi3 = cfg.m_r * _herm(np.einsum("in,n,kn->ik", at, u, at.conj()))
-    xi2 = cfg.m_r * np.einsum("in,n,kn->ik", dat, u, at.conj())
-    xi1 = xi0 + cfg.m_r * _herm(np.einsum("in,n,kn->ik", dat, u, dat.conj()))
-    return DistributionMoments(xi0=xi0, xi1=xi1, xi2=xi2, xi3=xi3, lam=lam)
+    return _moments(th, wq * f, cfg, lam)

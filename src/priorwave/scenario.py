@@ -397,7 +397,7 @@ def _run_cell(scenario: Scenario, method: str, kappa: float, kappa_rank: int, ou
                                  warm_start=warm_start)
         x = result.waveform
     elif method == "psbp-int":
-        result = solve_psbp_integrated(dist, cfg, grid, scenario.admm, cell_seed,
+        result = solve_psbp_integrated(moments, cfg, scenario.admm, cell_seed,
                                        warm_start=warm_start)
         x = result.waveform
     elif method == "crb":
@@ -526,10 +526,10 @@ def run_scenario(
     try:
         # A prior can validate and still fail the quadrature, e.g. when
         # mass spills past +-90 degrees, or miss every grid point that the
-        # beampattern designs and the MAP scan weight by its density;
-        # report either before writing anything.
+        # fair design and the MAP scan weight by its density; report
+        # either before writing anything.
         moments = compute_moments(scenario.distribution, scenario.array)
-        weighs_grid = (not {"psbp-fair", "psbp-int"}.isdisjoint(scenario.methods)
+        weighs_grid = ("psbp-fair" in scenario.methods
                        or scenario.n_trials > 0 and bool(scenario.snr_list_db))
         if weighs_grid and not np.any(scenario.distribution.pdf(grid.points) > 0):
             raise ValueError("prior density is zero at every grid point")

@@ -40,8 +40,8 @@ _DUAL_STEP = 0.5
 # Stop once the squared split residual and the squared auxiliary motion
 # both fall below this.
 _PRIMAL_TOL = 1e-8
-# The beampattern designs constrain the grid angles whose prior density is
-# at least this fraction of its peak.
+# The fair design constrains the grid angles whose prior density is at
+# least this fraction of its peak.
 _PDF_FLOOR = 1e-6
 
 
@@ -73,7 +73,7 @@ class SolveResult:
     ``metric_value`` is the solver's own figure of merit recomputed from
     the returned waveform: the bound surrogate at unit amplitude for the
     bound-oriented solver, the minimum density-scaled beampattern for the
-    fair solver, and the density-weighted beampattern sum for the
+    fair solver, and the density-weighted beampattern integral for the
     integrated solver. ``state`` is the loop's final state; passed as
     ``warm_start`` to the same design at a larger PAPR threshold, it
     resumes the solve from there.
@@ -227,37 +227,23 @@ def solve_pcrb(
                  lambda x: pcrb_upper_bound(x, mom, 1.0, cfg.noise_power), warm_start)
 
 
-def _psbp_points(dist: TargetDistribution, grid: AngularGrid):
-    """Constraint angles and density values over the possible target region."""
-    f = np.asarray(dist.pdf(grid.points), dtype=float)
-    peak = float(f.max())
-    if peak <= 0:
-        raise ValueError("prior density is zero at every grid point")
-    mask = f >= _PDF_FLOOR * peak
-    return grid.points[mask], f[mask]
-
-
 def solve_psbp_integrated(
-    dist: TargetDistribution,
+    mom: DistributionMoments,
     cfg: ArrayConfig,
-    grid: AngularGrid,
     admm: AdmmConfig,
     seed: int,
     *,
     warm_start: AdmmState | None = None,
 ) -> SolveResult:
-    """Maximize the density-weighted beampattern sum over the grid.
+    """Maximize the density-weighted beampattern integral ``Tr{X^H Xi X}``.
 
-    The sum is scaled by the grid cell width so it approximates the
-    density-weighted integral and is stable under grid refinement.
-    ``warm_start`` as in ``solve_pcrb``.
+    ``Xi = xi3 / m_r = int f a a^H`` is the prior's own moment, so the
+    design does not depend on any angle grid. ``warm_start`` as in
+    ``solve_pcrb``.
     """
-    pts, f = _psbp_points(dist, grid)
-    w = f * grid.cell
-    a = steering_matrix(pts, cfg.m_t, cfg.spacing)
-    xi = np.einsum("ip,p,kp->ik", a, w, a.conj())
+    xi = mom.xi3 / cfg.m_r
     return _admm(_QuadraticSplit(xi, cfg), cfg, admm, seed,
-                 lambda x: float(w @ beampattern(x, pts, cfg.spacing)), warm_start)
+                 lambda x: float(np.vdot(x, xi @ x).real), warm_start)
 
 
 def _inflate_columns(h: np.ndarray, hnorms: np.ndarray, fvals: np.ndarray,
@@ -379,7 +365,12 @@ def solve_psbp_fair(
     variable and those vectors are updated jointly from their first-order
     conditions. ``warm_start`` as in ``solve_pcrb``.
     """
-    pts, f = _psbp_points(dist, grid)
+    f = np.asarray(dist.pdf(grid.points), dtype=float)
+    peak = float(f.max())
+    if peak <= 0:
+        raise ValueError("prior density is zero at every grid point")
+    mask = f >= _PDF_FLOOR * peak
+    pts, f = grid.points[mask], f[mask]
     a = steering_matrix(pts, cfg.m_t, cfg.spacing)
     return _admm(_FairSplit(a, f, cfg), cfg, admm, seed,
                  lambda x: float(np.min(beampattern(x, pts, cfg.spacing) / f)), warm_start)

@@ -4,10 +4,12 @@ import pytest
 from priorwave import (
     AngularGrid,
     ArrayConfig,
+    MixtureGaussian,
     MixtureUniform,
     compute_moments,
 )
 from priorwave.admm import _cap_elements, _XUpdate
+from priorwave.priors import _point_moments
 
 
 @pytest.fixture(scope="session")
@@ -25,6 +27,14 @@ def dist12():
 @pytest.fixture(scope="session")
 def mom12(dist12, cfg12):
     return compute_moments(dist12, cfg12)
+
+
+@pytest.fixture(scope="session")
+def prior_moments(mom12, cfg12):
+    """Uniform (case 1-2), Gaussian-mixture and one-angle moments for the case 1-2 array."""
+    gauss = MixtureGaussian(means=(-0.5, 0.1, 0.6), sigma=0.07, weights=(0.2, 0.5, 0.3))
+    return {"uniform": mom12, "gaussian": compute_moments(gauss, cfg12),
+            "point": _point_moments(0.3, cfg12)}
 
 
 @pytest.fixture(scope="session")
@@ -47,13 +57,25 @@ def random_feasible_waveform(rng, cfg, kappa=None):
     return x
 
 
-def posterior_fim(blocks):
-    """The full 3x3 posterior information matrix assembled from ``FimBlocks``."""
+def posterior_fim(x, mom, amplitude, noise_power):
+    """The full 3x3 posterior information matrix of ``[theta, Re(amp), Im(amp)]``.
+
+    Assembled from the traces ``t_i = Tr{X^H xi_i X}``: ``(2|amp|^2/sigma^2) t1
+    + lam`` at (0, 0); the cross block mixes ``t2`` with the amplitude
+    components, as the exact mixed partials of the log-likelihood do; the
+    amplitude block is ``(2/sigma^2) t3`` times the identity.
+    """
+    t1 = np.vdot(x, mom.xi1 @ x).real
+    t2 = complex(np.vdot(x, mom.xi2 @ x))
+    t3 = np.vdot(x, mom.xi3 @ x).real
+    amp, scale = complex(amplitude), 2.0 / noise_power
+    cross = scale * np.array([amp.real * t2.real + amp.imag * t2.imag,
+                              amp.imag * t2.real - amp.real * t2.imag])
     fim = np.zeros((3, 3))
-    fim[0, 0] = blocks.f_theta_theta + blocks.b_theta_theta
-    fim[0, 1:] = blocks.f_theta_varsigma
-    fim[1:, 0] = blocks.f_theta_varsigma
-    fim[1, 1] = fim[2, 2] = blocks.f_varsigma_scale
+    fim[0, 0] = scale * abs(amp) ** 2 * t1 + mom.lam
+    fim[0, 1:] = cross
+    fim[1:, 0] = cross
+    fim[1, 1] = fim[2, 2] = scale * t3
     return fim
 
 

@@ -10,7 +10,6 @@ from priorwave import (
     MixtureGaussian,
     MixtureUniform,
     compute_moments,
-    fim_signal,
     pcrb_theta,
     pcrb_upper_bound,
     steering_matrix,
@@ -52,22 +51,41 @@ def expected_loglik_curvature(x, theta0, amp, noise_power, m_r, h=1e-4):
 def test_zero_waveform_blocks_are_zero():
     cfg = ArrayConfig(4, 4, 8)
     mom = compute_moments(MixtureGaussian((0.0,), np.pi / 90, (1.0,)), cfg)
-    blocks = fim_signal(np.zeros((4, 8)), mom, 1.0, 1.0)
-    assert blocks.f_theta_theta == 0.0
-    assert np.all(blocks.f_theta_varsigma == 0.0)
-    assert blocks.f_varsigma_scale == 0.0
-    fim = posterior_fim(blocks)
-    assert np.allclose(fim, np.diag([mom.lam, 0.0, 0.0]))
+    fim = posterior_fim(np.zeros((4, 8)), mom, 1.0, 1.0)
+    assert np.array_equal(fim, np.diag([mom.lam, 0.0, 0.0]))
+    assert pcrb_theta(np.zeros((4, 8)), mom, 1.0, 1.0) == 1.0 / mom.lam
 
 
 def test_blocks_scale_quadratically(mom12, cfg12):
     rng = np.random.default_rng(0)
     x = random_feasible_waveform(rng, cfg12)
-    b1 = fim_signal(x, mom12, 0.7 + 0.2j, 1.3)
-    b2 = fim_signal(np.sqrt(2) * x, mom12, 0.7 + 0.2j, 1.3)
-    assert abs(b2.f_theta_theta - 2 * b1.f_theta_theta) < 1e-9 * b1.f_theta_theta
-    assert np.allclose(b2.f_theta_varsigma, 2 * b1.f_theta_varsigma, rtol=1e-12)
-    assert abs(b2.f_varsigma_scale - 2 * b1.f_varsigma_scale) < 1e-9 * b1.f_varsigma_scale
+    prior = np.diag([mom12.lam, 0.0, 0.0])
+    s1 = posterior_fim(x, mom12, 0.7 + 0.2j, 1.3) - prior
+    s2 = posterior_fim(np.sqrt(2) * x, mom12, 0.7 + 0.2j, 1.3) - prior
+    assert np.allclose(s2, 2 * s1, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("c", [1.0, 1e-10, 1e-16, 1e-30])
+def test_bound_depends_on_the_snr_not_the_waveform_power(c):
+    # X -> sqrt(c) X with amp -> amp / sqrt(c) keeps every received sample,
+    # so the bound must not move at any power; the zero waveform is the
+    # prior-only bound.
+    cfg = ArrayConfig(8, 8, 25)
+    mom = compute_moments(MixtureUniform(((0.1, 0.4),), (1.0,)), cfg)
+    x = random_feasible_waveform(np.random.default_rng(12), cfg)
+    amp = np.sqrt(1e3)  # 30 dB at unit power and noise
+    ref = pcrb_theta(x, mom, amp, 1.0)
+    got = pcrb_theta(np.sqrt(c) * x, mom, amp / np.sqrt(c), 1.0)
+    assert abs(got - ref) <= 1e-9 * ref
+    assert pcrb_theta(0.0 * x, mom, amp / np.sqrt(c), 1.0) == 1.0 / mom.lam
+
+
+@pytest.mark.parametrize("noise_power", [0.0, -1.0])
+def test_bounds_reject_a_nonpositive_noise_power(mom12, noise_power):
+    x = np.ones((8, 25), dtype=complex)
+    for bound in (pcrb_theta, pcrb_upper_bound):
+        with pytest.raises(ValueError, match="noise_power must be positive"):
+            bound(x, mom12, 1.0, noise_power)
 
 
 def test_point_mass_fim_matches_finite_difference_oracle():
@@ -77,9 +95,9 @@ def test_point_mass_fim_matches_finite_difference_oracle():
     rng = np.random.default_rng(1)
     x = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
     mom = _point_moments(theta0, cfg)
-    blocks = fim_signal(x, mom, amp, cfg.noise_power)
+    f_tt = 2.0 * abs(amp) ** 2 / cfg.noise_power * np.vdot(x, mom.xi1 @ x).real
     oracle = expected_loglik_curvature(x, theta0, amp, cfg.noise_power, cfg.m_r)
-    assert abs(blocks.f_theta_theta - oracle) / oracle < 1e-4
+    assert abs(f_tt - oracle) / oracle < 1e-4
 
 
 def test_point_mass_fim_closed_form():
@@ -92,9 +110,9 @@ def test_point_mass_fim_closed_form():
     da = steering_derivative_matrix(theta0, 3)
     dar = steering_derivative_matrix(theta0, 5)
     xi1 = np.vdot(dar, dar).real * np.outer(a, a.conj()) + 5 * np.outer(da, da.conj())
-    direct = 2.0 * np.vdot(x, xi1 @ x).real
-    blocks = fim_signal(x, mom, 1.0, 1.0)
-    assert abs(blocks.f_theta_theta - direct) / direct < 1e-12
+    direct = np.vdot(x, xi1 @ x).real
+    got = np.vdot(x, mom.xi1 @ x).real
+    assert abs(got - direct) / direct < 1e-12
 
 
 def test_pure_prior_bound_is_sigma_squared():
@@ -106,22 +124,24 @@ def test_pure_prior_bound_is_sigma_squared():
     assert abs(pcrb_upper_bound(x, mom, 1.0, 1.0) - sigma**2) < 1e-12 * sigma**2
 
 
-def test_schur_matches_full_inverse(mom12, cfg12):
+def test_schur_matches_full_inverse(prior_moments, cfg12):
     rng = np.random.default_rng(3)
-    for _ in range(50):
-        x = random_feasible_waveform(rng, cfg12)
-        amp = rng.normal() + 1j * rng.normal()
-        pcrb = pcrb_theta(x, mom12, amp, 1.3)
-        inv11 = np.linalg.inv(posterior_fim(fim_signal(x, mom12, amp, 1.3)))[0, 0]
-        assert abs(inv11 - pcrb) <= 1e-10 * pcrb
+    for kind, mom in prior_moments.items():
+        for _ in range(50):
+            x = random_feasible_waveform(rng, cfg12)
+            amp = rng.normal() + 1j * rng.normal()
+            pcrb = pcrb_theta(x, mom, amp, 1.3)
+            inv11 = np.linalg.inv(posterior_fim(x, mom, amp, 1.3))[0, 0]
+            assert abs(inv11 - pcrb) <= 1e-10 * pcrb, kind
 
 
-def test_posterior_fim_is_symmetric_psd(mom12, cfg12):
+def test_posterior_fim_is_symmetric_psd(prior_moments, cfg12):
     rng = np.random.default_rng(4)
-    x = random_feasible_waveform(rng, cfg12)
-    fim = posterior_fim(fim_signal(x, mom12, 0.5 - 0.8j, 0.9))
-    assert np.allclose(fim, fim.T)
-    assert np.linalg.eigvalsh(fim).min() >= -1e-9
+    for kind, mom in prior_moments.items():
+        x = random_feasible_waveform(rng, cfg12)
+        fim = posterior_fim(x, mom, 0.5 - 0.8j, 0.9)
+        assert np.allclose(fim, fim.T), kind
+        assert np.linalg.eigvalsh(fim).min() >= -1e-9, kind
 
 
 def test_bound_ordering(mom12, cfg12):
@@ -216,7 +236,7 @@ def test_non_hermitian_moments_rejected(mom12):
     bad = replace(mom12, xi1=mom12.xi1 + 1e-3j * np.eye(8))
     x = np.ones((8, 25), dtype=complex)
     with pytest.raises(ValueError, match="Hermitian"):
-        fim_signal(x, bad, 1.0, 1.0)
+        pcrb_theta(x, bad, 1.0, 1.0)
 
 
 def test_no_information_raises():

@@ -270,12 +270,10 @@ def test_prior_failing_quadrature_is_a_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("methods, n_trials", [
-    ("[pcrb, psbp-fair]", 0), ("[psbp-int]", 0), ("[pcrb, omni]", 10),
-])
+@pytest.mark.parametrize("methods, n_trials", [("[pcrb, psbp-fair]", 0), ("[pcrb, omni]", 10)])
 def test_prior_missing_every_grid_point_is_a_config_error(tmp_path, capsys, methods, n_trials):
-    # Validates and integrates to 1, but the beampattern designs and the
-    # MAP scan weight the grid points by a density that is zero at all of them.
+    # Validates and integrates to 1, but the fair design and the MAP scan
+    # weight the grid points by a density that is zero at all of them.
     cfg = tmp_path / "offgrid.cfg"
     cfg.write_text(SMALL_CFG.replace(SMALL_PRIOR, OFF_GRID).replace("[pcrb, omni]", methods)
                    .replace("n_trials: 10", f"n_trials: {n_trials}"))
@@ -285,10 +283,29 @@ def test_prior_missing_every_grid_point_is_a_config_error(tmp_path, capsys, meth
     assert capsys.readouterr().out.splitlines() == [
         "config error: distribution: prior density is zero at every grid point"]
     assert not out.exists()
-    # The bound designs alone never weigh the grid, so they still run.
-    cfg.write_text(cfg.read_text().replace(methods, "[pcrb, crb, omni]")
+    # The bound designs and psbp-int integrate the prior itself and never
+    # weigh the grid, so they still run.
+    cfg.write_text(cfg.read_text().replace(methods, "[pcrb, psbp-int, crb, omni]")
                    .replace(f"n_trials: {n_trials}", "n_trials: 0"))
     assert run_scenario(cfg, out=out) == 0
+
+
+def test_psbp_int_design_tables_do_not_depend_on_the_grid_size(tmp_path):
+    # psbp-int and pcrb design on the prior's moments: the grid only
+    # samples the beampattern table, so every other design table is the
+    # same at any grid size.
+    cfg = tmp_path / "grid.cfg"
+    tables = []
+    for size in (181, 361):
+        cfg.write_text(SMALL_CFG.replace("[pcrb, omni]", "[pcrb, psbp-int]")
+                       .replace("n_trials: 10", "n_trials: 0")
+                       .replace("grid_size: 181", f"grid_size: {size}"))
+        out = tmp_path / f"out{size}"
+        assert run_scenario(cfg, out=out) == 0
+        tables.append({(cell, name): (out / cell / name).read_bytes()
+                       for cell in ("pcrb-k1.2", "psbp-int-k1.2")
+                       for name in ("waveform.csv", "trace.csv", "metrics.csv")})
+    assert tables[0] == tables[1]
 
 
 def test_unknown_method_rejected(tmp_path):

@@ -1,20 +1,24 @@
 from dataclasses import replace
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from priorwave import (
     AdmmConfig,
     AngularGrid,
     ArrayConfig,
     DistributionMoments,
+    MixtureGaussian,
     MixtureUniform,
     baseline_crb,
     baseline_omni,
     beampattern,
+    compute_moments,
     pcrb_theta,
     solve_pcrb,
     solve_psbp_fair,
@@ -74,30 +78,35 @@ def test_rayleigh_cap_reached_when_papr_slack(mom12):
     assert val >= 0.99 * cap
 
 
-def test_shared_kernel_equivalence(dist12, cfg12, grid361):
+def test_shared_kernel_equivalence(mom12, cfg12):
     # Feed the bound solver the integrated solver's curvature matrix: the
     # two drivers must produce byte-identical waveforms from one seed.
-    f = dist12.pdf(grid361.points)
-    mask = f >= 1e-6 * f.max()
-    pts, w = grid361.points[mask], f[mask] * grid361.cell
-    a = steering_matrix(pts, cfg12.m_t)
-    xi = np.einsum("ip,p,kp->ik", a, w, a.conj())
+    xi = mom12.xi3 / cfg12.m_r
     mom = DistributionMoments(xi0=xi, xi1=xi, xi2=xi, xi3=xi, lam=0.0)
     admm = AdmmConfig(max_iters=800)
-    r_int = solve_psbp_integrated(dist12, cfg12, grid361, admm, seed=21)
+    r_int = solve_psbp_integrated(mom12, cfg12, admm, seed=21)
     r_pcrb = solve_pcrb(mom, cfg12, admm, seed=21)
     assert r_int.waveform.tobytes() == r_pcrb.waveform.tobytes()
     assert np.array_equal(r_int.trace.objective, r_pcrb.trace.objective)
 
 
-def test_integrated_metric_matches_independent_sum(dist12, cfg12, grid361):
-    r = solve_psbp_integrated(dist12, cfg12, grid361, AdmmConfig(max_iters=800), seed=5)
-    f = dist12.pdf(grid361.points)
-    mask = f >= 1e-6 * f.max()
-    pts, w = grid361.points[mask], f[mask] * grid361.cell
-    power = np.sum(np.abs(r.waveform.conj().T @ steering_matrix(pts, cfg12.m_t)) ** 2, axis=0)
-    total = float(w @ power)
-    assert abs(total - r.metric_value) <= 1e-9 * abs(total)
+@pytest.mark.parametrize("dist", [
+    MixtureUniform(((-np.pi / 18, np.pi / 18),), (1.0,)),
+    MixtureUniform(((-0.6, -0.2), (0.1, 0.45)), (0.3, 0.7)),
+    MixtureGaussian((-np.pi / 3, -np.pi / 6, np.pi / 9, 5 * np.pi / 18), np.pi / 90,
+                    (0.15, 0.25, 0.4, 0.2)),
+], ids=["case-1-2", "two-intervals", "scenario-3"])
+def test_integrated_metric_matches_quad_integral(dist, cfg12):
+    # The metric is the exact beampattern integral int f |X^H a|^2, here
+    # by adaptive quadrature over the whole angle domain with the density's
+    # edges and modes as breakpoints.
+    mom = compute_moments(dist, cfg12)
+    r = solve_psbp_integrated(mom, cfg12, AdmmConfig(max_iters=300), seed=5)
+    breaks = (sorted(chain.from_iterable(dist.intervals)) if isinstance(dist, MixtureUniform)
+              else sorted(dist.means))
+    total, _ = quad(lambda t: dist.pdf(t) * float(beampattern(r.waveform, np.array([t]))[0]),
+                    -np.pi / 2, np.pi / 2, points=breaks, limit=500, epsabs=0.0, epsrel=1e-10)
+    assert abs(total - r.metric_value) <= 1e-6 * total
 
 
 def test_inflate_columns_branches():
@@ -280,7 +289,7 @@ def test_warm_restart_from_a_converged_state_stops_at_once(
     solves = {
         "pcrb": lambda **kw: solve_pcrb(mom12, cfg12, admm, seed=1, **kw),
         "fair": lambda **kw: solve_psbp_fair(dist12, cfg12, grid361, admm, seed=1, **kw),
-        "int": lambda **kw: solve_psbp_integrated(dist12, cfg12, grid361, admm, seed=1, **kw),
+        "int": lambda **kw: solve_psbp_integrated(mom12, cfg12, admm, seed=1, **kw),
         "crb": lambda **kw: baseline_crb(0.05, cfg12, admm, seed=1, **kw),
     }
     for name, solve in solves.items():
