@@ -33,9 +33,11 @@ class AdmmConfig:
     """Iteration cap shared by the solvers.
 
     ``max_iters`` is the only solver setting. The penalty scale, the damped
-    dual step and the stopping tolerances are constants: ``_SAFETY``,
-    ``_DUAL_STEP`` and ``_PRIMAL_TOL`` in ``solvers``, and ``_MU_TOL``, the
-    relative power mismatch at which the multiplier root stops, here.
+    dual step, the fair loop's extrapolation and the stopping tolerances
+    are constants: ``_SAFETY``, ``_DUAL_STEP``, ``_ALIGNED_STEPS``,
+    ``_ALIGN_COS``, ``_MAX_JUMP`` and ``_PRIMAL_TOL`` in ``solvers``, and
+    ``_MU_TOL``, the relative power mismatch at which the multiplier root
+    stops, here.
     """
 
     max_iters: int = 5000
@@ -56,6 +58,9 @@ class AdmmTrace:
     # x-updates whose multiplier root missed ``_MU_TOL``; the exact power
     # rescale that follows them hides the miss from the waveform.
     mu_tol_misses: int = 0
+    # Accepted extrapolation jumps along the loop's straight-line tail
+    # (the fair design only; the quadratic designs never jump).
+    extrapolations: int = 0
 
     def __len__(self) -> int:
         return len(self.residual)

@@ -62,7 +62,7 @@ STAGES = ("design", "emit", "mc")
 SOLVER_METRICS = (
     "metric_value", "iterations", "final_residual", "al_increase_count",
     "converged", "mu_iterations_mean", "mu_iterations_max", "mu_tol_misses",
-    "warm_started",
+    "extrapolations", "warm_started",
 )
 
 # Methods whose metric_value is a bound surrogate (lower is better); the
@@ -440,6 +440,7 @@ def _run_cell(scenario: Scenario, method: str, kappa: float, kappa_rank: int, ou
             ("mu_iterations_mean", float(mu_iters.mean())),
             ("mu_iterations_max", int(mu_iters.max())),
             ("mu_tol_misses", result.trace.mu_tol_misses),
+            ("extrapolations", result.trace.extrapolations),
             ("warm_started", int(warm_start is not None)),
         ]
     # Integer and float metrics share the value column: format each alone.

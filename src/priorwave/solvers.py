@@ -5,10 +5,23 @@ and integrated-beampattern solvers maximize a quadratic form of the
 waveform under the power and per-element constraints, while the fair
 (max-min) solver additionally carries one auxiliary vector per constraint
 angle and a scalar level variable. Each design supplies only its split.
+
+The fair loop spends most of its iterations creeping along a straight
+line: from a few hundred iterations on, its successive steps in the
+state (waveform, element-cap dual, beampattern dual) are parallel and
+each is a near-constant fraction ``r`` of the one before. Once the last
+``_ALIGNED_STEPS`` (3) steps have pairwise cosines above ``_ALIGN_COS``
+(0.9999) and shrink, the loop jumps ahead ``min(r / (1 - r), _MAX_JUMP)``
+steps at once (``_MAX_JUMP`` is 10): the rest of the geometric series,
+capped. This is Anderson acceleration with memory one (Zhang, O'Donoghue
+& Boyd 2020), gated on alignment. The jumped waveform is rescaled to the
+power budget and the alignment count starts over. The quadratic designs
+never jump.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +50,12 @@ __all__ = [
 # unchanged).
 _SAFETY = 2.0
 _DUAL_STEP = 0.5
+# Extrapolation of the fair loop's straight-line tail (module docstring):
+# the steps that must be aligned, their least pairwise cosine, and the
+# longest jump, in steps.
+_ALIGNED_STEPS = 3
+_ALIGN_COS = 0.9999
+_MAX_JUMP = 10.0
 # Stop once the squared split residual and the squared auxiliary motion
 # both fall below this.
 _PRIMAL_TOL = 1e-8
@@ -104,6 +123,8 @@ class _QuadraticSplit:
     The penalty is ``_SAFETY * sqrt(3) * ||Xi + Xi^H||_F``.
     """
 
+    extrapolates = False
+
     def __init__(self, xi: np.ndarray, cfg: ArrayConfig) -> None:
         sym = xi + xi.conj().T
         self.xi = xi
@@ -138,6 +159,14 @@ def _admm(split, cfg: ArrayConfig, admm: AdmmConfig, seed: int, metric,
     and scored by ``metric``; ADMM's convergence results are stated for
     the last iterate (Boyd et al. 2011, 3.2-3.3).
 
+    When ``split.extrapolates``, each iteration that does not stop the
+    loop also tracks its step in ``(x, d, split.b)``. After
+    ``_ALIGNED_STEPS`` aligned, shrinking steps it moves the state
+    ``min(r / (1 - r), _MAX_JUMP)`` more steps ahead, rescales ``x`` to the
+    power budget and lets ``split.jump`` move its dual and recompute its
+    auxiliaries (module docstring). Jumps count in the trace's
+    ``extrapolations``; the final iteration never jumps.
+
     Without ``warm_start`` the loop starts from a random constant-modulus
     waveform drawn from ``seed``, a copy of it as the auxiliary and zero
     duals. With it, every variable resumes from that state and ``seed``
@@ -162,20 +191,22 @@ def _admm(split, cfg: ArrayConfig, admm: AdmmConfig, seed: int, metric,
         split.start(x, warm_start.split)
 
     objective, al_values, residuals, mu_iters = [], [], [], []
-    mu_misses = 0
+    mu_misses = extrapolations = 0
     converged = False
-    for _ in range(admm.max_iters):
+    aligned, last, last_sq = 0, None, 0.0
+    for it in range(1, admm.max_iters + 1):
         # Element-cap block first, then the waveform: the augmented
         # Lagrangian descends only when the quadratic block sees the
         # freshly projected auxiliary.
-        u_prev = u
+        x_prev, u_prev = x, u
         u = _cap_elements(x - d, bound)
         q = split.target(rho * (u + d))
         # The multiplier barely moves between iterations: warm-start its root.
         x, mu, iters, met = x_update(q, mu)
         mu_misses += not met
         split_gap = u - x
-        d = d + gamma * split_gap
+        d_step = gamma * split_gap
+        d = d + d_step
         obj, al, res, move = split.measure(
             x, _sqnorm(split_gap), _sqnorm(u - u_prev), 0.5 * rho * _sqnorm(split_gap + d))
 
@@ -189,6 +220,30 @@ def _admm(split, cfg: ArrayConfig, admm: AdmmConfig, seed: int, metric,
         if len(residuals) > 1 and res <= _PRIMAL_TOL and move <= _PRIMAL_TOL:
             converged = True
             break
+        # The dual steps are gamma times the split residuals, so ``res``
+        # gives their squared norm. A jump is never the last step, so the
+        # returned waveform is always an x-update's.
+        if split.extrapolates and it < admm.max_iters:
+            x_step, b_step = x - x_prev, split.b_step
+            step_sq = _sqnorm(x_step) + gamma * gamma * res
+            if step_sq < last_sq and _ALIGN_COS * math.sqrt(step_sq * last_sq) < (
+                    np.vdot(last[0], x_step) + np.vdot(last[1], d_step)
+                    + np.vdot(last[2], b_step)).real:
+                aligned += 1
+            else:
+                aligned = 0
+            if aligned < _ALIGNED_STEPS - 1:
+                last, last_sq = (x_step, d_step, b_step), step_sq
+            else:
+                # The rest of the geometric series of steps shrinking by ``ratio``.
+                ratio = math.sqrt(step_sq / last_sq)
+                ahead = min(ratio / (1.0 - ratio), _MAX_JUMP)
+                x = x + ahead * x_step
+                x *= math.sqrt(cfg.power / _sqnorm(x))
+                d = d + ahead * d_step
+                split.jump(x, ahead)
+                extrapolations += 1
+                aligned, last_sq = 0, 0.0
 
     final = _project_feasible(x, cfg.power, bound)
     trace = AdmmTrace(
@@ -197,6 +252,7 @@ def _admm(split, cfg: ArrayConfig, admm: AdmmConfig, seed: int, metric,
         residual=np.array(residuals),
         mu_iterations=np.array(mu_iters, dtype=int),
         mu_tol_misses=mu_misses,
+        extrapolations=extrapolations,
     )
     return SolveResult(
         waveform=final,
@@ -299,8 +355,12 @@ class _FairSplit:
     their first-order conditions before each x-update. The penalties sit
     well above the level-update bound ``2 / sum(f)`` but small enough that
     the beampattern split stays soft; the element-cap penalty rides a
-    factor above the beampattern one.
+    factor above the beampattern one. Its loop extrapolates along the
+    straight-line tail (``_ALIGNED_STEPS``): ``b_step`` is the last step of
+    the beampattern dual ``b`` and ``jump`` moves ``b`` along it.
     """
+
+    extrapolates = True
 
     def __init__(self, a: np.ndarray, f: np.ndarray, cfg: ArrayConfig) -> None:
         sum_f = float(f.sum())
@@ -329,6 +389,12 @@ class _FairSplit:
     def state(self) -> tuple:
         return self.w, self.gmat, self.b
 
+    def jump(self, x: np.ndarray, ahead: float) -> None:
+        """Move ``b`` ``ahead`` more of its last steps; ``w`` follows the
+        jumped waveform ``x``."""
+        self.b = self.b + ahead * self.b_step
+        self.w = x.conj().T @ self.a
+
     def target(self, q: np.ndarray) -> np.ndarray:
         h = self.w - self.b
         hnorms = np.sqrt((h.real**2 + h.imag**2).sum(0))
@@ -341,7 +407,8 @@ class _FairSplit:
         gmat, gamma = self.gmat, _DUAL_STEP
         w = self.w = x.conj().T @ self.a
         bp_gap = gmat - w
-        self.b = self.b + gamma * bp_gap
+        self.b_step = gamma * bp_gap
+        self.b = self.b + self.b_step
         obj = float(((w.real**2 + w.imag**2).sum(0) / self.f).min())
         res = res + _sqnorm(bp_gap)
         move = move + _sqnorm(gmat - self.g_prev)

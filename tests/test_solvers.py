@@ -28,6 +28,7 @@ from priorwave import (
 )
 from priorwave.scenario import _cell_seed, load_config
 from priorwave import solvers
+from priorwave.admm import _project_feasible
 from priorwave.priors import _point_moments
 from priorwave.solvers import _admm, _eta_update, _FairSplit, _inflate_columns
 
@@ -206,19 +207,50 @@ def fair12(dist12, cfg12, grid361):
 
 def test_fair_multiplier_root_takes_few_evaluations(fair12):
     # Case 1-2 at kappa 1.2: Newton warm-started at the previous multiplier
-    # needs about 2.3 power-sum evaluations per x-update; from the lower
+    # needs about 2.5 power-sum evaluations per x-update; from the lower
     # bound it needed about 9, and bracket plus bisection about 40.
     r = fair12
     assert r.converged
     assert float(r.trace.mu_iterations.mean()) <= 4.0
     # Within 1% of the level every converging seed reaches (1.2765-1.2766).
     assert r.metric_value >= 0.99 * 1.2765
+    # Without the aligned-step jumps this solve creeps along a straight
+    # line for about 4,100 iterations; with them it takes about 1,600.
+    assert r.iterations <= 2000
+    assert r.trace.extrapolations > 0
+
+
+def test_capped_fair_solve_never_ends_on_a_jump(dist12, cfg12, grid361):
+    # Resumed mid-tail, where the loop jumps every few iterations, so the
+    # caps 1-40 land on every phase of the alignment count. Whatever the
+    # cap, the result is the exact projection of an x-update, and the
+    # first iterations of a longer run are those of a shorter one.
+    mid = solve_psbp_fair(dist12, cfg12, grid361, AdmmConfig(max_iters=600), seed=1).state
+    runs = [solve_psbp_fair(dist12, cfg12, grid361, AdmmConfig(max_iters=m), seed=1,
+                            warm_start=mid) for m in range(1, 41)]
+    assert runs[-1].trace.extrapolations >= 5
+    f = dist12.pdf(grid361.points)
+    mask = f >= 1e-6 * f.max()
+    a, f = steering_matrix(grid361.points[mask], cfg12.m_t), f[mask]
+    for m, r in enumerate(runs, start=1):
+        assert r.iterations == len(r.trace) == m
+        assert_feasible(r, cfg12)
+        assert abs(np.vdot(r.waveform, r.waveform).real - cfg12.power) <= 1e-12 * cfg12.power
+        assert r.waveform.tobytes() == _project_feasible(
+            r.state.x, cfg12.power, cfg12.elem_bound).tobytes()
+        # The last traced objective is the min ratio of the last x-update;
+        # a jump after it would have moved the returned iterate.
+        w = r.state.x.conj().T @ a
+        last = float(((w.real**2 + w.imag**2).sum(0) / f).min())
+        assert abs(last - r.trace.objective[-1]) <= 1e-12 * last
+        assert np.array_equal(r.trace.objective, runs[-1].trace.objective[:m])
 
 
 class FixedTargetSplit:
     """A split whose quadratic target never changes: every x-update sees one spectrum."""
 
     rho = 1.0
+    extrapolates = False
 
     def __init__(self, sig, q):
         self.curvature = np.diag(sig).astype(complex)
@@ -295,6 +327,8 @@ def test_warm_restart_from_a_converged_state_stops_at_once(
     for name, solve in solves.items():
         first = fair12 if name == "fair" else solve()
         assert first.converged, name
+        # Only the fair loop extrapolates its tail.
+        assert (first.trace.extrapolations > 0) == (name == "fair"), name
         again = solve(warm_start=first.state)
         assert again.converged and again.iterations <= 2, name
         gap = abs(again.metric_value - first.metric_value)
