@@ -1,6 +1,6 @@
 """Prior-aware MIMO radar transmit waveform design and evaluation."""
 
-from .admm import AdmmConfig, AdmmTrace
+from .admm import AdmmTrace
 from .estimation import (
     AngularGrid,
     MapEstimator,
@@ -41,7 +41,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "AdmmConfig",
     "AdmmState",
     "AdmmTrace",
     "AngularGrid",

@@ -22,29 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = [
-    "AdmmConfig",
-    "AdmmTrace",
-]
-
-
-@dataclass(frozen=True)
-class AdmmConfig:
-    """Iteration cap shared by the solvers.
-
-    ``max_iters`` is the only solver setting. The penalty scale, the damped
-    dual step, the fair loop's extrapolation and the stopping tolerances
-    are constants: ``_SAFETY``, ``_DUAL_STEP``, ``_ALIGNED_STEPS``,
-    ``_ALIGN_COS``, ``_MAX_JUMP`` and ``_PRIMAL_TOL`` in ``solvers``, and
-    ``_MU_TOL``, the relative power mismatch at which the multiplier root
-    stops, here.
-    """
-
-    max_iters: int = 5000
-
-    def __post_init__(self) -> None:
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
+__all__ = ["AdmmTrace"]
 
 
 @dataclass

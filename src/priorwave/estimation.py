@@ -18,7 +18,7 @@ import numpy as np
 
 from .pcrb import pcrb_theta
 from .priors import DistributionMoments, TargetDistribution, compute_moments
-from .ula import HALF_DOMAIN, ArrayConfig, _check_angles, _offsets, _received, beampattern
+from .ula import HALF_DOMAIN, ArrayConfig, _offsets, _received, beampattern
 
 __all__ = [
     "AngularGrid",
@@ -307,7 +307,8 @@ def monte_carlo_mse(
     Trials run in blocks of ``_BLOCK`` (the last may be partial). Block
     ``b`` at SNR index ``i`` draws from one generator seeded by
     ``SeedSequence([seed, i, b])``, in this order: ``dist.sample(rng, k)``
-    for its ``k`` true angles, ``2*pi*rng.random(k)`` for the phases, and
+    for its ``k`` true angles (both priors draw inside the angle domain,
+    so they are not checked again), ``2*pi*rng.random(k)`` for the phases, and
     one ``rng.standard_normal`` fill of its ``(k, m_r, L, 2)`` noise (real
     and imaginary parts), scaled to the noise power. Results therefore
     depend on the block size, not on how the work is scheduled.
@@ -335,7 +336,7 @@ def monte_carlo_mse(
         for start in range(0, n_trials, _BLOCK):
             k = min(_BLOCK, n_trials - start)
             rng = np.random.default_rng(np.random.SeedSequence([seed, i_snr, start // _BLOCK]))
-            th = _check_angles(dist.sample(rng, k))
+            th = dist.sample(rng, k)
             phase = 2.0 * np.pi * rng.random(k)
             rng.standard_normal(out=noise[:k])
             noise[:k] *= scale

@@ -25,11 +25,11 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .admm import AdmmConfig
 from .estimation import AngularGrid, monte_carlo_mse
 from .pcrb import pcrb_theta
 from .priors import MixtureGaussian, MixtureUniform, TargetDistribution, compute_moments
 from .solvers import (
+    _MAX_ITERS,
     AdmmState,
     SolveResult,
     baseline_crb,
@@ -65,9 +65,6 @@ SOLVER_METRICS = (
     "extrapolations", "warm_started",
 )
 
-# Methods whose metric_value is a bound surrogate (lower is better); the
-# beampattern designs' metric is a level (higher is better).
-_LOWER_IS_BETTER = ("pcrb", "crb")
 # Relative worsening from one kappa to the next that the run reports.
 _MONOTONE_RTOL = 1e-5
 
@@ -90,7 +87,7 @@ class Scenario:
     seed: int
     output_dir: str
     crb_angle: float
-    admm: AdmmConfig
+    max_iters: int
     raw: dict
 
     def to_dict(self) -> dict:
@@ -111,9 +108,9 @@ def _req(cfg: dict, key: str, kind, path: str):
     return _number(val, f"{path}.{key}") if kind is float else val
 
 
-def _int_key(cfg: dict, key: str, default: int) -> int:
-    """Optional top-level integer; floats and bools are rejected, not truncated."""
-    return _req(cfg, key, int, "config") if key in cfg else default
+def _int_key(cfg: dict, key: str, default: int, path: str = "config") -> int:
+    """Optional integer; floats and bools are rejected, not truncated."""
+    return _req(cfg, key, int, path) if key in cfg else default
 
 
 def _number(val, path: str) -> float:
@@ -236,12 +233,9 @@ def _build(cfg: dict) -> Scenario:
     if not isinstance(admm_cfg, dict):
         raise ConfigError("admm: expected a mapping")
     _check_keys(admm_cfg, ("max_iters",), "admm")
-    if "max_iters" in admm_cfg:
-        _req(admm_cfg, "max_iters", int, "admm")
-    try:
-        admm = AdmmConfig(**admm_cfg)
-    except ValueError as exc:
-        raise ConfigError(f"admm: {exc}") from exc
+    max_iters = _int_key(admm_cfg, "max_iters", _MAX_ITERS, "admm")
+    if max_iters < 1:
+        raise ConfigError("admm: max_iters must be at least 1")
 
     canonical = {
         "array": {
@@ -271,7 +265,7 @@ def _build(cfg: dict) -> Scenario:
         seed=seed,
         output_dir=canonical["output_dir"],
         crb_angle=float(np.deg2rad(canonical["crb_angle_deg"])),
-        admm=admm,
+        max_iters=max_iters,
         raw=canonical,
     )
 
@@ -361,15 +355,22 @@ def emit_beampattern(x: np.ndarray, grid: AngularGrid, path: str | Path,
                  (np.rad2deg(grid.points), power, power_db))
 
 
-def _emit_trace(result: SolveResult, path: Path) -> None:
-    tr = result.trace
-    _write_table(path, TABLE_SCHEMAS["trace.csv"],
-                 (np.arange(1, len(tr) + 1), tr.objective, tr.augmented_lagrangian, tr.residual))
-
-
 def _cell_seed(seed: int, method: str, kappa_rank: int, stream: int) -> int:
     ss = np.random.SeedSequence([seed, METHODS.index(method), kappa_rank, stream])
     return int(ss.generate_state(1, np.uint64)[0] % (2**63))
+
+
+# Every method but omni: the call that designs a cell from its scenario, array,
+# grid, prior moments and solver keywords (``seed``, ``max_iters``,
+# ``warm_start``), which finds its solver in this module when it runs, and
+# whether its ``metric_value`` is a bound (lower is better) or a level.
+_DESIGNS = {
+    "pcrb": (lambda sc, cfg, grid, mom, **kw: solve_pcrb(mom, cfg, **kw), True),
+    "psbp-fair": (lambda sc, cfg, grid, mom, **kw:
+                  solve_psbp_fair(sc.distribution, cfg, grid, **kw), False),
+    "psbp-int": (lambda sc, cfg, grid, mom, **kw: solve_psbp_integrated(mom, cfg, **kw), False),
+    "crb": (lambda sc, cfg, grid, mom, **kw: baseline_crb(sc.crb_angle, cfg, **kw), True),
+}
 
 
 def _run_cell(scenario: Scenario, method: str, kappa: float, kappa_rank: int, out: Path,
@@ -386,26 +387,13 @@ def _run_cell(scenario: Scenario, method: str, kappa: float, kappa_rank: int, ou
     t0 = clock()
     cfg = replace(scenario.array, papr=kappa)
     cell_seed = _cell_seed(scenario.seed, method, kappa_rank, 0)
-    dist = scenario.distribution
 
-    result: SolveResult | None = None
-    if method == "pcrb":
-        result = solve_pcrb(moments, cfg, scenario.admm, cell_seed, warm_start=warm_start)
-        x = result.waveform
-    elif method == "psbp-fair":
-        result = solve_psbp_fair(dist, cfg, grid, scenario.admm, cell_seed,
-                                 warm_start=warm_start)
-        x = result.waveform
-    elif method == "psbp-int":
-        result = solve_psbp_integrated(moments, cfg, scenario.admm, cell_seed,
-                                       warm_start=warm_start)
-        x = result.waveform
-    elif method == "crb":
-        result = baseline_crb(scenario.crb_angle, cfg, scenario.admm, cell_seed,
-                              warm_start=warm_start)
-        x = result.waveform
+    if method == "omni":
+        result, x = None, baseline_omni(cfg)
     else:
-        x = baseline_omni(cfg)
+        result = _DESIGNS[method][0](scenario, cfg, grid, moments, seed=cell_seed,
+                                     max_iters=scenario.max_iters, warm_start=warm_start)
+        x = result.waveform
     seconds = dict.fromkeys(STAGES, 0.0)
     seconds["design"] = clock() - t0
     t0 = clock()
@@ -417,9 +405,6 @@ def _run_cell(scenario: Scenario, method: str, kappa: float, kappa_rank: int, ou
     files.append("waveform.csv")
     emit_beampattern(x, grid, out / "beampattern.csv", cfg.spacing)
     files.append("beampattern.csv")
-    if result is not None:
-        _emit_trace(result, out / "trace.csv")
-        files.append("trace.csv")
 
     feas = waveform_feasibility(x, cfg)
     bound_rad2 = pcrb_theta(x, moments, 1.0, cfg.noise_power)
@@ -430,17 +415,20 @@ def _run_cell(scenario: Scenario, method: str, kappa: float, kappa_rank: int, ou
         ("papr_margin", feas.papr_margin),
     ]
     if result is not None:
-        mu_iters = result.trace.mu_iterations
+        tr = result.trace
+        _write_table(out / "trace.csv", TABLE_SCHEMAS["trace.csv"], (
+            np.arange(1, len(tr) + 1), tr.objective, tr.augmented_lagrangian, tr.residual))
+        files.append("trace.csv")
         metrics += [
             ("metric_value", result.metric_value),
-            ("iterations", result.iterations),
-            ("final_residual", float(result.trace.residual[-1])),
-            ("al_increase_count", result.trace.monotone_violations()),
+            ("iterations", len(tr)),
+            ("final_residual", float(tr.residual[-1])),
+            ("al_increase_count", tr.monotone_violations()),
             ("converged", int(result.converged)),
-            ("mu_iterations_mean", float(mu_iters.mean())),
-            ("mu_iterations_max", int(mu_iters.max())),
-            ("mu_tol_misses", result.trace.mu_tol_misses),
-            ("extrapolations", result.trace.extrapolations),
+            ("mu_iterations_mean", float(tr.mu_iterations.mean())),
+            ("mu_iterations_max", int(tr.mu_iterations.max())),
+            ("mu_tol_misses", tr.mu_tol_misses),
+            ("extrapolations", tr.extrapolations),
             ("warm_started", int(warm_start is not None)),
         ]
     # Integer and float metrics share the value column: format each alone.
@@ -454,7 +442,7 @@ def _run_cell(scenario: Scenario, method: str, kappa: float, kappa_rank: int, ou
         t0 = clock()
         mse_seed = _cell_seed(scenario.seed, method, kappa_rank, 1)
         results = monte_carlo_mse(
-            x, dist, cfg, grid, scenario.snr_list_db, scenario.n_trials, mse_seed,
+            x, scenario.distribution, cfg, grid, scenario.snr_list_db, scenario.n_trials, mse_seed,
             refine=refine, moments=moments,
         )
         seconds["mc"] = clock() - t0
@@ -482,9 +470,9 @@ def _kappa_monotonicity_report(method: str, levels: list[tuple[float, float]]) -
     feasible set, so a design should not get worse as it rises; a pair
     whose metric worsens by more than ``_MONOTONE_RTOL`` relative is
     reported. Lower is better for pcrb and crb, higher for the beampattern
-    designs.
+    designs (``_DESIGNS``).
     """
-    sign = 1.0 if method in _LOWER_IS_BETTER else -1.0
+    sign = 1.0 if _DESIGNS[method][1] else -1.0
     lines = []
     for (k0, v0), (k1, v1) in zip(levels, levels[1:]):
         gap = sign * (v1 - v0)

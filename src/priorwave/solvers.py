@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .admm import AdmmConfig, AdmmTrace, _cap_elements, _project_feasible, _XUpdate
+from .admm import AdmmTrace, _cap_elements, _project_feasible, _XUpdate
 from .estimation import AngularGrid
 from .pcrb import pcrb_upper_bound
 from .priors import DistributionMoments, TargetDistribution, _point_moments
@@ -62,6 +62,8 @@ _PRIMAL_TOL = 1e-8
 # The fair design constrains the grid angles whose prior density is at
 # least this fraction of its peak.
 _PDF_FLOOR = 1e-6
+# Default iteration cap of every design, the only solver setting.
+_MAX_ITERS = 5000
 
 
 @dataclass(frozen=True)
@@ -89,19 +91,19 @@ class AdmmState:
 class SolveResult:
     """Designed waveform with its iteration history and native metric.
 
-    ``metric_value`` is the solver's own figure of merit recomputed from
-    the returned waveform: the bound surrogate at unit amplitude for the
-    bound-oriented solver, the minimum density-scaled beampattern for the
-    fair solver, and the density-weighted beampattern integral for the
-    integrated solver. ``state`` is the loop's final state; passed as
-    ``warm_start`` to the same design at a larger PAPR threshold, it
-    resumes the solve from there.
+    ``len(trace)`` is the number of iterations run. ``metric_value`` is
+    the solver's own figure of merit recomputed from the returned
+    waveform: the bound surrogate at unit amplitude for the bound-oriented
+    solver, the minimum density-scaled beampattern for the fair solver,
+    and the density-weighted beampattern integral for the integrated
+    solver. ``state`` is the loop's final state; passed as ``warm_start``
+    to the same design at a larger PAPR threshold, it resumes the solve
+    from there.
     """
 
     waveform: np.ndarray
     trace: AdmmTrace
     metric_value: float
-    iterations: int
     converged: bool
     state: AdmmState
 
@@ -145,7 +147,7 @@ class _QuadraticSplit:
         return obj, obj + al, res, move
 
 
-def _admm(split, cfg: ArrayConfig, admm: AdmmConfig, seed: int, metric,
+def _admm(split, cfg: ArrayConfig, seed: int, metric, *, max_iters: int = _MAX_ITERS,
           warm_start: AdmmState | None = None) -> SolveResult:
     """ADMM over the element-cap split shared by every design.
 
@@ -157,7 +159,8 @@ def _admm(split, cfg: ArrayConfig, admm: AdmmConfig, seed: int, metric,
     augmented Lagrangian, residual and motion with its own blocks added.
     The last iterate, projected exactly onto the feasible set, is returned
     and scored by ``metric``; ADMM's convergence results are stated for
-    the last iterate (Boyd et al. 2011, 3.2-3.3).
+    the last iterate (Boyd et al. 2011, 3.2-3.3). The loop stops after
+    ``max_iters`` iterations at most, which must be at least 1.
 
     When ``split.extrapolates``, each iteration that does not stop the
     loop also tracks its step in ``(x, d, split.b)``. After
@@ -172,6 +175,8 @@ def _admm(split, cfg: ArrayConfig, admm: AdmmConfig, seed: int, metric,
     duals. With it, every variable resumes from that state and ``seed``
     is unused.
     """
+    if max_iters < 1:
+        raise ValueError("max_iters must be at least 1")
     bound = cfg.elem_bound
     rho = split.rho
     gamma = _DUAL_STEP
@@ -194,7 +199,7 @@ def _admm(split, cfg: ArrayConfig, admm: AdmmConfig, seed: int, metric,
     mu_misses = extrapolations = 0
     converged = False
     aligned, last, last_sq = 0, None, 0.0
-    for it in range(1, admm.max_iters + 1):
+    for it in range(1, max_iters + 1):
         # Element-cap block first, then the waveform: the augmented
         # Lagrangian descends only when the quadratic block sees the
         # freshly projected auxiliary.
@@ -223,7 +228,7 @@ def _admm(split, cfg: ArrayConfig, admm: AdmmConfig, seed: int, metric,
         # The dual steps are gamma times the split residuals, so ``res``
         # gives their squared norm. A jump is never the last step, so the
         # returned waveform is always an x-update's.
-        if split.extrapolates and it < admm.max_iters:
+        if split.extrapolates and it < max_iters:
             x_step, b_step = x - x_prev, split.b_step
             step_sq = _sqnorm(x_step) + gamma * gamma * res
             if step_sq < last_sq and _ALIGN_COS * math.sqrt(step_sq * last_sq) < (
@@ -258,7 +263,6 @@ def _admm(split, cfg: ArrayConfig, admm: AdmmConfig, seed: int, metric,
         waveform=final,
         trace=trace,
         metric_value=metric(final),
-        iterations=len(trace),
         converged=converged,
         state=AdmmState(x=x, u=u, d=d, mu=mu, split=split.state()),
     )
@@ -267,39 +271,41 @@ def _admm(split, cfg: ArrayConfig, admm: AdmmConfig, seed: int, metric,
 def solve_pcrb(
     mom: DistributionMoments,
     cfg: ArrayConfig,
-    admm: AdmmConfig,
     seed: int,
     *,
+    max_iters: int = _MAX_ITERS,
     warm_start: AdmmState | None = None,
 ) -> SolveResult:
     """Minimize the angle-bound surrogate over feasible waveforms.
 
     Maximizes ``Tr{X^H xi0 X}`` under the total power and per-element
     constraints; the reported metric is the resulting bound surrogate at
-    unit amplitude. ``warm_start`` (a ``SolveResult.state`` of the same
-    design) resumes from that state instead of a ``seed``-drawn start.
+    unit amplitude. ``max_iters`` caps the iterations. ``warm_start`` (a
+    ``SolveResult.state`` of the same design) resumes from that state
+    instead of a ``seed``-drawn start.
     """
-    return _admm(_QuadraticSplit(mom.xi0, cfg), cfg, admm, seed,
-                 lambda x: pcrb_upper_bound(x, mom, 1.0, cfg.noise_power), warm_start)
+    return _admm(_QuadraticSplit(mom.xi0, cfg), cfg, seed,
+                 lambda x: pcrb_upper_bound(x, mom, 1.0, cfg.noise_power),
+                 max_iters=max_iters, warm_start=warm_start)
 
 
 def solve_psbp_integrated(
     mom: DistributionMoments,
     cfg: ArrayConfig,
-    admm: AdmmConfig,
     seed: int,
     *,
+    max_iters: int = _MAX_ITERS,
     warm_start: AdmmState | None = None,
 ) -> SolveResult:
     """Maximize the density-weighted beampattern integral ``Tr{X^H Xi X}``.
 
     ``Xi = xi3 / m_r = int f a a^H`` is the prior's own moment, so the
-    design does not depend on any angle grid. ``warm_start`` as in
-    ``solve_pcrb``.
+    design does not depend on any angle grid. ``max_iters`` and
+    ``warm_start`` as in ``solve_pcrb``.
     """
     xi = mom.xi3 / cfg.m_r
-    return _admm(_QuadraticSplit(xi, cfg), cfg, admm, seed,
-                 lambda x: float(np.vdot(x, xi @ x).real), warm_start)
+    return _admm(_QuadraticSplit(xi, cfg), cfg, seed, lambda x: float(np.vdot(x, xi @ x).real),
+                 max_iters=max_iters, warm_start=warm_start)
 
 
 def _inflate_columns(h: np.ndarray, hnorms: np.ndarray, fvals: np.ndarray,
@@ -420,9 +426,9 @@ def solve_psbp_fair(
     dist: TargetDistribution,
     cfg: ArrayConfig,
     grid: AngularGrid,
-    admm: AdmmConfig,
     seed: int,
     *,
+    max_iters: int = _MAX_ITERS,
     warm_start: AdmmState | None = None,
 ) -> SolveResult:
     """Maximize the minimum density-scaled beampattern over the grid.
@@ -430,7 +436,7 @@ def solve_psbp_fair(
     Splits the element cap onto one auxiliary matrix and the per-angle
     beampattern onto one auxiliary vector per constraint angle; the level
     variable and those vectors are updated jointly from their first-order
-    conditions. ``warm_start`` as in ``solve_pcrb``.
+    conditions. ``max_iters`` and ``warm_start`` as in ``solve_pcrb``.
     """
     f = np.asarray(dist.pdf(grid.points), dtype=float)
     peak = float(f.max())
@@ -439,8 +445,9 @@ def solve_psbp_fair(
     mask = f >= _PDF_FLOOR * peak
     pts, f = grid.points[mask], f[mask]
     a = steering_matrix(pts, cfg.m_t, cfg.spacing)
-    return _admm(_FairSplit(a, f, cfg), cfg, admm, seed,
-                 lambda x: float(np.min(beampattern(x, pts, cfg.spacing) / f)), warm_start)
+    return _admm(_FairSplit(a, f, cfg), cfg, seed,
+                 lambda x: float(np.min(beampattern(x, pts, cfg.spacing) / f)),
+                 max_iters=max_iters, warm_start=warm_start)
 
 
 def baseline_omni(cfg: ArrayConfig) -> np.ndarray:
@@ -460,10 +467,11 @@ def baseline_omni(cfg: ArrayConfig) -> np.ndarray:
 def baseline_crb(
     theta0: float,
     cfg: ArrayConfig,
-    admm: AdmmConfig,
     seed: int,
     *,
+    max_iters: int = _MAX_ITERS,
     warm_start: AdmmState | None = None,
 ) -> SolveResult:
     """Bound-oriented design for one deterministic angle (no prior term)."""
-    return solve_pcrb(_point_moments(theta0, cfg), cfg, admm, seed, warm_start=warm_start)
+    return solve_pcrb(_point_moments(theta0, cfg), cfg, seed, max_iters=max_iters,
+                      warm_start=warm_start)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import x_update
-from priorwave import AdmmConfig
+from priorwave import baseline_crb, solve_pcrb, solve_psbp_fair, solve_psbp_integrated
 from priorwave.admm import (
     _CAP_SLACK,
     _cap_elements,
@@ -20,9 +20,16 @@ def random_hermitian(rng, n, shift=0.0):
     return 0.5 * (h + h.conj().T) + shift * np.eye(n)
 
 
-def test_admm_config_validation():
-    with pytest.raises(ValueError):
-        AdmmConfig(max_iters=0)
+def test_admm_config_validation(dist12, mom12, cfg12, grid361):
+    # The iteration cap is the only solver setting; the loop checks it
+    # before its first iteration, for every design.
+    for solve in (lambda **kw: solve_pcrb(mom12, cfg12, 1, **kw),
+                  lambda **kw: solve_psbp_fair(dist12, cfg12, grid361, 1, **kw),
+                  lambda **kw: solve_psbp_integrated(mom12, cfg12, 1, **kw),
+                  lambda **kw: baseline_crb(0.0, cfg12, 1, **kw)):
+        for cap in (0, -1):
+            with pytest.raises(ValueError, match="max_iters must be at least 1"):
+                solve(max_iters=cap)
 
 
 def capped_copy(w, bound):

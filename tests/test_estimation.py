@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from priorwave import (
-    AdmmConfig,
     AngularGrid,
     ArrayConfig,
     MapEstimator,
@@ -157,7 +156,7 @@ def test_per_angle_breakdown_partitions_trials(dist12, cfg12, grid361):
 
 
 def test_estimator_focused_waveform_rarely_misses(dist12, cfg12, grid361):
-    x = solve_psbp_fair(dist12, cfg12, grid361, AdmmConfig(max_iters=1000), seed=1).waveform
+    x = solve_psbp_fair(dist12, cfg12, grid361, seed=1, max_iters=1000).waveform
     est = MapEstimator(x, dist12, grid361, cfg12.m_r, cfg12.noise_power)
     amp = np.sqrt(10 ** (30 / 10))
     misses = 0

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import priorwave.priors as priors_mod
@@ -11,6 +13,7 @@ from priorwave import (
     steering_matrix,
 )
 from priorwave.priors import _point_moments
+from priorwave.ula import _check_angles
 
 SCENARIO3_MEANS = (-np.pi / 3, -np.pi / 6, np.pi / 9, 5 * np.pi / 18)
 SCENARIO3_WEIGHTS = (0.15, 0.25, 0.4, 0.2)
@@ -254,3 +257,37 @@ def test_gaussian_sampling_respects_domain():
     dist = MixtureGaussian((np.pi / 2 - 0.01,), np.pi / 90, (1.0,))
     draws = dist.sample(np.random.default_rng(3), size=20000)
     assert np.all(draws <= np.pi / 2) and np.all(draws >= -np.pi / 2)
+
+
+class TopRng:
+    """Every uniform is the largest float below 1: the last component, at its top end."""
+
+    def random(self, n):
+        return np.full(n, np.nextafter(1.0, 0.0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), lo=st.floats(-1e-12, 1e-12),
+       hi=st.floats(-1e-12, 1e-12), width=st.floats(1e-9, 1.0))
+def test_uniform_draws_stay_in_the_checked_angle_domain(seed, lo, hi, width):
+    # Intervals that end within 1e-12 of +-90 degrees, inside or outside,
+    # as far as validation allows: every draw passes the angle check, so
+    # the Monte-Carlo loop need not repeat it.
+    a, b = -np.pi / 2 + lo, np.pi / 2 + hi
+    dist = MixtureUniform(((a, a + width), (b - width, b)), (0.5, 0.5))
+    draws = dist.sample(np.random.default_rng(seed), size=4096)
+    assert np.array_equal(_check_angles(draws), draws)
+    top = dist.sample(TopRng(), size=1)
+    assert np.array_equal(_check_angles(top), top) and a <= top[0] <= b
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), mean=st.floats(-np.pi / 2, np.pi / 2),
+       sigma_deg=st.floats(0.01, 20.0))
+def test_gaussian_draws_stay_in_the_checked_angle_domain(seed, mean, sigma_deg):
+    # Components centred at +-90 degrees put up to half their mass past
+    # the domain; the sampler redraws it there.
+    dist = MixtureGaussian((-np.pi / 2, np.pi / 2, mean), np.deg2rad(sigma_deg),
+                           (0.25, 0.25, 0.5))
+    draws = dist.sample(np.random.default_rng(seed), size=4096)
+    assert np.array_equal(_check_angles(draws), draws)

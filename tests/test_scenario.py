@@ -10,6 +10,7 @@ import priorwave.scenario as scenario_mod
 from priorwave import AngularGrid, ArrayConfig, baseline_omni
 from priorwave.cli import main as cli_main
 from priorwave.scenario import (
+    METHODS,
     ConfigError,
     _cell_seed,
     emit_beampattern,
@@ -157,6 +158,7 @@ def test_config_errors_are_line_precise(tmp_path, capsys):
         ("kappa_list: [1.2]", "kappa_list: []", "kappa_list: "),
         ("seed: 5\n", "seed: 5\ncrb_angle_deg: 100\n", "crb_angle_deg: "),
         ("{max_iters: 300}", "{max_iters: true}", "admm.max_iters: expected int, got bool"),
+        ("{max_iters: 300}", "{max_iters: 0}", "admm: max_iters must be at least 1"),
         # A known angle is the crb method's crb_angle_deg, not a distribution.
         (SMALL_PRIOR, POINT_MASS, "distribution.kind: unknown kind 'point-mass'"),
         # Values that print alike would write two cells into one directory.
@@ -575,10 +577,10 @@ def test_kappa_cells_do_not_depend_on_config_order(tmp_path):
 def test_kappa_after_a_failed_cell_starts_cold(tmp_path, monkeypatch, capsys, failing):
     real = scenario_mod.solve_pcrb
 
-    def fail_at(mom, cfg, admm, seed, **kw):
+    def fail_at(mom, cfg, seed, **kw):
         if cfg.papr == failing:
             raise RuntimeError("injected failure")
-        return real(mom, cfg, admm, seed, **kw)
+        return real(mom, cfg, seed, **kw)
 
     monkeypatch.setattr(scenario_mod, "solve_pcrb", fail_at)
     cfg = tmp_path / "k.cfg"
@@ -598,9 +600,34 @@ def test_kappa_after_a_failed_cell_starts_cold(tmp_path, monkeypatch, capsys, fa
     rank = sc.kappa_list.index(failing) + 1
     after = sc.kappa_list[rank]
     cold = real(scenario_mod.compute_moments(sc.distribution, sc.array),
-                replace(sc.array, papr=after), sc.admm, _cell_seed(sc.seed, "pcrb", rank, 0))
+                replace(sc.array, papr=after), _cell_seed(sc.seed, "pcrb", rank, 0),
+                max_iters=sc.max_iters)
     got = read_waveform(out / f"pcrb-k{after:g}" / "waveform.csv")
     assert np.array_equal(got, cold.waveform)
+
+
+def test_cell_seeds_are_pinned():
+    # A cell's design and Monte-Carlo streams come from its method's place
+    # in METHODS, its kappa rank and the stream number, so neither the order
+    # of METHODS nor the way a cell reaches its design may reseed a cell.
+    assert METHODS == ("pcrb", "psbp-fair", "psbp-int", "crb", "omni")
+    pinned = {  # (rank 0: streams 0, 1), (rank 1: streams 0, 1) at seed 20241
+        "pcrb": ((3777704366608112933, 4935778572398541619),
+                 (7325342714405763241, 1968984157857489617)),
+        "psbp-fair": ((5742204170392329249, 5791639498241106085),
+                      (7509448672578081853, 1779360490261809165)),
+        "psbp-int": ((6813482534839413086, 1380135494398887920),
+                     (1258954705775774415, 6126141075352728390)),
+        "crb": ((2278473782645147895, 338791188696305806),
+                (8674492641570885705, 6520469302495151777)),
+        "omni": ((5698634160486091636, 3126572146504032410),
+                 (4324899716770050002, 1314354904243056419)),
+    }
+    assert tuple(pinned) == METHODS
+    for method, ranks in pinned.items():
+        for rank, streams in enumerate(ranks):
+            got = tuple(_cell_seed(20241, method, rank, stream) for stream in (0, 1))
+            assert got == streams, (method, rank)
 
 
 def test_kappa_monotonicity_report_compares_adjacent_thresholds():
@@ -622,8 +649,8 @@ def test_kappa_monotonicity_report_compares_adjacent_thresholds():
 def test_run_reports_kappa_monotonicity_without_failing(tmp_path, monkeypatch, capsys):
     real = scenario_mod.solve_pcrb
 
-    def worse_at_1_5(mom, cfg, admm, seed, **kw):
-        result = real(mom, cfg, admm, seed, **kw)
+    def worse_at_1_5(mom, cfg, seed, **kw):
+        result = real(mom, cfg, seed, **kw)
         if cfg.papr == 1.5:
             result = replace(result, metric_value=2.0 * result.metric_value)
         return result

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from priorwave import (
-    AdmmConfig,
     AngularGrid,
     ArrayConfig,
     DistributionMoments,
@@ -42,19 +41,18 @@ def assert_feasible(result, cfg):
 
 
 def test_solve_pcrb_feasible_and_deterministic(mom12, cfg12):
-    admm = AdmmConfig(max_iters=2000)
-    r1 = solve_pcrb(mom12, cfg12, admm, seed=9)
-    r2 = solve_pcrb(mom12, cfg12, admm, seed=9)
+    r1 = solve_pcrb(mom12, cfg12, seed=9, max_iters=2000)
+    r2 = solve_pcrb(mom12, cfg12, seed=9, max_iters=2000)
     assert_feasible(r1, cfg12)
     assert r1.waveform.tobytes() == r2.waveform.tobytes()
     assert r1.metric_value == r2.metric_value
     assert np.array_equal(r1.trace.residual, r2.trace.residual)
-    r3 = solve_pcrb(mom12, cfg12, admm, seed=10)
+    r3 = solve_pcrb(mom12, cfg12, seed=10, max_iters=2000)
     assert r3.waveform.tobytes() != r1.waveform.tobytes()
 
 
 def test_solve_pcrb_al_descent_and_convergence(mom12, cfg12):
-    r = solve_pcrb(mom12, cfg12, AdmmConfig(), seed=1)
+    r = solve_pcrb(mom12, cfg12, seed=1)
     assert r.converged
     assert r.trace.monotone_violations(1e-9) == 0
     assert r.trace.residual[-1] <= 1e-8
@@ -65,14 +63,14 @@ def test_objective_never_beats_power_only_cap(mom12, cfg12):
     cap = 0.5 * cfg12.power * np.linalg.eigvalsh(sym).max()
     for kappa in (1.2, 2.0, 8.0):
         cfg = ArrayConfig(8, 8, 25, power=1.0, papr=kappa)
-        r = solve_pcrb(mom12, cfg, AdmmConfig(max_iters=1500), seed=4)
+        r = solve_pcrb(mom12, cfg, seed=4, max_iters=1500)
         val = np.vdot(r.waveform, mom12.xi0 @ r.waveform).real
         assert val <= cap * (1 + 1e-9)
 
 
 def test_rayleigh_cap_reached_when_papr_slack(mom12):
     cfg = ArrayConfig(8, 8, 25, power=1.0, papr=200.0)
-    r = solve_pcrb(mom12, cfg, AdmmConfig(), seed=1)
+    r = solve_pcrb(mom12, cfg, seed=1)
     sym = mom12.xi0 + mom12.xi0.conj().T
     cap = 0.5 * cfg.power * np.linalg.eigvalsh(sym).max()
     val = np.vdot(r.waveform, mom12.xi0 @ r.waveform).real
@@ -84,9 +82,8 @@ def test_shared_kernel_equivalence(mom12, cfg12):
     # two drivers must produce byte-identical waveforms from one seed.
     xi = mom12.xi3 / cfg12.m_r
     mom = DistributionMoments(xi0=xi, xi1=xi, xi2=xi, xi3=xi, lam=0.0)
-    admm = AdmmConfig(max_iters=800)
-    r_int = solve_psbp_integrated(mom12, cfg12, admm, seed=21)
-    r_pcrb = solve_pcrb(mom, cfg12, admm, seed=21)
+    r_int = solve_psbp_integrated(mom12, cfg12, seed=21, max_iters=800)
+    r_pcrb = solve_pcrb(mom, cfg12, seed=21, max_iters=800)
     assert r_int.waveform.tobytes() == r_pcrb.waveform.tobytes()
     assert np.array_equal(r_int.trace.objective, r_pcrb.trace.objective)
 
@@ -102,7 +99,7 @@ def test_integrated_metric_matches_quad_integral(dist, cfg12):
     # by adaptive quadrature over the whole angle domain with the density's
     # edges and modes as breakpoints.
     mom = compute_moments(dist, cfg12)
-    r = solve_psbp_integrated(mom, cfg12, AdmmConfig(max_iters=300), seed=5)
+    r = solve_psbp_integrated(mom, cfg12, seed=5, max_iters=300)
     breaks = (sorted(chain.from_iterable(dist.intervals)) if isinstance(dist, MixtureUniform)
               else sorted(dist.means))
     total, _ = quad(lambda t: dist.pdf(t) * float(beampattern(r.waveform, np.array([t]))[0]),
@@ -190,7 +187,7 @@ def test_eta_update_requires_large_enough_rho(monkeypatch, cfg12):
 
 
 def test_fair_metric_is_min_scaled_beampattern(dist12, cfg12, grid361):
-    r = solve_psbp_fair(dist12, cfg12, grid361, AdmmConfig(max_iters=1200), seed=2)
+    r = solve_psbp_fair(dist12, cfg12, grid361, seed=2, max_iters=1200)
     f = dist12.pdf(grid361.points)
     mask = f >= 1e-6 * f.max()
     a = steering_matrix(grid361.points[mask], cfg12.m_t)
@@ -202,7 +199,7 @@ def test_fair_metric_is_min_scaled_beampattern(dist12, cfg12, grid361):
 @pytest.fixture(scope="module")
 def fair12(dist12, cfg12, grid361):
     """Case 1-2 fair design at kappa 1.2 and seed 1, run to convergence."""
-    return solve_psbp_fair(dist12, cfg12, grid361, AdmmConfig(), seed=1)
+    return solve_psbp_fair(dist12, cfg12, grid361, seed=1)
 
 
 def test_fair_multiplier_root_takes_few_evaluations(fair12):
@@ -216,7 +213,7 @@ def test_fair_multiplier_root_takes_few_evaluations(fair12):
     assert r.metric_value >= 0.99 * 1.2765
     # Without the aligned-step jumps this solve creeps along a straight
     # line for about 4,100 iterations; with them it takes about 1,600.
-    assert r.iterations <= 2000
+    assert len(r.trace) <= 2000
     assert r.trace.extrapolations > 0
 
 
@@ -225,15 +222,15 @@ def test_capped_fair_solve_never_ends_on_a_jump(dist12, cfg12, grid361):
     # caps 1-40 land on every phase of the alignment count. Whatever the
     # cap, the result is the exact projection of an x-update, and the
     # first iterations of a longer run are those of a shorter one.
-    mid = solve_psbp_fair(dist12, cfg12, grid361, AdmmConfig(max_iters=600), seed=1).state
-    runs = [solve_psbp_fair(dist12, cfg12, grid361, AdmmConfig(max_iters=m), seed=1,
+    mid = solve_psbp_fair(dist12, cfg12, grid361, seed=1, max_iters=600).state
+    runs = [solve_psbp_fair(dist12, cfg12, grid361, seed=1, max_iters=m,
                             warm_start=mid) for m in range(1, 41)]
     assert runs[-1].trace.extrapolations >= 5
     f = dist12.pdf(grid361.points)
     mask = f >= 1e-6 * f.max()
     a, f = steering_matrix(grid361.points[mask], cfg12.m_t), f[mask]
     for m, r in enumerate(runs, start=1):
-        assert r.iterations == len(r.trace) == m
+        assert len(r.trace) == m
         assert_feasible(r, cfg12)
         assert abs(np.vdot(r.waveform, r.waveform).real - cfg12.power) <= 1e-12 * cfg12.power
         assert r.waveform.tobytes() == _project_feasible(
@@ -277,27 +274,26 @@ def test_multiplier_root_misses_are_counted():
     sig = np.array([1.0, 2.0, 3.0, 5.0])
     q = np.outer([1e-10, 1.0, 1.0, 1.0], [1.0, 1j, -1.0]).astype(complex)
     cfg = ArrayConfig(4, 4, 3, power=8.0, papr=2.0)
-    r = _admm(FixedTargetSplit(sig, q), cfg, AdmmConfig(max_iters=4), 0, lambda x: 0.0)
-    assert r.trace.mu_tol_misses == r.iterations == 4
+    r = _admm(FixedTargetSplit(sig, q), cfg, 0, lambda x: 0.0, max_iters=4)
+    assert r.trace.mu_tol_misses == len(r.trace) == 4
     # Spectra away from the pole meet the tolerance: no misses counted.
     q[0] = 1.0
-    r = _admm(FixedTargetSplit(sig, q), cfg, AdmmConfig(max_iters=4), 0, lambda x: 0.0)
+    r = _admm(FixedTargetSplit(sig, q), cfg, 0, lambda x: 0.0, max_iters=4)
     assert r.trace.mu_tol_misses == 0
 
 
 def test_iteration_cap_reports_non_convergence(dist12, mom12, cfg12, grid361):
-    admm = AdmmConfig(max_iters=5)
-    for r in (solve_pcrb(mom12, cfg12, admm, seed=3),
-              solve_psbp_fair(dist12, cfg12, grid361, admm, seed=3)):
+    for r in (solve_pcrb(mom12, cfg12, seed=3, max_iters=5),
+              solve_psbp_fair(dist12, cfg12, grid361, seed=3, max_iters=5)):
         assert r.converged is False
-        assert r.iterations == len(r.trace) == 5
+        assert len(r.trace) == 5
         assert_feasible(r, cfg12)
 
 
 def test_returned_design_does_not_depend_on_the_seed(mom12, cfg12):
     # The projected last iterate is returned, so a converged design reads
     # the same from any start.
-    values = [solve_pcrb(mom12, cfg12, AdmmConfig(), seed=s).metric_value for s in (1, 2, 3)]
+    values = [solve_pcrb(mom12, cfg12, seed=s).metric_value for s in (1, 2, 3)]
     assert max(values) - min(values) <= 1e-6 * min(values)
 
 
@@ -306,8 +302,8 @@ def test_bundled_case_2_3_fair_design_reaches_its_level():
     # to 1.060, near the weak-duality bound 1.0686.
     sc = load_config(CONFIG_DIR / "case-2-3.cfg")
     cfg = replace(sc.array, papr=sc.kappa_list[0])
-    r = solve_psbp_fair(sc.distribution, cfg, AngularGrid(sc.grid_size), sc.admm,
-                        _cell_seed(sc.seed, "psbp-fair", 0, 0))
+    r = solve_psbp_fair(sc.distribution, cfg, AngularGrid(sc.grid_size),
+                        _cell_seed(sc.seed, "psbp-fair", 0, 0), max_iters=sc.max_iters)
     assert r.converged
     assert r.metric_value >= 1.05
     assert_feasible(r, cfg)
@@ -317,12 +313,11 @@ def test_warm_restart_from_a_converged_state_stops_at_once(
         dist12, mom12, cfg12, grid361, fair12):
     # Resuming at the same kappa continues a loop that has already met its
     # stop rule: the second iteration (the first that may stop) stops it.
-    admm = AdmmConfig()
     solves = {
-        "pcrb": lambda **kw: solve_pcrb(mom12, cfg12, admm, seed=1, **kw),
-        "fair": lambda **kw: solve_psbp_fair(dist12, cfg12, grid361, admm, seed=1, **kw),
-        "int": lambda **kw: solve_psbp_integrated(mom12, cfg12, admm, seed=1, **kw),
-        "crb": lambda **kw: baseline_crb(0.05, cfg12, admm, seed=1, **kw),
+        "pcrb": lambda **kw: solve_pcrb(mom12, cfg12, seed=1, **kw),
+        "fair": lambda **kw: solve_psbp_fair(dist12, cfg12, grid361, seed=1, **kw),
+        "int": lambda **kw: solve_psbp_integrated(mom12, cfg12, seed=1, **kw),
+        "crb": lambda **kw: baseline_crb(0.05, cfg12, seed=1, **kw),
     }
     for name, solve in solves.items():
         first = fair12 if name == "fair" else solve()
@@ -330,7 +325,7 @@ def test_warm_restart_from_a_converged_state_stops_at_once(
         # Only the fair loop extrapolates its tail.
         assert (first.trace.extrapolations > 0) == (name == "fair"), name
         again = solve(warm_start=first.state)
-        assert again.converged and again.iterations <= 2, name
+        assert again.converged and len(again.trace) <= 2, name
         gap = abs(again.metric_value - first.metric_value)
         assert gap <= 1e-6 * abs(first.metric_value), name
         assert_feasible(again, cfg12)
@@ -340,7 +335,7 @@ def test_warm_start_at_a_larger_kappa_is_feasible_and_no_worse(dist12, cfg12, gr
     # The kappa 1.2 design is feasible at 1.5, so resuming from it keeps
     # the level and the seed no longer matters.
     cfg = replace(cfg12, papr=1.5)
-    runs = [solve_psbp_fair(dist12, cfg, grid361, AdmmConfig(), seed=s, warm_start=fair12.state)
+    runs = [solve_psbp_fair(dist12, cfg, grid361, seed=s, warm_start=fair12.state)
             for s in (1, 2)]
     assert runs[0].waveform.tobytes() == runs[1].waveform.tobytes()
     assert runs[0].converged
@@ -349,9 +344,9 @@ def test_warm_start_at_a_larger_kappa_is_feasible_and_no_worse(dist12, cfg12, gr
 
 
 def test_warm_start_must_fit_the_waveform(mom12, cfg12):
-    r = solve_pcrb(mom12, cfg12, AdmmConfig(max_iters=5), seed=1)
+    r = solve_pcrb(mom12, cfg12, seed=1, max_iters=5)
     with pytest.raises(ValueError, match="warm start"):
-        solve_pcrb(mom12, replace(cfg12, l_samples=20), AdmmConfig(), seed=1,
+        solve_pcrb(mom12, replace(cfg12, l_samples=20), seed=1,
                    warm_start=r.state)
 
 
@@ -371,12 +366,12 @@ def test_omni_baseline_properties():
 def test_crb_baseline_focuses_and_beats_omni(grid361):
     cfg = ArrayConfig(8, 8, 25, power=1.0, papr=1.5)
     th0 = grid361.points[240]
-    r = baseline_crb(th0, cfg, AdmmConfig(max_iters=1500), seed=6)
+    r = baseline_crb(th0, cfg, seed=6, max_iters=1500)
     bp = beampattern(r.waveform, grid361.points)
     assert abs(grid361.points[np.argmax(bp)] - th0) <= grid361.cell + 1e-12
     mom0 = _point_moments(th0, cfg)
     crb_designed = pcrb_theta(r.waveform, mom0, 1.0, cfg.noise_power)
     crb_omni = pcrb_theta(baseline_omni(cfg), mom0, 1.0, cfg.noise_power)
     assert crb_designed <= crb_omni
-    r2 = baseline_crb(th0, cfg, AdmmConfig(max_iters=1500), seed=6)
+    r2 = baseline_crb(th0, cfg, seed=6, max_iters=1500)
     assert r2.waveform.tobytes() == r.waveform.tobytes()
