@@ -33,7 +33,6 @@ from .ula import (
     beampattern,
     steering_derivative_matrix,
     steering_matrix,
-    synthesize_received,
     waveform_feasibility,
 )
 
@@ -65,6 +64,5 @@ __all__ = [
     "solve_psbp_integrated",
     "steering_derivative_matrix",
     "steering_matrix",
-    "synthesize_received",
     "waveform_feasibility",
 ]

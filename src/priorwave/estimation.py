@@ -2,11 +2,12 @@
 
 The unknown deterministic amplitude is profiled out per candidate angle,
 leaving a concentrated log-likelihood that is scanned over the angular
-grid together with the log prior. The estimator works on stacks of
-frames. Monte-Carlo trials run in fixed blocks of ``_BLOCK``: each block
-draws its true angles from the prior, its phases and its noise as vectors
-from one generator seeded by (seed, snr index, block index), builds its
-frames at once and is estimated as one stack.
+grid together with the log prior. The estimator reads a frame only
+through its lag coefficients, whose law is known in closed form.
+Monte-Carlo trials run in fixed blocks of ``_BLOCK``: each block draws
+its true angles from the prior, its phases and its coefficient noise as
+vectors from one generator seeded by (seed, snr index, block index), and
+estimates the coefficients as one stack, with no frame built.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from .pcrb import pcrb_theta
 from .priors import DistributionMoments, TargetDistribution, compute_moments
-from .ula import HALF_DOMAIN, ArrayConfig, _offsets, _received, beampattern
+from .ula import HALF_DOMAIN, ArrayConfig, _offsets, _steer, beampattern
 
 __all__ = [
     "AngularGrid",
@@ -53,7 +54,7 @@ class AngularGrid:
 
 # Trials per Monte-Carlo block. Part of the output contract: each block
 # draws from its own generator, so changing it changes every table. Each
-# block is one stack handed to ``MapEstimator.estimate``.
+# block is one stack of lag coefficients handed to ``MapEstimator._angles``.
 _BLOCK = 64
 
 # The refine: the cap on Newton steps after the first probe, and the
@@ -102,6 +103,13 @@ class MapEstimator:
     converged; it returns the best angle it evaluated, so it never does
     worse than the grid argmax and it lands exactly on a maximum at a
     bracket end.
+
+    The coefficients ``c = vec(y) @ K`` of a frame ``y = varsigma a_r
+    a_t^H X + Z`` are ``varsigma * mu(theta) + w``, with ``w`` circular
+    complex Gaussian of covariance ``sigma^2 K^T conj(K)``; both depend on
+    ``X`` only through ``R = X X^H`` (a sufficient statistic, so the
+    Monte-Carlo draws the coefficients, not frames). ``_mean_coef`` gives
+    ``mu`` and ``_noise_factor`` colours a unit fill into ``w``.
     """
 
     def __init__(
@@ -122,6 +130,7 @@ class MapEstimator:
         self._xh = x.conj().T
         self._dist = dist
         self._m_r = int(m_r)
+        self._spacing = spacing
         f = np.asarray(dist.pdf(grid.points), dtype=float)
         if not np.any(f > 0):
             raise ValueError("prior density is zero at every grid point")
@@ -147,7 +156,18 @@ class MapEstimator:
         num_pick = pick[:num_lag.size].reshape(*num_lag.shape, -1)
         den_pick = pick[num_lag.size:].reshape(*den_lag.shape, -1)
         self._lag_kernel = np.einsum("imk,ml->ilk", num_pick, x.conj()).reshape(-1, len(lags))
-        den_coef = noise_power * m_r * np.einsum("mnk,mn->k", den_pick, x @ self._xh)
+        self._gram = gram = x @ self._xh
+        den_coef = noise_power * m_r * np.einsum("mnk,mn->k", den_pick, gram)
+        # The law of a frame's coefficients through R alone: mu(theta)_k sums
+        # a_r[i] (a_t^H R)[m] over the pick P[i, m, k], and the noise
+        # covariance sigma^2 (K^T conj(K))_kq sums P[i, m, k] R[n, m] P[i, n, q].
+        # Its square root comes from eigh with the eigenvalues clipped at 0:
+        # a rank-one R leaves it singular. The factor maps a fill whose real
+        # and imaginary parts have unit variance, hence the halved eigenvalues.
+        self._num_pick = num_pick.reshape(-1, len(lags)).astype(float)
+        cov = noise_power * np.einsum("imk,nm,inq->kq", num_pick, gram, num_pick)
+        val, vec = np.linalg.eigh(cov)
+        self._noise_factor = (vec * np.sqrt(np.maximum(val, 0.0) / 2.0)).T
         self._lag_phase = phase = 2.0 * np.pi * spacing * lags
         # Weights of the coefficients for the polynomials and their first
         # and second derivatives in sin(theta).
@@ -195,6 +215,13 @@ class MapEstimator:
         # not depend on the stack it comes in.
         return (ys.reshape(len(ys), 1, -1) @ self._lag_kernel)[:, 0]
 
+    def _mean_coef(self, th: np.ndarray) -> np.ndarray:
+        """Lag coefficients of the noiseless unit-amplitude frames at checked
+        angles ``th``, shape ``(N, lags)``."""
+        a_r = _steer(th, self._m_r, self._spacing).T
+        v = _steer(th, self._xh.shape[1], self._spacing).T.conj() @ self._gram
+        return (a_r[:, :, None] * v[:, None, :]).reshape(len(th), -1) @ self._num_pick
+
     def _probe(self, coef: np.ndarray, th: np.ndarray):
         """Score, slope and curvature in theta at checked angles ``th`` of
         shape ``(N, k)``, from lag coefficients.
@@ -222,7 +249,10 @@ class MapEstimator:
 
     def estimate(self, ys: np.ndarray) -> np.ndarray:
         """MAP angle of each frame of an ``(N, m_r, L)`` stack."""
-        coef = self._lag_coef(self._frames(ys))
+        return self._angles(self._lag_coef(self._frames(ys)))
+
+    def _angles(self, coef: np.ndarray) -> np.ndarray:
+        """MAP angles from an ``(N, lags)`` stack of lag coefficients."""
         i = np.argmax(self._scan(coef), axis=1)
         return self._refine(coef, i) if self.refine else self.grid.points[self._support[i]]
 
@@ -309,9 +339,12 @@ def monte_carlo_mse(
     ``SeedSequence([seed, i, b])``, in this order: ``dist.sample(rng, k)``
     for its ``k`` true angles (both priors draw inside the angle domain,
     so they are not checked again), ``2*pi*rng.random(k)`` for the phases, and
-    one ``rng.standard_normal`` fill of its ``(k, m_r, L, 2)`` noise (real
-    and imaginary parts), scaled to the noise power. Results therefore
-    depend on the block size, not on how the work is scheduled.
+    one ``rng.standard_normal`` fill of shape ``(k, lags, 2)`` (real and
+    imaginary parts). No frame is built: the block's lag coefficients are
+    ``varsigma * mu(theta)`` plus the fill coloured to the frame noise's
+    coefficient covariance (see ``MapEstimator``), and they are estimated
+    as one stack. Results therefore depend on the block size, not on how
+    the work is scheduled.
     ``moments`` are the steering moments of ``dist`` for ``cfg``, used for
     the PCRB column; they are computed when not given.
     """
@@ -324,10 +357,7 @@ def monte_carlo_mse(
     if moments is None:
         moments = compute_moments(dist, cfg)
 
-    # Block buffers, refilled in place: frames and their noise.
-    frames = np.empty((min(_BLOCK, n_trials), cfg.m_r, x.shape[1]), dtype=complex)
-    noise = np.empty(frames.shape + (2,))
-    scale = np.sqrt(cfg.noise_power / 2.0)
+    lags = len(estimator._noise_factor)
     truth = np.empty(n_trials)
     estimate = np.empty(n_trials)
     results = []
@@ -338,11 +368,12 @@ def monte_carlo_mse(
             rng = np.random.default_rng(np.random.SeedSequence([seed, i_snr, start // _BLOCK]))
             th = dist.sample(rng, k)
             phase = 2.0 * np.pi * rng.random(k)
-            rng.standard_normal(out=noise[:k])
-            noise[:k] *= scale
+            # The fill's real and imaginary parts, read as complex.
+            fill = rng.standard_normal((k, lags, 2)).view(complex)[..., 0]
+            coef = fill @ estimator._noise_factor
+            coef += (amp * np.exp(1j * phase))[:, None] * estimator._mean_coef(th)
             truth[start:start + k] = th
-            _received(x, th, amp * np.exp(1j * phase), noise[:k], cfg.spacing, frames[:k])
-            estimate[start:start + k] = estimator.estimate(frames[:k])
+            estimate[start:start + k] = estimator._angles(coef)
         err = estimate - truth
         sq_err = err * err
         mse = float(np.mean(sq_err))
@@ -350,8 +381,9 @@ def monte_carlo_mse(
         bound = pcrb_theta(x, moments, amp, cfg.noise_power)
         bins = np.clip(np.rint((truth + HALF_DOMAIN) / grid.cell), 0, len(grid) - 1).astype(int)
         counts = np.bincount(bins)
+        sums = np.bincount(bins, weights=sq_err)
         per_angle = tuple(
-            (float(grid.points[idx]), int(counts[idx]), float(np.mean(sq_err[bins == idx])))
+            (float(grid.points[idx]), int(counts[idx]), float(sums[idx] / counts[idx]))
             for idx in np.flatnonzero(counts)
         )
         results.append(SnrResult(snr_db=float(snr_db), mse=mse, std_error=std_error,

@@ -200,9 +200,14 @@ def _build(cfg: dict) -> Scenario:
     methods = tuple(_req(cfg, "methods", list, "config"))
     if not methods:
         raise ConfigError("methods: at least one method is required")
-    for m in methods:
+    for i, m in enumerate(methods):
         if m not in METHODS:
             raise ConfigError(f"methods: unknown method {m!r}; choose from {METHODS}")
+        if m in methods[:i]:
+            raise ConfigError(f"methods: {m!r} is listed twice")
+    if "omni" in methods and l_samples < m_t:
+        raise ConfigError(f"methods: omni needs array.l_samples >= array.m_t for its "
+                          f"orthogonal rows, got {l_samples} < {m_t}")
 
     kappas = _numbers(cfg, "kappa_list", [1.2])
     snrs = _numbers(cfg, "snr_list_db", [])

@@ -1,4 +1,4 @@
-"""Uniform-linear-array geometry: steering vectors, beampatterns, echoes.
+"""Uniform-linear-array geometry: steering vectors and beampatterns.
 
 Angles are radians in [-pi/2, pi/2] everywhere in this package; only the
 CLI converts degrees at its boundary. The element phase reference sits at
@@ -20,7 +20,6 @@ __all__ = [
     "steering_derivative_matrix",
     "receive_derivative_norm2",
     "beampattern",
-    "synthesize_received",
     "waveform_feasibility",
 ]
 
@@ -183,56 +182,6 @@ def beampattern(x: np.ndarray, theta, spacing: float = 0.5):
     ra = (x @ x.conj().T) @ a
     out = np.maximum((a.real * ra.real + a.imag * ra.imag).sum(axis=0), 0.0)
     return float(out) if np.isscalar(theta) or np.ndim(theta) == 0 else out
-
-
-def synthesize_received(
-    x: np.ndarray,
-    theta: float,
-    amplitude: complex,
-    m_r: int,
-    noise_power: float,
-    rng: np.random.Generator,
-    spacing: float = 0.5,
-) -> np.ndarray:
-    """Simulate one received frame ``amplitude * a_r a_t^H X + Z``.
-
-    Noise entries are i.i.d. circular complex Gaussian with per-entry
-    variance ``noise_power`` (half in each of the real and imaginary
-    parts). The output is deterministic for a given generator state.
-    """
-    x = np.asarray(x, dtype=complex)
-    if x.ndim != 2:
-        raise ValueError("waveform must be a 2-D matrix")
-    if not noise_power > 0:
-        raise ValueError("noise_power must be positive")
-    if m_r < 1 or x.shape[0] < 1:
-        raise ValueError("element count must be at least 1")
-    th = _check_angles(float(theta)).reshape(1)
-    noise = rng.normal(scale=np.sqrt(noise_power / 2.0), size=(1, m_r, x.shape[1], 2))
-    frame = np.empty((1, m_r, x.shape[1]), dtype=complex)
-    return _received(x, th, np.array([amplitude], dtype=complex), noise, spacing, frame)[0]
-
-
-def _received(x, th, varsigma, noise, spacing, out) -> np.ndarray:
-    """Frames ``varsigma[n] * a_r a_t^H X + Z[n]`` at checked angles, into ``out``.
-
-    ``th`` and ``varsigma`` have one entry per frame; ``noise`` has shape
-    ``(N, m_r, L, 2)`` (real and imaginary parts) and ``out`` is the
-    complex ``(N, m_r, L)`` block it fills. Each frame is bit-identical to
-    the one-frame product: the stacked ``(N, 1, m_t) @ (m_t, L)`` runs the
-    kernel of a lone C-ordered row, and ``varsigma`` stays the left
-    operand, since numpy's SIMD complex multiply is not commutative bit
-    for bit.
-    """
-    a_t = np.conj(_steer(th, x.shape[0], spacing).T, order="C")
-    w = a_t[:, None, :] @ x
-    np.multiply(_steer(th, out.shape[1], spacing).T[:, :, None], w, out=out)
-    # In place, except for a lone entry: numpy multiplies a single entry in
-    # place with a scalar loop that rounds unlike its vector loop.
-    np.multiply(varsigma[:, None, None], out if out.size > 1 else out.copy(), out=out)
-    out.real += noise[..., 0]
-    out.imag += noise[..., 1]
-    return out
 
 
 def waveform_feasibility(x: np.ndarray, cfg: ArrayConfig) -> Feasibility:

@@ -4,9 +4,11 @@ import pytest
 from priorwave import (
     AngularGrid,
     ArrayConfig,
+    MapEstimator,
     MixtureGaussian,
     MixtureUniform,
     compute_moments,
+    steering_matrix,
 )
 from priorwave.admm import _cap_elements, _XUpdate
 from priorwave.priors import _point_moments
@@ -100,3 +102,83 @@ def x_update(target, curvature, power):
         raise ValueError("zero target matrix admits no finite-power solution")
     x, mu, _, _ = _XUpdate(pmat, power)(q)
     return x, mu
+
+
+def synthesize_received(x, theta, amplitude, m_r, noise_power, rng, spacing=0.5):
+    """The frame-path reference: one received frame ``amplitude * a_r a_t^H X + Z``.
+
+    Noise entries are i.i.d. circular complex Gaussian with per-entry
+    variance ``noise_power`` (half in each of the real and imaginary
+    parts), drawn from ``rng`` as one ``(m_r, L, 2)`` normal fill.
+    """
+    x = np.asarray(x, dtype=complex)
+    noise = rng.normal(scale=np.sqrt(noise_power / 2.0), size=(1, m_r, x.shape[1], 2))
+    frame = np.empty((1, m_r, x.shape[1]), dtype=complex)
+    return received_block(x, np.array([float(theta)]), np.array([amplitude], dtype=complex),
+                          noise, spacing, frame)[0]
+
+
+def received_block(x, th, varsigma, noise, spacing, out):
+    """Frames ``varsigma[n] * a_r a_t^H X + Z[n]`` into ``out``.
+
+    ``th`` and ``varsigma`` have one entry per frame; ``noise`` has shape
+    ``(N, m_r, L, 2)`` (real and imaginary parts) and ``out`` is the
+    complex ``(N, m_r, L)`` block it fills. Each frame is bit-identical to
+    the one-frame product: the stacked ``(N, 1, m_t) @ (m_t, L)`` runs the
+    kernel of a lone C-ordered row, and ``varsigma`` stays the left
+    operand, since numpy's SIMD complex multiply is not commutative bit
+    for bit.
+    """
+    a_t = np.conj(steering_matrix(th, x.shape[0], spacing).T, order="C")
+    w = a_t[:, None, :] @ x
+    np.multiply(steering_matrix(th, out.shape[1], spacing).T[:, :, None], w, out=out)
+    # In place, except for a lone entry: numpy multiplies a single entry in
+    # place with a scalar loop that rounds unlike its vector loop.
+    np.multiply(varsigma[:, None, None], out if out.size > 1 else out.copy(), out=out)
+    out.real += noise[..., 0]
+    out.imag += noise[..., 1]
+    return out
+
+
+# Trials per Monte-Carlo block in the output contract of ``monte_carlo_mse``.
+CONTRACT_BLOCK = 64
+
+
+def per_block_mse(x, dist, cfg, grid, snr_list_db, n_trials, seed):
+    """Reference sweep of the Monte-Carlo stream contract.
+
+    Each block of 64 trials draws from its own generator, seeded by (seed,
+    SNR index, block index), the true angles, then the phases, then one
+    ``(k, lags, 2)`` normal fill; its lag coefficients are the amplitudes
+    times the estimator's noiseless coefficients plus the fill, read as
+    complex, times its noise factor, and are estimated as one stack. Then
+    the same summary as ``SnrResult``, each bin's mean summed in trial order.
+    """
+    est = MapEstimator(x, dist, grid, cfg.m_r, cfg.noise_power, cfg.spacing)
+    lags = est._noise_factor.shape[0]
+    out = []
+    for i_snr, snr_db in enumerate(snr_list_db):
+        amp = float(np.sqrt(cfg.noise_power * 10.0 ** (snr_db / 10.0) / cfg.power))
+        truth, got = [], []
+        for block, start in enumerate(range(0, n_trials, CONTRACT_BLOCK)):
+            k = min(CONTRACT_BLOCK, n_trials - start)
+            rng = np.random.default_rng(np.random.SeedSequence([seed, i_snr, block]))
+            theta = dist.sample(rng, k)
+            varsigma = amp * np.exp(1j * (2.0 * np.pi * rng.random(k)))
+            fill = rng.standard_normal((k, lags, 2))
+            noise = (fill[..., 0] + 1j * fill[..., 1]) @ est._noise_factor
+            truth.append(theta)
+            got.append(est._angles(noise + varsigma[:, None] * est._mean_coef(theta)))
+        truth, got = np.concatenate(truth), np.concatenate(got)
+        sq_err = (got - truth) ** 2
+        bins = np.clip(np.rint((truth + np.pi / 2) / grid.cell), 0, len(grid) - 1).astype(int)
+        per_angle = []
+        for b in np.unique(bins):
+            total = 0.0
+            for e in sq_err[bins == b]:
+                total += e
+            per_angle.append((float(grid.points[b]), int(np.sum(bins == b)),
+                              float(total / np.sum(bins == b))))
+        out.append((float(np.mean(sq_err)),
+                    float(np.std(sq_err, ddof=1) / np.sqrt(n_trials)), tuple(per_angle)))
+    return out

@@ -1,6 +1,11 @@
 import numpy as np
 import pytest
-from conftest import random_feasible_waveform
+from conftest import (
+    per_block_mse,
+    random_feasible_waveform,
+    received_block,
+    synthesize_received,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,10 +20,8 @@ from priorwave import (
     pcrb_theta,
     solve_psbp_fair,
     steering_matrix,
-    synthesize_received,
 )
 from priorwave.priors import _point_moments
-from priorwave.ula import _received
 
 SCENARIO3_PRIOR = MixtureGaussian(tuple(np.deg2rad([-60.0, -30.0, 20.0, 50.0])),
                                   np.deg2rad(1.0), (0.15, 0.25, 0.4, 0.2))
@@ -354,46 +357,11 @@ def test_monte_carlo_blocks_and_shared_moments(dist12, cfg12, grid361, mom12):
                                   moments=mom12)
 
 
-# Trials per Monte-Carlo block in the output contract of ``monte_carlo_mse``.
-CONTRACT_BLOCK = 64
-
-
-def per_block_mse(x, dist, cfg, grid, snr_list_db, n_trials, seed):
-    """Reference sweep: each block of 64 trials draws from its own generator,
-    seeded by (seed, SNR index, block index), the true angles, then the
-    phases, then the noise; its frames come from ``_received`` and are
-    estimated as one stack. Then the same summary as ``SnrResult``."""
-    est = MapEstimator(x, dist, grid, cfg.m_r, cfg.noise_power, cfg.spacing)
-    out = []
-    for i_snr, snr_db in enumerate(snr_list_db):
-        amp = float(np.sqrt(cfg.noise_power * 10.0 ** (snr_db / 10.0) / cfg.power))
-        truth, got = [], []
-        for block, start in enumerate(range(0, n_trials, CONTRACT_BLOCK)):
-            k = min(CONTRACT_BLOCK, n_trials - start)
-            rng = np.random.default_rng(np.random.SeedSequence([seed, i_snr, block]))
-            theta = dist.sample(rng, k)
-            varsigma = amp * np.exp(1j * (2.0 * np.pi * rng.random(k)))
-            noise = rng.standard_normal((k, cfg.m_r, cfg.l_samples, 2))
-            noise *= np.sqrt(cfg.noise_power / 2.0)
-            frames = np.empty((k, cfg.m_r, cfg.l_samples), dtype=complex)
-            _received(x, theta, varsigma, noise, cfg.spacing, frames)
-            truth.append(theta)
-            got.append(est.estimate(frames))
-        truth, got = np.concatenate(truth), np.concatenate(got)
-        sq_err = (got - truth) ** 2
-        bins = np.clip(np.rint((truth + np.pi / 2) / grid.cell), 0, len(grid) - 1).astype(int)
-        per_angle = tuple((float(grid.points[b]), int(np.sum(bins == b)),
-                           float(np.mean(sq_err[bins == b]))) for b in np.unique(bins))
-        out.append((float(np.mean(sq_err)),
-                    float(np.std(sq_err, ddof=1) / np.sqrt(n_trials)), per_angle))
-    return out
-
-
 @pytest.mark.parametrize("gaussian", [False, True])
 def test_monte_carlo_matches_per_block_reference(gaussian, dist12, cfg12, grid361, mom12):
     # 65 trials: one full block and a partial block of one. The sweep must
-    # reproduce the reference's draws and frames exactly, so the summaries
-    # are equal.
+    # reproduce the reference's draws and coefficients exactly, so the
+    # summaries are equal.
     prior = SCENARIO3_PRIOR if gaussian else dist12
     x = random_feasible_waveform(np.random.default_rng(11), cfg12)
     rep = monte_carlo_mse(x, prior, cfg12, grid361, [0.0, 20.0], 65, seed=3,
@@ -401,6 +369,86 @@ def test_monte_carlo_matches_per_block_reference(gaussian, dist12, cfg12, grid36
     ref = per_block_mse(x, prior, cfg12, grid361, [0.0, 20.0], 65, seed=3)
     for r, (mse, std_error, per_angle) in zip(rep, ref):
         assert r.mse == mse and r.std_error == std_error and r.per_angle == per_angle
+
+
+LAW_ARRAYS = [(8, 8, 25, 0.5), (3, 6, 9, 0.37), (5, 2, 7, 0.5), (4, 7, 3, 1.3)]
+
+
+def relative_error(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("m_t, m_r, l_samples, spacing", LAW_ARRAYS)
+def test_coefficient_law_matches_frame_path(m_t, m_r, l_samples, spacing):
+    # The Monte-Carlo's coefficient law from R = X X^H alone against the
+    # frame path: mu against the coefficients of noiseless unit-amplitude
+    # frames, and the noise factor's covariance against sigma^2 K^T conj(K),
+    # the covariance of vec(Z) @ K for white Z of variance sigma^2.
+    rng = np.random.default_rng(m_t * m_r + l_samples)
+    x = rng.normal(size=(m_t, l_samples)) + 1j * rng.normal(size=(m_t, l_samples))
+    est = MapEstimator(x, SCENARIO3_PRIOR, AngularGrid(181), m_r, 0.7, spacing)
+    theta = np.concatenate([rng.uniform(-np.pi / 2, np.pi / 2, 40), [-np.pi / 2, 0.0, np.pi / 2]])
+    frames = received_block(x, theta, np.ones(len(theta), dtype=complex),
+                            np.zeros((len(theta), m_r, l_samples, 2)), spacing,
+                            np.empty((len(theta), m_r, l_samples), dtype=complex))
+    assert relative_error(est._mean_coef(theta), est._lag_coef(frames)) <= 1e-12
+    kernel, factor = est._lag_kernel, est._noise_factor
+    # The factor colours a fill with unit-variance real and imaginary parts.
+    assert relative_error(2.0 * factor.T @ factor.conj(),
+                          0.7 * kernel.T @ kernel.conj()) <= 1e-12
+
+
+@pytest.mark.parametrize("m_t, m_r, l_samples, spacing", LAW_ARRAYS[1:])
+def test_sampled_coefficient_covariances_agree(m_t, m_r, l_samples, spacing):
+    # Coefficients of white-noise frames against the coloured fills, 20,000
+    # draws each: every entry of the two sample covariances E[w^T conj(w)]
+    # agrees within 5 standard errors of the difference, and so does the
+    # pseudo-covariance E[w^T w] of a circular law, which is 0. The mirrored
+    # covariance, conj of the true one, would put the noise at -u; the test
+    # can tell it apart on these arrays.
+    rng = np.random.default_rng(100 + m_t + m_r)
+    x = rng.normal(size=(m_t, l_samples)) + 1j * rng.normal(size=(m_t, l_samples))
+    noise_power, n = 0.7, 20000
+    est = MapEstimator(x, SCENARIO3_PRIOR, AngularGrid(181), m_r, noise_power, spacing)
+    z = rng.normal(scale=np.sqrt(noise_power / 2.0), size=(n, m_r * l_samples, 2))
+    frame_w = (z[..., 0] + 1j * z[..., 1]) @ est._lag_kernel
+    fill = rng.standard_normal((n, len(est._noise_factor), 2))
+    coef_w = (fill[..., 0] + 1j * fill[..., 1]) @ est._noise_factor
+    cov = noise_power * est._lag_kernel.T @ est._lag_kernel.conj()
+    diag = np.real(np.diag(cov))
+    # Lags that only the denominator uses have no variance: the eigh factor
+    # leaves rounding there, far under the floor.
+    tol = 5.0 * np.sqrt(2.0 * np.outer(diag, diag) / n) + 1e-9 * diag.max()
+    frame_cov, coef_cov = (w.T @ w.conj() / n for w in (frame_w, coef_w))
+    frame_pseudo, coef_pseudo = (w.T @ w / n for w in (frame_w, coef_w))
+    for a, b in ((frame_cov, coef_cov), (frame_pseudo, coef_pseudo)):
+        assert np.all(np.abs(a.real - b.real) <= tol)
+        assert np.all(np.abs(a.imag - b.imag) <= tol)
+    assert np.any(np.abs(frame_cov.imag - coef_cov.conj().imag) > tol)
+
+
+@pytest.mark.parametrize("waveform", ["equal-rows", "one-sample"])
+def test_semidefinite_coefficient_noise(waveform, cfg12, dist12, grid361):
+    # A rank-one R (equal rows, or L = 1) leaves the 15 x 15 coefficient
+    # covariance of rank 8, where a Cholesky factor does not exist: the
+    # clipped eigh factor still reproduces it, and the sweep runs.
+    rng = np.random.default_rng(21)
+    if waveform == "equal-rows":
+        cfg = cfg12
+        row = np.exp(2j * np.pi * rng.random(cfg.l_samples))
+        x = np.tile(row, (cfg.m_t, 1)) / np.sqrt(cfg.m_t * cfg.l_samples)
+    else:
+        cfg = ArrayConfig(cfg12.m_t, cfg12.m_r, 1)
+        x = np.exp(2j * np.pi * rng.random((cfg.m_t, 1))) / np.sqrt(cfg.m_t)
+    est = MapEstimator(x, dist12, grid361, cfg.m_r, cfg.noise_power)
+    cov = cfg.noise_power * est._lag_kernel.T @ est._lag_kernel.conj()
+    assert cov.shape == (15, 15) and np.linalg.matrix_rank(cov) == 8
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(cov)
+    factor = est._noise_factor
+    assert relative_error(2.0 * factor.T @ factor.conj(), cov) <= 1e-12
+    rep = monte_carlo_mse(x, dist12, cfg, grid361, [0.0, 20.0], 65, seed=4)
+    assert all(np.isfinite(r.mse) and r.n_trials == 65 for r in rep)
 
 
 @pytest.mark.parametrize("m_t, m_r, spacing", [(8, 8, 0.5), (3, 6, 0.37), (5, 2, 0.5)])

@@ -164,6 +164,9 @@ def test_config_errors_are_line_precise(tmp_path, capsys):
         # Values that print alike would write two cells into one directory.
         ("kappa_list: [1.2]", "kappa_list: [1.2, 1.2000001]", "kappa_list: 1.2 and 1.2000001"),
         ("kappa_list: [1.2]", "kappa_list: [1.5, 1.2, 1.5]", "kappa_list: 1.5 and 1.5"),
+        # A repeated method would run its cells twice into the same directories.
+        ("methods: [pcrb, omni]", "methods: [pcrb, omni, pcrb]",
+         "methods: 'pcrb' is listed twice"),
         # Integers are not truncated, and true/false is not read as 1/0.
         ("n_trials: 10", "n_trials: 2.7", "config.n_trials: expected int, got float"),
         ("n_trials: 10", "n_trials: true", "config.n_trials: expected int, got bool"),
@@ -231,6 +234,24 @@ def test_unreadable_config_is_a_config_error(tmp_path, capsys, where):
     assert len(lines) == 1 and lines[0].startswith(f"config error: {path}: "), lines
     assert err == ""
     assert not (tmp_path / "out").exists()
+
+
+def test_omni_with_fewer_samples_than_antennas_is_a_config_error(tmp_path, capsys):
+    # The orthogonal-row omni waveform needs l_samples >= m_t: the config is
+    # refused before any cell runs, not left to fail inside the omni cell.
+    path = tmp_path / "short.cfg"
+    path.write_text(SMALL_CFG.replace("l_samples: 8", "l_samples: 3"))
+    out = tmp_path / "out"
+    assert cli_main(["run", "--config", str(path), "--out", str(out)]) == 1
+    text, err = capsys.readouterr()
+    lines = text.splitlines()
+    assert lines == ["config error: methods: omni needs array.l_samples >= array.m_t "
+                     "for its orthogonal rows, got 3 < 4"], lines
+    assert err == "" and not out.exists()
+    # Without omni the same array runs.
+    path.write_text(SMALL_CFG.replace("l_samples: 8", "l_samples: 3")
+                    .replace("methods: [pcrb, omni]", "methods: [pcrb]"))
+    assert cli_main(["run", "--config", str(path), "--out", str(out)]) == 0
 
 
 def test_run_out_on_an_existing_file_is_an_output_error(small_cfg, tmp_path, capsys):
@@ -317,10 +338,15 @@ def test_unknown_method_rejected(tmp_path):
         load_config(bad)
 
 
-def test_partial_failure_isolated(tmp_path, capsys):
+def test_partial_failure_isolated(tmp_path, monkeypatch, capsys):
+    # A config with omni and l_samples < m_t is refused up front, so the omni
+    # cell is made to fail inside the run: its waveform call gets one sample
+    # too few, which baseline_omni itself rejects.
+    monkeypatch.setattr(scenario_mod, "baseline_omni",
+                        lambda cfg: baseline_omni(replace(cfg, l_samples=cfg.m_t - 1)))
     cfg = tmp_path / "partial.cfg"
     cfg.write_text(
-        "array: {m_t: 6, m_r: 4, l_samples: 4}\n"
+        "array: {m_t: 6, m_r: 4, l_samples: 6}\n"
         "distribution:\n"
         "  kind: mixture-uniform\n"
         "  intervals_deg: [[-10.0, 10.0]]\n"
@@ -332,7 +358,7 @@ def test_partial_failure_isolated(tmp_path, capsys):
         "admm: {max_iters: 100}\n"
     )
     out = tmp_path / "out"
-    assert run_scenario(cfg, out=out) == 2  # omni needs L >= M_t
+    assert run_scenario(cfg, out=out) == 2
     manifest = json.loads((out / "manifest.json").read_text())
     assert [f["cell"] for f in manifest["failures"]] == ["omni"]
     assert any(rel.startswith("pcrb-k1.5/") for rel in manifest["files"])
