@@ -5,6 +5,7 @@ from .estimation import (
     AngularGrid,
     MapEstimator,
     SnrResult,
+    lag_coefficients,
     monte_carlo_mse,
 )
 from .pcrb import (
@@ -56,6 +57,7 @@ __all__ = [
     "baseline_omni",
     "beampattern",
     "compute_moments",
+    "lag_coefficients",
     "monte_carlo_mse",
     "pcrb_theta",
     "pcrb_upper_bound",

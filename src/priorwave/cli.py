@@ -64,7 +64,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"waveform error: {exc}")
             return 1
         try:
-            emit_beampattern(x, AngularGrid(args.grid_size), args.out, args.spacing)
+            emit_beampattern(x @ x.conj().T, AngularGrid(args.grid_size), args.out, args.spacing)
         except OSError as exc:
             print(f"output error: {exc}")
             return 1

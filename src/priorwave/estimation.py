@@ -2,8 +2,9 @@
 
 The unknown deterministic amplitude is profiled out per candidate angle,
 leaving a concentrated log-likelihood that is scanned over the angular
-grid together with the log prior. The estimator reads a frame only
-through its lag coefficients, whose law is known in closed form.
+grid together with the log prior. The estimator reads the waveform only
+through its covariance ``R = X X^H`` and a frame only through its lag
+coefficients (``lag_coefficients``), whose law is known in closed form.
 Monte-Carlo trials run in fixed blocks of ``_BLOCK``: each block draws
 its true angles from the prior, its phases and its coefficient noise as
 vectors from one generator seeded by (seed, snr index, block index), and
@@ -19,12 +20,13 @@ import numpy as np
 
 from .pcrb import pcrb_theta
 from .priors import DistributionMoments, TargetDistribution, compute_moments
-from .ula import HALF_DOMAIN, ArrayConfig, _offsets, _steer, beampattern
+from .ula import HALF_DOMAIN, ArrayConfig, _covariance, _offsets, _steer, beampattern
 
 __all__ = [
     "AngularGrid",
     "SnrResult",
     "MapEstimator",
+    "lag_coefficients",
     "monte_carlo_mse",
 ]
 
@@ -54,7 +56,7 @@ class AngularGrid:
 
 # Trials per Monte-Carlo block. Part of the output contract: each block
 # draws from its own generator, so changing it changes every table. Each
-# block is one stack of lag coefficients handed to ``MapEstimator._angles``.
+# block is one stack of lag coefficients handed to ``MapEstimator.estimate``.
 _BLOCK = 64
 
 # The refine: the cap on Newton steps after the first probe, and the
@@ -78,20 +80,51 @@ def _support_edge(pdf, inside: np.ndarray, outside: np.ndarray) -> np.ndarray:
     return inside
 
 
-class MapEstimator:
-    """Reusable MAP scanner for a fixed waveform, prior, and grid.
+def _lag_pick(m_t: int, m_r: int):
+    """The score's lags and the picks ``(m_r, m_t, lags)`` and ``(m_t, m_t,
+    lags)`` onto them: ``a_r^H y X^H a_t`` sums ``y[i, l] conj(x[m, l])``
+    at phase lag ``off_t[m] - off_r[i]``, and ``a_t^H R a_t`` sums
+    ``R[m, n]`` at lag ``off_t[n] - off_t[m]``, over one lag set."""
+    off_t, off_r = _offsets(m_t), _offsets(m_r)
+    num_lag = off_t[None, :] - off_r[:, None]
+    den_lag = off_t[None, :] - off_t[:, None]
+    lags, at = np.unique(np.concatenate([num_lag.ravel(), den_lag.ravel()]),
+                         return_inverse=True)
+    pick = at[:, None] == np.arange(len(lags))
+    return (lags, pick[:num_lag.size].reshape(*num_lag.shape, -1),
+            pick[num_lag.size:].reshape(*den_lag.shape, -1))
 
-    ``estimate`` takes a stack of received frames ``(N, m_r, L)`` and
-    returns their ``N`` angles.
+
+def lag_coefficients(x: np.ndarray, ys, m_r: int) -> np.ndarray:
+    """Lag coefficients ``c = vec(y) @ K``, shape ``(N, lags)``, of an ``(N,
+    m_r, L)`` stack of frames received from the waveform ``x``: the input
+    of ``MapEstimator.estimate``."""
+    x, ys = np.asarray(x, dtype=complex), np.asarray(ys, dtype=complex)
+    if ys.ndim != 3 or ys.shape[1:] != (m_r, x.shape[1]):
+        raise ValueError(f"frames must have shape (N, m_r, L) with "
+                         f"(m_r, L) = ({m_r}, {x.shape[1]}), got {ys.shape}")
+    _, num_pick, _ = _lag_pick(x.shape[0], m_r)
+    kernel = np.einsum("imk,ml->ilk", num_pick, x.conj()).reshape(-1, num_pick.shape[-1])
+    # A stacked product runs frame by frame: a frame's coefficients do not
+    # depend on the stack it comes in.
+    return (ys.reshape(len(ys), 1, -1) @ kernel)[:, 0]
+
+
+class MapEstimator:
+    """Reusable MAP scanner for a fixed waveform covariance, prior, and grid.
+
+    ``estimate`` takes the lag coefficients ``(N, lags)`` of ``N`` frames
+    (``lag_coefficients``) and returns their ``N`` angles. The waveform
+    enters through its covariance ``R = X X^H`` alone.
 
     The score is evaluated through element-offset lags: for a uniform
-    linear array, ``a_r^H y X^H a_t`` and ``||X^H a_t||^2`` are
+    linear array, ``a_r^H y X^H a_t`` and ``a_t^H R a_t`` are
     trigonometric polynomials in ``sin(theta)`` whose coefficients are
     computed once per frame and once per waveform. The grid scan only
     visits the grid points where the prior is positive: their lag
     phasors are precomputed, so scanning a stack is one ``(N, lags) @
     (lags, support)`` product on the frames' coefficients, over the exact
-    ``||X^H a_t||^2`` at each point; points outside the support score
+    beampattern at each point; points outside the support score
     ``-inf``. ``refine`` polishes each grid argmax by maximizing the
     exact posterior score over the bracketing cells, clipped to the
     prior's support; switch it off to reproduce a plain grid argmax.
@@ -107,14 +140,14 @@ class MapEstimator:
     The coefficients ``c = vec(y) @ K`` of a frame ``y = varsigma a_r
     a_t^H X + Z`` are ``varsigma * mu(theta) + w``, with ``w`` circular
     complex Gaussian of covariance ``sigma^2 K^T conj(K)``; both depend on
-    ``X`` only through ``R = X X^H`` (a sufficient statistic, so the
-    Monte-Carlo draws the coefficients, not frames). ``_mean_coef`` gives
-    ``mu`` and ``_noise_factor`` colours a unit fill into ``w``.
+    ``X`` only through ``R`` (a sufficient statistic, so the Monte-Carlo
+    draws the coefficients, not frames). ``_mean_coef`` gives ``mu`` and
+    ``_noise_factor`` colours a unit fill into ``w``.
     """
 
     def __init__(
         self,
-        x: np.ndarray,
+        r: np.ndarray,
         dist: TargetDistribution,
         grid: AngularGrid,
         m_r: int,
@@ -122,12 +155,9 @@ class MapEstimator:
         spacing: float = 0.5,
         refine: bool = True,
     ) -> None:
-        x = np.asarray(x, dtype=complex)
-        if x.ndim != 2:
-            raise ValueError("waveform must be a 2-D matrix")
+        self._r = r = _covariance(r)
         self.grid = grid
         self.refine = bool(refine)
-        self._xh = x.conj().T
         self._dist = dist
         self._m_r = int(m_r)
         self._spacing = spacing
@@ -140,24 +170,11 @@ class MapEstimator:
         self._log_prior_sup = np.log(f[self._support])
         # The scan's denominator: the transmit beampattern at each support
         # point, clamped at zero against rounding near transmit nulls.
-        den = noise_power * m_r * beampattern(x, sup_pts, spacing)
+        den = noise_power * m_r * beampattern(r, sup_pts, spacing)
         self._den = np.where(den > 1e-300, den, np.inf)
 
-        # The score through element-offset lags: a_r^H y X^H a_t sums
-        # y[i, l] conj(x[m, l]) at phase lag off_t[m] - off_r[i], and
-        # ||X^H a_t||^2 sums R[m, n] at lag off_t[n] - off_t[m], with
-        # R = X X^H. Both run over one lag set.
-        off_t, off_r = _offsets(x.shape[0]), _offsets(self._m_r)
-        num_lag = off_t[None, :] - off_r[:, None]
-        den_lag = off_t[None, :] - off_t[:, None]
-        lags, at = np.unique(np.concatenate([num_lag.ravel(), den_lag.ravel()]),
-                             return_inverse=True)
-        pick = at[:, None] == np.arange(len(lags))
-        num_pick = pick[:num_lag.size].reshape(*num_lag.shape, -1)
-        den_pick = pick[num_lag.size:].reshape(*den_lag.shape, -1)
-        self._lag_kernel = np.einsum("imk,ml->ilk", num_pick, x.conj()).reshape(-1, len(lags))
-        self._gram = gram = x @ self._xh
-        den_coef = noise_power * m_r * np.einsum("mnk,mn->k", den_pick, gram)
+        lags, num_pick, den_pick = _lag_pick(r.shape[0], self._m_r)
+        den_coef = noise_power * m_r * np.einsum("mnk,mn->k", den_pick, r)
         # The law of a frame's coefficients through R alone: mu(theta)_k sums
         # a_r[i] (a_t^H R)[m] over the pick P[i, m, k], and the noise
         # covariance sigma^2 (K^T conj(K))_kq sums P[i, m, k] R[n, m] P[i, n, q].
@@ -165,7 +182,7 @@ class MapEstimator:
         # a rank-one R leaves it singular. The factor maps a fill whose real
         # and imaginary parts have unit variance, hence the halved eigenvalues.
         self._num_pick = num_pick.reshape(-1, len(lags)).astype(float)
-        cov = noise_power * np.einsum("imk,nm,inq->kq", num_pick, gram, num_pick)
+        cov = noise_power * np.einsum("imk,nm,inq->kq", num_pick, r, num_pick)
         val, vec = np.linalg.eigh(cov)
         self._noise_factor = (vec * np.sqrt(np.maximum(val, 0.0) / 2.0)).T
         self._lag_phase = phase = 2.0 * np.pi * spacing * lags
@@ -190,16 +207,6 @@ class MapEstimator:
             if cut.any():
                 end[cut] = _support_edge(dist.pdf, pts[sup[cut]], pts[nb[cut]])
 
-    def _frames(self, ys) -> np.ndarray:
-        """Frames checked as an ``(N, m_r, L)`` stack."""
-        ys = np.asarray(ys, dtype=complex)
-        if ys.ndim != 3 or ys.shape[1:] != (self._m_r, self._xh.shape[0]):
-            raise ValueError(
-                f"frames must have shape (N, m_r, L) with "
-                f"(m_r, L) = ({self._m_r}, {self._xh.shape[0]}), got {ys.shape}"
-            )
-        return ys
-
     def _scan(self, coef: np.ndarray) -> np.ndarray:
         """Scores at the support points from lag coefficients, shape ``(N, len(support))``."""
         s = coef @ self._sup_phasor
@@ -209,17 +216,11 @@ class MapEstimator:
         out += self._log_prior_sup
         return out
 
-    def _lag_coef(self, ys: np.ndarray) -> np.ndarray:
-        """Lag coefficients of ``a_r^H y X^H a_t`` per frame, shape ``(N, lags)``."""
-        # A stacked product runs frame by frame: a frame's coefficients do
-        # not depend on the stack it comes in.
-        return (ys.reshape(len(ys), 1, -1) @ self._lag_kernel)[:, 0]
-
     def _mean_coef(self, th: np.ndarray) -> np.ndarray:
         """Lag coefficients of the noiseless unit-amplitude frames at checked
         angles ``th``, shape ``(N, lags)``."""
         a_r = _steer(th, self._m_r, self._spacing).T
-        v = _steer(th, self._xh.shape[1], self._spacing).T.conj() @ self._gram
+        v = _steer(th, self._r.shape[0], self._spacing).T.conj() @ self._r
         return (a_r[:, :, None] * v[:, None, :]).reshape(len(th), -1) @ self._num_pick
 
     def _probe(self, coef: np.ndarray, th: np.ndarray):
@@ -247,12 +248,12 @@ class MapEstimator:
         return (np.where((f > 0) & (d0 > 1e-300), out, -np.inf),
                 cos * g1 + l1, cos * cos * g2 - u * g1 + l2)
 
-    def estimate(self, ys: np.ndarray) -> np.ndarray:
-        """MAP angle of each frame of an ``(N, m_r, L)`` stack."""
-        return self._angles(self._lag_coef(self._frames(ys)))
-
-    def _angles(self, coef: np.ndarray) -> np.ndarray:
+    def estimate(self, coef) -> np.ndarray:
         """MAP angles from an ``(N, lags)`` stack of lag coefficients."""
+        coef = np.asarray(coef, dtype=complex)
+        if coef.ndim != 2 or coef.shape[1] != len(self._lag_phase):
+            raise ValueError(f"lag coefficients must have shape (N, {len(self._lag_phase)}), "
+                             f"got {coef.shape}")
         i = np.argmax(self._scan(coef), axis=1)
         return self._refine(coef, i) if self.refine else self.grid.points[self._support[i]]
 
@@ -315,7 +316,7 @@ class SnrResult:
 
 
 def monte_carlo_mse(
-    x: np.ndarray,
+    r: np.ndarray,
     dist: TargetDistribution,
     cfg: ArrayConfig,
     grid: AngularGrid,
@@ -326,7 +327,7 @@ def monte_carlo_mse(
     refine: bool = True,
     moments: DistributionMoments | None = None,
 ) -> tuple[SnrResult, ...]:
-    """Estimate the angle-MSE of a waveform across an SNR sweep.
+    """Estimate the angle-MSE of a waveform of covariance ``r`` across an SNR sweep.
 
     SNR is ``10*log10(|amplitude|^2 * P / noise_power)``; the amplitude
     magnitude is swept with a uniformly random phase per trial. The true
@@ -352,8 +353,7 @@ def monte_carlo_mse(
         raise ValueError("n_trials must be at least 1")
     if seed < 0:
         raise ValueError("seed must be nonnegative")
-    x = np.asarray(x, dtype=complex)
-    estimator = MapEstimator(x, dist, grid, cfg.m_r, cfg.noise_power, cfg.spacing, refine)
+    estimator = MapEstimator(r, dist, grid, cfg.m_r, cfg.noise_power, cfg.spacing, refine)
     if moments is None:
         moments = compute_moments(dist, cfg)
 
@@ -373,12 +373,12 @@ def monte_carlo_mse(
             coef = fill @ estimator._noise_factor
             coef += (amp * np.exp(1j * phase))[:, None] * estimator._mean_coef(th)
             truth[start:start + k] = th
-            estimate[start:start + k] = estimator._angles(coef)
+            estimate[start:start + k] = estimator.estimate(coef)
         err = estimate - truth
         sq_err = err * err
         mse = float(np.mean(sq_err))
         std_error = float(np.std(sq_err, ddof=1) / np.sqrt(n_trials)) if n_trials > 1 else 0.0
-        bound = pcrb_theta(x, moments, amp, cfg.noise_power)
+        bound = pcrb_theta(r, moments, amp, cfg.noise_power)
         bins = np.clip(np.rint((truth + HALF_DOMAIN) / grid.cell), 0, len(grid) - 1).astype(int)
         counts = np.bincount(bins)
         sums = np.bincount(bins, weights=sq_err)

@@ -336,6 +336,9 @@ def read_waveform(path: str | Path) -> np.ndarray:
     except ValueError as exc:
         raise ValueError(f"{path}: malformed waveform row ({exc})") from exc
     m, l, v = (np.array(col) for col in zip(*entries))
+    bad = np.flatnonzero(~np.isfinite(v))
+    if bad.size:
+        raise ValueError(f"{path}: non-finite entry in line {bad[0] + 2}: {rows[bad[0] + 1]}")
     if min(m.min(), l.min()) < 0:
         raise ValueError(f"{path}: negative waveform index")
     rows, cols = int(m.max()) + 1, int(l.max()) + 1
@@ -350,10 +353,10 @@ def read_waveform(path: str | Path) -> np.ndarray:
     return x
 
 
-def emit_beampattern(x: np.ndarray, grid: AngularGrid, path: str | Path,
+def emit_beampattern(r: np.ndarray, grid: AngularGrid, path: str | Path,
                      spacing: float = 0.5) -> None:
-    """Beampattern table over the grid: angle_deg, power, power_db."""
-    power = beampattern(x, grid.points, spacing)
+    """Beampattern table of the covariance ``r`` over the grid: angle_deg, power, power_db."""
+    power = beampattern(r, grid.points, spacing)
     with np.errstate(divide="ignore"):
         power_db = 10.0 * np.log10(np.maximum(power, 0.0))
     _write_table(Path(path), TABLE_SCHEMAS["beampattern.csv"],
@@ -402,17 +405,18 @@ def _run_cell(scenario: Scenario, method: str, kappa: float, kappa_rank: int, ou
     seconds = dict.fromkeys(STAGES, 0.0)
     seconds["design"] = clock() - t0
     t0 = clock()
+    r = x @ x.conj().T  # all but the waveform table and feasibility read X through R
 
     out.mkdir(parents=True, exist_ok=True)
     files = []
 
     emit_waveform(x, out / "waveform.csv")
     files.append("waveform.csv")
-    emit_beampattern(x, grid, out / "beampattern.csv", cfg.spacing)
+    emit_beampattern(r, grid, out / "beampattern.csv", cfg.spacing)
     files.append("beampattern.csv")
 
     feas = waveform_feasibility(x, cfg)
-    bound_rad2 = pcrb_theta(x, moments, 1.0, cfg.noise_power)
+    bound_rad2 = pcrb_theta(r, moments, 1.0, cfg.noise_power)
     metrics = [
         ("pcrb_rad2", bound_rad2),
         ("pcrb_deg2", bound_rad2 * np.rad2deg(1.0) ** 2),
@@ -424,18 +428,10 @@ def _run_cell(scenario: Scenario, method: str, kappa: float, kappa_rank: int, ou
         _write_table(out / "trace.csv", TABLE_SCHEMAS["trace.csv"], (
             np.arange(1, len(tr) + 1), tr.objective, tr.augmented_lagrangian, tr.residual))
         files.append("trace.csv")
-        metrics += [
-            ("metric_value", result.metric_value),
-            ("iterations", len(tr)),
-            ("final_residual", float(tr.residual[-1])),
-            ("al_increase_count", tr.monotone_violations()),
-            ("converged", int(result.converged)),
-            ("mu_iterations_mean", float(tr.mu_iterations.mean())),
-            ("mu_iterations_max", int(tr.mu_iterations.max())),
-            ("mu_tol_misses", tr.mu_tol_misses),
-            ("extrapolations", tr.extrapolations),
-            ("warm_started", int(warm_start is not None)),
-        ]
+        metrics += zip(SOLVER_METRICS, (
+            result.metric_value, len(tr), float(tr.residual[-1]), tr.monotone_violations(),
+            int(result.converged), float(tr.mu_iterations.mean()), int(tr.mu_iterations.max()),
+            tr.mu_tol_misses, tr.extrapolations, int(warm_start is not None)))
     # Integer and float metrics share the value column: format each alone.
     _write_table(out / "metrics.csv", TABLE_SCHEMAS["metrics.csv"],
                  ([k for k, _ in metrics],
@@ -447,7 +443,7 @@ def _run_cell(scenario: Scenario, method: str, kappa: float, kappa_rank: int, ou
         t0 = clock()
         mse_seed = _cell_seed(scenario.seed, method, kappa_rank, 1)
         results = monte_carlo_mse(
-            x, scenario.distribution, cfg, grid, scenario.snr_list_db, scenario.n_trials, mse_seed,
+            r, scenario.distribution, cfg, grid, scenario.snr_list_db, scenario.n_trials, mse_seed,
             refine=refine, moments=moments,
         )
         seconds["mc"] = clock() - t0

@@ -158,9 +158,9 @@ def _admm(split, cfg: ArrayConfig, seed: int, metric, *, max_iters: int = _MAX_I
     and augmented-Lagrangian term and returns the iteration's objective,
     augmented Lagrangian, residual and motion with its own blocks added.
     The last iterate, projected exactly onto the feasible set, is returned
-    and scored by ``metric``; ADMM's convergence results are stated for
-    the last iterate (Boyd et al. 2011, 3.2-3.3). The loop stops after
-    ``max_iters`` iterations at most, which must be at least 1.
+    and ``metric`` scores its covariance ``X X^H``; ADMM's convergence
+    results hold for the last iterate (Boyd et al. 2011, 3.2-3.3). At most
+    ``max_iters`` iterations run, which must be at least 1.
 
     When ``split.extrapolates``, each iteration that does not stop the
     loop also tracks its step in ``(x, d, split.b)``. After
@@ -262,7 +262,7 @@ def _admm(split, cfg: ArrayConfig, seed: int, metric, *, max_iters: int = _MAX_I
     return SolveResult(
         waveform=final,
         trace=trace,
-        metric_value=metric(final),
+        metric_value=metric(final @ final.conj().T),
         converged=converged,
         state=AdmmState(x=x, u=u, d=d, mu=mu, split=split.state()),
     )
@@ -285,7 +285,7 @@ def solve_pcrb(
     instead of a ``seed``-drawn start.
     """
     return _admm(_QuadraticSplit(mom.xi0, cfg), cfg, seed,
-                 lambda x: pcrb_upper_bound(x, mom, 1.0, cfg.noise_power),
+                 lambda r: pcrb_upper_bound(r, mom, 1.0, cfg.noise_power),
                  max_iters=max_iters, warm_start=warm_start)
 
 
@@ -304,7 +304,7 @@ def solve_psbp_integrated(
     ``warm_start`` as in ``solve_pcrb``.
     """
     xi = mom.xi3 / cfg.m_r
-    return _admm(_QuadraticSplit(xi, cfg), cfg, seed, lambda x: float(np.vdot(x, xi @ x).real),
+    return _admm(_QuadraticSplit(xi, cfg), cfg, seed, lambda r: float(np.vdot(r, xi).real),
                  max_iters=max_iters, warm_start=warm_start)
 
 
@@ -446,7 +446,7 @@ def solve_psbp_fair(
     pts, f = grid.points[mask], f[mask]
     a = steering_matrix(pts, cfg.m_t, cfg.spacing)
     return _admm(_FairSplit(a, f, cfg), cfg, seed,
-                 lambda x: float(np.min(beampattern(x, pts, cfg.spacing) / f)),
+                 lambda r: float(np.min(beampattern(r, pts, cfg.spacing) / f)),
                  max_iters=max_iters, warm_start=warm_start)
 
 

@@ -156,17 +156,26 @@ def receive_derivative_norm2(theta, m_r: int, spacing: float = 0.5) -> np.ndarra
     return (2.0 * np.pi * spacing * np.cos(th)) ** 2 * coeff
 
 
-def beampattern(x: np.ndarray, theta, spacing: float = 0.5):
-    """Transmit power ``||a_t(theta)^H X||_F**2`` toward ``theta``.
+def _covariance(r) -> np.ndarray:
+    """A transmit covariance ``R = X X^H`` as a complex matrix, checked finite,
+    square and Hermitian up to rounding."""
+    r = np.asarray(r, dtype=complex)
+    if (r.ndim != 2 or r.shape[0] != r.shape[1]
+            or not np.max(np.abs(r - r.conj().T)) <= 1e-10 * np.max(np.abs(r))):
+        raise ValueError(f"covariance must be a finite square Hermitian matrix, got {r.shape}")
+    return r
 
-    Computed as ``Re(a^H R a)`` with the Gram matrix ``R = X X^H``, so the
-    product is ``(m_t x m_t) @ (m_t x n)`` whatever the waveform length,
-    and clamped at 0 against rounding.
+
+def beampattern(r: np.ndarray, theta, spacing: float = 0.5):
+    """Transmit power ``Re(a_t(theta)^H R a_t(theta))`` toward ``theta``.
+
+    For ``R = X X^H`` this is ``||a_t^H X||_F**2``, the energy the waveform
+    ``X`` radiates toward ``theta``; clamped at 0 against rounding.
 
     Parameters
     ----------
-    x : np.ndarray
-        Waveform matrix of shape ``(m_t, l_samples)``.
+    r : np.ndarray
+        Hermitian covariance of shape ``(m_t, m_t)``.
     theta : float or array_like
         Angle(s) in radians.
 
@@ -175,11 +184,9 @@ def beampattern(x: np.ndarray, theta, spacing: float = 0.5):
     float or np.ndarray
         Nonnegative radiated energy per angle.
     """
-    x = np.asarray(x)
-    if x.ndim != 2:
-        raise ValueError("waveform must be a 2-D matrix")
-    a = steering_matrix(theta, x.shape[0], spacing)
-    ra = (x @ x.conj().T) @ a
+    r = _covariance(r)
+    a = steering_matrix(theta, r.shape[0], spacing)
+    ra = r @ a
     out = np.maximum((a.real * ra.real + a.imag * ra.imag).sum(axis=0), 0.0)
     return float(out) if np.isscalar(theta) or np.ndim(theta) == 0 else out
 

@@ -8,6 +8,7 @@ from priorwave import (
     MixtureGaussian,
     MixtureUniform,
     compute_moments,
+    lag_coefficients,
     steering_matrix,
 )
 from priorwave.admm import _cap_elements, _XUpdate
@@ -42,6 +43,18 @@ def prior_moments(mom12, cfg12):
 @pytest.fixture(scope="session")
 def grid361():
     return AngularGrid(361)
+
+
+def covariance(x):
+    """The covariance ``R = X X^H`` through which the package reads a waveform."""
+    return x @ x.conj().T
+
+
+def lag_kernel(x, m_r):
+    """The matrix ``K`` of ``lag_coefficients``, ``c = vec(y) @ K``: the
+    coefficients of the unit frames, shape ``(m_r L, lags)``."""
+    n = m_r * x.shape[1]
+    return lag_coefficients(x, np.eye(n).reshape(n, m_r, x.shape[1]), m_r)
 
 
 def random_feasible_waveform(rng, cfg, kappa=None):
@@ -144,7 +157,7 @@ def received_block(x, th, varsigma, noise, spacing, out):
 CONTRACT_BLOCK = 64
 
 
-def per_block_mse(x, dist, cfg, grid, snr_list_db, n_trials, seed):
+def per_block_mse(r, dist, cfg, grid, snr_list_db, n_trials, seed):
     """Reference sweep of the Monte-Carlo stream contract.
 
     Each block of 64 trials draws from its own generator, seeded by (seed,
@@ -154,7 +167,7 @@ def per_block_mse(x, dist, cfg, grid, snr_list_db, n_trials, seed):
     complex, times its noise factor, and are estimated as one stack. Then
     the same summary as ``SnrResult``, each bin's mean summed in trial order.
     """
-    est = MapEstimator(x, dist, grid, cfg.m_r, cfg.noise_power, cfg.spacing)
+    est = MapEstimator(r, dist, grid, cfg.m_r, cfg.noise_power, cfg.spacing)
     lags = est._noise_factor.shape[0]
     out = []
     for i_snr, snr_db in enumerate(snr_list_db):
@@ -168,7 +181,7 @@ def per_block_mse(x, dist, cfg, grid, snr_list_db, n_trials, seed):
             fill = rng.standard_normal((k, lags, 2))
             noise = (fill[..., 0] + 1j * fill[..., 1]) @ est._noise_factor
             truth.append(theta)
-            got.append(est._angles(noise + varsigma[:, None] * est._mean_coef(theta)))
+            got.append(est.estimate(noise + varsigma[:, None] * est._mean_coef(theta)))
         truth, got = np.concatenate(truth), np.concatenate(got)
         sq_err = (got - truth) ** 2
         bins = np.clip(np.rint((truth + np.pi / 2) / grid.cell), 0, len(grid) - 1).astype(int)

@@ -35,7 +35,7 @@ from priorwave.priors import _point_moments
 from priorwave.scenario import run_scenario
 from priorwave.solvers import _eta_update
 
-from conftest import posterior_fim, random_feasible_waveform, x_update
+from conftest import covariance, posterior_fim, random_feasible_waveform, x_update
 from test_pcrb import expected_loglik_curvature
 
 SEED = 2024
@@ -92,7 +92,8 @@ def test_criterion_03_bound_ordering(mom12, cfg12):
         for _ in range(100):
             x = random_feasible_waveform(rng, cfg12)
             amp = rng.normal() + 1j * rng.normal()
-            if pcrb_theta(x, mom12, amp, 1.0) > pcrb_upper_bound(x, mom12, amp, 1.0):
+            r = covariance(x)
+            if pcrb_theta(r, mom12, amp, 1.0) > pcrb_upper_bound(r, mom12, amp, 1.0):
                 violations += 1
     _report(3, violations == 0, f"{violations} ordering violations of 100",
             t["elapsed"], 5.0)
@@ -106,7 +107,7 @@ def test_criterion_04_schur_equivalence(prior_moments, cfg12):
             for _ in range(50):
                 x = random_feasible_waveform(rng, cfg12)
                 amp = rng.normal() + 1j * rng.normal()
-                pcrb = pcrb_theta(x, mom, amp, 1.1)
+                pcrb = pcrb_theta(covariance(x), mom, amp, 1.1)
                 inv11 = np.linalg.inv(posterior_fim(x, mom, amp, 1.1))[0, 0]
                 worst = max(worst, abs(inv11 - pcrb) / pcrb)
     _report(4, worst <= 1e-10, f"worst rel err {worst:.2e} (tol 1e-10)",
@@ -238,11 +239,11 @@ def test_criterion_10_beampattern_focusing(grid361):
             support = grid361.points[np.abs(grid361.points) <= half + 1e-9]
             mins = {}
             mins["pcrb"] = float(beampattern(
-                solve_pcrb(mom, cfg, SEED).waveform, support).min())
+                covariance(solve_pcrb(mom, cfg, SEED).waveform), support).min())
             mins["fair"] = float(beampattern(
-                solve_psbp_fair(dist, cfg, grid361, SEED).waveform, support).min())
+                covariance(solve_psbp_fair(dist, cfg, grid361, SEED).waveform), support).min())
             mins["int"] = float(beampattern(
-                solve_psbp_integrated(mom, cfg, SEED).waveform,
+                covariance(solve_psbp_integrated(mom, cfg, SEED).waveform),
                 support).min())
             levels[name] = mins
         above_omni = all(
@@ -264,7 +265,7 @@ def test_criterion_11_estimation_vs_bound(grid361):
         dist = MixtureUniform(((-np.pi / 36, np.pi / 36),), (1.0,))
         cfg = ArrayConfig(8, 8, 25, power=1.0, papr=1.2)
         waveform = solve_psbp_fair(dist, cfg, grid361, SEED).waveform
-        report = monte_carlo_mse(waveform, dist, cfg, grid361, [0.0, 10.0, 20.0],
+        report = monte_carlo_mse(covariance(waveform), dist, cfg, grid361, [0.0, 10.0, 20.0],
                                  n_trials=500, seed=SEED)
         ratios = {r.snr_db: r.mse / r.pcrb for r in report}
         window_ok = 0.5 <= ratios[20.0] <= 2.0

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 from conftest import (
+    covariance,
+    lag_kernel,
     per_block_mse,
     random_feasible_waveform,
     received_block,
@@ -16,6 +18,7 @@ from priorwave import (
     MixtureGaussian,
     MixtureUniform,
     baseline_omni,
+    lag_coefficients,
     monte_carlo_mse,
     pcrb_theta,
     solve_psbp_fair,
@@ -50,11 +53,11 @@ def test_noiseless_echo_recovers_grid_angle(grid361):
     x = baseline_omni(cfg)
     prior = MixtureUniform(((-np.pi / 4, np.pi / 4),), (1.0,))
     th = grid361.points[200]
-    y = clean_echo(x, th, cfg.m_r)[None]
-    est = MapEstimator(x, prior, grid361, cfg.m_r, cfg.noise_power, refine=False)
-    assert est.estimate(y)[0] == th
-    est_r = MapEstimator(x, prior, grid361, cfg.m_r, cfg.noise_power, refine=True)
-    assert abs(est_r.estimate(y)[0] - th) <= 1e-6
+    coef = lag_coefficients(x, clean_echo(x, th, cfg.m_r)[None], cfg.m_r)
+    est = MapEstimator(covariance(x), prior, grid361, cfg.m_r, cfg.noise_power, refine=False)
+    assert est.estimate(coef)[0] == th
+    est_r = MapEstimator(covariance(x), prior, grid361, cfg.m_r, cfg.noise_power, refine=True)
+    assert abs(est_r.estimate(coef)[0] - th) <= 1e-6
 
 
 def test_flat_prior_equals_concentrated_ml(grid361):
@@ -62,23 +65,25 @@ def test_flat_prior_equals_concentrated_ml(grid361):
     x = baseline_omni(cfg)
     prior = MixtureUniform(((-0.6, 0.6),), (1.0,))
     rng = np.random.default_rng(0)
-    ys = synthesize_received(x, 0.21, 1.2, cfg.m_r, 1.0, rng)[None]
-    est = MapEstimator(x, prior, grid361, cfg.m_r, 1.0, refine=False)
+    coef = lag_coefficients(x, synthesize_received(x, 0.21, 1.2, cfg.m_r, 1.0, rng)[None],
+                            cfg.m_r)
+    est = MapEstimator(covariance(x), prior, grid361, cfg.m_r, 1.0, refine=False)
     # The scan covers the support points, where the prior is positive.
-    score = est._scan(est._lag_coef(ys))[0]
+    score = est._scan(coef)[0]
     # Inside the interval the prior is constant: the MAP argmax must match
     # the bare concentrated likelihood argmax restricted to the interval.
     ll = score - est._log_prior_sup
     ml_idx = est._support[np.argmax(ll)]
-    assert est.estimate(ys)[0] == grid361.points[ml_idx]
+    assert est.estimate(coef)[0] == grid361.points[ml_idx]
 
 
 def test_map_estimator_one_shot_estimate(grid361):
     cfg = ArrayConfig(4, 4, 8)
     x = baseline_omni(cfg)
     prior = MixtureUniform(((-0.5, 0.5),), (1.0,))
-    ys = clean_echo(x, grid361.points[190], cfg.m_r)[None]
-    got = MapEstimator(x, prior, grid361, cfg.m_r, cfg.noise_power, refine=False).estimate(ys)
+    coef = lag_coefficients(x, clean_echo(x, grid361.points[190], cfg.m_r)[None], cfg.m_r)
+    est = MapEstimator(covariance(x), prior, grid361, cfg.m_r, cfg.noise_power, refine=False)
+    got = est.estimate(coef)
     assert got[0] == grid361.points[190]
 
 
@@ -88,7 +93,7 @@ def test_zero_prior_everywhere_rejected(grid361):
     # 0.1 to 0.3 degrees lies between the 0 and 0.5 degree grid points.
     between = MixtureUniform(((np.deg2rad(0.1), np.deg2rad(0.3)),), (1.0,))
     with pytest.raises(ValueError):
-        MapEstimator(x, between, grid361, cfg.m_r, 1.0)
+        MapEstimator(covariance(x), between, grid361, cfg.m_r, 1.0)
 
 
 def test_low_noise_mse_below_quantization_bound():
@@ -96,18 +101,18 @@ def test_low_noise_mse_below_quantization_bound():
     grid = AngularGrid(721)
     dist = MixtureUniform(((-0.3, 0.3),), (1.0,))
     x = baseline_omni(cfg)
-    rep = monte_carlo_mse(x, dist, cfg, grid, [60.0], 100, seed=4)
+    rep = monte_carlo_mse(covariance(x), dist, cfg, grid, [60.0], 100, seed=4)
     assert rep[0].mse <= grid.cell**2 / 4
 
 
 def test_mse_decreases_with_snr_and_reproducible(dist12, cfg12, grid361):
-    x = baseline_omni(cfg12)
-    rep = monte_carlo_mse(x, dist12, cfg12, grid361, [0.0, 10.0, 20.0], 150, seed=8)
+    r = covariance(baseline_omni(cfg12))
+    rep = monte_carlo_mse(r, dist12, cfg12, grid361, [0.0, 10.0, 20.0], 150, seed=8)
     mse = [r.mse for r in rep]
     se = [r.std_error for r in rep]
     for i in range(2):
         assert mse[i + 1] <= mse[i] + 2 * (se[i] + se[i + 1])
-    rep2 = monte_carlo_mse(x, dist12, cfg12, grid361, [0.0, 10.0, 20.0], 150, seed=8)
+    rep2 = monte_carlo_mse(r, dist12, cfg12, grid361, [0.0, 10.0, 20.0], 150, seed=8)
     assert rep == rep2
 
 
@@ -116,14 +121,14 @@ def test_prior_dominates_at_very_low_snr(dist12, cfg12, grid361):
     lo, hi = dist12.intervals[0]
     n = 300
     inside = 0
-    est = MapEstimator(x, dist12, grid361, cfg12.m_r, cfg12.noise_power)
+    est = MapEstimator(covariance(x), dist12, grid361, cfg12.m_r, cfg12.noise_power)
     amp = np.sqrt(10 ** (-40 / 10))
     for t in range(n):
         rng = np.random.default_rng(np.random.SeedSequence([99, 0, t]))
         th = dist12.sample(rng)
         ph = rng.uniform(0, 2 * np.pi)
         y = synthesize_received(x, th, amp * np.exp(1j * ph), cfg12.m_r, 1.0, rng)
-        e = est.estimate(y[None])[0]
+        e = est.estimate(lag_coefficients(x, y[None], cfg12.m_r))[0]
         inside += (lo - grid361.cell <= e <= hi + grid361.cell)
     assert inside / n >= 0.99
 
@@ -135,7 +140,7 @@ def test_estimator_cannot_beat_crb_on_average(grid361):
     truth = 0.1
     flat = MixtureUniform(((-np.pi / 2, np.pi / 2),), (1.0,))
     x = baseline_omni(cfg)
-    est = MapEstimator(x, flat, grid361, cfg.m_r, cfg.noise_power)
+    est = MapEstimator(covariance(x), flat, grid361, cfg.m_r, cfg.noise_power)
     amp = np.sqrt(cfg.noise_power * 10 ** (20 / 10) / cfg.power)
     frames = []
     for t in range(500):
@@ -143,14 +148,14 @@ def test_estimator_cannot_beat_crb_on_average(grid361):
         ph = rng.uniform(0, 2 * np.pi)
         frames.append(synthesize_received(x, truth, amp * np.exp(1j * ph),
                                           cfg.m_r, cfg.noise_power, rng))
-    sq_err = (est.estimate(np.stack(frames)) - truth) ** 2
-    bound = pcrb_theta(x, _point_moments(truth, cfg), amp, cfg.noise_power)
+    sq_err = (est.estimate(lag_coefficients(x, np.stack(frames), cfg.m_r)) - truth) ** 2
+    bound = pcrb_theta(covariance(x), _point_moments(truth, cfg), amp, cfg.noise_power)
     assert sq_err.mean() >= bound - 3 * sq_err.std(ddof=1) / np.sqrt(len(sq_err))
 
 
 def test_per_angle_breakdown_partitions_trials(dist12, cfg12, grid361):
-    x = baseline_omni(cfg12)
-    rep = monte_carlo_mse(x, dist12, cfg12, grid361, [10.0], 120, seed=12)
+    rep = monte_carlo_mse(covariance(baseline_omni(cfg12)), dist12, cfg12, grid361, [10.0],
+                          120, seed=12)
     r = rep[0]
     assert sum(n for _, n, _ in r.per_angle) == r.n_trials
     lo, hi = dist12.intervals[0]
@@ -160,7 +165,7 @@ def test_per_angle_breakdown_partitions_trials(dist12, cfg12, grid361):
 
 def test_estimator_focused_waveform_rarely_misses(dist12, cfg12, grid361):
     x = solve_psbp_fair(dist12, cfg12, grid361, seed=1, max_iters=1000).waveform
-    est = MapEstimator(x, dist12, grid361, cfg12.m_r, cfg12.noise_power)
+    est = MapEstimator(covariance(x), dist12, grid361, cfg12.m_r, cfg12.noise_power)
     amp = np.sqrt(10 ** (30 / 10))
     misses = 0
     n = 200
@@ -169,7 +174,7 @@ def test_estimator_focused_waveform_rarely_misses(dist12, cfg12, grid361):
         th = dist12.sample(rng)
         ph = rng.uniform(0, 2 * np.pi)
         y = synthesize_received(x, th, amp * np.exp(1j * ph), cfg12.m_r, 1.0, rng)
-        if abs(est.estimate(y[None])[0] - th) > 3 * grid361.cell:
+        if abs(est.estimate(lag_coefficients(x, y[None], cfg12.m_r))[0] - th) > 3 * grid361.cell:
             misses += 1
     assert misses / n < 0.01
 
@@ -247,9 +252,10 @@ def test_batched_estimator_matches_scalar_reference(seed, snr_db, gaussian, cfg1
     x = random_feasible_waveform(rng, cfg12)
     ys = random_frames(rng, x, prior, snr_db, 5)
     for refine in (False, True):
-        est = MapEstimator(x, prior, grid361, cfg12.m_r, cfg12.noise_power, refine=refine)
+        est = MapEstimator(covariance(x), prior, grid361, cfg12.m_r, cfg12.noise_power,
+                           refine=refine)
         ref = ScalarMap(x, prior, grid361, cfg12.m_r, cfg12.noise_power, refine)
-        got = est.estimate(ys)
+        got = est.estimate(lag_coefficients(x, ys, cfg12.m_r))
         want = np.array([ref.estimate(y) for y in ys])
         if refine:
             # The score is flat to rounding within ~1e-8 rad of its peak, so
@@ -263,12 +269,15 @@ def test_estimates_do_not_depend_on_block_split(dist12, cfg12, grid361):
     rng = np.random.default_rng(3)
     x = random_feasible_waveform(rng, cfg12)
     ys = random_frames(rng, x, dist12, 10.0, 130)
+    coef = lag_coefficients(x, ys, cfg12.m_r)
+    parts = [lag_coefficients(x, ys[a:b], cfg12.m_r) for a, b in ((0, 64), (64, 128), (128, 130))]
+    # A frame's coefficients do not depend on the stack it comes in either.
+    assert np.array_equal(coef, np.concatenate(parts))
     for refine in (False, True):
-        est = MapEstimator(x, dist12, grid361, cfg12.m_r, cfg12.noise_power, refine=refine)
-        whole = est.estimate(ys)
-        parts = np.concatenate([est.estimate(ys[0:64]), est.estimate(ys[64:128]),
-                                est.estimate(ys[128:130])])
-        assert np.array_equal(whole, parts)
+        est = MapEstimator(covariance(x), dist12, grid361, cfg12.m_r, cfg12.noise_power,
+                           refine=refine)
+        whole = est.estimate(coef)
+        assert np.array_equal(whole, np.concatenate([est.estimate(c) for c in parts]))
 
 
 def frames_at(rng, x, thetas, snr_db, m_r=8):
@@ -302,16 +311,17 @@ def test_refine_matches_scalar_reference_at_edges(case, cfg12, dist12, grid361):
         else:
             thetas = prior.sample(rng, size=64)
         ys = frames_at(rng, x, thetas, rng.uniform(0.0, 40.0))
-        est = MapEstimator(x, prior, grid361, cfg12.m_r, cfg12.noise_power)
+        est = MapEstimator(covariance(x), prior, grid361, cfg12.m_r, cfg12.noise_power)
         ref = ScalarMap(x, prior, grid361, cfg12.m_r, cfg12.noise_power, True)
-        theta0 = grid361.points[est._support[np.argmax(est._scan(est._lag_coef(ys)), axis=1)]]
+        coef = lag_coefficients(x, ys, cfg12.m_r)
+        theta0 = grid361.points[est._support[np.argmax(est._scan(coef), axis=1)]]
         if case == "support-edge":
             keep = np.isclose(np.abs(theta0), np.deg2rad(9.5), rtol=0.0, atol=1e-12)
         elif case == "domain-edge":
             keep = theta0 == np.pi / 2
         else:
             keep = np.ones(len(ys), dtype=bool)
-        got = est.estimate(ys[keep])
+        got = est.estimate(coef[keep])
         want = np.array([ref.estimate(y) for y in ys[keep]])
         if case == "domain-edge":
             assert np.max(np.abs(np.sin(got) - np.sin(want)), initial=0.0) <= 1e-7
@@ -338,22 +348,23 @@ def test_refine_probe_count(dist12, cfg12, grid361, monkeypatch):
     monkeypatch.setattr(MapEstimator, "_probe",
                         lambda self, coef, th: calls.append(len(coef)) or probe(self, coef, th))
     for x in (baseline_omni(cfg12), random_feasible_waveform(rng, cfg12)):
-        est = MapEstimator(x, dist12, grid361, cfg12.m_r, cfg12.noise_power)
+        est = MapEstimator(covariance(x), dist12, grid361, cfg12.m_r, cfg12.noise_power)
         for snr_db in (-10.0, 10.0, 30.0):
             for n in (64, 1):
+                coef = lag_coefficients(x, random_frames(rng, x, dist12, snr_db, n), cfg12.m_r)
                 calls.clear()
-                est.estimate(random_frames(rng, x, dist12, snr_db, n))
+                est.estimate(coef)
                 assert set(calls) == {n} and 1 <= len(calls) <= 6, calls
 
 
 def test_monte_carlo_blocks_and_shared_moments(dist12, cfg12, grid361, mom12):
-    x = baseline_omni(cfg12)
-    one = monte_carlo_mse(x, dist12, cfg12, grid361, [10.0], 1, seed=2)
+    r = covariance(baseline_omni(cfg12))
+    one = monte_carlo_mse(r, dist12, cfg12, grid361, [10.0], 1, seed=2)
     assert one[0].std_error == 0.0 and one[0].n_trials == 1
     # 65 trials: one full block and a block of one.
-    rep = monte_carlo_mse(x, dist12, cfg12, grid361, [0.0, 20.0], 65, seed=2)
-    assert rep == monte_carlo_mse(x, dist12, cfg12, grid361, [0.0, 20.0], 65, seed=2)
-    assert rep == monte_carlo_mse(x, dist12, cfg12, grid361, [0.0, 20.0], 65, seed=2,
+    rep = monte_carlo_mse(r, dist12, cfg12, grid361, [0.0, 20.0], 65, seed=2)
+    assert rep == monte_carlo_mse(r, dist12, cfg12, grid361, [0.0, 20.0], 65, seed=2)
+    assert rep == monte_carlo_mse(r, dist12, cfg12, grid361, [0.0, 20.0], 65, seed=2,
                                   moments=mom12)
 
 
@@ -363,10 +374,10 @@ def test_monte_carlo_matches_per_block_reference(gaussian, dist12, cfg12, grid36
     # reproduce the reference's draws and coefficients exactly, so the
     # summaries are equal.
     prior = SCENARIO3_PRIOR if gaussian else dist12
-    x = random_feasible_waveform(np.random.default_rng(11), cfg12)
-    rep = monte_carlo_mse(x, prior, cfg12, grid361, [0.0, 20.0], 65, seed=3,
+    r = covariance(random_feasible_waveform(np.random.default_rng(11), cfg12))
+    rep = monte_carlo_mse(r, prior, cfg12, grid361, [0.0, 20.0], 65, seed=3,
                           moments=mom12)
-    ref = per_block_mse(x, prior, cfg12, grid361, [0.0, 20.0], 65, seed=3)
+    ref = per_block_mse(r, prior, cfg12, grid361, [0.0, 20.0], 65, seed=3)
     for r, (mse, std_error, per_angle) in zip(rep, ref):
         assert r.mse == mse and r.std_error == std_error and r.per_angle == per_angle
 
@@ -386,13 +397,13 @@ def test_coefficient_law_matches_frame_path(m_t, m_r, l_samples, spacing):
     # the covariance of vec(Z) @ K for white Z of variance sigma^2.
     rng = np.random.default_rng(m_t * m_r + l_samples)
     x = rng.normal(size=(m_t, l_samples)) + 1j * rng.normal(size=(m_t, l_samples))
-    est = MapEstimator(x, SCENARIO3_PRIOR, AngularGrid(181), m_r, 0.7, spacing)
+    est = MapEstimator(covariance(x), SCENARIO3_PRIOR, AngularGrid(181), m_r, 0.7, spacing)
     theta = np.concatenate([rng.uniform(-np.pi / 2, np.pi / 2, 40), [-np.pi / 2, 0.0, np.pi / 2]])
     frames = received_block(x, theta, np.ones(len(theta), dtype=complex),
                             np.zeros((len(theta), m_r, l_samples, 2)), spacing,
                             np.empty((len(theta), m_r, l_samples), dtype=complex))
-    assert relative_error(est._mean_coef(theta), est._lag_coef(frames)) <= 1e-12
-    kernel, factor = est._lag_kernel, est._noise_factor
+    assert relative_error(est._mean_coef(theta), lag_coefficients(x, frames, m_r)) <= 1e-12
+    kernel, factor = lag_kernel(x, m_r), est._noise_factor
     # The factor colours a fill with unit-variance real and imaginary parts.
     assert relative_error(2.0 * factor.T @ factor.conj(),
                           0.7 * kernel.T @ kernel.conj()) <= 1e-12
@@ -409,12 +420,14 @@ def test_sampled_coefficient_covariances_agree(m_t, m_r, l_samples, spacing):
     rng = np.random.default_rng(100 + m_t + m_r)
     x = rng.normal(size=(m_t, l_samples)) + 1j * rng.normal(size=(m_t, l_samples))
     noise_power, n = 0.7, 20000
-    est = MapEstimator(x, SCENARIO3_PRIOR, AngularGrid(181), m_r, noise_power, spacing)
+    est = MapEstimator(covariance(x), SCENARIO3_PRIOR, AngularGrid(181), m_r, noise_power,
+                       spacing)
+    kernel = lag_kernel(x, m_r)
     z = rng.normal(scale=np.sqrt(noise_power / 2.0), size=(n, m_r * l_samples, 2))
-    frame_w = (z[..., 0] + 1j * z[..., 1]) @ est._lag_kernel
+    frame_w = (z[..., 0] + 1j * z[..., 1]) @ kernel
     fill = rng.standard_normal((n, len(est._noise_factor), 2))
     coef_w = (fill[..., 0] + 1j * fill[..., 1]) @ est._noise_factor
-    cov = noise_power * est._lag_kernel.T @ est._lag_kernel.conj()
+    cov = noise_power * kernel.T @ kernel.conj()
     diag = np.real(np.diag(cov))
     # Lags that only the denominator uses have no variance: the eigh factor
     # leaves rounding there, far under the floor.
@@ -440,14 +453,15 @@ def test_semidefinite_coefficient_noise(waveform, cfg12, dist12, grid361):
     else:
         cfg = ArrayConfig(cfg12.m_t, cfg12.m_r, 1)
         x = np.exp(2j * np.pi * rng.random((cfg.m_t, 1))) / np.sqrt(cfg.m_t)
-    est = MapEstimator(x, dist12, grid361, cfg.m_r, cfg.noise_power)
-    cov = cfg.noise_power * est._lag_kernel.T @ est._lag_kernel.conj()
+    est = MapEstimator(covariance(x), dist12, grid361, cfg.m_r, cfg.noise_power)
+    kernel = lag_kernel(x, cfg.m_r)
+    cov = cfg.noise_power * kernel.T @ kernel.conj()
     assert cov.shape == (15, 15) and np.linalg.matrix_rank(cov) == 8
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.cholesky(cov)
     factor = est._noise_factor
     assert relative_error(2.0 * factor.T @ factor.conj(), cov) <= 1e-12
-    rep = monte_carlo_mse(x, dist12, cfg, grid361, [0.0, 20.0], 65, seed=4)
+    rep = monte_carlo_mse(covariance(x), dist12, cfg, grid361, [0.0, 20.0], 65, seed=4)
     assert all(np.isfinite(r.mse) and r.n_trials == 65 for r in rep)
 
 
@@ -460,7 +474,7 @@ def test_score_at_matches_steering_formula(m_t, m_r, spacing):
     rng = np.random.default_rng(m_t + m_r)
     x = random_feasible_waveform(rng, cfg)
     prior = MixtureGaussian((0.3, -0.5), 0.2, (0.6, 0.4))
-    est = MapEstimator(x, prior, AngularGrid(181), m_r, 0.7, spacing)
+    est = MapEstimator(covariance(x), prior, AngularGrid(181), m_r, 0.7, spacing)
     ys = rng.normal(size=(6, m_r, 9)) + 1j * rng.normal(size=(6, m_r, 9))
     theta = rng.uniform(-np.pi / 2, np.pi / 2, 6)
     want = []
@@ -468,7 +482,7 @@ def test_score_at_matches_steering_formula(m_t, m_r, spacing):
         w = x.conj().T @ steering_matrix(th, m_t, spacing)
         s = steering_matrix(th, m_r, spacing).conj() @ y @ w
         want.append(abs(s) ** 2 / (0.7 * m_r * np.vdot(w, w).real) + np.log(prior.pdf(th)))
-    got = est._probe(est._lag_coef(ys), theta[:, None])[0][:, 0]
+    got = est._probe(lag_coefficients(x, ys, m_r), theta[:, None])[0][:, 0]
     assert np.allclose(got, want, rtol=1e-12, atol=0.0)
 
 
@@ -489,8 +503,8 @@ def test_lag_scan_matches_steering_formula(seed, m_t, m_r, spacing, snr_db, gaus
     ys = np.array([synthesize_received(x, float(t), amp * np.exp(2j * np.pi * rng.random()),
                                        m_r, cfg.noise_power, rng, spacing)
                    for t in prior.sample(rng, 4)])
-    est = MapEstimator(x, prior, grid, m_r, cfg.noise_power, spacing, refine=False)
-    got = est._scan(est._lag_coef(ys))
+    est = MapEstimator(covariance(x), prior, grid, m_r, cfg.noise_power, spacing, refine=False)
+    got = est._scan(lag_coefficients(x, ys, m_r))
 
     w = x.conj().T @ steering_matrix(grid.points, m_t, spacing)
     s = np.einsum("rp,nrl,lp->np", steering_matrix(grid.points, m_r, spacing).conj(), ys, w)
@@ -526,12 +540,12 @@ def test_probe_derivatives_match_finite_differences(seed, snr_db, gaussian, cfg1
         c = rng.uniform(-1.0, 0.8)
         prior = MixtureUniform(((-np.pi / 2, c), (c + rng.uniform(0.05, 0.5), np.pi / 2)),
                                (0.5, 0.5))
-    est = MapEstimator(x, prior, grid361, cfg12.m_r, cfg12.noise_power)
+    est = MapEstimator(covariance(x), prior, grid361, cfg12.m_r, cfg12.noise_power)
     ends = np.concatenate([est._bracket_lo, est._bracket_hi])
     cut = ends[np.min(np.abs(ends[:, None] - grid361.points), axis=1) > 1e-9]
     assert gaussian or len(cut) == 2
     angles = np.concatenate([prior.sample(rng, 4), [-np.pi / 2, np.pi / 2], cut])
-    coef = est._lag_coef(random_frames(rng, x, prior, snr_db, 3))
+    coef = lag_coefficients(x, random_frames(rng, x, prior, snr_db, 3), cfg12.m_r)
     h = 3e-5
 
     def value(th):
@@ -552,20 +566,29 @@ def test_probe_derivatives_match_finite_differences(seed, snr_db, gaussian, cfg1
 
 def test_score_shapes_and_frame_validation(dist12, cfg12, grid361):
     x = baseline_omni(cfg12)
-    est = MapEstimator(x, dist12, grid361, cfg12.m_r, cfg12.noise_power)
+    est = MapEstimator(covariance(x), dist12, grid361, cfg12.m_r, cfg12.noise_power)
     ys = random_frames(np.random.default_rng(0), x, dist12, 10.0, 3)
-    coef = est._lag_coef(ys)
+    coef = lag_coefficients(x, ys, cfg12.m_r)
     scores = est._scan(coef)
     # The scan covers exactly the grid points where the prior is positive.
     assert np.array_equal(est._support, np.flatnonzero(dist12.pdf(grid361.points) > 0))
     assert scores.shape == (3, len(est._support))
     # BLAS may take another kernel for a single row: equal up to rounding.
-    assert np.allclose(scores[1], est._scan(est._lag_coef(ys[1:2]))[0], rtol=1e-12, atol=0.0)
+    assert np.allclose(scores[1], est._scan(coef[1:2])[0], rtol=1e-12, atol=0.0)
     at = est._probe(coef, np.array([[0.0], [0.1], [1.0]]))[0][:, 0]
     assert at.shape == (3,) and np.isneginf(at[2])  # 1 rad is outside the prior
-    assert at[1] == est._probe(est._lag_coef(ys[1:2]), np.array([[0.1]]))[0][0, 0]
-    # Only stacks are taken: a wrong frame shape and a bare frame are rejected.
+    assert at[1] == est._probe(coef[1:2], np.array([[0.1]]))[0][0, 0]
+    # Only stacks are taken: a wrong frame shape and a bare frame are
+    # rejected, and so is a coefficient stack of the wrong width.
     with pytest.raises(ValueError):
-        est.estimate(np.zeros((1, cfg12.m_r + 1, cfg12.l_samples)))
+        lag_coefficients(x, np.zeros((1, cfg12.m_r + 1, cfg12.l_samples)), cfg12.m_r)
     with pytest.raises(ValueError, match="N, m_r, L"):
-        est.estimate(ys[0])
+        lag_coefficients(x, ys[0], cfg12.m_r)
+    with pytest.raises(ValueError, match="lag coefficients"):
+        est.estimate(coef[:, :-1])
+    with pytest.raises(ValueError, match="lag coefficients"):
+        est.estimate(coef[0])
+    # The estimator takes a square Hermitian covariance, not a waveform.
+    for bad in (x, covariance(x) + 1e-3j * np.eye(cfg12.m_t)):
+        with pytest.raises(ValueError, match="covariance"):
+            MapEstimator(bad, dist12, grid361, cfg12.m_r, cfg12.noise_power)

@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 from priorwave import (
     ArrayConfig,
+    DistributionMoments,
     MixtureGaussian,
     MixtureUniform,
+    beampattern,
     compute_moments,
     pcrb_theta,
     pcrb_upper_bound,
@@ -16,7 +18,7 @@ from priorwave import (
     steering_derivative_matrix,
 )
 from priorwave.priors import _point_moments
-from conftest import posterior_fim, random_feasible_waveform
+from conftest import covariance, posterior_fim, random_feasible_waveform
 
 
 def expected_loglik_curvature(x, theta0, amp, noise_power, m_r, h=1e-4):
@@ -53,7 +55,7 @@ def test_zero_waveform_blocks_are_zero():
     mom = compute_moments(MixtureGaussian((0.0,), np.pi / 90, (1.0,)), cfg)
     fim = posterior_fim(np.zeros((4, 8)), mom, 1.0, 1.0)
     assert np.array_equal(fim, np.diag([mom.lam, 0.0, 0.0]))
-    assert pcrb_theta(np.zeros((4, 8)), mom, 1.0, 1.0) == 1.0 / mom.lam
+    assert pcrb_theta(np.zeros((4, 4)), mom, 1.0, 1.0) == 1.0 / mom.lam
 
 
 def test_blocks_scale_quadratically(mom12, cfg12):
@@ -74,10 +76,10 @@ def test_bound_depends_on_the_snr_not_the_waveform_power(c):
     mom = compute_moments(MixtureUniform(((0.1, 0.4),), (1.0,)), cfg)
     x = random_feasible_waveform(np.random.default_rng(12), cfg)
     amp = np.sqrt(1e3)  # 30 dB at unit power and noise
-    ref = pcrb_theta(x, mom, amp, 1.0)
-    got = pcrb_theta(np.sqrt(c) * x, mom, amp / np.sqrt(c), 1.0)
+    ref = pcrb_theta(covariance(x), mom, amp, 1.0)
+    got = pcrb_theta(covariance(np.sqrt(c) * x), mom, amp / np.sqrt(c), 1.0)
     assert abs(got - ref) <= 1e-9 * ref
-    assert pcrb_theta(0.0 * x, mom, amp / np.sqrt(c), 1.0) == 1.0 / mom.lam
+    assert pcrb_theta(covariance(0.0 * x), mom, amp / np.sqrt(c), 1.0) == 1.0 / mom.lam
 
 
 @pytest.mark.parametrize("noise_power", [0.0, -1.0])
@@ -85,7 +87,7 @@ def test_bounds_reject_a_nonpositive_noise_power(mom12, noise_power):
     x = np.ones((8, 25), dtype=complex)
     for bound in (pcrb_theta, pcrb_upper_bound):
         with pytest.raises(ValueError, match="noise_power must be positive"):
-            bound(x, mom12, 1.0, noise_power)
+            bound(covariance(x), mom12, 1.0, noise_power)
 
 
 def test_point_mass_fim_matches_finite_difference_oracle():
@@ -120,8 +122,8 @@ def test_pure_prior_bound_is_sigma_squared():
     cfg = ArrayConfig(4, 4, 8)
     mom = compute_moments(MixtureGaussian((0.0,), sigma, (1.0,)), cfg)
     x = np.zeros((4, 8))
-    assert abs(pcrb_theta(x, mom, 1.0, 1.0) - sigma**2) < 1e-12 * sigma**2
-    assert abs(pcrb_upper_bound(x, mom, 1.0, 1.0) - sigma**2) < 1e-12 * sigma**2
+    assert abs(pcrb_theta(covariance(x), mom, 1.0, 1.0) - sigma**2) < 1e-12 * sigma**2
+    assert abs(pcrb_upper_bound(covariance(x), mom, 1.0, 1.0) - sigma**2) < 1e-12 * sigma**2
 
 
 def test_schur_matches_full_inverse(prior_moments, cfg12):
@@ -130,7 +132,7 @@ def test_schur_matches_full_inverse(prior_moments, cfg12):
         for _ in range(50):
             x = random_feasible_waveform(rng, cfg12)
             amp = rng.normal() + 1j * rng.normal()
-            pcrb = pcrb_theta(x, mom, amp, 1.3)
+            pcrb = pcrb_theta(covariance(x), mom, amp, 1.3)
             inv11 = np.linalg.inv(posterior_fim(x, mom, amp, 1.3))[0, 0]
             assert abs(inv11 - pcrb) <= 1e-10 * pcrb, kind
 
@@ -149,7 +151,8 @@ def test_bound_ordering(mom12, cfg12):
     for _ in range(100):
         x = random_feasible_waveform(rng, cfg12)
         amp = rng.normal() + 1j * rng.normal()
-        assert pcrb_theta(x, mom12, amp, 1.0) <= pcrb_upper_bound(x, mom12, amp, 1.0)
+        r = covariance(x)
+        assert pcrb_theta(r, mom12, amp, 1.0) <= pcrb_upper_bound(r, mom12, amp, 1.0)
 
 
 MIXTURES = {
@@ -175,8 +178,8 @@ def test_pcrb_never_exceeds_trace_upper_bound(kind, seed, amp_db, phase, noise, 
     x = rng.normal(size=(6, 10)) + 1j * rng.normal(size=(6, 10))
     x *= np.exp(spread * rng.normal(size=(6, 1)))
     amp = 10.0 ** (amp_db / 20.0) * np.exp(1j * phase)
-    up = pcrb_upper_bound(x, mom, amp, noise)
-    assert pcrb_theta(x, mom, amp, noise) <= up * (1.0 + 1e-12)
+    up = pcrb_upper_bound(covariance(x), mom, amp, noise)
+    assert pcrb_theta(covariance(x), mom, amp, noise) <= up * (1.0 + 1e-12)
 
 
 def test_bound_gap_matches_cauchy_schwarz_term(mom12, cfg12):
@@ -185,8 +188,8 @@ def test_bound_gap_matches_cauchy_schwarz_term(mom12, cfg12):
     rng = np.random.default_rng(6)
     x = random_feasible_waveform(rng, cfg12)
     amp, noise = 0.8 + 0.3j, 1.1
-    lo = pcrb_theta(x, mom12, amp, noise)
-    up = pcrb_upper_bound(x, mom12, amp, noise)
+    lo = pcrb_theta(covariance(x), mom12, amp, noise)
+    up = pcrb_upper_bound(covariance(x), mom12, amp, noise)
     t2 = np.vdot(x, mom12.xi2 @ x)
     t3 = np.vdot(x, mom12.xi3 @ x).real
     q = np.vdot(x, (mom12.xi1 - mom12.xi0) @ x).real - abs(t2) ** 2 / t3
@@ -197,10 +200,10 @@ def test_bound_gap_matches_cauchy_schwarz_term(mom12, cfg12):
 def test_noise_monotonicity_and_ratio_homogeneity(mom12, cfg12):
     rng = np.random.default_rng(7)
     x = random_feasible_waveform(rng, cfg12)
-    bounds = [pcrb_theta(x, mom12, 1.0, s) for s in (0.5, 1.0, 2.0, 4.0)]
+    bounds = [pcrb_theta(covariance(x), mom12, 1.0, s) for s in (0.5, 1.0, 2.0, 4.0)]
     assert all(a < b for a, b in zip(bounds, bounds[1:]))
-    base = pcrb_theta(x, mom12, 1.0, 1.0)
-    scaled = pcrb_theta(x, mom12, np.sqrt(2.0), 2.0)
+    base = pcrb_theta(covariance(x), mom12, 1.0, 1.0)
+    scaled = pcrb_theta(covariance(x), mom12, np.sqrt(2.0), 2.0)
     assert abs(base - scaled) <= 1e-12 * base
 
 
@@ -208,8 +211,8 @@ def test_unitary_right_multiplication_invariance(mom12, cfg12):
     rng = np.random.default_rng(8)
     x = random_feasible_waveform(rng, cfg12)
     q, _ = np.linalg.qr(rng.normal(size=(25, 25)) + 1j * rng.normal(size=(25, 25)))
-    a = pcrb_theta(x, mom12, 1.0, 1.0)
-    b = pcrb_theta(x @ q, mom12, 1.0, 1.0)
+    a = pcrb_theta(covariance(x), mom12, 1.0, 1.0)
+    b = pcrb_theta(covariance(x @ q), mom12, 1.0, 1.0)
     assert abs(a - b) <= 1e-10 * a
 
 
@@ -227,8 +230,55 @@ def test_bounds_invariant_under_right_unitary(kind, seed, amp_db, phase, noise):
     q = z * (np.diag(r) / np.abs(np.diag(r)))
     amp = 10.0 ** (amp_db / 20.0) * np.exp(1j * phase)
     for bound in (pcrb_theta, pcrb_upper_bound):
-        a, b = bound(x, mom, amp, noise), bound(x @ q, mom, amp, noise)
+        a, b = bound(covariance(x), mom, amp, noise), bound(covariance(x @ q), mom, amp, noise)
         assert abs(a - b) <= 1e-10 * a
+
+
+def random_moments(rng, m_t):
+    """Moments with the structure the bound needs: ``xi0`` and ``xi3``
+    positive semidefinite, and ``[[xi1, xi2], [xi2^H, xi3]]`` as well, so
+    ``|t2|^2 <= t1 t3`` for every covariance."""
+    g = rng.normal(size=(3 * m_t, 3 * m_t)) + 1j * rng.normal(size=(3 * m_t, 3 * m_t))
+    joint = g @ g.conj().T
+    return DistributionMoments(xi0=joint[2 * m_t:, 2 * m_t:], xi1=joint[:m_t, :m_t],
+                               xi2=joint[:m_t, m_t:2 * m_t], xi3=joint[m_t:2 * m_t, m_t:2 * m_t],
+                               lam=float(rng.uniform(0.01, 10.0)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m_t=st.integers(1, 8), l_samples=st.integers(1, 12),
+       kappa=st.floats(1.0, 3.0), amp_db=st.floats(-20.0, 20.0), noise=st.floats(0.05, 20.0))
+def test_covariance_forms_match_waveform_forms(seed, m_t, l_samples, kappa, amp_db, noise):
+    # The bounds and the beampattern of R = X X^H against the waveform
+    # forms t_i = Tr{X^H xi_i X} and ||X^H a||^2, computed here from X.
+    rng = np.random.default_rng(seed)
+    x = random_feasible_waveform(rng, ArrayConfig(m_t, 4, l_samples, papr=kappa))
+    mom = random_moments(rng, m_t)
+    r = covariance(x)
+    t0, t1, t3 = (np.vdot(x, xi @ x).real for xi in (mom.xi0, mom.xi1, mom.xi3))
+    t2 = np.vdot(x, mom.xi2 @ x)
+    amp = 10.0 ** (amp_db / 20.0)
+    snr = 2.0 * amp**2 / noise
+    want = 1.0 / (mom.lam + snr * (t1 - abs(t2) ** 2 / t3))
+    assert abs(pcrb_theta(r, mom, amp, noise) - want) <= 1e-13 * want
+    want = 1.0 / (mom.lam + snr * t0)
+    assert abs(pcrb_upper_bound(r, mom, amp, noise) - want) <= 1e-13 * want
+    # On the scale of the beampattern's ceiling m_t ||X||_F^2: near a null
+    # both forms only resolve it to rounding.
+    theta = rng.uniform(-np.pi / 2, np.pi / 2, 16)
+    want = np.sum(np.abs(x.conj().T @ steering_matrix(theta, m_t)) ** 2, axis=0)
+    assert np.all(np.abs(beampattern(r, theta) - want) <= 1e-13 * m_t * np.trace(r).real)
+    # A waveform, a non-square matrix, a covariance with a non-Hermitian
+    # part or a non-finite entry is not taken for a covariance.
+    skewed, blank = r.copy(), r.copy()
+    skewed[0, 0] += 1e-6j * np.trace(r).real
+    blank[-1, 0] = np.nan
+    for bad in (r[:, :-1], skewed, blank) + ((x,) if l_samples != m_t else ()):
+        for call in (lambda: pcrb_theta(bad, mom, amp, noise),
+                     lambda: pcrb_upper_bound(bad, mom, amp, noise),
+                     lambda: beampattern(bad, theta)):
+            with pytest.raises(ValueError, match="covariance"):
+                call()
 
 
 def test_non_hermitian_moments_rejected(mom12):
@@ -236,11 +286,11 @@ def test_non_hermitian_moments_rejected(mom12):
     bad = replace(mom12, xi1=mom12.xi1 + 1e-3j * np.eye(8))
     x = np.ones((8, 25), dtype=complex)
     with pytest.raises(ValueError, match="Hermitian"):
-        pcrb_theta(x, bad, 1.0, 1.0)
+        pcrb_theta(covariance(x), bad, 1.0, 1.0)
 
 
 def test_no_information_raises():
     cfg = ArrayConfig(4, 4, 8)
     mom = _point_moments(0.0, cfg)  # lam = 0
     with pytest.raises(ValueError):
-        pcrb_theta(np.zeros((4, 8)), mom, 1.0, 1.0)
+        pcrb_theta(np.zeros((4, 4)), mom, 1.0, 1.0)

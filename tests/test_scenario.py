@@ -375,7 +375,7 @@ def test_waveform_round_trip_and_beampattern_dump(tmp_path):
     emit_waveform(x, wf)
     assert np.array_equal(read_waveform(wf), x)
     bp = tmp_path / "bp.csv"
-    emit_beampattern(x, AngularGrid(91), bp)
+    emit_beampattern(x @ x.conj().T, AngularGrid(91), bp)
     lines = bp.read_text().strip().splitlines()
     assert lines[0] == "angle_deg,power,power_db"
     powers = [float(l.split(",")[1]) for l in lines[1:]]
@@ -444,11 +444,18 @@ def test_beampattern_rejects_bad_waveform_tables(tmp_path, capsys):
                        ("huge", ["1000000000000000,0"])):
         tables.append(tmp_path / f"{name}.csv")
         tables[-1].write_text("m,l,re,im\n" + "".join(f"{r},1.0,0.0\n" for r in rows))
+    # Non-finite entries, named by their line.
+    for name, entry in (("nan", "0,1,nan,0.0"), ("inf", "0,1,1.0,-inf")):
+        tables.append(tmp_path / f"{name}.csv")
+        tables[-1].write_text(f"m,l,re,im\n0,0,1.0,0.0\n{entry}\n")
     for bad in (tmp_path / "missing.csv", empty, header_only, *tables):
         assert cli_main(["beampattern", "--waveform", str(bad),
                          "--out", str(tmp_path / "bp.csv")]) == 1
-        lines = capsys.readouterr().out.strip().splitlines()
-        assert len(lines) == 1 and str(bad) in lines[0]
+        out, err = capsys.readouterr()
+        lines = out.strip().splitlines()
+        assert len(lines) == 1 and str(bad) in lines[0] and err == ""
+        if bad.stem in ("nan", "inf"):
+            assert "line 3" in lines[0]
     assert not (tmp_path / "bp.csv").exists()
 
 

@@ -30,6 +30,7 @@ from priorwave import solvers
 from priorwave.admm import _project_feasible
 from priorwave.priors import _point_moments
 from priorwave.solvers import _admm, _eta_update, _FairSplit, _inflate_columns
+from conftest import covariance
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "src" / "priorwave" / "configs"
 
@@ -102,7 +103,8 @@ def test_integrated_metric_matches_quad_integral(dist, cfg12):
     r = solve_psbp_integrated(mom, cfg12, seed=5, max_iters=300)
     breaks = (sorted(chain.from_iterable(dist.intervals)) if isinstance(dist, MixtureUniform)
               else sorted(dist.means))
-    total, _ = quad(lambda t: dist.pdf(t) * float(beampattern(r.waveform, np.array([t]))[0]),
+    cov = covariance(r.waveform)
+    total, _ = quad(lambda t: dist.pdf(t) * float(beampattern(cov, np.array([t]))[0]),
                     -np.pi / 2, np.pi / 2, points=breaks, limit=500, epsabs=0.0, epsrel=1e-10)
     assert abs(total - r.metric_value) <= 1e-6 * total
 
@@ -274,11 +276,11 @@ def test_multiplier_root_misses_are_counted():
     sig = np.array([1.0, 2.0, 3.0, 5.0])
     q = np.outer([1e-10, 1.0, 1.0, 1.0], [1.0, 1j, -1.0]).astype(complex)
     cfg = ArrayConfig(4, 4, 3, power=8.0, papr=2.0)
-    r = _admm(FixedTargetSplit(sig, q), cfg, 0, lambda x: 0.0, max_iters=4)
+    r = _admm(FixedTargetSplit(sig, q), cfg, 0, lambda r: 0.0, max_iters=4)
     assert r.trace.mu_tol_misses == len(r.trace) == 4
     # Spectra away from the pole meet the tolerance: no misses counted.
     q[0] = 1.0
-    r = _admm(FixedTargetSplit(sig, q), cfg, 0, lambda x: 0.0, max_iters=4)
+    r = _admm(FixedTargetSplit(sig, q), cfg, 0, lambda r: 0.0, max_iters=4)
     assert r.trace.mu_tol_misses == 0
 
 
@@ -353,7 +355,7 @@ def test_warm_start_must_fit_the_waveform(mom12, cfg12):
 def test_omni_baseline_properties():
     cfg = ArrayConfig(8, 8, 25, power=2.0)
     x = baseline_omni(cfg)
-    bp = beampattern(x, np.linspace(-np.pi / 2, np.pi / 2, 181))
+    bp = beampattern(covariance(x), np.linspace(-np.pi / 2, np.pi / 2, 181))
     assert bp.max() / bp.min() <= 1 + 1e-9
     mags = np.abs(x) ** 2
     papr = mags.max() / mags.mean()
@@ -367,11 +369,11 @@ def test_crb_baseline_focuses_and_beats_omni(grid361):
     cfg = ArrayConfig(8, 8, 25, power=1.0, papr=1.5)
     th0 = grid361.points[240]
     r = baseline_crb(th0, cfg, seed=6, max_iters=1500)
-    bp = beampattern(r.waveform, grid361.points)
+    bp = beampattern(covariance(r.waveform), grid361.points)
     assert abs(grid361.points[np.argmax(bp)] - th0) <= grid361.cell + 1e-12
     mom0 = _point_moments(th0, cfg)
-    crb_designed = pcrb_theta(r.waveform, mom0, 1.0, cfg.noise_power)
-    crb_omni = pcrb_theta(baseline_omni(cfg), mom0, 1.0, cfg.noise_power)
+    crb_designed = pcrb_theta(covariance(r.waveform), mom0, 1.0, cfg.noise_power)
+    crb_omni = pcrb_theta(covariance(baseline_omni(cfg)), mom0, 1.0, cfg.noise_power)
     assert crb_designed <= crb_omni
     r2 = baseline_crb(th0, cfg, seed=6, max_iters=1500)
     assert r2.waveform.tobytes() == r.waveform.tobytes()
