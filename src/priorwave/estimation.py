@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .pcrb import pcrb_theta
-from .priors import DistributionMoments, TargetDistribution, compute_moments
+from .priors import DistributionMoments, TargetDistribution, _grid_density, compute_moments
 from .ula import HALF_DOMAIN, ArrayConfig, _covariance, _offsets, _steer, beampattern
 
 __all__ = [
@@ -65,19 +65,6 @@ _BLOCK = 64
 # compare rounding noise.
 _NEWTON_STEPS = 30
 _REFINE_TOL = 3e-9
-
-
-def _support_edge(pdf, inside: np.ndarray, outside: np.ndarray) -> np.ndarray:
-    """Bisect from angles of positive density toward angles of zero density.
-
-    Returns, per pair, the last angle of positive density found, within
-    ``2**-60`` of the starting gap from where the density turns zero.
-    """
-    for _ in range(60):
-        mid = 0.5 * (inside + outside)
-        pos = np.asarray(pdf(mid)) > 0
-        inside, outside = np.where(pos, mid, inside), np.where(pos, outside, mid)
-    return inside
 
 
 def _lag_pick(m_t: int, m_r: int):
@@ -126,8 +113,9 @@ class MapEstimator:
     (lags, support)`` product on the frames' coefficients, over the exact
     beampattern at each point; points outside the support score
     ``-inf``. ``refine`` polishes each grid argmax by maximizing the
-    exact posterior score over the bracketing cells, clipped to the
-    prior's support; switch it off to reproduce a plain grid argmax.
+    exact posterior score over the bracketing cells, clipped to +-pi/2
+    and to the interval of ``dist.support()`` that holds the argmax;
+    switch it off to reproduce a plain grid argmax.
 
     Off the grid, the refine evaluates the same polynomials on the
     coefficients the scan computed, with their first and second
@@ -161,9 +149,7 @@ class MapEstimator:
         self._dist = dist
         self._m_r = int(m_r)
         self._spacing = spacing
-        f = np.asarray(dist.pdf(grid.points), dtype=float)
-        if not np.any(f > 0):
-            raise ValueError("prior density is zero at every grid point")
+        f = _grid_density(dist, grid.points)
         self._support = np.flatnonzero(f > 0)
         sup_pts = grid.points[self._support]
         # The exact log density, as ``_probe`` takes it off the grid.
@@ -194,18 +180,13 @@ class MapEstimator:
         # a_r^H y X^H a_t there, a (N, lags) @ (lags, support) product.
         self._sup_phasor = np.exp(1j * np.multiply.outer(self._lag_phase, np.sin(sup_pts)))
 
-        # Refine brackets per support point: the neighbouring cells, cut at
-        # the +-pi/2 ends and where a neighbour outside the support puts a
-        # support edge inside the cell.
-        pts, sup, cell = grid.points, self._support, grid.cell
-        self._bracket_lo = np.maximum(pts[sup] - cell, pts[0])
-        self._bracket_hi = np.minimum(pts[sup] + cell, pts[-1])
-        for end, step in ((self._bracket_lo, -1), (self._bracket_hi, 1)):
-            nb = sup + step
-            cut = (nb >= 0) & (nb < len(pts))
-            cut[cut] = f[nb[cut]] <= 0
-            if cut.any():
-                end[cut] = _support_edge(dist.pdf, pts[sup[cut]], pts[nb[cut]])
+        # Refine brackets: a cell each side of a support point, cut to the support interval
+        # holding it (within +-pi/2); an end whose grid neighbour is out of it is the interval end.
+        ivs = np.clip(np.array(dist.support()), -HALF_DOMAIN, HALF_DOMAIN)
+        lo, hi = ivs[ivs[:, 0].searchsorted(sup_pts, side="right") - 1].T
+        nb = grid.points[np.clip(self._support + [[-1], [1]], 0, grid.size - 1)]
+        self._bracket_lo = np.where(nb[0] < lo, lo, np.maximum(sup_pts - grid.cell, lo))
+        self._bracket_hi = np.where(nb[1] > hi, hi, np.minimum(sup_pts + grid.cell, hi))
 
     def _scan(self, coef: np.ndarray) -> np.ndarray:
         """Scores at the support points from lag coefficients, shape ``(N, len(support))``."""

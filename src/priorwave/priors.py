@@ -19,6 +19,7 @@ import numpy as np
 from .ula import (
     HALF_DOMAIN,
     ArrayConfig,
+    _ANGLE_SLACK,
     receive_derivative_norm2,
     steering_derivative_matrix,
     steering_matrix,
@@ -54,6 +55,17 @@ def _check_weights(weights) -> tuple[float, ...]:
     return w
 
 
+def _merged(intervals) -> list[tuple[float, float]]:
+    """The union of ``intervals``, sorted, with overlapping or touching ones merged."""
+    merged: list[tuple[float, float]] = []
+    for lo, hi in sorted(intervals):
+        if merged and lo <= merged[-1][1]:
+            merged[-1] = (merged[-1][0], max(hi, merged[-1][1]))
+        else:
+            merged.append((lo, hi))
+    return merged
+
+
 def _weights_cdf(weights: tuple[float, ...]) -> np.ndarray:
     """Normalized cumulative weights for a categorical draw.
 
@@ -81,7 +93,7 @@ class MixtureUniform:
         for lo, hi in ivs:
             if not lo < hi:
                 raise ValueError("interval endpoints must satisfy lo < hi")
-            if lo < -HALF_DOMAIN - 1e-12 or hi > HALF_DOMAIN + 1e-12:
+            if lo < -HALF_DOMAIN - _ANGLE_SLACK or hi > HALF_DOMAIN + _ANGLE_SLACK:
                 raise ValueError("interval outside [-pi/2, pi/2]")
         ordered = sorted(ivs)
         for (_, hi), (lo, _) in zip(ordered, ordered[1:]):
@@ -126,6 +138,10 @@ class MixtureUniform:
         draws = self._los[ks] + self._widths[ks] * rng.random(n)
         return float(draws[0]) if size is None else draws
 
+    def support(self) -> list[tuple[float, float]]:
+        """The intervals of positive density, sorted, touching ones merged."""
+        return _merged(self.intervals)
+
     def quadrature_windows(self) -> list[tuple[float, float]]:
         return sorted(self.intervals)
 
@@ -165,7 +181,7 @@ class MixtureGaussian:
         if not 0 < self.sigma < np.inf:
             raise ValueError("sigma must be positive and finite")
         for m in self.means:
-            if not -HALF_DOMAIN <= m <= HALF_DOMAIN:
+            if not abs(m) <= HALF_DOMAIN + _ANGLE_SLACK:
                 raise ValueError("component mean outside [-pi/2, pi/2]")
 
     def pdf(self, theta) -> np.ndarray:
@@ -207,20 +223,13 @@ class MixtureGaussian:
             bad = (draws < -HALF_DOMAIN) | (draws > HALF_DOMAIN)
         return float(draws[0]) if size is None else draws
 
+    def support(self) -> list[tuple[float, float]]:
+        """The whole angle domain, though the density underflows to 0 far from every mean."""
+        return [(-HALF_DOMAIN, HALF_DOMAIN)]
+
     def quadrature_windows(self) -> list[tuple[float, float]]:
-        raw = sorted(
-            (m - _GAUSS_WINDOW * self.sigma, m + _GAUSS_WINDOW * self.sigma)
-            for m in self.means
-        )
-        merged: list[tuple[float, float]] = []
-        for lo, hi in raw:
-            lo = max(lo, -HALF_DOMAIN)
-            hi = min(hi, HALF_DOMAIN)
-            if merged and lo <= merged[-1][1]:
-                merged[-1] = (merged[-1][0], max(hi, merged[-1][1]))
-            else:
-                merged.append((lo, hi))
-        return merged
+        w = _GAUSS_WINDOW * self.sigma
+        return _merged((max(m - w, -HALF_DOMAIN), min(m + w, HALF_DOMAIN)) for m in self.means)
 
     def prior_fisher(self) -> float:
         """Prior Fisher information ``int f (d log f / d theta)**2`` of the mixture.
@@ -254,6 +263,14 @@ class DistributionMoments:
     xi2: np.ndarray
     xi3: np.ndarray
     lam: float
+
+
+def _grid_density(dist: TargetDistribution, points: np.ndarray) -> np.ndarray:
+    """The density of ``dist`` at the grid ``points``; ``ValueError`` if zero at all of them."""
+    f = np.asarray(dist.pdf(points), dtype=float)
+    if not np.any(f > 0):
+        raise ValueError("prior density is zero at every grid point")
+    return f
 
 
 def _window_grid(windows: list[tuple[float, float]], grid_size: int):
@@ -298,15 +315,9 @@ def _moments(th: np.ndarray, u: np.ndarray, cfg: ArrayConfig, lam: float) -> Dis
 
 
 def _point_moments(theta0: float, cfg: ArrayConfig) -> DistributionMoments:
-    """Moments of one known angle, for the deterministic-angle benchmark.
-
-    One node at ``theta0`` of weight 1, with no prior information term
-    (``lam = 0``).
-    """
-    theta0 = float(theta0)
-    if theta0 < -HALF_DOMAIN or theta0 > HALF_DOMAIN:
-        raise ValueError("angle outside [-pi/2, pi/2]")
-    return _moments(np.array([theta0]), np.ones(1), cfg, 0.0)
+    """Moments of one known angle, for the deterministic-angle benchmark: one
+    node at ``theta0`` of weight 1 and no prior information (``lam = 0``)."""
+    return _moments(np.array([float(theta0)]), np.ones(1), cfg, 0.0)
 
 
 def compute_moments(

@@ -17,6 +17,7 @@ import math
 import sys
 import time
 import traceback
+from collections import Counter
 from dataclasses import dataclass, replace
 from itertools import chain
 from pathlib import Path
@@ -27,7 +28,8 @@ import yaml
 from . import __version__
 from .estimation import AngularGrid, monte_carlo_mse
 from .pcrb import pcrb_theta
-from .priors import MixtureGaussian, MixtureUniform, TargetDistribution, compute_moments
+from .priors import (MixtureGaussian, MixtureUniform, TargetDistribution, _grid_density,
+                     compute_moments)
 from .solvers import (
     _MAX_ITERS,
     AdmmState,
@@ -139,6 +141,19 @@ def _cell_name(method: str, kappa: float) -> str:
     return f"{method}-k{kappa:g}"
 
 
+def _angle_table_name(snr_db: float) -> str:
+    return f"mse_by_angle_snr{snr_db:+.0f}dB.csv"
+
+
+def _reject_shared_names(key: str, values: tuple[float, ...], name, what: str) -> None:
+    """Refuse two entries of ``key`` whose outputs ``name(value)`` would share one ``what``."""
+    names = [name(v) for v in values]
+    for i, n in enumerate(names):
+        if n in names[:i]:
+            raise ConfigError(f"{key}: {values[names.index(n)]!r} and {values[i]!r} "
+                              f"would share the {what} {n}")
+
+
 def _check_keys(cfg: dict, known: tuple[str, ...], path: str) -> None:
     for key in cfg:
         if key not in known:
@@ -208,6 +223,10 @@ def _build(cfg: dict) -> Scenario:
     if "omni" in methods and l_samples < m_t:
         raise ConfigError(f"methods: omni needs array.l_samples >= array.m_t for its "
                           f"orthogonal rows, got {l_samples} < {m_t}")
+    for m in ("pcrb", "crb"):
+        if m in methods and m_r < 2:
+            raise ConfigError(f"methods: {m} needs array.m_r >= 2; with one receive element "
+                              "its bound surrogate is zero for every waveform")
 
     kappas = _numbers(cfg, "kappa_list", [1.2])
     snrs = _numbers(cfg, "snr_list_db", [])
@@ -217,11 +236,9 @@ def _build(cfg: dict) -> Scenario:
     crb_angle_deg = _number(cfg.get("crb_angle_deg", 0.0), "crb_angle_deg")
     if any(k < 1 for k in kappas):
         raise ConfigError("kappa_list: PAPR thresholds must be >= 1")
-    names = [_cell_name("<method>", k) for k in kappas]
-    for i, name in enumerate(names):
-        if name in names[:i]:
-            raise ConfigError(f"kappa_list: {kappas[names.index(name)]!r} and {kappas[i]!r} "
-                              f"would share the cell directory {name}")
+    _reject_shared_names("kappa_list", kappas, lambda k: _cell_name("<method>", k),
+                         "cell directory")
+    _reject_shared_names("snr_list_db", snrs, _angle_table_name, "table")
     if n_trials < 0:
         raise ConfigError("n_trials: must be nonnegative (0 skips estimation)")
     if grid_size < 2:
@@ -456,7 +473,7 @@ def _run_cell(scenario: Scenario, method: str, kappa: float, kappa_rank: int, ou
         )
         files.append("mse.csv")
         for r in results:
-            name = f"mse_by_angle_snr{r.snr_db:+.0f}dB.csv"
+            name = _angle_table_name(r.snr_db)
             angle, n, v = zip(*r.per_angle)
             _write_table(out / name, TABLE_SCHEMAS["mse_by_angle"], (np.rad2deg(angle), n, v))
             files.append(name)
@@ -514,15 +531,12 @@ def run_scenario(
         return 1
     grid = AngularGrid(scenario.grid_size)
     try:
-        # A prior can validate and still fail the quadrature, e.g. when
-        # mass spills past +-90 degrees, or miss every grid point that the
-        # fair design and the MAP scan weight by its density; report
-        # either before writing anything.
+        # A prior can validate and still fail the quadrature, e.g. when mass spills past
+        # +-90 degrees, or miss every grid point that the fair design and the MAP scan
+        # weight by its density; report either before writing anything.
         moments = compute_moments(scenario.distribution, scenario.array)
-        weighs_grid = ("psbp-fair" in scenario.methods
-                       or scenario.n_trials > 0 and bool(scenario.snr_list_db))
-        if weighs_grid and not np.any(scenario.distribution.pdf(grid.points) > 0):
-            raise ValueError("prior density is zero at every grid point")
+        if "psbp-fair" in scenario.methods or scenario.n_trials > 0 and scenario.snr_list_db:
+            _grid_density(scenario.distribution, grid.points)
     except ValueError as exc:
         print(f"config error: distribution: {exc}")
         return 1
@@ -622,6 +636,8 @@ def validate_output_dir(path: str | Path) -> list[str]:
         problems.append("manifest.json: cell_seconds must be a JSON object")
     if problems:
         return problems
+    problems = [f"{rel}: listed {n} times in manifest.json"
+                for rel, n in sorted(Counter(files).items()) if n > 1]
 
     stages = manifest["stage_seconds"]
     for cell in manifest["cell_seconds"]:

@@ -29,7 +29,7 @@ import numpy as np
 from .admm import AdmmTrace, _cap_elements, _project_feasible, _XUpdate
 from .estimation import AngularGrid
 from .pcrb import pcrb_upper_bound
-from .priors import DistributionMoments, TargetDistribution, _point_moments
+from .priors import DistributionMoments, TargetDistribution, _grid_density, _point_moments
 from .ula import ArrayConfig, beampattern, steering_matrix
 
 __all__ = [
@@ -131,6 +131,8 @@ class _QuadraticSplit:
         sym = xi + xi.conj().T
         self.xi = xi
         self.rho = _SAFETY * np.sqrt(3.0) * float(np.linalg.norm(sym))
+        if not self.rho > 0:
+            raise ValueError("the design objective Tr{X^H Xi X} is zero for every waveform")
         self.curvature = self.rho * np.eye(cfg.m_t) - sym
 
     def start(self, x: np.ndarray, state: tuple | None = None) -> None:
@@ -438,11 +440,8 @@ def solve_psbp_fair(
     variable and those vectors are updated jointly from their first-order
     conditions. ``max_iters`` and ``warm_start`` as in ``solve_pcrb``.
     """
-    f = np.asarray(dist.pdf(grid.points), dtype=float)
-    peak = float(f.max())
-    if peak <= 0:
-        raise ValueError("prior density is zero at every grid point")
-    mask = f >= _PDF_FLOOR * peak
+    f = _grid_density(dist, grid.points)
+    mask = f >= _PDF_FLOOR * f.max()
     pts, f = grid.points[mask], f[mask]
     a = steering_matrix(pts, cfg.m_t, cfg.spacing)
     return _admm(_FairSplit(a, f, cfg), cfg, seed,

@@ -160,9 +160,12 @@ def _covariance(r) -> np.ndarray:
     """A transmit covariance ``R = X X^H`` as a complex matrix, checked finite,
     square and Hermitian up to rounding."""
     r = np.asarray(r, dtype=complex)
-    if (r.ndim != 2 or r.shape[0] != r.shape[1]
-            or not np.max(np.abs(r - r.conj().T)) <= 1e-10 * np.max(np.abs(r))):
-        raise ValueError(f"covariance must be a finite square Hermitian matrix, got {r.shape}")
+    if r.ndim != 2 or r.shape[0] != r.shape[1]:
+        raise ValueError(f"covariance must be a square matrix, got shape {r.shape}")
+    if not np.all(np.isfinite(r)):
+        raise ValueError("covariance has a non-finite entry")
+    if not np.max(np.abs(r - r.conj().T)) <= 1e-10 * np.max(np.abs(r)):
+        raise ValueError("covariance is not Hermitian")
     return r
 
 

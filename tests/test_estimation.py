@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from conftest import (
@@ -25,6 +27,9 @@ from priorwave import (
     steering_matrix,
 )
 from priorwave.priors import _point_moments
+from priorwave.scenario import load_config
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "src" / "priorwave" / "configs"
 
 SCENARIO3_PRIOR = MixtureGaussian(tuple(np.deg2rad([-60.0, -30.0, 20.0, 50.0])),
                                   np.deg2rad(1.0), (0.15, 0.25, 0.4, 0.2))
@@ -562,6 +567,90 @@ def test_probe_derivatives_match_finite_differences(seed, snr_db, gaussian, cfg1
     scale = np.abs(val - np.log(prior.pdf(angles))) + 1.0
     assert np.all(np.abs(slope - fd1) <= 1e-4 * (np.abs(fd1) + scale / 0.02))
     assert np.all(np.abs(curv - fd2) <= 1e-3 * (np.abs(fd2) + scale / 0.02**2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), size=st.integers(31, 721),
+       gaps=st.lists(st.sampled_from(["touch", "narrow", "wide"]), max_size=2),
+       flush=st.sampled_from([None, "low", "high"]), snap=st.booleans(),
+       gaussian=st.booleans())
+def test_refine_brackets_stay_in_the_support(seed, size, gaps, flush, snap, gaussian):
+    # A refine bracket is its point's cell either side, cut to the support
+    # interval that holds the point and to +-pi/2: it never spans a gap,
+    # not even one narrower than a cell, and a cut end is the interval's
+    # end bit for bit. A Gaussian mixture's support is the whole domain,
+    # so its brackets are the cells cut at +-pi/2 only.
+    rng = np.random.default_rng(seed)
+    grid, cfg = AngularGrid(size), ArrayConfig(4, 4, 8)
+    pts, cell = grid.points, grid.cell
+    if gaussian:
+        prior = MixtureGaussian(tuple(rng.uniform(-1.5, 1.5, 2)), rng.uniform(0.01, 0.5),
+                                (0.4, 0.6))
+        support = np.array([[-np.pi / 2, np.pi / 2]])
+    else:
+        # One to three intervals over two cells wide, so each holds a grid
+        # point, joined by touching, narrower-than-a-cell or wider gaps.
+        widths = rng.uniform(2.1 * cell, 0.8, len(gaps) + 1)
+        steps = [0.0] + [{"touch": 0.0, "narrow": rng.uniform(0.0, cell),
+                          "wide": rng.uniform(cell, 0.3)}[g] for g in gaps]
+        lo = -np.pi / 2 + (0.0 if flush == "low" else
+                           rng.uniform(0.0, np.pi - widths.sum() - sum(steps)))
+        ivs = []
+        for width, step in zip(widths, steps):
+            ivs.append((lo + step, lo + step + width))
+            lo = ivs[-1][1]
+        if flush == "high":
+            ivs[-1] = (ivs[-1][0], np.pi / 2)
+        if snap:
+            # The outer ends on grid angles computed in degrees, as a config
+            # gives them: each may lie an ulp either side of its grid point.
+            deg = 180.0 / (size - 1)
+            ivs[0] = (np.deg2rad(np.round((np.rad2deg(ivs[0][0]) + 90.0) / deg) * deg - 90.0),
+                      ivs[0][1])
+            ivs[-1] = (ivs[-1][0],
+                       np.deg2rad(np.round((np.rad2deg(ivs[-1][1]) + 90.0) / deg) * deg - 90.0))
+        order = rng.permutation(len(ivs))
+        prior = MixtureUniform(tuple(ivs[i] for i in order),
+                               tuple(rng.dirichlet(np.ones(len(ivs)))))
+        support = np.array(prior.support())
+        # Sorted and disjoint, with the touching intervals merged.
+        assert len(support) == len(ivs) - gaps.count("touch")
+        assert np.all(support[:-1, 1] < support[1:, 0])
+    x = random_feasible_waveform(rng, cfg)
+    est = MapEstimator(covariance(x), prior, grid, cfg.m_r, cfg.noise_power)
+    p, lo, hi = pts[est._support], est._bracket_lo, est._bracket_hi
+    if gaussian:
+        assert np.array_equal(lo, np.maximum(p - cell, -np.pi / 2))
+        assert np.array_equal(hi, np.minimum(p + cell, np.pi / 2))
+    else:
+        holds = (support[:, 0] <= p[:, None]) & (p[:, None] <= support[:, 1])
+        assert np.all(holds.sum(axis=1) == 1)
+        a, b = np.clip(support[holds.argmax(axis=1)].T, -np.pi / 2, np.pi / 2)
+        assert np.all((a <= lo) & (lo <= p) & (p <= hi) & (hi <= b))
+        assert np.all((lo == p - cell) | (lo == a)) and np.all((hi == p + cell) | (hi == b))
+        # Where the neighbouring grid point lies past the interval, the
+        # bracket ends on the interval's end.
+        below = pts[np.maximum(est._support - 1, 0)] < a
+        above = pts[np.minimum(est._support + 1, size - 1)] > b
+        assert np.array_equal(lo[below], a[below]) and np.array_equal(hi[above], b[above])
+    # Whatever the coefficients, the refined angles stay in the support.
+    n_lags = len(est._lag_phase)
+    coef = ((rng.standard_normal((32, n_lags)) + 1j * rng.standard_normal((32, n_lags)))
+            * 10.0 ** rng.uniform(-2.0, 2.0, (32, 1)))
+    got = est.estimate(coef)
+    assert np.all(((support[:, 0] <= got[:, None]) & (got[:, None] <= support[:, 1])).any(1))
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in CONFIG_DIR.glob("case-*.cfg")))
+def test_bundled_brackets_end_on_the_interval_ends(name, grid361):
+    # A bundled interval end, given in degrees, lies an ulp either side of
+    # its grid point, and a cell step from the support point next to it may
+    # round inside the interval: the bracket still ends on the interval's
+    # end, bit for bit.
+    sc = load_config(CONFIG_DIR / f"{name}.cfg")
+    est = MapEstimator(np.eye(sc.array.m_t), sc.distribution, grid361, sc.array.m_r, 1.0)
+    edges = set(np.ravel(sc.distribution.support()).tolist())
+    assert edges <= set(np.concatenate([est._bracket_lo, est._bracket_hi]).tolist())
 
 
 def test_score_shapes_and_frame_validation(dist12, cfg12, grid361):

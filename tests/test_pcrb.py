@@ -273,11 +273,14 @@ def test_covariance_forms_match_waveform_forms(seed, m_t, l_samples, kappa, amp_
     skewed, blank = r.copy(), r.copy()
     skewed[0, 0] += 1e-6j * np.trace(r).real
     blank[-1, 0] = np.nan
-    for bad in (r[:, :-1], skewed, blank) + ((x,) if l_samples != m_t else ()):
+    # Each error names the property that failed.
+    cases = [(r[:, :-1], "covariance must be a square matrix"),
+             (skewed, "covariance is not Hermitian"), (blank, "covariance has a non-finite")]
+    for bad, message in cases + ([(x, "square")] if l_samples != m_t else []):
         for call in (lambda: pcrb_theta(bad, mom, amp, noise),
                      lambda: pcrb_upper_bound(bad, mom, amp, noise),
                      lambda: beampattern(bad, theta)):
-            with pytest.raises(ValueError, match="covariance"):
+            with pytest.raises(ValueError, match=message):
                 call()
 
 

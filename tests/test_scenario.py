@@ -164,6 +164,9 @@ def test_config_errors_are_line_precise(tmp_path, capsys):
         # Values that print alike would write two cells into one directory.
         ("kappa_list: [1.2]", "kappa_list: [1.2, 1.2000001]", "kappa_list: 1.2 and 1.2000001"),
         ("kappa_list: [1.2]", "kappa_list: [1.5, 1.2, 1.5]", "kappa_list: 1.5 and 1.5"),
+        # SNRs that round to one dB would write one per-angle table.
+        ("snr_list_db: [0.0, 10.0]", "snr_list_db: [0.2, 10.0, 0.4]",
+         "snr_list_db: 0.2 and 0.4 would share the table mse_by_angle_snr+0dB.csv"),
         # A repeated method would run its cells twice into the same directories.
         ("methods: [pcrb, omni]", "methods: [pcrb, omni, pcrb]",
          "methods: 'pcrb' is listed twice"),
@@ -252,6 +255,38 @@ def test_omni_with_fewer_samples_than_antennas_is_a_config_error(tmp_path, capsy
     path.write_text(SMALL_CFG.replace("l_samples: 8", "l_samples: 3")
                     .replace("methods: [pcrb, omni]", "methods: [pcrb]"))
     assert cli_main(["run", "--config", str(path), "--out", str(out)]) == 0
+
+
+@pytest.mark.parametrize("method", ["pcrb", "crb"])
+def test_bound_designs_need_two_receive_elements(tmp_path, capsys, method):
+    # One receive element has no angle derivative, so xi0 = 0 and the
+    # bound surrogate is zero for every waveform: the config is refused
+    # before any cell runs, not left to fail inside the cells.
+    path = tmp_path / "one.cfg"
+    one = SMALL_CFG.replace("m_r: 4", "m_r: 1")
+    path.write_text(one.replace("methods: [pcrb, omni]", f"methods: [{method}, omni]"))
+    out = tmp_path / "out"
+    assert cli_main(["run", "--config", str(path), "--out", str(out)]) == 1
+    text, err = capsys.readouterr()
+    assert text.splitlines() == [f"config error: methods: {method} needs array.m_r >= 2; with "
+                                 "one receive element its bound surrogate is zero for every "
+                                 "waveform"]
+    assert err == "" and not out.exists()
+    # The other designs and the Monte-Carlo sweep run on one receive element.
+    path.write_text(one.replace("methods: [pcrb, omni]", "methods: [psbp-fair, psbp-int, omni]"))
+    assert cli_main(["run", "--config", str(path), "--out", str(out)]) == 0
+    assert validate_output_dir(out) == []
+
+
+def test_validate_reports_a_file_listed_twice(small_cfg, tmp_path):
+    out = tmp_path / "out"
+    assert run_scenario(small_cfg, out=out) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    twice = "omni/mse_by_angle_snr+0dB.csv"
+    assert twice in manifest["files"]
+    manifest["files"] = sorted(manifest["files"] + [twice])
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    assert validate_output_dir(out) == [f"{twice}: listed 2 times in manifest.json"]
 
 
 def test_run_out_on_an_existing_file_is_an_output_error(small_cfg, tmp_path, capsys):

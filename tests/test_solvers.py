@@ -352,6 +352,17 @@ def test_warm_start_must_fit_the_waveform(mom12, cfg12):
                    warm_start=r.state)
 
 
+def test_design_with_a_zero_objective_is_refused():
+    # One receive element: xi0 = 0, so the bound designs have no objective
+    # and no penalty scale; they are refused instead of returning NaN.
+    cfg = ArrayConfig(4, 1, 8, papr=1.2)
+    mom = _point_moments(0.3, cfg)
+    assert not np.any(mom.xi0)
+    for design in (lambda: solve_pcrb(mom, cfg, 0), lambda: baseline_crb(0.3, cfg, 0)):
+        with pytest.raises(ValueError, match="zero for every waveform"):
+            design()
+
+
 def test_omni_baseline_properties():
     cfg = ArrayConfig(8, 8, 25, power=2.0)
     x = baseline_omni(cfg)
