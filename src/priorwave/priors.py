@@ -121,10 +121,11 @@ class MixtureUniform:
         return _weights_cdf(self.weights)
 
     def pdf(self, theta) -> np.ndarray:
+        """The level of the first interval that holds each angle, else 0."""
         th = np.asarray(theta, dtype=float)
         out = np.zeros_like(th)
         for (lo, hi), level in zip(self.intervals, self._levels):
-            out = out + np.where((th >= lo) & (th <= hi), level, 0.0)
+            out = np.where((out == 0.0) & (th >= lo) & (th <= hi), level, out)
         return float(out) if np.ndim(theta) == 0 else out
 
     def log_pdf_derivs(self, theta) -> tuple[np.ndarray, np.ndarray]:
@@ -142,8 +143,13 @@ class MixtureUniform:
         """The intervals of positive density, sorted, touching ones merged."""
         return _merged(self.intervals)
 
-    def quadrature_windows(self) -> list[tuple[float, float]]:
-        return sorted(self.intervals)
+    def quadrature(self, n_nodes: int):
+        """Trapezoid nodes, weights and densities on the intervals. Each
+        interval's nodes carry its own level, so where two intervals touch
+        the shared end counts once on either side at that side's level."""
+        order = sorted(range(len(self.intervals)), key=self.intervals.__getitem__)
+        th, wq, counts = _window_grid([self.intervals[k] for k in order], n_nodes)
+        return th, wq, np.repeat(self._levels[order], counts)
 
     def prior_fisher(self) -> float:
         """Prior Fisher information with linear-ramp edge smoothing.
@@ -153,14 +159,21 @@ class MixtureUniform:
         half-width ``pi/720`` (a quarter degree); the ramp itself still
         produces a logarithmically divergent score integral at its foot,
         so the closed-form edge contribution ``slope * log(level / floor)``
-        is cut off at ``1e-3`` times the interval density level. Both
-        values are reporting conventions only; the solvers never use this
-        value.
+        is cut off at ``1e-3`` times the interval density level. Where two
+        intervals of levels ``a`` and ``b`` touch, the ramp runs from one
+        level to the other and adds ``|b - a| / (2 h) * |log(b / a)|``
+        (zero for equal levels) in place of two cut-off edges. Both values
+        are reporting conventions only; the solvers never use this value.
         """
+        los = dict(zip((lo for lo, _ in self.intervals), self._levels))
+        his = {hi for _, hi in self.intervals}
         total = 0.0
-        for level in self._levels:
+        for (lo, hi), level in zip(self.intervals, self._levels):
             slope = level / (2.0 * _RAMP_HALFWIDTH)
-            total += 2.0 * slope * np.log(1.0 / _RAMP_FLOOR)
+            total += ((lo not in his) + (hi not in los)) * slope * np.log(1.0 / _RAMP_FLOOR)
+            nxt = los.get(hi)
+            if nxt is not None:
+                total += abs(nxt - level) / (2.0 * _RAMP_HALFWIDTH) * abs(np.log(nxt / level))
         return total
 
 
@@ -227,9 +240,13 @@ class MixtureGaussian:
         """The whole angle domain, though the density underflows to 0 far from every mean."""
         return [(-HALF_DOMAIN, HALF_DOMAIN)]
 
-    def quadrature_windows(self) -> list[tuple[float, float]]:
+    def quadrature(self, n_nodes: int):
+        """Trapezoid nodes, weights and densities on the merged +-5 sigma windows."""
         w = _GAUSS_WINDOW * self.sigma
-        return _merged((max(m - w, -HALF_DOMAIN), min(m + w, HALF_DOMAIN)) for m in self.means)
+        th, wq, _ = _window_grid(
+            _merged((max(m - w, -HALF_DOMAIN), min(m + w, HALF_DOMAIN)) for m in self.means),
+            n_nodes)
+        return th, wq, self.pdf(th)
 
     def prior_fisher(self) -> float:
         """Prior Fisher information ``int f (d log f / d theta)**2`` of the mixture.
@@ -274,7 +291,8 @@ def _grid_density(dist: TargetDistribution, points: np.ndarray) -> np.ndarray:
 
 
 def _window_grid(windows: list[tuple[float, float]], grid_size: int):
-    """Trapezoid nodes/weights on a union of disjoint intervals.
+    """Trapezoid nodes/weights on a union of disjoint intervals, and the
+    node count of each interval.
 
     Points are allocated proportionally to interval length (at least 9
     each) and the reduction order is fixed, so results do not depend on
@@ -286,15 +304,17 @@ def _window_grid(windows: list[tuple[float, float]], grid_size: int):
         raise ValueError("quadrature support is empty")
     nodes = []
     weights = []
+    counts = []
     for (lo, hi), length in zip(windows, lengths):
         n = max(9, int(round(grid_size * length / total)))
+        counts.append(n)
         th = np.linspace(lo, hi, n)
         w = np.full(n, (hi - lo) / (n - 1))
         w[0] *= 0.5
         w[-1] *= 0.5
         nodes.append(th)
         weights.append(w)
-    return np.concatenate(nodes), np.concatenate(weights)
+    return np.concatenate(nodes), np.concatenate(weights), counts
 
 
 def _moments(th: np.ndarray, u: np.ndarray, cfg: ArrayConfig, lam: float) -> DistributionMoments:
@@ -337,8 +357,7 @@ def compute_moments(
         non-normalized distribution).
     """
     lam = dist.prior_fisher()
-    th, wq = _window_grid(dist.quadrature_windows(), _MOMENT_NODES)
-    f = dist.pdf(th)
+    th, wq, f = dist.quadrature(_MOMENT_NODES)
     mass = float(wq @ f)
     if abs(mass - 1.0) > 1e-4:
         raise ValueError(f"prior mass integrates to {mass:.6f}, not 1; "

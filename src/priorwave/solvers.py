@@ -68,23 +68,21 @@ _MAX_ITERS = 5000
 
 @dataclass(frozen=True)
 class AdmmState:
-    """Everything one ADMM solve carries from iteration to iteration.
+    """What one ADMM solve carries from iteration to iteration.
 
-    ``x`` is the last waveform iterate before the final projection, ``u``
-    the element-cap auxiliary, ``d`` the scaled dual of ``u = x``, ``mu``
-    the power multiplier (None before the first x-update) and ``split``
-    the split's own auxiliaries: none for the quadratic designs, the
-    per-angle vectors ``w``, ``gmat`` and their scaled dual ``b`` for the
-    fair design. Passed back as ``warm_start``, it resumes the loop where
-    it stopped, under the new problem's element cap; the result of a
-    smaller threshold is feasible at a larger one.
+    ``x`` is the last waveform iterate before the final projection, ``d``
+    the scaled dual of the element-cap split, ``mu`` the power multiplier
+    (None: no x-update yet) and ``b`` the fair design's scaled beampattern
+    dual (None: zeros). Passed as ``warm_start``, it starts the loop there,
+    under the new problem's element cap; the result of a smaller threshold
+    is feasible at a larger one. A cold start is ``AdmmState(x0, zeros)``
+    with ``x0`` drawn from the seed.
     """
 
     x: np.ndarray
-    u: np.ndarray
     d: np.ndarray
-    mu: float | None
-    split: tuple[np.ndarray, ...] = ()
+    mu: float | None = None
+    b: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -126,6 +124,7 @@ class _QuadraticSplit:
     """
 
     extrapolates = False
+    b = None
 
     def __init__(self, xi: np.ndarray, cfg: ArrayConfig) -> None:
         sym = xi + xi.conj().T
@@ -135,11 +134,8 @@ class _QuadraticSplit:
             raise ValueError("the design objective Tr{X^H Xi X} is zero for every waveform")
         self.curvature = self.rho * np.eye(cfg.m_t) - sym
 
-    def start(self, x: np.ndarray, state: tuple | None = None) -> None:
+    def start(self, x: np.ndarray, b: None) -> None:
         pass
-
-    def state(self) -> tuple:
-        return ()
 
     def target(self, q: np.ndarray) -> np.ndarray:
         return q
@@ -172,10 +168,9 @@ def _admm(split, cfg: ArrayConfig, seed: int, metric, *, max_iters: int = _MAX_I
     auxiliaries (module docstring). Jumps count in the trace's
     ``extrapolations``; the final iteration never jumps.
 
-    Without ``warm_start`` the loop starts from a random constant-modulus
-    waveform drawn from ``seed``, a copy of it as the auxiliary and zero
-    duals. With it, every variable resumes from that state and ``seed``
-    is unused.
+    The loop starts from ``warm_start``, by default from a random
+    constant-modulus waveform drawn from ``seed`` with zero duals; given a
+    state, ``seed`` is unused.
     """
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
@@ -185,17 +180,15 @@ def _admm(split, cfg: ArrayConfig, seed: int, metric, *, max_iters: int = _MAX_I
     x_update = _XUpdate(split.curvature, cfg.power)
 
     if warm_start is None:
-        x = _initial_waveform(cfg, np.random.default_rng(seed))
-        u = x.copy()
-        d = np.zeros_like(x)
-        mu = None
-        split.start(x)
-    else:
-        if warm_start.x.shape != (cfg.m_t, cfg.l_samples):
-            raise ValueError(f"warm start of shape {warm_start.x.shape} does not fit "
-                             f"a {cfg.m_t}x{cfg.l_samples} waveform")
-        x, u, d, mu = warm_start.x, warm_start.u, warm_start.d, warm_start.mu
-        split.start(x, warm_start.split)
+        x0 = _initial_waveform(cfg, np.random.default_rng(seed))
+        warm_start = AdmmState(x0, np.zeros_like(x0))
+    if warm_start.x.shape != (cfg.m_t, cfg.l_samples):
+        raise ValueError(f"warm start of shape {warm_start.x.shape} does not fit "
+                         f"a {cfg.m_t}x{cfg.l_samples} waveform")
+    x, d, mu = warm_start.x, warm_start.d, warm_start.mu
+    # The auxiliary's first motion never decides the stop (it needs two iterations).
+    u = x
+    split.start(x, warm_start.b)
 
     objective, al_values, residuals, mu_iters = [], [], [], []
     mu_misses = extrapolations = 0
@@ -266,7 +259,7 @@ def _admm(split, cfg: ArrayConfig, seed: int, metric, *, max_iters: int = _MAX_I
         trace=trace,
         metric_value=metric(final @ final.conj().T),
         converged=converged,
-        state=AdmmState(x=x, u=u, d=d, mu=mu, split=split.state()),
+        state=AdmmState(x, d, mu, split.b),
     )
 
 
@@ -386,16 +379,10 @@ class _FairSplit:
         self.curvature = self.rho * np.eye(cfg.m_t) + self.rho3 * r
         self.a, self.f = a, f
 
-    def start(self, x: np.ndarray, state: tuple | None = None) -> None:
-        if state is None:
-            self.w = x.conj().T @ self.a
-            self.gmat = self.w.copy()
-            self.b = np.zeros_like(self.w)
-        else:
-            self.w, self.gmat, self.b = state
-
-    def state(self) -> tuple:
-        return self.w, self.gmat, self.b
+    def start(self, x: np.ndarray, b: np.ndarray | None) -> None:
+        # ``gmat`` is read only as the first ``g_prev``, then replaced, never mutated.
+        self.w = self.gmat = x.conj().T @ self.a
+        self.b = np.zeros_like(self.w) if b is None else b
 
     def jump(self, x: np.ndarray, ahead: float) -> None:
         """Move ``b`` ``ahead`` more of its last steps; ``w`` follows the

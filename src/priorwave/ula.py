@@ -93,7 +93,7 @@ class Feasibility:
 
 def _check_angles(theta) -> np.ndarray:
     arr = np.asarray(theta, dtype=float)
-    if np.any(arr < -HALF_DOMAIN - _ANGLE_SLACK) or np.any(arr > HALF_DOMAIN + _ANGLE_SLACK):
+    if not np.all(np.abs(arr) <= HALF_DOMAIN + _ANGLE_SLACK):  # NaN fails too
         raise ValueError("angle outside [-pi/2, pi/2]")
     return arr
 

@@ -150,6 +150,35 @@ def test_uniform_lambda_edge_smoothing():
     assert abs(mom.lam - expected) / expected < 1e-12
 
 
+def test_touching_intervals_are_one_density():
+    # Equal levels that touch are the merged interval: one level at the
+    # junction, the same moments, and no edge term at the junction.
+    cfg = ArrayConfig(8, 8, 25)
+    pair = MixtureUniform(((0.0, 0.2), (-0.2, 0.0)), (0.5, 0.5))
+    one = MixtureUniform(((-0.2, 0.2),), (1.0,))
+    th = np.concatenate([np.linspace(-0.3, 0.3, 61), [-0.2, 0.0, 0.2]])
+    assert np.array_equal(pair.pdf(th), one.pdf(th))
+    a, b = compute_moments(pair, cfg), compute_moments(one, cfg)
+    for x, y in ((a.xi0, b.xi0), (a.xi1, b.xi1), (a.xi2, b.xi2), (a.xi3, b.xi3)):
+        assert np.max(np.abs(x - y)) <= 1e-6 * np.max(np.abs(y))
+    assert abs(a.lam - b.lam) <= 1e-12 * b.lam
+    # Unequal levels: each side's nodes carry its own level, so the mass is
+    # 1, and the junction adds the Fisher integral of a ramp from one level
+    # to the other over the same half-width as an edge.
+    lo, hi = np.radians(-10), np.radians(10)
+    uneq = MixtureUniform(((lo, 0.0), (0.0, hi)), (0.7, 0.3))
+    assert uneq.pdf(0.0) == 0.7 / -lo
+    _, wq, f = uneq.quadrature(priors_mod._MOMENT_NODES)
+    assert abs(wq @ f - 1.0) <= 1e-12
+    h = np.pi / 720
+    la, lb = 0.7 / -lo, 0.3 / hi
+    slope = (lb - la) / (2 * h)
+    ramp, _ = quad(lambda t: slope**2 / (la + slope * t), 0.0, 2 * h, epsabs=0, epsrel=1e-13)
+    edges = (la + lb) / (2 * h) * np.log(1e3)
+    lam = compute_moments(uneq, cfg).lam
+    assert abs(lam - (edges + ramp)) <= 1e-12 * lam
+
+
 def test_moments_hermitian_psd_structure(mom12):
     for xi in (mom12.xi0, mom12.xi1, mom12.xi3):
         assert np.linalg.norm(xi - xi.conj().T) <= 1e-10

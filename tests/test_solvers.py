@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import astuple, replace
 from itertools import chain
 from pathlib import Path
 
@@ -29,7 +29,7 @@ from priorwave.scenario import _cell_seed, load_config
 from priorwave import solvers
 from priorwave.admm import _project_feasible
 from priorwave.priors import _point_moments
-from priorwave.solvers import _admm, _eta_update, _FairSplit, _inflate_columns
+from priorwave.solvers import AdmmState, _admm, _eta_update, _FairSplit, _inflate_columns
 from conftest import covariance
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "src" / "priorwave" / "configs"
@@ -250,16 +250,14 @@ class FixedTargetSplit:
 
     rho = 1.0
     extrapolates = False
+    b = None
 
     def __init__(self, sig, q):
         self.curvature = np.diag(sig).astype(complex)
         self.q = q
 
-    def start(self, x, state=None):
+    def start(self, x, b):
         pass
-
-    def state(self):
-        return ()
 
     def target(self, q):
         return self.q
@@ -331,6 +329,32 @@ def test_warm_restart_from_a_converged_state_stops_at_once(
         gap = abs(again.metric_value - first.metric_value)
         assert gap <= 1e-6 * abs(first.metric_value), name
         assert_feasible(again, cfg12)
+
+
+def test_cold_start_is_the_warm_start_from_the_seeded_waveform(dist12, mom12, cfg12, grid361):
+    # One start path: the cold solve from ``seed`` is, bit for bit, the warm
+    # solve from the seed's constant-modulus draw with zero duals (whose
+    # own seed is then unused). The cap lets the fair loop jump.
+    rng = np.random.default_rng(4)
+    phases = rng.uniform(0.0, 2.0 * np.pi, size=(cfg12.m_t, cfg12.l_samples))
+    x0 = np.sqrt(cfg12.power / (cfg12.m_t * cfg12.l_samples)) * np.exp(1j * phases)
+    solves = {
+        "pcrb": lambda seed, **kw: solve_pcrb(mom12, cfg12, seed, **kw),
+        "fair": lambda seed, **kw: solve_psbp_fair(dist12, cfg12, grid361, seed, **kw),
+        "int": lambda seed, **kw: solve_psbp_integrated(mom12, cfg12, seed, **kw),
+        "crb": lambda seed, **kw: baseline_crb(0.05, cfg12, seed, **kw),
+    }
+    for name, solve in solves.items():
+        cold = solve(4, max_iters=600)
+        warm = solve(7, max_iters=600, warm_start=AdmmState(x0, np.zeros_like(x0)))
+        assert (cold.trace.extrapolations > 0) == (name == "fair"), name
+        assert cold.waveform.tobytes() == warm.waveform.tobytes(), name
+        assert cold.metric_value == warm.metric_value, name
+        assert cold.converged == warm.converged, name
+        for a, b in chain(zip(astuple(cold.trace), astuple(warm.trace)),
+                          zip(astuple(cold.state), astuple(warm.state))):
+            assert type(a) is type(b), name
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), name
 
 
 def test_warm_start_at_a_larger_kappa_is_feasible_and_no_worse(dist12, cfg12, grid361, fair12):

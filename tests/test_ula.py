@@ -69,6 +69,8 @@ def test_out_of_range_angle_rejected():
         steering_matrix(2.0, 8)
     with pytest.raises(ValueError):
         steering_matrix(np.array([0.0, -1.7]), 4)
+    with pytest.raises(ValueError, match=r"angle outside \[-pi/2, pi/2\]"):
+        steering_matrix(np.nan, 2)
 
 
 def test_beampattern_orthogonal_rows_is_flat_at_power():
