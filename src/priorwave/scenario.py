@@ -175,19 +175,23 @@ def _build_distribution(spec: dict) -> TargetDistribution:
         raise ConfigError(f"distribution.kind: unknown kind {kind!r}; "
                           f"choose from {tuple(_DISTRIBUTION_KEYS)}")
     _check_keys(spec, _DISTRIBUTION_KEYS[kind], "distribution")
+
+    def numbers(key: str, vals) -> tuple[float, ...]:
+        return tuple(_number(v, f"distribution.{key}") for v in vals)
+
     try:
         if kind == "mixture-uniform":
             ivs = _req(spec, "intervals_deg", list, "distribution")
             weights = _req(spec, "weights", list, "distribution")
-            rad = tuple((np.deg2rad(a), np.deg2rad(b)) for a, b in ivs)
-            return MixtureUniform(intervals=rad, weights=tuple(float(w) for w in weights))
+            rad = tuple(tuple(np.deg2rad(numbers("intervals_deg", (a, b)))) for a, b in ivs)
+            return MixtureUniform(intervals=rad, weights=numbers("weights", weights))
         means = _req(spec, "means_deg", list, "distribution")
         sigma = _req(spec, "sigma_deg", float, "distribution")
         weights = _req(spec, "weights", list, "distribution")
         return MixtureGaussian(
-            means=tuple(np.deg2rad(float(m)) for m in means),
+            means=tuple(np.deg2rad(numbers("means_deg", means))),
             sigma=float(np.deg2rad(sigma)),
-            weights=tuple(float(w) for w in weights),
+            weights=numbers("weights", weights),
         )
     except ConfigError:
         raise
@@ -333,11 +337,10 @@ def _write_table(path: Path, header: tuple[str, ...], columns) -> None:
 
 
 def emit_waveform(x: np.ndarray, path: Path) -> None:
-    """Entry dump with full precision so the matrix round-trips exactly."""
-    m, l = np.indices(x.shape).reshape(2, -1).tolist()
-    cells = tuple(chain.from_iterable(
-        zip(m, l, x.real.ravel().tolist(), x.imag.ravel().tolist())))
-    path.write_text("m,l,re,im\n" + "%d,%d,%r,%r\n" * x.size % cells)
+    """Entry dump with full precision (``repr``) so the matrix round-trips exactly."""
+    m, l = np.indices(x.shape).reshape(2, -1)
+    re, im = ([repr(v) for v in part.ravel().tolist()] for part in (x.real, x.imag))
+    _write_table(path, TABLE_SCHEMAS["waveform.csv"], (m, l, re, im))
 
 
 def read_waveform(path: str | Path) -> np.ndarray:
@@ -406,10 +409,10 @@ def _run_cell(scenario: Scenario, method: str, kappa: float, kappa_rank: int, ou
 
     ``kappa_rank`` is the threshold's place in ascending order and seeds
     the cell, and ``refine`` is the Monte-Carlo estimator's. A
-    ``warm_start`` design ignores its seed.
+    ``warm_start`` design ignores its seed. One clock laps the stages in
+    run order: design, emit, then with a Monte-Carlo sweep mc and emit again.
     """
-    clock = time.perf_counter
-    t0 = clock()
+    laps = [time.perf_counter()]
     cfg = replace(scenario.array, papr=kappa)
     cell_seed = _cell_seed(scenario.seed, method, kappa_rank, 0)
 
@@ -419,9 +422,7 @@ def _run_cell(scenario: Scenario, method: str, kappa: float, kappa_rank: int, ou
         result = _DESIGNS[method][0](scenario, cfg, grid, moments, seed=cell_seed,
                                      max_iters=scenario.max_iters, warm_start=warm_start)
         x = result.waveform
-    seconds = dict.fromkeys(STAGES, 0.0)
-    seconds["design"] = clock() - t0
-    t0 = clock()
+    laps.append(time.perf_counter())
     r = x @ x.conj().T  # all but the waveform table and feasibility read X through R
 
     out.mkdir(parents=True, exist_ok=True)
@@ -454,17 +455,15 @@ def _run_cell(scenario: Scenario, method: str, kappa: float, kappa_rank: int, ou
                  ([k for k, _ in metrics],
                   [_CELL_FORMAT[np.asarray(v).dtype.kind] % v for _, v in metrics]))
     files.append("metrics.csv")
-    seconds["emit"] = clock() - t0
+    laps.append(time.perf_counter())
 
     if scenario.n_trials > 0 and scenario.snr_list_db:
-        t0 = clock()
         mse_seed = _cell_seed(scenario.seed, method, kappa_rank, 1)
         results = monte_carlo_mse(
             r, scenario.distribution, cfg, grid, scenario.snr_list_db, scenario.n_trials, mse_seed,
             refine=refine, moments=moments,
         )
-        seconds["mc"] = clock() - t0
-        t0 = clock()
+        laps.append(time.perf_counter())
         _write_table(
             out / "mse.csv",
             TABLE_SCHEMAS["mse.csv"],
@@ -477,7 +476,10 @@ def _run_cell(scenario: Scenario, method: str, kappa: float, kappa_rank: int, ou
             angle, n, v = zip(*r.per_angle)
             _write_table(out / name, TABLE_SCHEMAS["mse_by_angle"], (np.rad2deg(angle), n, v))
             files.append(name)
-        seconds["emit"] += clock() - t0
+        laps.append(time.perf_counter())
+    seconds = dict.fromkeys(STAGES, 0.0)
+    for stage, t0, t1 in zip(("design", "emit", "mc", "emit"), laps, laps[1:]):
+        seconds[stage] += t1 - t0
     return files, seconds, result
 
 
@@ -490,10 +492,9 @@ def _kappa_monotonicity_report(method: str, levels: list[tuple[float, float]]) -
     reported. Lower is better for pcrb and crb, higher for the beampattern
     designs (``_DESIGNS``).
     """
-    sign = 1.0 if _DESIGNS[method][1] else -1.0
     lines = []
     for (k0, v0), (k1, v1) in zip(levels, levels[1:]):
-        gap = sign * (v1 - v0)
+        gap = (1.0 if _DESIGNS[method][1] else -1.0) * (v1 - v0)
         if gap > _MONOTONE_RTOL * abs(v0):
             rel = gap / abs(v0) if v0 else math.inf
             lines.append(f"kappa monotonicity: {_cell_name(method, k1)} metric_value {v1:.8e} "
@@ -523,9 +524,7 @@ def run_scenario(
     try:
         scenario = load_config(config_path)
         if seed is not None:
-            raw = scenario.to_dict()
-            raw["seed"] = int(seed)
-            scenario = _build(raw)
+            scenario = _build({**scenario.to_dict(), "seed": int(seed)})
     except ConfigError as exc:
         print(f"config error: {exc}")
         return 1
@@ -549,36 +548,21 @@ def run_scenario(
         return 1
     started = time.strftime("%Y-%m-%dT%H:%M:%S")
 
-    manifest_files: dict[str, list[str]] = {}
-    failures: list[dict] = []
-    timings: dict[str, float] = {}
-    stage_timings: dict[str, dict[str, float]] = {}
-
-    def run_cell(method: str, kappa: float, rank: int, name: str,
-                 warm_start: AdmmState | None) -> SolveResult | None:
-        t0 = time.perf_counter()
-        try:
-            manifest_files[name], stage_timings[name], result = _run_cell(
-                scenario, method, kappa, rank, out_dir / name, grid, moments,
-                not paper_literal, warm_start)
-        except Exception as exc:  # noqa: BLE001 - cell isolation by design
-            failures.append({
-                "cell": name,
-                "error": f"{type(exc).__name__}: {exc}",
-                "traceback": traceback.format_exc(),
-            })
-            return None
-        timings[name] = time.perf_counter() - t0
-        return result
-
+    # Successful cells: name -> (files, seconds per stage); failures: (cell, error, traceback).
+    cells: dict[str, tuple[list[str], dict[str, float]]] = {}
+    failures: list[tuple[str, str, str]] = []
     for method in scenario.methods:
-        if method == "omni":
-            run_cell(method, 1.0, 0, "omni", None)
-            continue
         previous, levels = None, []
-        for rank, kappa in enumerate(sorted(scenario.kappa_list)):
-            previous = run_cell(method, kappa, rank, _cell_name(method, kappa),
-                                previous.state if previous is not None else None)
+        for rank, kappa in enumerate((1.0,) if method == "omni" else sorted(scenario.kappa_list)):
+            name = "omni" if method == "omni" else _cell_name(method, kappa)
+            try:
+                files, seconds, previous = _run_cell(
+                    scenario, method, kappa, rank, out_dir / name, grid, moments,
+                    not paper_literal, None if previous is None else previous.state)
+                cells[name] = files, seconds
+            except Exception as exc:  # noqa: BLE001 - cell isolation by design
+                failures.append((name, f"{type(exc).__name__}: {exc}", traceback.format_exc()))
+                previous = None
             if previous is not None:
                 levels.append((kappa, previous.metric_value))
         for line in _kappa_monotonicity_report(method, levels):
@@ -592,23 +576,18 @@ def run_scenario(
         "paper_literal": paper_literal,
         "started_at": started,
         "finished_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        "files": sorted(
-            f"{cell}/{fname}" for cell, fs in manifest_files.items() for fname in fs
-        ),
-        "cell_seconds": {k: round(v, 3) for k, v in sorted(timings.items())},
-        "stage_seconds": {
-            k: {stage: round(v, 3) for stage, v in stages.items()}
-            for k, stages in sorted(stage_timings.items())
-        },
-        "failures": sorted(
-            ({"cell": f["cell"], "error": f["error"]} for f in failures),
-            key=lambda f: f["cell"],
-        ),
+        "files": sorted(f"{cell}/{fname}" for cell, (fs, _) in cells.items() for fname in fs),
+        # A cell's time is the sum of its stages, all lapped on one clock.
+        "cell_seconds": {k: round(sum(s.values()), 3) for k, (_, s) in sorted(cells.items())},
+        "stage_seconds": {k: {stage: round(v, 3) for stage, v in s.items()}
+                          for k, (_, s) in sorted(cells.items())},
+        # Cell names are unique, so this sorts by cell.
+        "failures": [{"cell": cell, "error": error} for cell, error, _ in sorted(failures)],
     }
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
-    for f in failures:
-        print(f"cell {f['cell']} failed: {f['error']}")
-        print(f["traceback"], end="", file=sys.stderr)
+    for cell, error, trace in failures:
+        print(f"cell {cell} failed: {error}")
+        print(trace, end="", file=sys.stderr)
     return 2 if failures else 0
 
 
@@ -639,12 +618,16 @@ def validate_output_dir(path: str | Path) -> list[str]:
     problems = [f"{rel}: listed {n} times in manifest.json"
                 for rel, n in sorted(Counter(files).items()) if n > 1]
 
+    def seconds(v) -> bool:
+        return isinstance(v, (int, float)) and not isinstance(v, bool) and v >= 0
+
     stages = manifest["stage_seconds"]
-    for cell in manifest["cell_seconds"]:
+    for cell, total in manifest["cell_seconds"].items():
+        if not seconds(total):
+            problems.append(f"manifest.json: cell_seconds.{cell} must be non-negative seconds")
         spans = stages.get(cell) if isinstance(stages, dict) else None
         if not isinstance(spans, dict) or set(spans) != set(STAGES) or not all(
-                isinstance(v, (int, float)) and not isinstance(v, bool) and v >= 0
-                for v in spans.values()):
+                seconds(v) for v in spans.values()):
             problems.append(f"manifest.json: stage_seconds.{cell} must give "
                             f"non-negative seconds for {','.join(STAGES)}")
 

@@ -186,6 +186,9 @@ def _admm(split, cfg: ArrayConfig, seed: int, metric, *, max_iters: int = _MAX_I
         raise ValueError(f"warm start of shape {warm_start.x.shape} does not fit "
                          f"a {cfg.m_t}x{cfg.l_samples} waveform")
     x, d, mu = warm_start.x, warm_start.d, warm_start.mu
+    if np.shape(d) != x.shape:
+        raise ValueError(f"warm start dual d of shape {np.shape(d)} does not fit "
+                         f"its {x.shape} waveform")
     # The auxiliary's first motion never decides the stop (it needs two iterations).
     u = x
     split.start(x, warm_start.b)
@@ -382,6 +385,9 @@ class _FairSplit:
     def start(self, x: np.ndarray, b: np.ndarray | None) -> None:
         # ``gmat`` is read only as the first ``g_prev``, then replaced, never mutated.
         self.w = self.gmat = x.conj().T @ self.a
+        if b is not None and np.shape(b) != self.w.shape:
+            raise ValueError(f"warm start dual b of shape {np.shape(b)} does not fit "
+                             f"the {self.w.shape} beampattern split")
         self.b = np.zeros_like(self.w) if b is None else b
 
     def jump(self, x: np.ndarray, ahead: float) -> None:

@@ -194,9 +194,18 @@ def test_config_errors_are_line_precise(tmp_path, capsys):
          "array.noise_power: expected a finite number"),
         ("l_samples: 8}", "l_samples: 8, spacing: .inf}", "array.spacing: expected a finite number"),
         ("  weights: [1.0]\n", "  weights: [.nan]\n",
-         "distribution: mixture weights must be positive and finite"),
+         "distribution.weights: expected a finite number, got nan"),
         (SMALL_PRIOR, SMALL_GAUSS.replace("[0.0]", "[.nan]"),
-         "distribution: component mean outside"),
+         "distribution.means_deg: expected a finite number, got nan"),
+        # Distribution entries take the same number check as every other key.
+        ("[[-10.0, 10.0]]", "[[-10.0, true]]",
+         "distribution.intervals_deg: expected a number, got bool"),
+        ("[[-10.0, 10.0]]", "[[a, 10.0]]",
+         "distribution.intervals_deg: could not convert string to float: 'a'"),
+        ("  weights: [1.0]\n", "  weights: [true]\n",
+         "distribution.weights: expected a number, got bool"),
+        (SMALL_PRIOR, SMALL_GAUSS.replace("[0.0]", "[true]"),
+         "distribution.means_deg: expected a number, got bool"),
         (SMALL_PRIOR, SMALL_GAUSS.replace("2.0", ".inf"),
          "distribution.sigma_deg: expected a finite number"),
     ]
@@ -514,23 +523,29 @@ def test_manifest_stage_seconds_are_recorded_and_validated(small_cfg, tmp_path):
     assert set(stages) == set(manifest["cell_seconds"])
     for cell, spans in stages.items():
         assert set(spans) == {"design", "emit", "mc"} and min(spans.values()) >= 0
-        # Rounded to the millisecond, like cell_seconds.
-        assert sum(spans.values()) <= manifest["cell_seconds"][cell] + 0.003
+        # One clock laps the stages, so the cell time is their sum up to
+        # the rounding of three stages and the cell, 0.0005 s each.
+        assert abs(manifest["cell_seconds"][cell] - sum(spans.values())) <= 0.002
     assert validate_output_dir(out) == []
 
-    for spoil in ("drop", "negative", "missing-stage", "bool"):
+    cell_spoils = {"cell-str": "abc", "cell-negative": -1.0, "cell-null": None, "cell-bool": True}
+    for spoil in ("drop", "negative", "missing-stage", "bool", *cell_spoils):
         broken = json.loads(json.dumps(manifest))
+        key = "stage_seconds"
         if spoil == "drop":
             del broken["stage_seconds"]
         elif spoil == "negative":
             broken["stage_seconds"]["omni"]["mc"] = -0.5
         elif spoil == "missing-stage":
             del broken["stage_seconds"]["pcrb-k1.2"]["emit"]
-        else:
+        elif spoil == "bool":
             broken["stage_seconds"]["omni"]["design"] = True
+        else:
+            key = "cell_seconds"
+            broken["cell_seconds"]["omni"] = cell_spoils[spoil]
         path.write_text(json.dumps(broken))
         problems = validate_output_dir(out)
-        assert problems and all("stage_seconds" in p for p in problems), spoil
+        assert problems and all(key in p for p in problems), spoil
     path.write_text(json.dumps(manifest))
     assert validate_output_dir(out) == []
 

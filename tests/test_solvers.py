@@ -369,11 +369,19 @@ def test_warm_start_at_a_larger_kappa_is_feasible_and_no_worse(dist12, cfg12, gr
     assert_feasible(runs[0], cfg)
 
 
-def test_warm_start_must_fit_the_waveform(mom12, cfg12):
+def test_warm_start_must_fit_the_waveform(mom12, cfg12, dist12, grid361):
     r = solve_pcrb(mom12, cfg12, seed=1, max_iters=5)
     with pytest.raises(ValueError, match="warm start"):
         solve_pcrb(mom12, replace(cfg12, l_samples=20), seed=1,
                    warm_start=r.state)
+    # The duals must fit too, even where numpy would broadcast them.
+    x = r.state.x
+    for d in (np.ones((8, 1)), np.zeros((3, 2))):
+        with pytest.raises(ValueError, match="warm start dual d"):
+            solve_pcrb(mom12, cfg12, seed=1, max_iters=5, warm_start=AdmmState(x, d))
+    with pytest.raises(ValueError, match="warm start dual b"):
+        solve_psbp_fair(dist12, cfg12, grid361, seed=1, max_iters=5,
+                        warm_start=AdmmState(x, np.zeros_like(x), b=np.zeros((1, 1))))
 
 
 def test_design_with_a_zero_objective_is_refused():
