@@ -182,6 +182,10 @@ def _build_distribution(spec: dict) -> TargetDistribution:
     try:
         if kind == "mixture-uniform":
             ivs = _req(spec, "intervals_deg", list, "distribution")
+            for iv in ivs:
+                if not isinstance(iv, list) or len(iv) != 2:
+                    raise ConfigError("distribution.intervals_deg: expected [low, high] pairs, "
+                                      f"got {iv!r}")
             weights = _req(spec, "weights", list, "distribution")
             rad = tuple(tuple(np.deg2rad(numbers("intervals_deg", (a, b)))) for a, b in ivs)
             return MixtureUniform(intervals=rad, weights=numbers("weights", weights))
@@ -619,17 +623,27 @@ def validate_output_dir(path: str | Path) -> list[str]:
                 for rel, n in sorted(Counter(files).items()) if n > 1]
 
     def seconds(v) -> bool:
-        return isinstance(v, (int, float)) and not isinstance(v, bool) and v >= 0
+        return (isinstance(v, (int, float)) and not isinstance(v, bool)
+                and 0 <= v < math.inf)
 
     stages = manifest["stage_seconds"]
-    for cell, total in manifest["cell_seconds"].items():
-        if not seconds(total):
+    totals = manifest["cell_seconds"]
+    for cell, total in totals.items():
+        total_ok = seconds(total)
+        if not total_ok:
             problems.append(f"manifest.json: cell_seconds.{cell} must be non-negative seconds")
         spans = stages.get(cell) if isinstance(stages, dict) else None
         if not isinstance(spans, dict) or set(spans) != set(STAGES) or not all(
                 seconds(v) for v in spans.values()):
             problems.append(f"manifest.json: stage_seconds.{cell} must give "
                             f"non-negative seconds for {','.join(STAGES)}")
+        # The total and its three stages are each rounded to 3 decimals.
+        elif total_ok and abs(total - sum(spans.values())) > 0.002:
+            problems.append(f"manifest.json: cell_seconds.{cell} is {total}, not the sum "
+                            f"{sum(spans.values()):.3f} of its stage_seconds")
+    if isinstance(stages, dict):
+        problems += [f"manifest.json: stage_seconds.{cell} has no cell_seconds entry"
+                     for cell in stages if cell not in totals]
 
     listed = set(files)
     inside = root.resolve()

@@ -6,17 +6,23 @@ waveform under the power and per-element constraints, while the fair
 (max-min) solver additionally carries one auxiliary vector per constraint
 angle and a scalar level variable. Each design supplies only its split.
 
-The fair loop spends most of its iterations creeping along a straight
-line: from a few hundred iterations on, its successive steps in the
-state (waveform, element-cap dual, beampattern dual) are parallel and
-each is a near-constant fraction ``r`` of the one before. Once the last
-``_ALIGNED_STEPS`` (3) steps have pairwise cosines above ``_ALIGN_COS``
-(0.9999) and shrink, the loop jumps ahead ``min(r / (1 - r), _MAX_JUMP)``
-steps at once (``_MAX_JUMP`` is 10): the rest of the geometric series,
-capped. This is Anderson acceleration with memory one (Zhang, O'Donoghue
-& Boyd 2020), gated on alignment. The jumped waveform is rescaled to the
-power budget and the alignment count starts over. The quadratic designs
-never jump.
+A cold start of the quadratic designs is the seed's random
+constant-modulus waveform. A cold fair solve starts nearer its end: from
+the optimum of its covariance relaxation (``relaxation.fair_relaxation``),
+turned into a feasible waveform by cyclic synthesis from that same draw
+(``relaxation.synthesize``). Every solve then runs the one loop from
+``AdmmState(x0, zeros)``.
+
+From either start, the fair loop spends much of its run creeping along a
+straight line: its successive steps in the state (waveform, element-cap
+dual, beampattern dual) become parallel and each is a near-constant
+fraction ``r`` of the one before. Once the last ``_ALIGNED_STEPS`` (3)
+steps have pairwise cosines above ``_ALIGN_COS`` (0.9999) and shrink, the
+loop jumps ahead ``min(r / (1 - r), _MAX_JUMP)`` steps at once
+(``_MAX_JUMP`` is 10): the rest of the geometric series, capped. This is
+Anderson acceleration with memory one (Zhang, O'Donoghue & Boyd 2020),
+gated on alignment. The jumped waveform is rescaled to the power budget
+and the alignment count starts over. The quadratic designs never jump.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ from .admm import AdmmTrace, _cap_elements, _project_feasible, _XUpdate
 from .estimation import AngularGrid
 from .pcrb import pcrb_upper_bound
 from .priors import DistributionMoments, TargetDistribution, _grid_density, _point_moments
+from .relaxation import fair_relaxation, synthesize
 from .ula import ArrayConfig, beampattern, steering_matrix
 
 __all__ = [
@@ -76,7 +83,8 @@ class AdmmState:
     dual (None: zeros). Passed as ``warm_start``, it starts the loop there,
     under the new problem's element cap; the result of a smaller threshold
     is feasible at a larger one. A cold start is ``AdmmState(x0, zeros)``
-    with ``x0`` drawn from the seed.
+    with ``x0`` drawn from the seed, and for the fair design synthesized to
+    the optimum of its covariance relaxation (module docstring).
     """
 
     x: np.ndarray
@@ -431,12 +439,19 @@ def solve_psbp_fair(
     Splits the element cap onto one auxiliary matrix and the per-angle
     beampattern onto one auxiliary vector per constraint angle; the level
     variable and those vectors are updated jointly from their first-order
-    conditions. ``max_iters`` and ``warm_start`` as in ``solve_pcrb``.
+    conditions. ``max_iters`` and ``warm_start`` as in ``solve_pcrb``;
+    without ``warm_start`` the loop starts from the optimum of the
+    covariance relaxation, synthesized from the ``seed``-drawn waveform.
     """
     f = _grid_density(dist, grid.points)
     mask = f >= _PDF_FLOOR * f.max()
     pts, f = grid.points[mask], f[mask]
     a = steering_matrix(pts, cfg.m_t, cfg.spacing)
+    if warm_start is None:
+        r, _, _ = fair_relaxation(a, f, cfg.power, cfg.papr * cfg.power / cfg.m_t)
+        x0 = synthesize(r, _initial_waveform(cfg, np.random.default_rng(seed)),
+                        cfg.power, cfg.elem_bound)
+        warm_start = AdmmState(x0, np.zeros_like(x0))
     return _admm(_FairSplit(a, f, cfg), cfg, seed,
                  lambda r: float(np.min(beampattern(r, pts, cfg.spacing) / f)),
                  max_iters=max_iters, warm_start=warm_start)

@@ -1,4 +1,5 @@
 import json
+import math
 from dataclasses import replace
 from pathlib import Path
 
@@ -202,6 +203,10 @@ def test_config_errors_are_line_precise(tmp_path, capsys):
          "distribution.intervals_deg: expected a number, got bool"),
         ("[[-10.0, 10.0]]", "[[a, 10.0]]",
          "distribution.intervals_deg: could not convert string to float: 'a'"),
+        # Each interval is a pair, named by its key.
+        ("[[-10.0, 10.0]]", "[[-10.0, 10.0, 3.0]]",
+         "distribution.intervals_deg: expected [low, high] pairs, got [-10.0, 10.0, 3.0]"),
+        ("[[-10.0, 10.0]]", "[5.0]", "distribution.intervals_deg: expected [low, high] pairs, got 5.0"),
         ("  weights: [1.0]\n", "  weights: [true]\n",
          "distribution.weights: expected a number, got bool"),
         (SMALL_PRIOR, SMALL_GAUSS.replace("[0.0]", "[true]"),
@@ -528,8 +533,12 @@ def test_manifest_stage_seconds_are_recorded_and_validated(small_cfg, tmp_path):
         assert abs(manifest["cell_seconds"][cell] - sum(spans.values())) <= 0.002
     assert validate_output_dir(out) == []
 
-    cell_spoils = {"cell-str": "abc", "cell-negative": -1.0, "cell-null": None, "cell-bool": True}
-    for spoil in ("drop", "negative", "missing-stage", "bool", *cell_spoils):
+    # json writes and reads infinity as ``Infinity``.
+    cell_spoils = {"cell-str": "abc", "cell-negative": -1.0, "cell-null": None, "cell-bool": True,
+                   "cell-infinite": math.inf,
+                   "cell-not-the-sum": manifest["cell_seconds"]["omni"] + 0.003}
+    for spoil in ("drop", "negative", "missing-stage", "bool", "infinite", "stray-cell",
+                  *cell_spoils):
         broken = json.loads(json.dumps(manifest))
         key = "stage_seconds"
         if spoil == "drop":
@@ -540,6 +549,10 @@ def test_manifest_stage_seconds_are_recorded_and_validated(small_cfg, tmp_path):
             del broken["stage_seconds"]["pcrb-k1.2"]["emit"]
         elif spoil == "bool":
             broken["stage_seconds"]["omni"]["design"] = True
+        elif spoil == "infinite":
+            broken["stage_seconds"]["omni"]["design"] = math.inf
+        elif spoil == "stray-cell":
+            broken["stage_seconds"]["d"] = {"design": 5.0, "emit": 0.0, "mc": 0.0}
         else:
             key = "cell_seconds"
             broken["cell_seconds"]["omni"] = cell_spoils[spoil]

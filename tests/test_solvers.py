@@ -29,10 +29,28 @@ from priorwave.scenario import _cell_seed, load_config
 from priorwave import solvers
 from priorwave.admm import _project_feasible
 from priorwave.priors import _point_moments
-from priorwave.solvers import AdmmState, _admm, _eta_update, _FairSplit, _inflate_columns
+from priorwave.relaxation import fair_relaxation, synthesize
+from priorwave.solvers import (AdmmState, _admm, _eta_update, _FairSplit, _inflate_columns,
+                               _initial_waveform)
 from conftest import covariance
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "src" / "priorwave" / "configs"
+
+
+def random_start(cfg, seed):
+    """The seed's random constant-modulus waveform with zero duals: a fair
+    start far from the optimum, whose solve runs the long jumping tail."""
+    x0 = _initial_waveform(cfg, np.random.default_rng(seed))
+    return AdmmState(x0, np.zeros_like(x0))
+
+
+def fair_relaxation_of(dist, cfg, grid):
+    """The covariance relaxation over the fair design's constraint angles:
+    the grid points whose density is at least 1e-6 of its peak."""
+    f = dist.pdf(grid.points)
+    mask = f >= 1e-6 * f.max()
+    return fair_relaxation(steering_matrix(grid.points[mask], cfg.m_t), f[mask],
+                           cfg.power, cfg.papr * cfg.power / cfg.m_t)
 
 
 def assert_feasible(result, cfg):
@@ -200,8 +218,9 @@ def test_fair_metric_is_min_scaled_beampattern(dist12, cfg12, grid361):
 
 @pytest.fixture(scope="module")
 def fair12(dist12, cfg12, grid361):
-    """Case 1-2 fair design at kappa 1.2 and seed 1, run to convergence."""
-    return solve_psbp_fair(dist12, cfg12, grid361, seed=1)
+    """Case 1-2 fair design at kappa 1.2 from the seed-1 random start, run
+    to convergence: a long straight-line tail that the loop jumps along."""
+    return solve_psbp_fair(dist12, cfg12, grid361, seed=1, warm_start=random_start(cfg12, 1))
 
 
 def test_fair_multiplier_root_takes_few_evaluations(fair12):
@@ -219,12 +238,25 @@ def test_fair_multiplier_root_takes_few_evaluations(fair12):
     assert r.trace.extrapolations > 0
 
 
+def test_cold_fair_solve_starts_from_its_covariance_relaxation(dist12, cfg12, grid361):
+    # Case 1-2 at kappa 1.2: from the relaxation optimum, synthesized from
+    # the seed's draw, the solve converges in about 400 iterations (about
+    # 1,600 from the draw itself), within 1e-4 of the relaxation's bound
+    # and never above it.
+    _, bound, gap = fair_relaxation_of(dist12, cfg12, grid361)
+    r = solve_psbp_fair(dist12, cfg12, grid361, seed=2)
+    assert r.converged and len(r.trace) <= 1000
+    assert bound * (1 - 1e-4) <= r.metric_value <= bound + gap
+    assert_feasible(r, cfg12)
+
+
 def test_capped_fair_solve_never_ends_on_a_jump(dist12, cfg12, grid361):
     # Resumed mid-tail, where the loop jumps every few iterations, so the
     # caps 1-40 land on every phase of the alignment count. Whatever the
     # cap, the result is the exact projection of an x-update, and the
     # first iterations of a longer run are those of a shorter one.
-    mid = solve_psbp_fair(dist12, cfg12, grid361, seed=1, max_iters=600).state
+    mid = solve_psbp_fair(dist12, cfg12, grid361, seed=1, max_iters=600,
+                          warm_start=random_start(cfg12, 1)).state
     runs = [solve_psbp_fair(dist12, cfg12, grid361, seed=1, max_iters=m,
                             warm_start=mid) for m in range(1, 41)]
     assert runs[-1].trace.extrapolations >= 5
@@ -333,11 +365,15 @@ def test_warm_restart_from_a_converged_state_stops_at_once(
 
 def test_cold_start_is_the_warm_start_from_the_seeded_waveform(dist12, mom12, cfg12, grid361):
     # One start path: the cold solve from ``seed`` is, bit for bit, the warm
-    # solve from the seed's constant-modulus draw with zero duals (whose
-    # own seed is then unused). The cap lets the fair loop jump.
+    # solve from the seed's start with zero duals (whose own seed is then
+    # unused). The quadratic designs start from the seed's constant-modulus
+    # draw; the fair design from that draw synthesized to the optimum of its
+    # covariance relaxation.
     rng = np.random.default_rng(4)
     phases = rng.uniform(0.0, 2.0 * np.pi, size=(cfg12.m_t, cfg12.l_samples))
     x0 = np.sqrt(cfg12.power / (cfg12.m_t * cfg12.l_samples)) * np.exp(1j * phases)
+    r, _, _ = fair_relaxation_of(dist12, cfg12, grid361)
+    x_fair = synthesize(r, x0, cfg12.power, cfg12.elem_bound)
     solves = {
         "pcrb": lambda seed, **kw: solve_pcrb(mom12, cfg12, seed, **kw),
         "fair": lambda seed, **kw: solve_psbp_fair(dist12, cfg12, grid361, seed, **kw),
@@ -345,9 +381,9 @@ def test_cold_start_is_the_warm_start_from_the_seeded_waveform(dist12, mom12, cf
         "crb": lambda seed, **kw: baseline_crb(0.05, cfg12, seed, **kw),
     }
     for name, solve in solves.items():
+        start = x_fair if name == "fair" else x0
         cold = solve(4, max_iters=600)
-        warm = solve(7, max_iters=600, warm_start=AdmmState(x0, np.zeros_like(x0)))
-        assert (cold.trace.extrapolations > 0) == (name == "fair"), name
+        warm = solve(7, max_iters=600, warm_start=AdmmState(start, np.zeros_like(start)))
         assert cold.waveform.tobytes() == warm.waveform.tobytes(), name
         assert cold.metric_value == warm.metric_value, name
         assert cold.converged == warm.converged, name
@@ -355,6 +391,9 @@ def test_cold_start_is_the_warm_start_from_the_seeded_waveform(dist12, mom12, cf
                           zip(astuple(cold.state), astuple(warm.state))):
             assert type(a) is type(b), name
             assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), name
+        # From the random draw the cap lets the fair loop jump; the others never do.
+        drawn = solve(7, max_iters=600, warm_start=AdmmState(x0, np.zeros_like(x0)))
+        assert (drawn.trace.extrapolations > 0) == (name == "fair"), name
 
 
 def test_warm_start_at_a_larger_kappa_is_feasible_and_no_worse(dist12, cfg12, grid361, fair12):
