@@ -9,9 +9,10 @@ angle and a scalar level variable. Each design supplies only its split.
 A cold start of the quadratic designs is the seed's random
 constant-modulus waveform. A cold fair solve starts nearer its end: from
 the optimum of its covariance relaxation (``relaxation.fair_relaxation``),
-turned into a feasible waveform by cyclic synthesis from that same draw
-(``relaxation.synthesize``). Every solve then runs the one loop from
-``AdmmState(x0, zeros)``.
+turned into a feasible waveform by cyclic synthesis from the best fit of
+``_SYNTH_STARTS`` such draws (``relaxation.synthesize``). Every solve then
+runs the one loop from ``AdmmState(x0, zeros)``, and a fair solve never
+returns a lower level than its start's.
 
 From either start, the fair loop spends much of its run creeping along a
 straight line: its successive steps in the state (waveform, element-cap
@@ -28,7 +29,7 @@ and the alignment count starts over. The quadratic designs never jump.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -71,6 +72,8 @@ _PRIMAL_TOL = 1e-8
 _PDF_FLOOR = 1e-6
 # Default iteration cap of every design, the only solver setting.
 _MAX_ITERS = 5000
+# A cold fair solve synthesizes its start from this many draws of its seed.
+_SYNTH_STARTS = 4
 
 
 @dataclass(frozen=True)
@@ -84,7 +87,9 @@ class AdmmState:
     under the new problem's element cap; the result of a smaller threshold
     is feasible at a larger one. A cold start is ``AdmmState(x0, zeros)``
     with ``x0`` drawn from the seed, and for the fair design synthesized to
-    the optimum of its covariance relaxation (module docstring).
+    the optimum of its covariance relaxation from several draws (module
+    docstring). A fair solve that returns its start also returns the start
+    as its state.
     """
 
     x: np.ndarray
@@ -441,7 +446,15 @@ def solve_psbp_fair(
     variable and those vectors are updated jointly from their first-order
     conditions. ``max_iters`` and ``warm_start`` as in ``solve_pcrb``;
     without ``warm_start`` the loop starts from the optimum of the
-    covariance relaxation, synthesized from the ``seed``-drawn waveform.
+    covariance relaxation, synthesized from ``_SYNTH_STARTS`` waveforms
+    drawn from ``seed``.
+
+    The level is this design's objective and its start is feasible, so
+    the solve never ends below its start: when the start's projection
+    scores higher than the loop's last iterate, the result is that
+    projection with the start as its state (the trace still records the
+    loop). So a warm start from a smaller kappa's result keeps that
+    result's level, up to its projection under the looser cap.
     """
     f = _grid_density(dist, grid.points)
     mask = f >= _PDF_FLOOR * f.max()
@@ -449,12 +462,21 @@ def solve_psbp_fair(
     a = steering_matrix(pts, cfg.m_t, cfg.spacing)
     if warm_start is None:
         r, _, _ = fair_relaxation(a, f, cfg.power, cfg.papr * cfg.power / cfg.m_t)
-        x0 = synthesize(r, _initial_waveform(cfg, np.random.default_rng(seed)),
+        rng = np.random.default_rng(seed)
+        x0 = synthesize(r, [_initial_waveform(cfg, rng) for _ in range(_SYNTH_STARTS)],
                         cfg.power, cfg.elem_bound)
         warm_start = AdmmState(x0, np.zeros_like(x0))
-    return _admm(_FairSplit(a, f, cfg), cfg, seed,
-                 lambda r: float(np.min(beampattern(r, pts, cfg.spacing) / f)),
-                 max_iters=max_iters, warm_start=warm_start)
+
+    def metric(r):
+        return float(np.min(beampattern(r, pts, cfg.spacing) / f))
+
+    result = _admm(_FairSplit(a, f, cfg), cfg, seed, metric,
+                   max_iters=max_iters, warm_start=warm_start)
+    start = _project_feasible(warm_start.x, cfg.power, cfg.elem_bound)
+    level = metric(start @ start.conj().T)
+    if level > result.metric_value:
+        return replace(result, waveform=start, metric_value=level, state=warm_start)
+    return result
 
 
 def baseline_omni(cfg: ArrayConfig) -> np.ndarray:

@@ -1,10 +1,18 @@
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from priorwave import steering_matrix
+from priorwave import AngularGrid, steering_matrix
 from priorwave.admm import _project_feasible
+from priorwave.priors import _grid_density
 from priorwave.relaxation import fair_relaxation, synthesize
+from priorwave.scenario import _cell_seed, load_config
+from priorwave.solvers import _SYNTH_STARTS, _initial_waveform
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "src" / "priorwave" / "configs"
 
 
 def scaled_levels(r, a, f):
@@ -47,7 +55,33 @@ def test_synthesized_waveform_is_feasible_and_keeps_a_rank_one_covariance():
     r = np.outer(v, v.conj())
     bound = kappa * power / (m * l_samples)
     x0 = np.sqrt(power / (m * l_samples)) * np.exp(1j * rng.uniform(0, 2 * np.pi, (m, l_samples)))
-    x = synthesize(r, x0, power, bound)
+    x = synthesize(r, [x0], power, bound)
     assert abs(np.vdot(x, x).real - power) <= 1e-12 * power
     assert (np.abs(x) ** 2).max() <= bound * (1 + 1e-12)
     assert np.linalg.norm(x @ x.conj().T - r) <= 1e-5 * power
+
+
+def test_synthesis_carries_on_from_the_start_that_fits_best():
+    # Scenario-3 at kappa 1.2, from the bundled fair cell's seed: the
+    # synthesis has more than one fixed point, and the first three draws
+    # all end at the worse fit (0.0833 against 0.0760), which the fair loop
+    # then takes to a level about 2.3e-3 lower. From all four draws the
+    # synthesis is, bit for bit, the one from the fourth.
+    sc = load_config(CONFIG_DIR / "scenario-3.cfg")
+    cfg = replace(sc.array, papr=1.2)
+    grid = AngularGrid(sc.grid_size)
+    f = _grid_density(sc.distribution, grid.points)
+    mask = f >= 1e-6 * f.max()
+    r, _, _ = fair_relaxation(steering_matrix(grid.points[mask], cfg.m_t), f[mask],
+                              cfg.power, cfg.papr * cfg.power / cfg.m_t)
+    rng = np.random.default_rng(_cell_seed(sc.seed, "psbp-fair", 0, 0))
+    draws = [_initial_waveform(cfg, rng) for _ in range(_SYNTH_STARTS)]
+
+    def fit(x):
+        return float(np.linalg.norm(x @ x.conj().T - r))
+
+    alone = [synthesize(r, [x0], cfg.power, cfg.elem_bound) for x0 in draws]
+    fits = [fit(x) for x in alone]
+    assert min(fits[:3]) > fits[3] + 5e-3
+    best = synthesize(r, draws, cfg.power, cfg.elem_bound)
+    assert best.tobytes() == alone[3].tobytes()

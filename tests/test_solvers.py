@@ -30,8 +30,8 @@ from priorwave import solvers
 from priorwave.admm import _project_feasible
 from priorwave.priors import _point_moments
 from priorwave.relaxation import fair_relaxation, synthesize
-from priorwave.solvers import (AdmmState, _admm, _eta_update, _FairSplit, _inflate_columns,
-                               _initial_waveform)
+from priorwave.solvers import (_SYNTH_STARTS, AdmmState, _admm, _eta_update, _FairSplit,
+                               _inflate_columns, _initial_waveform)
 from conftest import covariance
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "src" / "priorwave" / "configs"
@@ -250,6 +250,31 @@ def test_cold_fair_solve_starts_from_its_covariance_relaxation(dist12, cfg12, gr
     assert_feasible(r, cfg12)
 
 
+def test_fair_solve_never_ends_below_its_start(grid361):
+    # Case 1-1 at kappa 1.2: the synthesized start already scores above the
+    # point where the loop stops, 37 iterations later. The solve returns the
+    # start's projection with the start as its state, and the trace and
+    # convergence flag of the loop that ran.
+    sc = load_config(CONFIG_DIR / "case-1-1.cfg")
+    cfg = replace(sc.array, papr=1.2)
+    cold = solve_psbp_fair(sc.distribution, cfg, grid361, seed=1)
+    start = cold.state
+    assert not np.any(start.d) and start.mu is None and start.b is None
+    assert cold.waveform.tobytes() == _project_feasible(
+        start.x, cfg.power, cfg.elem_bound).tobytes()
+    f = sc.distribution.pdf(grid361.points)
+    mask = f >= 1e-6 * f.max()
+    pts, f = grid361.points[mask], f[mask]
+    loop = _admm(_FairSplit(steering_matrix(pts, cfg.m_t), f, cfg), cfg, 1,
+                 lambda r: float(np.min(beampattern(r, pts) / f)), warm_start=start)
+    assert loop.converged and cold.converged
+    assert loop.metric_value < cold.metric_value
+    assert cold.metric_value == float(np.min(beampattern(covariance(cold.waveform), pts) / f))
+    for a, b in zip(astuple(cold.trace), astuple(loop.trace)):
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+    assert_feasible(cold, cfg)
+
+
 def test_capped_fair_solve_never_ends_on_a_jump(dist12, cfg12, grid361):
     # Resumed mid-tail, where the loop jumps every few iterations, so the
     # caps 1-40 land on every phase of the alignment count. Whatever the
@@ -367,13 +392,14 @@ def test_cold_start_is_the_warm_start_from_the_seeded_waveform(dist12, mom12, cf
     # One start path: the cold solve from ``seed`` is, bit for bit, the warm
     # solve from the seed's start with zero duals (whose own seed is then
     # unused). The quadratic designs start from the seed's constant-modulus
-    # draw; the fair design from that draw synthesized to the optimum of its
-    # covariance relaxation.
+    # draw; the fair design from the seed's draws synthesized to the optimum of its
+    # covariance relaxation, fitted from the first ``_SYNTH_STARTS`` draws.
     rng = np.random.default_rng(4)
-    phases = rng.uniform(0.0, 2.0 * np.pi, size=(cfg12.m_t, cfg12.l_samples))
-    x0 = np.sqrt(cfg12.power / (cfg12.m_t * cfg12.l_samples)) * np.exp(1j * phases)
+    draws = [np.sqrt(cfg12.power / (cfg12.m_t * cfg12.l_samples)) * np.exp(1j * rng.uniform(
+        0.0, 2.0 * np.pi, size=(cfg12.m_t, cfg12.l_samples))) for _ in range(_SYNTH_STARTS)]
+    x0 = draws[0]
     r, _, _ = fair_relaxation_of(dist12, cfg12, grid361)
-    x_fair = synthesize(r, x0, cfg12.power, cfg12.elem_bound)
+    x_fair = synthesize(r, draws, cfg12.power, cfg12.elem_bound)
     solves = {
         "pcrb": lambda seed, **kw: solve_pcrb(mom12, cfg12, seed, **kw),
         "fair": lambda seed, **kw: solve_psbp_fair(dist12, cfg12, grid361, seed, **kw),
