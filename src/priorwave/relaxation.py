@@ -69,17 +69,30 @@ def _hermitian(y: np.ndarray, upper: tuple[np.ndarray, np.ndarray]) -> np.ndarra
     return h
 
 
+def pinned(m: int, power: float, cap: float) -> bool:
+    """Whether the cap ``diag R <= cap`` leaves no room: ``cap * m == power``
+    up to rounding, so every diagonal entry of a feasible ``R`` is ``cap``."""
+    return cap * m <= power * (1.0 + 1e-12)
+
+
 def fair_relaxation(a: np.ndarray, f: np.ndarray, power: float, cap: float
-                    ) -> tuple[np.ndarray, float, float]:
+                    ) -> tuple[np.ndarray, float, float, np.ndarray, np.ndarray]:
     """Solve ``max t`` s.t. ``a_p^H R a_p / f_p >= t``, ``Tr R = power``,
     ``diag R <= cap`` and ``R >= 0``.
 
     ``a`` holds one steering vector per column and ``f > 0`` their
-    densities; ``cap * m >= power``. Returns ``(R, t, gap)``: ``t`` is the
-    least scaled beampattern of ``R`` and ``t + gap`` the value of a dual
-    feasible point, so no feasible ``R`` (nor waveform) does better than
-    ``t + gap``. When ``cap * m == power`` up to rounding the diagonal is
-    pinned at ``cap`` and its barrier is dropped.
+    densities; ``cap * m >= power``. Returns ``(R, t, gap, w, d)``: ``t`` is
+    the least scaled beampattern of ``R``, and the angle weights ``w`` (on
+    the simplex) with the diagonal weights ``d`` are a dual feasible point
+    of value ``t + gap = power * lambda_max(sum_p w_p a_p a_p^H / f_p -
+    diag d) + cap * sum(d)``, so no feasible ``R`` (nor waveform) does
+    better than ``t + gap``. The dual point is the barrier's multipliers
+    at the centering that gave ``R``: ``w_p = 1 / (s_p sum(1/s))`` over the
+    slacks ``s = levels - t`` and ``d_m = 1 / (sum(1/s) room_m)`` over the
+    rooms ``cap - diag R``, so ``d >= 0``. When the diagonal is ``pinned``
+    its barrier is dropped and ``d``, free in sign, is taken from the
+    stationarity of ``R`` instead. ``gap`` is infinite only when the first
+    centering fails, and ``(w, d)`` then come from the uncentered start.
 
     Each Newton step works in whitened coordinates ``R + L Y L^H`` (``L``
     the Cholesky factor of ``R``), where the log-det barrier's Hessian is
@@ -87,9 +100,9 @@ def fair_relaxation(a: np.ndarray, f: np.ndarray, power: float, cap: float
     neither degrades as the barrier weight grows.
     """
     m, n = a.shape[0], a.shape[0] ** 2
-    pinned = cap * m <= power * (1.0 + 1e-12)
-    n_barriers = f.size + (m if pinned else 2 * m)
-    kkt = np.zeros((n + (m if pinned else 1),) * 2)
+    is_pinned = pinned(m, power, cap)
+    n_barriers = f.size + (m if is_pinned else 2 * m)
+    kkt = np.zeros((n + (m if is_pinned else 1),) * 2)
     rhs = np.zeros(len(kkt))
     on_diag = np.repeat([1.0, 0.0], (m, n - m))
     upper = np.triu_indices(m, 1)
@@ -119,11 +132,11 @@ def fair_relaxation(a: np.ndarray, f: np.ndarray, power: float, cap: float
             gbar = d2 @ g / d2.sum()
             spread = g - gbar
             hess = np.eye(n) + (spread.T * d2) @ spread
-            if not pinned:
+            if not is_pinned:
                 grad += c.T @ (1.0 / room)
                 hess += (c.T * room**-2) @ c
             kkt[:n, :n] = hess
-            kkt[n:, :n] = c if pinned else c.sum(0)
+            kkt[n:, :n] = c if is_pinned else c.sum(0)
             kkt[:n, n:] = kkt[n:, :n].T
             rhs[:n] = -grad - gbar * grad_t
             # Jacobi scaling, and one refinement step that keeps the
@@ -143,7 +156,7 @@ def fair_relaxation(a: np.ndarray, f: np.ndarray, power: float, cap: float
             # the sufficient-decrease test compares barrier differences.
             ds, droom, dy = g @ y - dt, -(c @ y), _hermitian(y, upper)
             rel = [ds / s, np.linalg.eigvalsh(dy)]
-            if not pinned:
+            if not is_pinned:
                 rel.append(droom / room)
             rel = np.concatenate(rel)
             alpha = min(1.0, 0.5 / max(-rel.min(), 1e-300))
@@ -154,26 +167,31 @@ def fair_relaxation(a: np.ndarray, f: np.ndarray, power: float, cap: float
             t, s, room = t + alpha * dt, s + alpha * ds, room + alpha * droom
         return r, t, s, room
 
+    def dual_point(r, s, room):
+        """The barrier's multipliers, normalized: weights on the angles (on
+        the simplex) and on the diagonal. Any real diagonal weights serve
+        when the diagonal is pinned."""
+        total = (1.0 / s).sum()
+        bmat = (a * (1.0 / (s * total * f))) @ a.conj().T
+        d = (np.diag(bmat + np.linalg.inv(r) / total).real if is_pinned
+             else 1.0 / (total * room))
+        bound = power * float(np.linalg.eigvalsh(bmat - np.diag(d))[-1]) + cap * float(d.sum())
+        return 1.0 / (s * total), d, bound
+
     r = np.eye(m, dtype=complex) * (power / m)
     t = 0.5 * float(levels(r).min())
     s, room = levels(r) - t, cap - np.diag(r).real
-    tau, best = n_barriers / t, (r, float(levels(r).min()), math.inf)
+    tau = n_barriers / t
+    best = (r, float(levels(r).min()), math.inf, *dual_point(r, s, room)[:2])
     while True:
         try:
             r, t, s, room = center(r, t, s, room, tau)
         except np.linalg.LinAlgError:  # the barrier weight has outrun double precision
             return best
-        # A dual feasible point from the barrier's multipliers: weights on
-        # the angles (normalized to the simplex) and on the diagonal. Any
-        # real diagonal weights serve when the diagonal is pinned.
-        total = (1.0 / s).sum()
-        bmat = (a * (1.0 / (s * total * f))) @ a.conj().T
-        d = (np.diag(bmat + np.linalg.inv(r) / total).real if pinned
-             else 1.0 / (total * room))
-        bound = power * float(np.linalg.eigvalsh(bmat - np.diag(d))[-1]) + cap * float(d.sum())
+        w, d, bound = dual_point(r, s, room)
         # The reported covariance meets the equalities that the steps hold
         # only to rounding; the congruence or the scaling keeps it PSD.
-        if pinned:
+        if is_pinned:
             q = np.sqrt(cap / np.diag(r).real)
             feasible = r * np.outer(q, q)
         else:
@@ -182,8 +200,8 @@ def fair_relaxation(a: np.ndarray, f: np.ndarray, power: float, cap: float
         gap = bound - level
         # In exact arithmetic each centering shrinks the gap ``_TAU_STEP``-fold.
         if gap > 0.5 * best[2]:  # rounding has caught up with the barrier
-            return best if gap > best[2] else (feasible, level, gap)
-        best = feasible, level, gap
+            return best if gap > best[2] else (feasible, level, gap, w, d)
+        best = feasible, level, gap, w, d
         if gap <= _REL_GAP * level:
             return best
         tau *= _TAU_STEP

@@ -7,17 +7,27 @@ waveform under the power and per-element constraints, while the fair
 angle and a scalar level variable. Each design supplies only its split.
 
 A cold start of the quadratic designs is the seed's random
-constant-modulus waveform. A cold fair solve starts nearer its end: from
-the optimum of its covariance relaxation (``relaxation.fair_relaxation``),
-turned into a feasible waveform by cyclic synthesis from the best fit of
-``_SYNTH_STARTS`` such draws (``relaxation.synthesize``). Every solve then
-runs the one loop from ``AdmmState(x0, zeros)``, and a fair solve never
-returns a lower level than its start's.
+constant-modulus waveform with zero duals. A cold fair solve starts nearer
+its end: from the optimum of its covariance relaxation
+(``relaxation.fair_relaxation``), turned into a feasible waveform ``x0`` by
+cyclic synthesis from the best fit of ``_SYNTH_STARTS`` such draws
+(``relaxation.synthesize``), and with the duals that the relaxation's
+dual point ``(w, d)`` predicts at the loop's fixed point: ADMM's
+primal-dual warm start (Boyd et al. 2011, sec. 3). There the level
+update's optimality condition is ``rho3 / 2 * sum_p c_p f_p = 1`` with
+``b_p = c_p x^H a_p``, which the angle weights ``w`` on the simplex meet
+through ``c_p = (2 / rho3) w_p / f_p``. And x-stationarity, ``2 mu X = rho
+D + 2 B(w) X`` with ``B(w) = sum_p w_p a_p a_p^H / f_p``, holds at ``mu =
+lambda_max`` for ``D = -(2 / rho) diag(d) X``, since ``(B(w) - diag d) R =
+lambda_max R``. When the diagonal is pinned (kappa 1), ``d`` is free in
+sign and is not the element cap's multiplier, so ``D`` starts at zero.
+Every solve then runs the one loop from its ``AdmmState``, and a fair
+solve never returns a lower level than its start's.
 
-From either start, the fair loop spends much of its run creeping along a
-straight line: its successive steps in the state (waveform, element-cap
-dual, beampattern dual) become parallel and each is a near-constant
-fraction ``r`` of the one before. Once the last ``_ALIGNED_STEPS`` (3)
+Away from its fixed point, the fair loop spends much of its run creeping
+along a straight line: its successive steps in the state (waveform,
+element-cap dual, beampattern dual) become parallel and each is a
+near-constant fraction ``r`` of the one before. Once the last ``_ALIGNED_STEPS`` (3)
 steps have pairwise cosines above ``_ALIGN_COS`` (0.9999) and shrink, the
 loop jumps ahead ``min(r / (1 - r), _MAX_JUMP)`` steps at once
 (``_MAX_JUMP`` is 10): the rest of the geometric series, capped. This is
@@ -37,7 +47,7 @@ from .admm import AdmmTrace, _cap_elements, _project_feasible, _XUpdate
 from .estimation import AngularGrid
 from .pcrb import pcrb_upper_bound
 from .priors import DistributionMoments, TargetDistribution, _grid_density, _point_moments
-from .relaxation import fair_relaxation, synthesize
+from .relaxation import fair_relaxation, pinned, synthesize
 from .ula import ArrayConfig, beampattern, steering_matrix
 
 __all__ = [
@@ -85,11 +95,13 @@ class AdmmState:
     (None: no x-update yet) and ``b`` the fair design's scaled beampattern
     dual (None: zeros). Passed as ``warm_start``, it starts the loop there,
     under the new problem's element cap; the result of a smaller threshold
-    is feasible at a larger one. A cold start is ``AdmmState(x0, zeros)``
-    with ``x0`` drawn from the seed, and for the fair design synthesized to
-    the optimum of its covariance relaxation from several draws (module
-    docstring). A fair solve that returns its start also returns the start
-    as its state.
+    is feasible at a larger one. A cold start of a quadratic design is
+    ``AdmmState(x0, zeros)`` with ``x0`` drawn from the seed. A cold fair
+    start is ``AdmmState(x0, D, None, b)``: ``x0`` synthesized to the
+    optimum of the covariance relaxation from several draws, and ``D`` and
+    ``b`` the duals that the relaxation's dual point predicts (``D`` zero
+    when the diagonal is pinned; module docstring). A fair solve that
+    returns its start also returns the start as its state.
     """
 
     x: np.ndarray
@@ -447,7 +459,8 @@ def solve_psbp_fair(
     conditions. ``max_iters`` and ``warm_start`` as in ``solve_pcrb``;
     without ``warm_start`` the loop starts from the optimum of the
     covariance relaxation, synthesized from ``_SYNTH_STARTS`` waveforms
-    drawn from ``seed``.
+    drawn from ``seed``, with duals seeded from the relaxation's dual point
+    (module docstring).
 
     The level is this design's objective and its start is feasible, so
     the solve never ends below its start: when the start's projection
@@ -460,18 +473,25 @@ def solve_psbp_fair(
     mask = f >= _PDF_FLOOR * f.max()
     pts, f = grid.points[mask], f[mask]
     a = steering_matrix(pts, cfg.m_t, cfg.spacing)
+    split = _FairSplit(a, f, cfg)
     if warm_start is None:
-        r, _, _ = fair_relaxation(a, f, cfg.power, cfg.papr * cfg.power / cfg.m_t)
+        cap = cfg.papr * cfg.power / cfg.m_t
+        r, _, _, w, d = fair_relaxation(a, f, cfg.power, cap)
         rng = np.random.default_rng(seed)
         x0 = synthesize(r, [_initial_waveform(cfg, rng) for _ in range(_SYNTH_STARTS)],
                         cfg.power, cfg.elem_bound)
-        warm_start = AdmmState(x0, np.zeros_like(x0))
+        # The duals at the loop's fixed point, predicted by the relaxation's
+        # dual point (module docstring); a pinned diagonal's weights are not
+        # the element cap's multipliers.
+        b = (x0.conj().T @ a) * (w / (split.half3 * f))
+        dual = (np.zeros_like(x0) if pinned(cfg.m_t, cfg.power, cap)
+                else (-2.0 / split.rho) * d[:, None] * x0)
+        warm_start = AdmmState(x0, dual, None, b)
 
     def metric(r):
         return float(np.min(beampattern(r, pts, cfg.spacing) / f))
 
-    result = _admm(_FairSplit(a, f, cfg), cfg, seed, metric,
-                   max_iters=max_iters, warm_start=warm_start)
+    result = _admm(split, cfg, seed, metric, max_iters=max_iters, warm_start=warm_start)
     start = _project_feasible(warm_start.x, cfg.power, cfg.elem_bound)
     level = metric(start @ start.conj().T)
     if level > result.metric_value:

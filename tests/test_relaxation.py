@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from priorwave import AngularGrid, steering_matrix
 from priorwave.admm import _project_feasible
 from priorwave.priors import _grid_density
-from priorwave.relaxation import fair_relaxation, synthesize
+from priorwave.relaxation import fair_relaxation, pinned, synthesize
 from priorwave.scenario import _cell_seed, load_config
 from priorwave.solvers import _SYNTH_STARTS, _initial_waveform
 
@@ -24,12 +24,12 @@ def scaled_levels(r, a, f):
        kappa=st.one_of(st.just(1.0), st.floats(1.0, 4.0)), power=st.floats(0.5, 3.0))
 def test_fair_relaxation_is_feasible_tight_and_bounds_every_waveform(seed, m, n, kappa, power):
     # kappa = 1 pins every diagonal entry at P / M_t, where the cap barrier
-    # has no interior.
+    # has no interior and the diagonal weights are free in sign.
     rng = np.random.default_rng(seed)
     a = steering_matrix(np.sort(rng.uniform(-np.pi / 2, np.pi / 2, n)), m)
     f = np.exp(rng.uniform(np.log(1e-3), np.log(10.0), n))
     cap = kappa * power / m
-    r, t, gap = fair_relaxation(a, f, power, cap)
+    r, t, gap, w, d = fair_relaxation(a, f, power, cap)
 
     assert np.array_equal(r, r.conj().T)
     assert np.linalg.eigvalsh(r)[0] >= 0.0
@@ -37,6 +37,14 @@ def test_fair_relaxation_is_feasible_tight_and_bounds_every_waveform(seed, m, n,
     assert np.diag(r).real.max() <= cap * (1 + 1e-9)
     assert abs(t - scaled_levels(r, a, f).min()) <= 1e-9 * abs(t)
     assert 0.0 <= gap <= 1e-6 * t
+    # The returned dual point is feasible and certifies the bound ``t + gap``.
+    assert w.shape == (n,) and d.shape == (m,)
+    assert w.min() >= 0.0 and abs(w.sum() - 1.0) <= 1e-12
+    if not pinned(m, power, cap):
+        assert d.min() >= 0.0
+    value = (power * np.linalg.eigvalsh((a * (w / f)) @ a.conj().T - np.diag(d))[-1]
+             + cap * d.sum())
+    assert abs(value - (t + gap)) <= 1e-9 * (t + gap)
     # Weak duality: no feasible waveform beats the relaxation's bound.
     for l_samples in (1, m, 3 * m):
         bound = cap / l_samples
@@ -72,8 +80,8 @@ def test_synthesis_carries_on_from_the_start_that_fits_best():
     grid = AngularGrid(sc.grid_size)
     f = _grid_density(sc.distribution, grid.points)
     mask = f >= 1e-6 * f.max()
-    r, _, _ = fair_relaxation(steering_matrix(grid.points[mask], cfg.m_t), f[mask],
-                              cfg.power, cfg.papr * cfg.power / cfg.m_t)
+    r, *_ = fair_relaxation(steering_matrix(grid.points[mask], cfg.m_t), f[mask],
+                            cfg.power, cfg.papr * cfg.power / cfg.m_t)
     rng = np.random.default_rng(_cell_seed(sc.seed, "psbp-fair", 0, 0))
     draws = [_initial_waveform(cfg, rng) for _ in range(_SYNTH_STARTS)]
 
