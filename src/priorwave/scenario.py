@@ -3,10 +3,14 @@
 A scenario file is YAML with angles in degrees; it fans out into
 (method x kappa) cells, each of which designs one waveform, dumps its
 beampattern and iteration trace, and optionally runs the Monte-Carlo MSE
-sweep. Methods run in config order and each method's cells in ascending
-kappa, every design after the first resuming from the previous kappa's
-final solver state. Cells are seeded deterministically from their kappa's
-rank, so reruns with one seed produce byte-identical tables.
+sweep. Each method's cells form one chain, run in ascending kappa, every
+design after the first resuming from the previous kappa's final solver
+state. The chains do not depend on one another, so they are the tasks of
+a work queue (``fanout``), drained by this process and, where forking is
+safe, by forked workers, one per further CPU; the run's output is
+gathered in config order. Cells are seeded deterministically from their
+method and kappa's rank, so reruns with one seed produce byte-identical
+tables at any worker count.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from . import __version__
+from . import __version__, fanout
 from .estimation import AngularGrid, monte_carlo_mse
 from .pcrb import pcrb_theta
 from .priors import (MixtureGaussian, MixtureUniform, TargetDistribution, _grid_density,
@@ -487,6 +491,39 @@ def _run_cell(scenario: Scenario, method: str, kappa: float, kappa_rank: int, ou
     return files, seconds, result
 
 
+def _chain_cells(scenario: Scenario, method: str) -> list[tuple[float, str]]:
+    """The ``(kappa, cell name)`` of each cell of a method's chain, in run order."""
+    if method == "omni":
+        return [(1.0, "omni")]
+    return [(kappa, _cell_name(method, kappa)) for kappa in sorted(scenario.kappa_list)]
+
+
+def _run_chain(scenario: Scenario, method: str, out_dir: Path, grid: AngularGrid, moments,
+               refine: bool) -> tuple[dict, list, list]:
+    """Run one method's cells in ascending kappa (``run_scenario``).
+
+    Returns its successful cells (name -> files, seconds per stage), its
+    failures ``(cell, error, traceback)`` and its ``(kappa, metric_value)``
+    levels. A worker whose parent is gone exits before its next cell.
+    """
+    cells: dict[str, tuple[list[str], dict[str, float]]] = {}
+    failures: list[tuple[str, str, str]] = []
+    previous, levels = None, []
+    for rank, (kappa, name) in enumerate(_chain_cells(scenario, method)):
+        fanout.leave_if_orphaned()
+        try:
+            files, seconds, previous = _run_cell(
+                scenario, method, kappa, rank, out_dir / name, grid, moments, refine,
+                None if previous is None else previous.state)
+            cells[name] = files, seconds
+        except Exception as exc:  # noqa: BLE001 - cell isolation by design
+            failures.append((name, f"{type(exc).__name__}: {exc}", traceback.format_exc()))
+            previous = None
+        if previous is not None:
+            levels.append((kappa, previous.metric_value))
+    return cells, failures, levels
+
+
 def _kappa_monotonicity_report(method: str, levels: list[tuple[float, float]]) -> list[str]:
     """One line per adjacent pair of ``(kappa, metric_value)`` that got worse.
 
@@ -514,11 +551,15 @@ def run_scenario(
 ) -> int:
     """Execute every (method x kappa) cell of a scenario.
 
-    Methods run in config order, each method's cells in ascending kappa.
-    Every kappa after the first resumes from the previous kappa's final
-    solver state; the first, and any kappa after a failed one, starts
-    cold from its cell seed. After each method the kappa pairs whose
-    metric got worse as kappa rose are printed (``_kappa_monotonicity_report``).
+    Each method's cells run as one chain in ascending kappa
+    (``_run_chain``). Every kappa after the first resumes from the previous
+    kappa's final solver state; the first, and any kappa after a failed
+    one, starts cold from its cell seed. The chains are the tasks of
+    ``fanout.run_tasks`` on ``fanout.processes(len(methods))`` processes,
+    this one included; the manifest records that count as ``workers``. A
+    worker that dies before reporting a chain fails every cell of it. Then,
+    method by method in config order, the kappa pairs whose metric got
+    worse as kappa rose are printed (``_kappa_monotonicity_report``).
     ``paper_literal`` turns the Monte-Carlo refine off, leaving a grid argmax.
 
     Returns the process exit code: 0 on success, 1 on a configuration
@@ -552,23 +593,22 @@ def run_scenario(
         return 1
     started = time.strftime("%Y-%m-%dT%H:%M:%S")
 
+    methods = scenario.methods
+    workers = fanout.processes(len(methods))
+    if workers > 1:
+        import numpy.random  # noqa: F401 - loaded once here, not lazily in each worker
+    chains, lost = fanout.run_tasks(len(methods), lambda i: _run_chain(
+        scenario, methods[i], out_dir, grid, moments, not paper_literal), workers)
+    for i, code in lost.items():
+        chains[i] = {}, [(name, f"worker process exited with status {code}", "")
+                         for _, name in _chain_cells(scenario, methods[i])], []
     # Successful cells: name -> (files, seconds per stage); failures: (cell, error, traceback).
     cells: dict[str, tuple[list[str], dict[str, float]]] = {}
     failures: list[tuple[str, str, str]] = []
-    for method in scenario.methods:
-        previous, levels = None, []
-        for rank, kappa in enumerate((1.0,) if method == "omni" else sorted(scenario.kappa_list)):
-            name = "omni" if method == "omni" else _cell_name(method, kappa)
-            try:
-                files, seconds, previous = _run_cell(
-                    scenario, method, kappa, rank, out_dir / name, grid, moments,
-                    not paper_literal, None if previous is None else previous.state)
-                cells[name] = files, seconds
-            except Exception as exc:  # noqa: BLE001 - cell isolation by design
-                failures.append((name, f"{type(exc).__name__}: {exc}", traceback.format_exc()))
-                previous = None
-            if previous is not None:
-                levels.append((kappa, previous.metric_value))
+    for i, method in enumerate(methods):
+        chain_cells, chain_failures, levels = chains[i]
+        cells.update(chain_cells)
+        failures += chain_failures
         for line in _kappa_monotonicity_report(method, levels):
             print(line)
 
@@ -580,8 +620,10 @@ def run_scenario(
         "paper_literal": paper_literal,
         "started_at": started,
         "finished_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
+        "workers": workers,
         "files": sorted(f"{cell}/{fname}" for cell, (fs, _) in cells.items() for fname in fs),
-        # A cell's time is the sum of its stages, all lapped on one clock.
+        # A cell's time is the sum of its stages, all lapped on one clock in the
+        # process that ran it; cells of different workers overlap in time.
         "cell_seconds": {k: round(sum(s.values()), 3) for k, (_, s) in sorted(cells.items())},
         "stage_seconds": {k: {stage: round(v, 3) for stage, v in s.items()}
                           for k, (_, s) in sorted(cells.items())},
@@ -617,6 +659,9 @@ def validate_output_dir(path: str | Path) -> list[str]:
         problems.append("manifest.json: files must be a list of strings")
     if not isinstance(manifest.get("cell_seconds", {}), dict):
         problems.append("manifest.json: cell_seconds must be a JSON object")
+    workers = manifest.get("workers", 1)  # absent from runs that predate it
+    if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
+        problems.append("manifest.json: workers must be a positive integer")
     if problems:
         return problems
     problems = [f"{rel}: listed {n} times in manifest.json"

@@ -6,8 +6,14 @@ waveform under the power and per-element constraints, while the fair
 (max-min) solver additionally carries one auxiliary vector per constraint
 angle and a scalar level variable. Each design supplies only its split.
 
-A cold start of the quadratic designs is the seed's random
-constant-modulus waveform with zero duals. A cold fair solve starts nearer
+A quadratic design whose global optimum meets the element cap starts
+there: ``Tr{X^H Xi X} <= P lambda_max(Xi_h)`` for every waveform of power
+``P``, with equality at ``v 1^T sqrt(P / L)`` for a top eigenvector ``v``
+of ``Xi + Xi^H``, so where that waveform meets the cap it is certified
+optimal (Stoica, Li & Xie 2007) and overrides any warm start; the loop
+confirms it in two iterations (``_certified_start``). Otherwise a cold
+start of the quadratic designs is the seed's random constant-modulus
+waveform with zero duals. A cold fair solve starts nearer
 its end: from the optimum of its covariance relaxation
 (``relaxation.fair_relaxation``), turned into a feasible waveform ``x0`` by
 cyclic synthesis from the best fit of ``_SYNTH_STARTS`` such draws
@@ -43,7 +49,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .admm import AdmmTrace, _cap_elements, _project_feasible, _XUpdate
+from .admm import _CAP_SLACK, AdmmTrace, _cap_elements, _project_feasible, _XUpdate
 from .estimation import AngularGrid
 from .pcrb import pcrb_upper_bound
 from .priors import DistributionMoments, TargetDistribution, _grid_density, _point_moments
@@ -149,6 +155,7 @@ class _QuadraticSplit:
     """
 
     extrapolates = False
+    certifies = True
     b = None
 
     def __init__(self, xi: np.ndarray, cfg: ArrayConfig) -> None:
@@ -168,6 +175,24 @@ class _QuadraticSplit:
     def measure(self, x, res, move, al):
         obj = -float(np.vdot(x, self.xi @ x).real)
         return obj, obj + al, res, move
+
+
+def _certified_start(x_update: _XUpdate, cfg: ArrayConfig) -> AdmmState | None:
+    """The global optimum of a quadratic design, when it meets the element cap.
+
+    ``Tr{X^H Xi X} <= P lambda_max(Xi_h)`` for every waveform of power
+    ``P``, with equality at ``X = v 1^T sqrt(P / L)`` for a top eigenvector
+    ``v`` of ``Xi + Xi^H``: the curvature's bottom eigenvector. When that
+    ``X`` also meets the element cap (``|v_m|^2 P / L <= elem_bound``, up to
+    ``_CAP_SLACK``) it is a globally optimal waveform (Stoica, Li & Xie
+    2007), and the loop starts there with zero duals; otherwise None.
+    """
+    v = x_update.g[:, 0]
+    scale = cfg.power / cfg.l_samples
+    if not np.all((v.real**2 + v.imag**2) * scale <= cfg.elem_bound * _CAP_SLACK):
+        return None
+    x = np.repeat(v[:, None] * math.sqrt(scale), cfg.l_samples, axis=1)
+    return AdmmState(x, np.zeros_like(x))
 
 
 def _admm(split, cfg: ArrayConfig, seed: int, metric, *, max_iters: int = _MAX_ITERS,
@@ -195,7 +220,9 @@ def _admm(split, cfg: ArrayConfig, seed: int, metric, *, max_iters: int = _MAX_I
 
     The loop starts from ``warm_start``, by default from a random
     constant-modulus waveform drawn from ``seed`` with zero duals; given a
-    state, ``seed`` is unused.
+    state, ``seed`` is unused. A split that ``certifies`` starts instead at
+    its certified optimum when that meets the cap, whatever the warm start
+    (``_certified_start``); the loop then confirms it in two iterations.
     """
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
@@ -204,16 +231,20 @@ def _admm(split, cfg: ArrayConfig, seed: int, metric, *, max_iters: int = _MAX_I
     gamma = _DUAL_STEP
     x_update = _XUpdate(split.curvature, cfg.power)
 
+    if warm_start is not None:
+        x = warm_start.x
+        if x.shape != (cfg.m_t, cfg.l_samples):
+            raise ValueError(f"warm start of shape {x.shape} does not fit "
+                             f"a {cfg.m_t}x{cfg.l_samples} waveform")
+        if np.shape(warm_start.d) != x.shape:
+            raise ValueError(f"warm start dual d of shape {np.shape(warm_start.d)} does not "
+                             f"fit its {x.shape} waveform")
+    if split.certifies:
+        warm_start = _certified_start(x_update, cfg) or warm_start
     if warm_start is None:
         x0 = _initial_waveform(cfg, np.random.default_rng(seed))
         warm_start = AdmmState(x0, np.zeros_like(x0))
-    if warm_start.x.shape != (cfg.m_t, cfg.l_samples):
-        raise ValueError(f"warm start of shape {warm_start.x.shape} does not fit "
-                         f"a {cfg.m_t}x{cfg.l_samples} waveform")
     x, d, mu = warm_start.x, warm_start.d, warm_start.mu
-    if np.shape(d) != x.shape:
-        raise ValueError(f"warm start dual d of shape {np.shape(d)} does not fit "
-                         f"its {x.shape} waveform")
     # The auxiliary's first motion never decides the stop (it needs two iterations).
     u = x
     split.start(x, warm_start.b)
@@ -305,7 +336,9 @@ def solve_pcrb(
     constraints; the reported metric is the resulting bound surrogate at
     unit amplitude. ``max_iters`` caps the iterations. ``warm_start`` (a
     ``SolveResult.state`` of the same design) resumes from that state
-    instead of a ``seed``-drawn start.
+    instead of a ``seed``-drawn start. Where the certified optimum meets
+    the element cap, the solve starts there instead, whatever the seed and
+    warm start (module docstring).
     """
     return _admm(_QuadraticSplit(mom.xi0, cfg), cfg, seed,
                  lambda r: pcrb_upper_bound(r, mom, 1.0, cfg.noise_power),
@@ -390,6 +423,7 @@ class _FairSplit:
     """
 
     extrapolates = True
+    certifies = False
 
     def __init__(self, a: np.ndarray, f: np.ndarray, cfg: ArrayConfig) -> None:
         sum_f = float(f.sum())

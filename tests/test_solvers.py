@@ -32,7 +32,7 @@ from priorwave.priors import _point_moments
 from priorwave.relaxation import fair_relaxation, synthesize
 from priorwave.solvers import (_SYNTH_STARTS, AdmmState, _admm, _eta_update, _FairSplit,
                                _inflate_columns, _initial_waveform)
-from conftest import covariance
+from conftest import covariance, random_feasible_waveform
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "src" / "priorwave" / "configs"
 
@@ -101,6 +101,67 @@ def test_rayleigh_cap_reached_when_papr_slack(mom12):
     cap = 0.5 * cfg.power * np.linalg.eigvalsh(sym).max()
     val = np.vdot(r.waveform, mom12.xi0 @ r.waveform).real
     assert val >= 0.99 * cap
+
+
+def certified_designs(mom, cfg, theta0=0.05):
+    """Each quadratic design as ``(objective Xi, solve(seed, **kw))``."""
+    return {
+        "pcrb": (mom.xi0, lambda seed, **kw: solve_pcrb(mom, cfg, seed, **kw)),
+        "int": (mom.xi3 / cfg.m_r,
+                lambda seed, **kw: solve_psbp_integrated(mom, cfg, seed, **kw)),
+        "crb": (_point_moments(theta0, cfg).xi0,
+                lambda seed, **kw: baseline_crb(theta0, cfg, seed, **kw)),
+    }
+
+
+@pytest.mark.parametrize("seed", [0, 7, 123])
+def test_quadratic_design_starts_at_its_certified_optimum(mom12, seed):
+    # At kappa 1.5 the top eigenvector v of Xi + Xi^H meets the case 1-2
+    # element cap for all three quadratic designs (crb's at any kappa: its
+    # Xi is rank one with a constant-modulus eigenvector). X = v 1^T
+    # sqrt(P / L) then attains the power-sphere bound P lambda_max(Xi_h),
+    # which no waveform beats; the loop confirms it in two iterations from
+    # any seed, and whatever warm start it was handed.
+    cfg = ArrayConfig(8, 8, 25, power=1.0, papr=1.5)
+    rng = np.random.default_rng(seed)
+    x = random_feasible_waveform(rng, cfg)
+    starts = [None, AdmmState(x, 0.01 * rng.normal(size=x.shape) + 0j),
+              AdmmState(x, np.zeros_like(x), mu=3.0)]
+    for name, (xi, solve) in certified_designs(mom12, cfg).items():
+        bound = cfg.power * np.linalg.eigvalsh(0.5 * (xi + xi.conj().T)).max()
+        for start in starts:
+            r = solve(seed, warm_start=start)
+            value = np.vdot(r.waveform, xi @ r.waveform).real
+            assert abs(value - bound) <= 1e-12 * bound, (name, start is None)
+            assert r.converged and len(r.trace) == 2, name
+            assert_feasible(r, cfg)
+
+
+def test_crb_design_is_certified_at_every_kappa(mom12):
+    for kappa in (1.0, 1.2, 2.0):
+        cfg = ArrayConfig(8, 8, 25, power=1.0, papr=kappa)
+        xi, solve = certified_designs(mom12, cfg, theta0=-0.4)["crb"]
+        r = solve(3)
+        bound = cfg.power * np.linalg.eigvalsh(0.5 * (xi + xi.conj().T)).max()
+        assert abs(np.vdot(r.waveform, xi @ r.waveform).real - bound) <= 1e-12 * bound
+        assert len(r.trace) == 2, kappa
+        assert_feasible(r, cfg)
+
+
+def test_cap_binding_design_keeps_its_seed_drawn_start():
+    # case-1-2 pcrb at kappa 1.2: the top eigenvector breaks the element
+    # cap, so the solve is the one from its cell seed's draw, bit for bit.
+    sc = load_config(CONFIG_DIR / "case-1-2.cfg")
+    cfg = replace(sc.array, papr=1.2)
+    mom = compute_moments(sc.distribution, cfg)
+    seed = _cell_seed(sc.seed, "pcrb", 0, 0)
+    r = solve_pcrb(mom, cfg, seed, max_iters=sc.max_iters)
+    assert len(r.trace) == 63 and r.converged
+    assert f"{r.metric_value:.8e}" == "1.13256372e-04"
+    drawn = random_start(cfg, seed)
+    again = solve_pcrb(mom, cfg, seed + 1, max_iters=sc.max_iters, warm_start=drawn)
+    assert again.waveform.tobytes() == r.waveform.tobytes()
+    assert again.metric_value == r.metric_value
 
 
 def test_shared_kernel_equivalence(mom12, cfg12):
@@ -327,6 +388,7 @@ class FixedTargetSplit:
 
     rho = 1.0
     extrapolates = False
+    certifies = False
     b = None
 
     def __init__(self, sig, q):
