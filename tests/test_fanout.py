@@ -1,5 +1,6 @@
 import json
 import os
+import select
 import shutil
 import subprocess
 import sys
@@ -36,6 +37,11 @@ admm: {max_iters: 400}
 """
 
 
+def wait_readable(fd, timeout=10.0):
+    """Wait until another process has written to the pipe ``fd``, for at most ``timeout`` s."""
+    select.select([fd], [], [], timeout)
+
+
 def no_children_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -50,14 +56,20 @@ def test_run_tasks_returns_every_result_at_any_width(width):
 
 def test_a_worker_that_dies_loses_only_its_own_tasks():
     parent = os.getpid()
+    claimed_r, claimed_w = os.pipe()
 
     def task(i):
         if os.getpid() != parent:
+            os.write(claimed_w, b"x")
             os._exit(7)
-        time.sleep(0.2)  # leaves the worker time to claim a task
+        wait_readable(claimed_r)  # until the worker has claimed the other task
         return i
 
-    results, lost = fanout.run_tasks(2, task, 2)
+    try:
+        results, lost = fanout.run_tasks(2, task, 2)
+    finally:
+        os.close(claimed_r)
+        os.close(claimed_w)
     assert len(lost) == 1 and set(lost.values()) == {7}
     assert set(results) | set(lost) == {0, 1} and not set(results) & set(lost)
     no_children_left()
@@ -70,11 +82,14 @@ def test_an_orphaned_worker_leaves_at_its_next_boundary():
     report_r, report_w = os.pipe()
     pid = os.fork()
     if pid == 0:
+        claimed_r, claimed_w = os.pipe()
+
         def task(i):
             if fanout._parent is None:
-                time.sleep(0.3)  # the worker claims the other task meanwhile
+                wait_readable(claimed_r)  # until the worker has claimed the other task
                 os._exit(0)  # the stand-in run dies
             os.write(report_w, str(os.getpid()).encode())
+            os.write(claimed_w, b"x")
             for _ in range(1000):
                 fanout.leave_if_orphaned()
                 time.sleep(0.01)
@@ -107,12 +122,14 @@ def test_a_dead_worker_fails_every_cell_of_its_chain(tmp_path, monkeypatch, caps
     # worker claimed fails, and the chain this process ran completes.
     parent = os.getpid()
     monkeypatch.setattr(fanout, "processes", lambda n: 2)
+    claimed_r, claimed_w = os.pipe()
 
     def dies_in_a_worker(real):
         def design(*args, **kwargs):
             if os.getpid() != parent:
+                os.write(claimed_w, b"x")
                 os._exit(3)
-            time.sleep(0.2)  # leaves the worker time to claim the other chain
+            wait_readable(claimed_r)  # until the worker has claimed the other chain
             return real(*args, **kwargs)
         return design
 
@@ -122,7 +139,11 @@ def test_a_dead_worker_fails_every_cell_of_its_chain(tmp_path, monkeypatch, caps
     cfg.write_text(FIVE_METHODS_CFG.replace("[pcrb, psbp-fair, psbp-int, crb, omni]",
                                             "[pcrb, crb]"))
     out = tmp_path / "out"
-    assert run_scenario(cfg, out=out) == 2
+    try:
+        assert run_scenario(cfg, out=out) == 2
+    finally:
+        os.close(claimed_r)
+        os.close(claimed_w)
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["workers"] == 2
     failed = {f["cell"] for f in manifest["failures"]}
