@@ -1,21 +1,7 @@
 """Prior-aware MIMO radar transmit waveform design and evaluation."""
 
-import os
-import sys
-
-# One BLAS thread, unless the user chose otherwise: only a process without
-# BLAS threads may fork, so that ``run`` can fan its method chains out over
-# the CPUs (``fanout``). OpenBLAS reads the setting once, as numpy loads, so
-# it takes effect only when this package loads first; it is then removed
-# again, so that child processes see the environment they were given.
-if "OPENBLAS_NUM_THREADS" in os.environ or "numpy" in sys.modules:
-    _ONE_BLAS_THREAD = os.environ.get("OPENBLAS_NUM_THREADS") == "1"
-else:
-    os.environ["OPENBLAS_NUM_THREADS"] = "1"
-    import numpy  # noqa: E402, F401
-    del os.environ["OPENBLAS_NUM_THREADS"]
-    _ONE_BLAS_THREAD = True
-
+# First: it sets the BLAS thread default before anything loads numpy.
+from . import fanout  # noqa: F401
 from .admm import AdmmTrace
 from .estimation import (
     AngularGrid,

@@ -555,8 +555,8 @@ def run_scenario(
     (``_run_chain``). Every kappa after the first resumes from the previous
     kappa's final solver state; the first, and any kappa after a failed
     one, starts cold from its cell seed. The chains are the tasks of
-    ``fanout.run_tasks`` on ``fanout.processes(len(methods))`` processes,
-    this one included; the manifest records that count as ``workers``. A
+    ``fanout.run_tasks``, which picks how many processes run them, this
+    one included; the manifest records that count as ``workers``. A
     worker that dies before reporting a chain fails every cell of it. Then,
     method by method in config order, the kappa pairs whose metric got
     worse as kappa rose are printed (``_kappa_monotonicity_report``).
@@ -594,11 +594,8 @@ def run_scenario(
     started = time.strftime("%Y-%m-%dT%H:%M:%S")
 
     methods = scenario.methods
-    workers = fanout.processes(len(methods))
-    if workers > 1:
-        import numpy.random  # noqa: F401 - loaded once here, not lazily in each worker
-    chains, lost = fanout.run_tasks(len(methods), lambda i: _run_chain(
-        scenario, methods[i], out_dir, grid, moments, not paper_literal), workers)
+    chains, lost, workers = fanout.run_tasks(len(methods), lambda i: _run_chain(
+        scenario, methods[i], out_dir, grid, moments, not paper_literal))
     for i, code in lost.items():
         chains[i] = {}, [(name, f"worker process exited with status {code}", "")
                          for _, name in _chain_cells(scenario, methods[i])], []
@@ -630,7 +627,11 @@ def run_scenario(
         # Cell names are unique, so this sorts by cell.
         "failures": [{"cell": cell, "error": error} for cell, error, _ in sorted(failures)],
     }
-    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+    try:
+        (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+    except OSError as exc:
+        print(f"output error: {exc}")
+        return 1
     for cell, error, trace in failures:
         print(f"cell {cell} failed: {error}")
         print(trace, end="", file=sys.stderr)
@@ -650,6 +651,8 @@ def validate_output_dir(path: str | Path) -> list[str]:
         manifest = json.loads(manifest_path.read_text())
     except json.JSONDecodeError as exc:
         return [f"{manifest_path}: invalid JSON ({exc})"]
+    except (OSError, UnicodeDecodeError) as exc:
+        return [f"{manifest_path}: unreadable ({exc})"]
     if not isinstance(manifest, dict):
         return [f"{manifest_path}: expected a JSON object, got {type(manifest).__name__}"]
     problems = [f"manifest.json: {key} is missing"

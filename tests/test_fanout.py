@@ -1,12 +1,15 @@
 import json
 import os
+import pickle
 import select
 import shutil
 import subprocess
 import sys
 import time
+import traceback
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import priorwave.scenario as scenario_mod
@@ -48,14 +51,16 @@ def no_children_left():
 
 
 @pytest.mark.parametrize("width", [1, 2, 3])
-def test_run_tasks_returns_every_result_at_any_width(width):
-    results, lost = fanout.run_tasks(5, lambda i: (i, [i] * i), width)
-    assert results == {i: (i, [i] * i) for i in range(5)} and lost == {}
+def test_run_tasks_returns_every_result_at_any_width(monkeypatch, width):
+    monkeypatch.setattr(fanout, "processes", lambda n: width)
+    results, lost, workers = fanout.run_tasks(5, lambda i: (i, [i] * i))
+    assert results == {i: (i, [i] * i) for i in range(5)} and lost == {} and workers == width
     no_children_left()
 
 
-def test_a_worker_that_dies_loses_only_its_own_tasks():
+def test_a_worker_that_dies_loses_only_its_own_tasks(monkeypatch):
     parent = os.getpid()
+    monkeypatch.setattr(fanout, "processes", lambda n: 2)
     claimed_r, claimed_w = os.pipe()
 
     def task(i):
@@ -66,7 +71,7 @@ def test_a_worker_that_dies_loses_only_its_own_tasks():
         return i
 
     try:
-        results, lost = fanout.run_tasks(2, task, 2)
+        results, lost, _ = fanout.run_tasks(2, task)
     finally:
         os.close(claimed_r)
         os.close(claimed_w)
@@ -75,10 +80,33 @@ def test_a_worker_that_dies_loses_only_its_own_tasks():
     no_children_left()
 
 
-def test_an_orphaned_worker_leaves_at_its_next_boundary():
+def test_a_report_cut_short_keeps_exactly_its_whole_messages():
+    # A worker that dies while writing leaves its report cut at any byte:
+    # reading it back gives every whole message before the cut, and no more.
+    try:
+        raise ValueError("design diverged")
+    except ValueError:
+        trace = traceback.format_exc()
+    result = ({"pcrb-k1.2": (["waveform.csv", "beampattern.csv", "trace.csv", "metrics.csv"],
+                             {"design": 0.125, "emit": 0.003, "mc": 0.0})},
+              [("pcrb-k2", "ValueError: design diverged", trace)],
+              [(1.2, np.float64(6.705e-05))])
+    claim = pickle.dumps((3,), pickle.HIGHEST_PROTOCOL)
+    report = pickle.dumps((3, result), pickle.HIGHEST_PROTOCOL)
+    for cut in range(len(report) + 1):
+        read_end, write_end = os.pipe()
+        os.write(write_end, claim + report[:cut])
+        os.close(write_end)
+        with os.fdopen(read_end, "rb") as stream:
+            messages = fanout._receive(stream)
+        assert messages == [(3,)] + [(3, result)] * (cut == len(report)), cut
+
+
+def test_an_orphaned_worker_leaves_at_its_next_boundary(monkeypatch):
     # A forked stand-in for a run claims one task and dies in it without
     # reaping its worker; the worker, polling at its task boundaries, must
     # notice and exit rather than run on for nobody.
+    monkeypatch.setattr(fanout, "processes", lambda n: 2)
     report_r, report_w = os.pipe()
     pid = os.fork()
     if pid == 0:
@@ -96,7 +124,7 @@ def test_an_orphaned_worker_leaves_at_its_next_boundary():
             os._exit(5)  # never orphaned: the test fails below
 
         try:
-            fanout.run_tasks(2, task, 2)
+            fanout.run_tasks(2, task)
         finally:
             os._exit(0)
     os.close(report_w)
@@ -163,6 +191,25 @@ def cli_env():
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     return env
+
+
+@pytest.mark.parametrize("blas, numpy_first, seen", [
+    (None, False, "None True"), ("2", False, "2 False"), (None, True, "None False")],
+    ids=["priorwave-first", "user-setting", "numpy-first"])
+def test_one_blas_thread_only_when_priorwave_loads_numpy(blas, numpy_first, seen):
+    # Loaded first, priorwave loads numpy with one BLAS thread and leaves the
+    # environment as it found it; a user's setting, or numpy loaded before
+    # it, is left alone and rules out forking.
+    env = cli_env()
+    if blas is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas
+    script = ("import os\n"
+              + "import numpy\n" * numpy_first
+              + "from priorwave import fanout\n"
+              "print(os.environ.get('OPENBLAS_NUM_THREADS'), fanout._ONE_BLAS_THREAD)\n")
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == seen + "\n"
 
 
 @pytest.mark.parametrize("threads, workers", [(0, min(5, CPUS)),

@@ -313,6 +313,16 @@ def test_run_out_on_an_existing_file_is_an_output_error(small_cfg, tmp_path, cap
     assert err == "" and out.read_text() == "keep\n"
 
 
+def test_run_that_cannot_write_its_manifest_is_an_output_error(small_cfg, tmp_path, capsys):
+    out = tmp_path / "out"
+    (out / "manifest.json").mkdir(parents=True)
+    assert cli_main(["run", "--config", str(small_cfg), "--out", str(out)]) == 1
+    text, err = capsys.readouterr()
+    lines = text.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("output error: ")
+    assert str(out / "manifest.json") in lines[0] and err == ""
+
+
 @pytest.mark.parametrize("key, value", [
     ("rho", "1.0"), ("rho_fair", "[1.0, 2.0]"), ("safety", "2.0"),
     ("dual_step", "0.5"), ("primal_tol", "1.0e-8"), ("mu_tol", "1.0e-12"),
@@ -582,6 +592,19 @@ def test_validate_reports_malformed_manifests(tmp_path, capsys, manifest, expect
     assert len(problems) == len(expected)
     for problem, text in zip(problems, expected):
         assert text in problem
+    assert cli_main(["validate", str(tmp_path)]) == 1
+    assert capsys.readouterr().out.splitlines() == problems
+
+
+@pytest.mark.parametrize("kind", ["directory", "undecodable"])
+def test_validate_reports_an_unreadable_manifest(tmp_path, capsys, kind):
+    path = tmp_path / "manifest.json"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"\xff\xfe")
+    problems = validate_output_dir(tmp_path)
+    assert len(problems) == 1 and "manifest.json: unreadable (" in problems[0]
     assert cli_main(["validate", str(tmp_path)]) == 1
     assert capsys.readouterr().out.splitlines() == problems
 
