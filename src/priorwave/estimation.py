@@ -224,10 +224,11 @@ class MapEstimator:
             g1 = (2.0 * (s0.conj() * s1).real - g * d1) / d0
             g2 = (2.0 * (s0.conj() * s2 + s1.conj() * s1).real - 2.0 * g1 * d1 - g * d2) / d0
             out = g + np.log(np.where(f > 0, f, 1.0))
-        l1, l2 = self._dist.log_pdf_derivs(th)
-        cos = np.cos(th)
-        return (np.where((f > 0) & (d0 > 1e-300), out, -np.inf),
-                cos * g1 + l1, cos * cos * g2 - u * g1 + l2)
+            # g1 and g2 are not finite at a transmit null (D = 0), which scores -inf.
+            l1, l2 = self._dist.log_pdf_derivs(th)
+            cos = np.cos(th)
+            return (np.where((f > 0) & (d0 > 1e-300), out, -np.inf),
+                    cos * g1 + l1, cos * cos * g2 - u * g1 + l2)
 
     def estimate(self, coef) -> np.ndarray:
         """MAP angles from an ``(N, lags)`` stack of lag coefficients."""

@@ -57,7 +57,7 @@ TABLE_SCHEMAS = {
     "trace.csv": ("iter", "objective", "al", "residual"),
     "metrics.csv": ("metric", "value"),
     "mse.csv": ("snr_db", "mse_rad2", "stderr_rad2", "pcrb_rad2", "trials"),
-    "mse_by_angle": ("angle_deg", "trials", "mse_rad2"),
+    "mse_by_angle.csv": ("snr_db", "angle_deg", "trials", "mse_rad2"),
 }
 
 # Stages of a cell timed in the manifest's ``stage_seconds``: the waveform
@@ -143,19 +143,6 @@ def _numbers(cfg: dict, key: str, default: list) -> tuple[float, ...]:
 
 def _cell_name(method: str, kappa: float) -> str:
     return f"{method}-k{kappa:g}"
-
-
-def _angle_table_name(snr_db: float) -> str:
-    return f"mse_by_angle_snr{snr_db:+.0f}dB.csv"
-
-
-def _reject_shared_names(key: str, values: tuple[float, ...], name, what: str) -> None:
-    """Refuse two entries of ``key`` whose outputs ``name(value)`` would share one ``what``."""
-    names = [name(v) for v in values]
-    for i, n in enumerate(names):
-        if n in names[:i]:
-            raise ConfigError(f"{key}: {values[names.index(n)]!r} and {values[i]!r} "
-                              f"would share the {what} {n}")
 
 
 def _check_keys(cfg: dict, known: tuple[str, ...], path: str) -> None:
@@ -248,9 +235,15 @@ def _build(cfg: dict) -> Scenario:
     crb_angle_deg = _number(cfg.get("crb_angle_deg", 0.0), "crb_angle_deg")
     if any(k < 1 for k in kappas):
         raise ConfigError("kappa_list: PAPR thresholds must be >= 1")
-    _reject_shared_names("kappa_list", kappas, lambda k: _cell_name("<method>", k),
-                         "cell directory")
-    _reject_shared_names("snr_list_db", snrs, _angle_table_name, "table")
+    # Values that print alike would write two cells into one directory.
+    names = [_cell_name("<method>", k) for k in kappas]
+    for i, n in enumerate(names):
+        if n in names[:i]:
+            raise ConfigError(f"kappa_list: {kappas[names.index(n)]!r} and {kappas[i]!r} "
+                              f"would share the cell directory {n}")
+    for i, s in enumerate(snrs):
+        if s in snrs[:i]:
+            raise ConfigError(f"snr_list_db: {s!r} is listed twice")
     if n_trials < 0:
         raise ConfigError("n_trials: must be nonnegative (0 skips estimation)")
     if grid_size < 2:
@@ -475,15 +468,14 @@ def _run_cell(scenario: Scenario, method: str, kappa: float, kappa_rank: int, ou
         _write_table(
             out / "mse.csv",
             TABLE_SCHEMAS["mse.csv"],
-            tuple(zip(*[(r.snr_db, r.mse, r.std_error, r.pcrb, r.n_trials)
-                        for r in results])),
+            tuple(zip(*[(res.snr_db, res.mse, res.std_error, res.pcrb, res.n_trials)
+                        for res in results])),
         )
-        files.append("mse.csv")
-        for r in results:
-            name = _angle_table_name(r.snr_db)
-            angle, n, v = zip(*r.per_angle)
-            _write_table(out / name, TABLE_SCHEMAS["mse_by_angle"], (np.rad2deg(angle), n, v))
-            files.append(name)
+        # One row per angle bin of each SNR, in snr_list_db order.
+        snr, angle, n, v = zip(*[(res.snr_db, *row) for res in results for row in res.per_angle])
+        _write_table(out / "mse_by_angle.csv", TABLE_SCHEMAS["mse_by_angle.csv"],
+                     (snr, np.rad2deg(angle), n, v))
+        files += ["mse.csv", "mse_by_angle.csv"]
         laps.append(time.perf_counter())
     seconds = dict.fromkeys(STAGES, 0.0)
     for stage, t0, t1 in zip(("design", "emit", "mc", "emit"), laps, laps[1:]):
@@ -660,8 +652,15 @@ def validate_output_dir(path: str | Path) -> list[str]:
     files = manifest.get("files", [])
     if not isinstance(files, list) or not all(isinstance(rel, str) for rel in files):
         problems.append("manifest.json: files must be a list of strings")
-    if not isinstance(manifest.get("cell_seconds", {}), dict):
-        problems.append("manifest.json: cell_seconds must be a JSON object")
+    problems += [f"manifest.json: {key} must be a JSON object"
+                 for key in ("cell_seconds", "stage_seconds")
+                 if not isinstance(manifest.get(key, {}), dict)]
+    failures = manifest.get("failures", [])  # absent from runs that predate it
+    if not isinstance(failures, list) or not all(
+            isinstance(f, dict) and isinstance(f.get("cell"), str)
+            and isinstance(f.get("error"), str) for f in failures):
+        problems.append("manifest.json: failures must be a list of objects "
+                        "with string cell and error")
     workers = manifest.get("workers", 1)  # absent from runs that predate it
     if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
         problems.append("manifest.json: workers must be a positive integer")
@@ -680,7 +679,7 @@ def validate_output_dir(path: str | Path) -> list[str]:
         total_ok = seconds(total)
         if not total_ok:
             problems.append(f"manifest.json: cell_seconds.{cell} must be non-negative seconds")
-        spans = stages.get(cell) if isinstance(stages, dict) else None
+        spans = stages.get(cell)
         if not isinstance(spans, dict) or set(spans) != set(STAGES) or not all(
                 seconds(v) for v in spans.values()):
             problems.append(f"manifest.json: stage_seconds.{cell} must give "
@@ -689,9 +688,8 @@ def validate_output_dir(path: str | Path) -> list[str]:
         elif total_ok and abs(total - sum(spans.values())) > 0.002:
             problems.append(f"manifest.json: cell_seconds.{cell} is {total}, not the sum "
                             f"{sum(spans.values()):.3f} of its stage_seconds")
-    if isinstance(stages, dict):
-        problems += [f"manifest.json: stage_seconds.{cell} has no cell_seconds entry"
-                     for cell in stages if cell not in totals]
+    problems += [f"manifest.json: stage_seconds.{cell} has no cell_seconds entry"
+                 for cell in stages if cell not in totals]
 
     listed = set(files)
     inside = root.resolve()
@@ -710,8 +708,6 @@ def validate_output_dir(path: str | Path) -> list[str]:
             continue
         base = fpath.name
         schema = TABLE_SCHEMAS.get(base)
-        if schema is None and base.startswith("mse_by_angle"):
-            schema = TABLE_SCHEMAS["mse_by_angle"]
         if schema is None:
             problems.append(f"{rel}: no schema for this file name")
             continue

@@ -1,3 +1,4 @@
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ from priorwave import (
     MapEstimator,
     MixtureGaussian,
     MixtureUniform,
+    baseline_crb,
     baseline_omni,
     lag_coefficients,
     monte_carlo_mse,
@@ -468,6 +470,20 @@ def test_semidefinite_coefficient_noise(waveform, cfg12, dist12, grid361):
     assert relative_error(2.0 * factor.T @ factor.conj(), cov) <= 1e-12
     rep = monte_carlo_mse(covariance(x), dist12, cfg, grid361, [0.0, 20.0], 65, seed=4)
     assert all(np.isfinite(r.mse) and r.n_trials == 65 for r in rep)
+
+
+def test_refine_probe_at_a_transmit_null_is_silent():
+    # A design steered to 90 degrees leaves nulls inside this two-interval
+    # prior; a refine probe that lands on one has no finite slope, and
+    # that must not print a RuntimeWarning.
+    cfg = ArrayConfig(4, 4, 8, papr=1.2)
+    x = baseline_crb(np.pi / 2, cfg, seed=1).waveform
+    dist = MixtureUniform((tuple(np.deg2rad([-20.0, 5.0])), tuple(np.deg2rad([10.0, 30.0]))),
+                          (0.6, 0.4))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rep = monte_carlo_mse(covariance(x), dist, cfg, AngularGrid(121), [0.0, 20.0], 20, 1)
+    assert all(np.isfinite(r.mse) for r in rep)
 
 
 @pytest.mark.parametrize("m_t, m_r, spacing", [(8, 8, 0.5), (3, 6, 0.37), (5, 2, 0.5)])

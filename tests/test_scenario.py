@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 from dataclasses import replace
@@ -37,6 +38,8 @@ grid_size: 181
 seed: 5
 admm: {max_iters: 300}
 """
+
+CI_SMOKE = Path(__file__).resolve().parent / "data" / "ci-smoke.cfg"
 
 
 @pytest.fixture()
@@ -165,9 +168,9 @@ def test_config_errors_are_line_precise(tmp_path, capsys):
         # Values that print alike would write two cells into one directory.
         ("kappa_list: [1.2]", "kappa_list: [1.2, 1.2000001]", "kappa_list: 1.2 and 1.2000001"),
         ("kappa_list: [1.2]", "kappa_list: [1.5, 1.2, 1.5]", "kappa_list: 1.5 and 1.5"),
-        # SNRs that round to one dB would write one per-angle table.
-        ("snr_list_db: [0.0, 10.0]", "snr_list_db: [0.2, 10.0, 0.4]",
-         "snr_list_db: 0.2 and 0.4 would share the table mse_by_angle_snr+0dB.csv"),
+        # A repeated SNR would give two sweeps one snr_db key in both mse tables.
+        ("snr_list_db: [0.0, 10.0]", "snr_list_db: [10.0, 0.0, 10.0]",
+         "snr_list_db: 10.0 is listed twice"),
         # A repeated method would run its cells twice into the same directories.
         ("methods: [pcrb, omni]", "methods: [pcrb, omni, pcrb]",
          "methods: 'pcrb' is listed twice"),
@@ -296,11 +299,47 @@ def test_validate_reports_a_file_listed_twice(small_cfg, tmp_path):
     out = tmp_path / "out"
     assert run_scenario(small_cfg, out=out) == 0
     manifest = json.loads((out / "manifest.json").read_text())
-    twice = "omni/mse_by_angle_snr+0dB.csv"
+    twice = "omni/mse_by_angle.csv"
     assert twice in manifest["files"]
     manifest["files"] = sorted(manifest["files"] + [twice])
     (out / "manifest.json").write_text(json.dumps(manifest))
     assert validate_output_dir(out) == [f"{twice}: listed 2 times in manifest.json"]
+
+
+@pytest.mark.parametrize("paper_literal", [False, True])
+def test_per_angle_table_splits_each_mse_row(tmp_path, paper_literal):
+    # The mse_by_angle.csv rows at an mse.csv row's snr_db come in one block,
+    # in snr_list_db order; their trials sum to its trials, and their
+    # trial-weighted mean is its mse.
+    out = tmp_path / "out"
+    assert run_scenario(CI_SMOKE, out=out, paper_literal=paper_literal) == 0
+    assert validate_output_dir(out) == []
+    tables = sorted(out.glob("*/mse.csv"))
+    assert len(tables) == 9
+    for path in tables:
+        rows, by_angle = (list(csv.DictReader(p.read_text().splitlines()))
+                          for p in (path, path.with_name("mse_by_angle.csv")))
+        snrs = [row["snr_db"] for row in rows]
+        keys = [a["snr_db"] for a in by_angle]
+        assert keys == sorted(keys, key=snrs.index) and set(keys) == set(snrs)
+        for row in rows:
+            at = [(int(a["trials"]), float(a["mse_rad2"]))
+                  for a in by_angle if a["snr_db"] == row["snr_db"]]
+            assert sum(n for n, _ in at) == int(row["trials"])
+            assert math.isclose(sum(n * v for n, v in at) / int(row["trials"]),
+                                float(row["mse_rad2"]), rel_tol=1e-8)
+
+
+def test_sub_db_snrs_run_and_validate(tmp_path):
+    # SNRs half a dB apart share the cell's one per-angle table by snr_db.
+    cfg = tmp_path / "half.cfg"
+    cfg.write_text(SMALL_CFG.replace("snr_list_db: [0.0, 10.0]", "snr_list_db: [0.0, 0.5, 10.0]"))
+    out = tmp_path / "out"
+    assert run_scenario(cfg, out=out) == 0
+    assert validate_output_dir(out) == []
+    for cell in ("omni", "pcrb-k1.2"):
+        rows = list(csv.DictReader((out / cell / "mse_by_angle.csv").read_text().splitlines()))
+        assert list(dict.fromkeys(float(r["snr_db"]) for r in rows)) == [0.0, 0.5, 10.0]
 
 
 def test_run_out_on_an_existing_file_is_an_output_error(small_cfg, tmp_path, capsys):
@@ -546,7 +585,9 @@ def test_manifest_stage_seconds_are_recorded_and_validated(small_cfg, tmp_path):
     # json writes and reads infinity as ``Infinity``.
     cell_spoils = {"cell-str": "abc", "cell-negative": -1.0, "cell-null": None, "cell-bool": True,
                    "cell-infinite": math.inf,
-                   "cell-not-the-sum": manifest["cell_seconds"]["omni"] + 0.003}
+                   # 0.003 off the sum that validate compares with, not off the
+                   # recorded total, which may already sit 0.002 below that sum.
+                   "cell-not-the-sum": sum(stages["omni"].values()) + 0.003}
     for spoil in ("drop", "negative", "missing-stage", "bool", "infinite", "stray-cell",
                   *cell_spoils):
         broken = json.loads(json.dumps(manifest))
@@ -585,6 +626,13 @@ def test_validate_reports_missing_manifest(tmp_path):
     ({"files": [], "cell_seconds": 5, "stage_seconds": {}},
      ["cell_seconds must be a JSON object"]),
     ({}, ["files is missing", "cell_seconds is missing", "stage_seconds is missing"]),
+    ({"files": [], "cell_seconds": {}, "stage_seconds": 5, "workers": 1},
+     ["stage_seconds must be a JSON object"]),
+    ({"files": [], "cell_seconds": {}, "stage_seconds": {}, "workers": 1, "failures": 5},
+     ["failures must be a list of objects with string cell and error"]),
+    ({"files": [], "cell_seconds": {}, "stage_seconds": {}, "workers": 1,
+      "failures": [{"cell": 3}]},
+     ["failures must be a list of objects with string cell and error"]),
 ])
 def test_validate_reports_malformed_manifests(tmp_path, capsys, manifest, expected):
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))
