@@ -36,9 +36,6 @@ class AdmmTrace:
     # x-updates whose multiplier root missed ``_MU_TOL``; the exact power
     # rescale that follows them hides the miss from the waveform.
     mu_tol_misses: int = 0
-    # Accepted extrapolation jumps along the loop's straight-line tail
-    # (the fair design only; the quadratic designs never jump).
-    extrapolations: int = 0
 
     def __len__(self) -> int:
         return len(self.residual)

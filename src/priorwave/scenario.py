@@ -68,7 +68,7 @@ STAGES = ("design", "emit", "mc")
 SOLVER_METRICS = (
     "metric_value", "iterations", "final_residual", "al_increase_count",
     "converged", "mu_iterations_mean", "mu_iterations_max", "mu_tol_misses",
-    "extrapolations", "warm_started",
+    "warm_started",
 )
 
 # Relative worsening from one kappa to the next that the run reports.
@@ -450,7 +450,7 @@ def _run_cell(scenario: Scenario, method: str, kappa: float, kappa_rank: int, ou
         metrics += zip(SOLVER_METRICS, (
             result.metric_value, len(tr), float(tr.residual[-1]), tr.monotone_violations(),
             int(result.converged), float(tr.mu_iterations.mean()), int(tr.mu_iterations.max()),
-            tr.mu_tol_misses, tr.extrapolations, int(warm_start is not None)))
+            tr.mu_tol_misses, int(warm_start is not None)))
     # Integer and float metrics share the value column: format each alone.
     _write_table(out / "metrics.csv", TABLE_SCHEMAS["metrics.csv"],
                  ([k for k, _ in metrics],

@@ -4,7 +4,10 @@ Three designs run through one ADMM loop, ``_admm``: the bound-oriented
 and integrated-beampattern solvers maximize a quadratic form of the
 waveform under the power and per-element constraints, while the fair
 (max-min) solver additionally carries one auxiliary vector per constraint
-angle and a scalar level variable. Each design supplies only its split.
+angle and a scalar level variable. Each design supplies only its split:
+its penalty ``rho``, the x-update's ``curvature``, whether it
+``certifies`` a start, its beampattern dual ``b`` (None for the quadratic
+designs) and the hooks ``start``, ``target`` and ``measure``.
 
 A quadratic design whose global optimum meets the element cap starts
 there: ``Tr{X^H Xi X} <= P lambda_max(Xi_h)`` for every waveform of power
@@ -27,19 +30,8 @@ D + 2 B(w) X`` with ``B(w) = sum_p w_p a_p a_p^H / f_p``, holds at ``mu =
 lambda_max`` for ``D = -(2 / rho) diag(d) X``, since ``(B(w) - diag d) R =
 lambda_max R``. When the diagonal is pinned (kappa 1), ``d`` is free in
 sign and is not the element cap's multiplier, so ``D`` starts at zero.
-Every solve then runs the one loop from its ``AdmmState``, and a fair
-solve never returns a lower level than its start's.
-
-Away from its fixed point, the fair loop spends much of its run creeping
-along a straight line: its successive steps in the state (waveform,
-element-cap dual, beampattern dual) become parallel and each is a
-near-constant fraction ``r`` of the one before. Once the last ``_ALIGNED_STEPS`` (3)
-steps have pairwise cosines above ``_ALIGN_COS`` (0.9999) and shrink, the
-loop jumps ahead ``min(r / (1 - r), _MAX_JUMP)`` steps at once
-(``_MAX_JUMP`` is 10): the rest of the geometric series, capped. This is
-Anderson acceleration with memory one (Zhang, O'Donoghue & Boyd 2020),
-gated on alignment. The jumped waveform is rescaled to the power budget
-and the alignment count starts over. The quadratic designs never jump.
+Every solve then runs the one plain ADMM loop from its ``AdmmState``, and
+a fair solve never returns a lower level than its start's.
 """
 
 from __future__ import annotations
@@ -74,12 +66,6 @@ __all__ = [
 # unchanged).
 _SAFETY = 2.0
 _DUAL_STEP = 0.5
-# Extrapolation of the fair loop's straight-line tail (module docstring):
-# the steps that must be aligned, their least pairwise cosine, and the
-# longest jump, in steps.
-_ALIGNED_STEPS = 3
-_ALIGN_COS = 0.9999
-_MAX_JUMP = 10.0
 # Stop once the squared split residual and the squared auxiliary motion
 # both fall below this.
 _PRIMAL_TOL = 1e-8
@@ -154,7 +140,6 @@ class _QuadraticSplit:
     The penalty is ``_SAFETY * sqrt(3) * ||Xi + Xi^H||_F``.
     """
 
-    extrapolates = False
     certifies = True
     b = None
 
@@ -210,14 +195,6 @@ def _admm(split, cfg: ArrayConfig, seed: int, metric, *, max_iters: int = _MAX_I
     results hold for the last iterate (Boyd et al. 2011, 3.2-3.3). At most
     ``max_iters`` iterations run, which must be at least 1.
 
-    When ``split.extrapolates``, each iteration that does not stop the
-    loop also tracks its step in ``(x, d, split.b)``. After
-    ``_ALIGNED_STEPS`` aligned, shrinking steps it moves the state
-    ``min(r / (1 - r), _MAX_JUMP)`` more steps ahead, rescales ``x`` to the
-    power budget and lets ``split.jump`` move its dual and recompute its
-    auxiliaries (module docstring). Jumps count in the trace's
-    ``extrapolations``; the final iteration never jumps.
-
     The loop starts from ``warm_start``, by default from a random
     constant-modulus waveform drawn from ``seed`` with zero duals; given a
     state, ``seed`` is unused. A split that ``certifies`` starts instead at
@@ -250,22 +227,20 @@ def _admm(split, cfg: ArrayConfig, seed: int, metric, *, max_iters: int = _MAX_I
     split.start(x, warm_start.b)
 
     objective, al_values, residuals, mu_iters = [], [], [], []
-    mu_misses = extrapolations = 0
+    mu_misses = 0
     converged = False
-    aligned, last, last_sq = 0, None, 0.0
-    for it in range(1, max_iters + 1):
+    for _ in range(max_iters):
         # Element-cap block first, then the waveform: the augmented
         # Lagrangian descends only when the quadratic block sees the
         # freshly projected auxiliary.
-        x_prev, u_prev = x, u
+        u_prev = u
         u = _cap_elements(x - d, bound)
         q = split.target(rho * (u + d))
         # The multiplier barely moves between iterations: warm-start its root.
         x, mu, iters, met = x_update(q, mu)
         mu_misses += not met
         split_gap = u - x
-        d_step = gamma * split_gap
-        d = d + d_step
+        d = d + gamma * split_gap
         obj, al, res, move = split.measure(
             x, _sqnorm(split_gap), _sqnorm(u - u_prev), 0.5 * rho * _sqnorm(split_gap + d))
 
@@ -279,30 +254,6 @@ def _admm(split, cfg: ArrayConfig, seed: int, metric, *, max_iters: int = _MAX_I
         if len(residuals) > 1 and res <= _PRIMAL_TOL and move <= _PRIMAL_TOL:
             converged = True
             break
-        # The dual steps are gamma times the split residuals, so ``res``
-        # gives their squared norm. A jump is never the last step, so the
-        # returned waveform is always an x-update's.
-        if split.extrapolates and it < max_iters:
-            x_step, b_step = x - x_prev, split.b_step
-            step_sq = _sqnorm(x_step) + gamma * gamma * res
-            if step_sq < last_sq and _ALIGN_COS * math.sqrt(step_sq * last_sq) < (
-                    np.vdot(last[0], x_step) + np.vdot(last[1], d_step)
-                    + np.vdot(last[2], b_step)).real:
-                aligned += 1
-            else:
-                aligned = 0
-            if aligned < _ALIGNED_STEPS - 1:
-                last, last_sq = (x_step, d_step, b_step), step_sq
-            else:
-                # The rest of the geometric series of steps shrinking by ``ratio``.
-                ratio = math.sqrt(step_sq / last_sq)
-                ahead = min(ratio / (1.0 - ratio), _MAX_JUMP)
-                x = x + ahead * x_step
-                x *= math.sqrt(cfg.power / _sqnorm(x))
-                d = d + ahead * d_step
-                split.jump(x, ahead)
-                extrapolations += 1
-                aligned, last_sq = 0, 0.0
 
     final = _project_feasible(x, cfg.power, bound)
     trace = AdmmTrace(
@@ -311,7 +262,6 @@ def _admm(split, cfg: ArrayConfig, seed: int, metric, *, max_iters: int = _MAX_I
         residual=np.array(residuals),
         mu_iterations=np.array(mu_iters, dtype=int),
         mu_tol_misses=mu_misses,
-        extrapolations=extrapolations,
     )
     return SolveResult(
         waveform=final,
@@ -417,12 +367,9 @@ class _FairSplit:
     their first-order conditions before each x-update. The penalties sit
     well above the level-update bound ``2 / sum(f)`` but small enough that
     the beampattern split stays soft; the element-cap penalty rides a
-    factor above the beampattern one. Its loop extrapolates along the
-    straight-line tail (``_ALIGNED_STEPS``): ``b_step`` is the last step of
-    the beampattern dual ``b`` and ``jump`` moves ``b`` along it.
+    factor above the beampattern one.
     """
 
-    extrapolates = True
     certifies = False
 
     def __init__(self, a: np.ndarray, f: np.ndarray, cfg: ArrayConfig) -> None:
@@ -449,12 +396,6 @@ class _FairSplit:
                              f"the {self.w.shape} beampattern split")
         self.b = np.zeros_like(self.w) if b is None else b
 
-    def jump(self, x: np.ndarray, ahead: float) -> None:
-        """Move ``b`` ``ahead`` more of its last steps; ``w`` follows the
-        jumped waveform ``x``."""
-        self.b = self.b + ahead * self.b_step
-        self.w = x.conj().T @ self.a
-
     def target(self, q: np.ndarray) -> np.ndarray:
         h = self.w - self.b
         hnorms = np.sqrt((h.real**2 + h.imag**2).sum(0))
@@ -464,11 +405,10 @@ class _FairSplit:
         return q + self.rho3 * (self.a @ (self.gmat + self.b).conj().T)
 
     def measure(self, x, res, move, al):
-        gmat, gamma = self.gmat, _DUAL_STEP
+        gmat = self.gmat
         w = self.w = x.conj().T @ self.a
         bp_gap = gmat - w
-        self.b_step = gamma * bp_gap
-        self.b = self.b + self.b_step
+        self.b = self.b + _DUAL_STEP * bp_gap
         obj = float(((w.real**2 + w.imag**2).sum(0) / self.f).min())
         res = res + _sqnorm(bp_gap)
         move = move + _sqnorm(gmat - self.g_prev)

@@ -720,10 +720,17 @@ def test_solver_metrics_are_recorded_and_validated(small_cfg, tmp_path):
     omni = (out / "omni" / "metrics.csv").read_text()
     assert "converged" not in omni and validate_output_dir(out) == []
 
-    for key in ("mu_iterations_max", "converged", "mu_tol_misses", "warm_started"):
-        path.write_text("\n".join(r for r in rows if not r.startswith(key)) + "\n")
-        problems = validate_output_dir(out)
-        assert len(problems) == 1 and key in problems[0]
+    # Outputs written before the fair loop's extrapolation was dropped
+    # carry an ``extrapolations`` row before ``warm_started``: still valid.
+    at = next(i for i, r in enumerate(rows) if r.startswith("warm_started"))
+    older = rows[:at] + ["extrapolations,0"] + rows[at:]
+    path.write_text("\n".join(older) + "\n")
+    assert validate_output_dir(out) == []
+    for table in (rows, older):
+        for key in ("mu_iterations_max", "converged", "mu_tol_misses", "warm_started"):
+            path.write_text("\n".join(r for r in table if not r.startswith(key)) + "\n")
+            problems = validate_output_dir(out)
+            assert len(problems) == 1 and key in problems[0]
     path.write_text("\n".join(rows).replace("converged,1", "converged,yes")
                     .replace("converged,0", "converged,no") + "\n")
     problems = validate_output_dir(out)
