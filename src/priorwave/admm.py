@@ -1,8 +1,9 @@
-"""Shared ADMM building blocks for the waveform design solvers.
+"""Building blocks of the waveform design solvers.
 
-All three solvers alternate a power-constrained quadratic update of the
-waveform, an entrywise projection onto the per-element power cap, and a
-dual ascent step. The quadratic update is solved exactly through one
+Every design projects onto the feasible set (``_project_feasible``). The
+fair solver's ADMM loop alternates a power-constrained quadratic update of
+the waveform, an entrywise projection onto the per-element power cap, and
+a dual ascent step. The quadratic update is solved exactly through one
 Hermitian eigendecomposition plus a safeguarded Newton root of the scalar
 secular equation for the power multiplier.
 
@@ -78,25 +79,33 @@ def _project_feasible(x: np.ndarray, power: float, bound: float) -> np.ndarray:
     """Euclidean projection onto ``{||X||_F**2 = power, |x_ml|**2 <= bound}``.
 
     Phases are kept and ``|x| <- min(c |x|, sqrt(bound))``, with the scale
-    ``c`` that meets the power. With the magnitudes sorted in descending
-    order and the first ``k`` capped, the power where the next one reaches
-    the cap is ``bound * (k + T_k / |x|_(k)**2)``, ``T_k`` summing the
-    squared magnitudes from the ``k``-th on; the first ``k`` where that
-    meets the power gives ``c = sqrt((power - k bound) / T_k)``. If rounding
-    leaves none (``bound * x.size == power``), every entry is capped.
-    Entries must be nonzero and ``bound * x.size >= power``.
+    ``c`` that meets the power. With the nonzero magnitudes sorted in
+    descending order and the first ``k`` capped, the power where the next
+    one reaches the cap is ``bound * (k + T_k / |x|_(k)**2)``, ``T_k``
+    summing the squared magnitudes from the ``k``-th on; the first ``k``
+    where that meets the power gives ``c = sqrt((power - k bound) / T_k)``.
+    If none does (rounding, when ``bound * x.size == power``, or too few
+    nonzero entries), every nonzero entry is capped and the power left
+    over is spread evenly over the zero entries, which have no phase to
+    keep. Needs ``bound * x.size >= power``.
     """
     mag = np.abs(x)
     d = np.sort(mag, axis=None)[::-1]
-    d2 = d * d
+    n = int(np.count_nonzero(d))
+    d2 = d[:n] * d[:n]
     tail = np.cumsum(d2[::-1])[::-1]
-    k = np.arange(d.size)
-    meets = np.flatnonzero(bound * (k + tail / d2) >= power)
+    meets = np.flatnonzero(bound * (np.arange(n) + tail / d2) >= power)
     c = np.inf
     if meets.size:
         k0 = int(meets[0])
         c = math.sqrt((power - k0 * bound) / tail[k0])
-    return x * (np.minimum(c * mag, math.sqrt(bound)) / mag)
+    if n == x.size:
+        return x * (np.minimum(c * mag, math.sqrt(bound)) / mag)
+    left = max(power - n * bound, 0.0) if not meets.size else 0.0
+    out = np.full_like(x, math.sqrt(left / (x.size - n)))
+    nonzero = mag > 0
+    out[nonzero] = x[nonzero] * (np.minimum(c * mag[nonzero], math.sqrt(bound)) / mag[nonzero])
+    return out
 
 
 def _solve_multiplier(psi, sig, power: float, mu_tol: float,

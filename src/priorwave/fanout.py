@@ -130,7 +130,7 @@ def run_tasks(n_tasks: int, task: Callable[[int], object]
     """Run ``task(i)`` for ``i`` in ``range(n_tasks)`` on
     ``processes(n_tasks)`` processes, this one included (module
     docstring). Each index is one byte of the queue, so ``n_tasks`` is at
-    most 256.
+    most 256; more raise ``ValueError`` before anything is opened or forked.
 
     Returns the results by index; for each index whose worker died
     before reporting it, that worker's exit status
@@ -138,6 +138,8 @@ def run_tasks(n_tasks: int, task: Callable[[int], object]
     worker is reaped before this returns; if this process raises
     meanwhile, each worker still running gets SIGTERM first.
     """
+    if n_tasks > 256:
+        raise ValueError(f"run_tasks queues at most 256 tasks, one byte each; got {n_tasks}")
     width = processes(n_tasks)
     queue, fill = os.pipe()
     os.write(fill, bytes(range(n_tasks)))

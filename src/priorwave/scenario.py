@@ -409,8 +409,8 @@ def _run_cell(scenario: Scenario, method: str, kappa: float, kappa_rank: int, ou
     and the solver result (None for omni).
 
     ``kappa_rank`` is the threshold's place in ascending order and seeds
-    the cell, and ``refine`` is the Monte-Carlo estimator's. A
-    ``warm_start`` design ignores its seed. One clock laps the stages in
+    the cell, and ``refine`` is the Monte-Carlo estimator's. A fair
+    design ignores its seed given a ``warm_start``. One clock laps the stages in
     run order: design, emit, then with a Monte-Carlo sweep mc and emit again.
     """
     laps = [time.perf_counter()]

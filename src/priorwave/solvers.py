@@ -1,26 +1,28 @@
 """Waveform design drivers and the two benchmark waveforms.
 
-Three designs run through one ADMM loop, ``_admm``: the bound-oriented
-and integrated-beampattern solvers maximize a quadratic form of the
-waveform under the power and per-element constraints, while the fair
-(max-min) solver additionally carries one auxiliary vector per constraint
-angle and a scalar level variable. Each design supplies only its split:
-its penalty ``rho``, the x-update's ``curvature``, whether it
-``certifies`` a start, its beampattern dual ``b`` (None for the quadratic
-designs) and the hooks ``start``, ``target`` and ``measure``.
+The bound-oriented and integrated-beampattern designs and the crb
+baseline maximize ``Tr{X^H Xi X} = x^H Xi_h x`` (``Xi_h`` the Hermitian
+part of ``Xi``) over one beam ``x`` sent as ``X = x 1^T / sqrt(L)``, with
+``||x||^2 = P`` and ``|x_m|^2 <= kappa P / M_t`` (``_beam_design``). The
+minorize-maximize ascent ``x <- Pi(Xi_h x)`` (Soltanalian & Stoica 2014),
+``Pi`` the projection onto that set (``_project_feasible``), never lowers
+the value once ``Xi_h`` is shifted to be positive semidefinite, which
+moves the value by a constant on the power sphere. A top eigenvector of
+``Xi_h`` at power ``P`` attains ``P lambda_max(Xi_h)``, which bounds every
+waveform; where it meets the cap it is optimal (Stoica, Li & Xie 2007)
+and the only start. Otherwise the ascent also starts from the warm
+start's beam ``X 1 / sqrt(L)``, first, and from ``_SYNTH_STARTS``
+constant-modulus beams drawn from the seed, last; the best end wins.
 
-A quadratic design whose global optimum meets the element cap starts
-there: ``Tr{X^H Xi X} <= P lambda_max(Xi_h)`` for every waveform of power
-``P``, with equality at ``v 1^T sqrt(P / L)`` for a top eigenvector ``v``
-of ``Xi + Xi^H``, so where that waveform meets the cap it is certified
-optimal (Stoica, Li & Xie 2007) and overrides any warm start; the loop
-confirms it in two iterations (``_certified_start``). Otherwise a cold
-start of the quadratic designs is the seed's random constant-modulus
-waveform with zero duals. A cold fair solve starts nearer
-its end: from the optimum of its covariance relaxation
-(``relaxation.fair_relaxation``), turned into a feasible waveform ``x0`` by
-cyclic synthesis from the best fit of ``_SYNTH_STARTS`` such draws
-(``relaxation.synthesize``), and with the duals that the relaxation's
+The fair (max-min) design runs the ADMM loop ``_admm``, which carries
+one auxiliary vector per constraint angle and a scalar level beside the
+element-cap split; ``_FairSplit`` supplies its penalty ``rho``, the
+x-update's ``curvature``, its beampattern dual ``b`` and the hooks
+``start``, ``target`` and ``measure``. A cold fair solve starts from the
+optimum of its covariance relaxation (``relaxation.fair_relaxation``),
+synthesized into a feasible waveform ``x0`` from the best fit of
+``_SYNTH_STARTS`` random constant-modulus waveforms drawn from the seed
+(``relaxation.synthesize``), with the duals that the relaxation's
 dual point ``(w, d)`` predicts at the loop's fixed point: ADMM's
 primal-dual warm start (Boyd et al. 2011, sec. 3). There the level
 update's optimality condition is ``rho3 / 2 * sum_p c_p f_p = 1`` with
@@ -30,8 +32,8 @@ D + 2 B(w) X`` with ``B(w) = sum_p w_p a_p a_p^H / f_p``, holds at ``mu =
 lambda_max`` for ``D = -(2 / rho) diag(d) X``, since ``(B(w) - diag d) R =
 lambda_max R``. When the diagonal is pinned (kappa 1), ``d`` is free in
 sign and is not the element cap's multiplier, so ``D`` starts at zero.
-Every solve then runs the one plain ADMM loop from its ``AdmmState``, and
-a fair solve never returns a lower level than its start's.
+Every fair solve then runs the one plain ADMM loop from its
+``AdmmState``, and never returns a lower level than its start's.
 """
 
 from __future__ import annotations
@@ -58,42 +60,37 @@ __all__ = [
     "baseline_crb",
 ]
 
-# The quadratic designs set their penalty to ``_SAFETY * sqrt(3) *
-# ||Xi + Xi^H||_F``. The sqrt(3)-scaled norm is the nominal descent
-# threshold of the augmented Lagrangian, but the descent argument leaks
-# around the power-sphere multiplier, so the penalty keeps a 2x margin and
-# the dual step is damped (a step below 1 leaves the fixed points
-# unchanged).
+# The fair design's level penalty is ``_SAFETY * 40 / sum(f)`` (``_FairSplit``),
+# and its dual steps are damped (a step below 1 leaves the fixed points alone).
 _SAFETY = 2.0
 _DUAL_STEP = 0.5
-# Stop once the squared split residual and the squared auxiliary motion
-# both fall below this.
+# The fair loop stops once the squared split residual and the squared
+# auxiliary motion both fall below this.
 _PRIMAL_TOL = 1e-8
+# The beam ascent stops once a step, after at least two, raises
+# ``Tr{X^H Xi X}`` by at most this, relative.
+_ASCENT_TOL = 1e-13
 # The fair design constrains the grid angles whose prior density is at
 # least this fraction of its peak.
 _PDF_FLOOR = 1e-6
 # Default iteration cap of every design, the only solver setting.
 _MAX_ITERS = 5000
-# A cold fair solve synthesizes its start from this many draws of its seed.
+# A cold fair solve synthesizes its start from this many draws of its
+# seed, and a cap-binding quadratic design ascends from as many.
 _SYNTH_STARTS = 4
 
 
 @dataclass(frozen=True)
 class AdmmState:
-    """What one ADMM solve carries from iteration to iteration.
+    """What the fair design's ADMM loop carries from iteration to iteration.
 
     ``x`` is the last waveform iterate before the final projection, ``d``
     the scaled dual of the element-cap split, ``mu`` the power multiplier
-    (None: no x-update yet) and ``b`` the fair design's scaled beampattern
-    dual (None: zeros). Passed as ``warm_start``, it starts the loop there,
-    under the new problem's element cap; the result of a smaller threshold
-    is feasible at a larger one. A cold start of a quadratic design is
-    ``AdmmState(x0, zeros)`` with ``x0`` drawn from the seed. A cold fair
-    start is ``AdmmState(x0, D, None, b)``: ``x0`` synthesized to the
-    optimum of the covariance relaxation from several draws, and ``D`` and
-    ``b`` the duals that the relaxation's dual point predicts (``D`` zero
-    when the diagonal is pinned; module docstring). A fair solve that
-    returns its start also returns the start as its state.
+    (None: no x-update yet) and ``b`` the scaled beampattern dual (None:
+    zeros). Passed as ``warm_start``, it starts the loop there, under the
+    new problem's element cap. A cold fair start is ``AdmmState(x0, D,
+    None, b)`` (module docstring). A quadratic design reads only ``x``, whose
+    beam starts one more ascent, and returns its waveform with ``d`` zero.
     """
 
     x: np.ndarray
@@ -106,14 +103,15 @@ class AdmmState:
 class SolveResult:
     """Designed waveform with its iteration history and native metric.
 
-    ``len(trace)`` is the number of iterations run. ``metric_value`` is
-    the solver's own figure of merit recomputed from the returned
-    waveform: the bound surrogate at unit amplitude for the bound-oriented
-    solver, the minimum density-scaled beampattern for the fair solver,
-    and the density-weighted beampattern integral for the integrated
-    solver. ``state`` is the loop's final state; passed as ``warm_start``
-    to the same design at a larger PAPR threshold, it resumes the solve
-    from there.
+    ``len(trace)`` is the number of iterations run, for a quadratic design
+    the winning start's ascent steps. ``metric_value`` is the solver's own
+    figure of merit recomputed from the returned waveform: the bound
+    surrogate at unit amplitude for the bound-oriented solver, the minimum
+    density-scaled beampattern for the fair solver, and the
+    density-weighted beampattern integral for the integrated solver.
+    ``state`` is the solve's final state; passed as ``warm_start`` to the
+    same design at a larger PAPR threshold, it resumes the solve from
+    there.
     """
 
     waveform: np.ndarray
@@ -134,55 +132,56 @@ def _initial_waveform(cfg: ArrayConfig, rng: np.random.Generator) -> np.ndarray:
     return scale * np.exp(1j * phases)
 
 
-class _QuadraticSplit:
-    """``min -Tr{X^H Xi X}``: the element cap is the only split.
+def _beam_design(xi: np.ndarray, cfg: ArrayConfig, seed: int, metric, max_iters: int,
+                 warm_start: AdmmState | None) -> SolveResult:
+    """The best of the ascents from each start (module docstring), each of
+    at most ``max_iters`` steps; ``metric`` scores the returned covariance.
+    The trace is the winning start's: ``-Tr{X^H Xi X}`` as objective and
+    augmented Lagrangian, and the squared beam motion as residual."""
+    if max_iters < 1:
+        raise ValueError("max_iters must be at least 1")
+    m_t, n_cols = cfg.m_t, cfg.l_samples
+    if warm_start is not None and warm_start.x.shape != (m_t, n_cols):
+        raise ValueError(f"warm start of shape {warm_start.x.shape} does not fit "
+                         f"a {m_t}x{n_cols} waveform")
+    xi_h = 0.5 * (xi + xi.conj().T)
+    if not float(np.linalg.norm(xi_h)) > 0:
+        raise ValueError("the design objective Tr{X^H Xi X} is zero for every waveform")
+    lam, vecs = np.linalg.eigh(xi_h)
+    lift = xi_h - min(lam[0], 0.0) * np.eye(m_t)
+    power, cap = cfg.power, cfg.papr * cfg.power / m_t
+    starts = [vecs[:, -1] * math.sqrt(power)]
+    if not np.all(np.abs(starts[0]) ** 2 <= cap * _CAP_SLACK):
+        rng = np.random.default_rng(seed)
+        starts += [math.sqrt(power / m_t) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, m_t))
+                   for _ in range(_SYNTH_STARTS)]
+        if warm_start is not None:
+            starts.insert(0, warm_start.x.sum(1) / math.sqrt(n_cols))
+    best = None
+    for x in starts:
+        values, moves, converged = [], [], False
+        for _ in range(max_iters):
+            step = _project_feasible(lift @ x, power, cap)
+            moves.append(_sqnorm(step - x))
+            x = step
+            values.append(float(np.vdot(x, xi_h @ x).real))
+            if len(values) > 1 and values[-1] - values[-2] <= _ASCENT_TOL * abs(values[-1]):
+                converged = True
+                break
+        if best is None or values[-1] > best[1][-1]:
+            best = x, values, moves, converged
+    x, values, moves, converged = best
+    waveform = np.repeat(x[:, None] / math.sqrt(n_cols), n_cols, axis=1)
+    objective = -np.array(values)
+    trace = AdmmTrace(objective=objective, augmented_lagrangian=objective,
+                      residual=np.array(moves), mu_iterations=np.zeros(len(values), dtype=int))
+    return SolveResult(waveform, trace, metric(waveform @ waveform.conj().T), converged,
+                       AdmmState(waveform, np.zeros_like(waveform)))
 
-    The penalty is ``_SAFETY * sqrt(3) * ||Xi + Xi^H||_F``.
-    """
 
-    certifies = True
-    b = None
-
-    def __init__(self, xi: np.ndarray, cfg: ArrayConfig) -> None:
-        sym = xi + xi.conj().T
-        self.xi = xi
-        self.rho = _SAFETY * np.sqrt(3.0) * float(np.linalg.norm(sym))
-        if not self.rho > 0:
-            raise ValueError("the design objective Tr{X^H Xi X} is zero for every waveform")
-        self.curvature = self.rho * np.eye(cfg.m_t) - sym
-
-    def start(self, x: np.ndarray, b: None) -> None:
-        pass
-
-    def target(self, q: np.ndarray) -> np.ndarray:
-        return q
-
-    def measure(self, x, res, move, al):
-        obj = -float(np.vdot(x, self.xi @ x).real)
-        return obj, obj + al, res, move
-
-
-def _certified_start(x_update: _XUpdate, cfg: ArrayConfig) -> AdmmState | None:
-    """The global optimum of a quadratic design, when it meets the element cap.
-
-    ``Tr{X^H Xi X} <= P lambda_max(Xi_h)`` for every waveform of power
-    ``P``, with equality at ``X = v 1^T sqrt(P / L)`` for a top eigenvector
-    ``v`` of ``Xi + Xi^H``: the curvature's bottom eigenvector. When that
-    ``X`` also meets the element cap (``|v_m|^2 P / L <= elem_bound``, up to
-    ``_CAP_SLACK``) it is a globally optimal waveform (Stoica, Li & Xie
-    2007), and the loop starts there with zero duals; otherwise None.
-    """
-    v = x_update.g[:, 0]
-    scale = cfg.power / cfg.l_samples
-    if not np.all((v.real**2 + v.imag**2) * scale <= cfg.elem_bound * _CAP_SLACK):
-        return None
-    x = np.repeat(v[:, None] * math.sqrt(scale), cfg.l_samples, axis=1)
-    return AdmmState(x, np.zeros_like(x))
-
-
-def _admm(split, cfg: ArrayConfig, seed: int, metric, *, max_iters: int = _MAX_ITERS,
-          warm_start: AdmmState | None = None) -> SolveResult:
-    """ADMM over the element-cap split shared by every design.
+def _admm(split, cfg: ArrayConfig, metric, start: AdmmState, *,
+          max_iters: int = _MAX_ITERS) -> SolveResult:
+    """ADMM over the element-cap split, from ``start``.
 
     Each iteration projects onto the element cap, lets ``split`` add its
     own terms to the quadratic target, solves the power-sphere x-update
@@ -194,12 +193,6 @@ def _admm(split, cfg: ArrayConfig, seed: int, metric, *, max_iters: int = _MAX_I
     and ``metric`` scores its covariance ``X X^H``; ADMM's convergence
     results hold for the last iterate (Boyd et al. 2011, 3.2-3.3). At most
     ``max_iters`` iterations run, which must be at least 1.
-
-    The loop starts from ``warm_start``, by default from a random
-    constant-modulus waveform drawn from ``seed`` with zero duals; given a
-    state, ``seed`` is unused. A split that ``certifies`` starts instead at
-    its certified optimum when that meets the cap, whatever the warm start
-    (``_certified_start``); the loop then confirms it in two iterations.
     """
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
@@ -208,23 +201,16 @@ def _admm(split, cfg: ArrayConfig, seed: int, metric, *, max_iters: int = _MAX_I
     gamma = _DUAL_STEP
     x_update = _XUpdate(split.curvature, cfg.power)
 
-    if warm_start is not None:
-        x = warm_start.x
-        if x.shape != (cfg.m_t, cfg.l_samples):
-            raise ValueError(f"warm start of shape {x.shape} does not fit "
-                             f"a {cfg.m_t}x{cfg.l_samples} waveform")
-        if np.shape(warm_start.d) != x.shape:
-            raise ValueError(f"warm start dual d of shape {np.shape(warm_start.d)} does not "
-                             f"fit its {x.shape} waveform")
-    if split.certifies:
-        warm_start = _certified_start(x_update, cfg) or warm_start
-    if warm_start is None:
-        x0 = _initial_waveform(cfg, np.random.default_rng(seed))
-        warm_start = AdmmState(x0, np.zeros_like(x0))
-    x, d, mu = warm_start.x, warm_start.d, warm_start.mu
+    x, d, mu = start.x, start.d, start.mu
+    if x.shape != (cfg.m_t, cfg.l_samples):
+        raise ValueError(f"warm start of shape {x.shape} does not fit "
+                         f"a {cfg.m_t}x{cfg.l_samples} waveform")
+    if np.shape(d) != x.shape:
+        raise ValueError(f"warm start dual d of shape {np.shape(d)} does not "
+                         f"fit its {x.shape} waveform")
     # The auxiliary's first motion never decides the stop (it needs two iterations).
     u = x
-    split.start(x, warm_start.b)
+    split.start(x, start.b)
 
     objective, al_values, residuals, mu_iters = [], [], [], []
     mu_misses = 0
@@ -284,15 +270,15 @@ def solve_pcrb(
 
     Maximizes ``Tr{X^H xi0 X}`` under the total power and per-element
     constraints; the reported metric is the resulting bound surrogate at
-    unit amplitude. ``max_iters`` caps the iterations. ``warm_start`` (a
-    ``SolveResult.state`` of the same design) resumes from that state
-    instead of a ``seed``-drawn start. Where the certified optimum meets
-    the element cap, the solve starts there instead, whatever the seed and
-    warm start (module docstring).
+    unit amplitude. ``max_iters`` caps the steps of each start. Where
+    the top eigenvector meets the element cap it is the certified optimum
+    and the only start; otherwise the ascent also starts from the beam of
+    ``warm_start`` (any ``AdmmState``; only its ``x`` is read) and from
+    beams drawn from ``seed`` (module docstring).
     """
-    return _admm(_QuadraticSplit(mom.xi0, cfg), cfg, seed,
-                 lambda r: pcrb_upper_bound(r, mom, 1.0, cfg.noise_power),
-                 max_iters=max_iters, warm_start=warm_start)
+    return _beam_design(mom.xi0, cfg, seed,
+                        lambda r: pcrb_upper_bound(r, mom, 1.0, cfg.noise_power),
+                        max_iters, warm_start)
 
 
 def solve_psbp_integrated(
@@ -310,8 +296,8 @@ def solve_psbp_integrated(
     ``warm_start`` as in ``solve_pcrb``.
     """
     xi = mom.xi3 / cfg.m_r
-    return _admm(_QuadraticSplit(xi, cfg), cfg, seed, lambda r: float(np.vdot(r, xi).real),
-                 max_iters=max_iters, warm_start=warm_start)
+    return _beam_design(xi, cfg, seed, lambda r: float(np.vdot(r, xi).real), max_iters,
+                        warm_start)
 
 
 def _inflate_columns(h: np.ndarray, hnorms: np.ndarray, fvals: np.ndarray,
@@ -369,8 +355,6 @@ class _FairSplit:
     the beampattern split stays soft; the element-cap penalty rides a
     factor above the beampattern one.
     """
-
-    certifies = False
 
     def __init__(self, a: np.ndarray, f: np.ndarray, cfg: ArrayConfig) -> None:
         sum_f = float(f.sum())
@@ -430,11 +414,11 @@ def solve_psbp_fair(
     Splits the element cap onto one auxiliary matrix and the per-angle
     beampattern onto one auxiliary vector per constraint angle; the level
     variable and those vectors are updated jointly from their first-order
-    conditions. ``max_iters`` and ``warm_start`` as in ``solve_pcrb``;
-    without ``warm_start`` the loop starts from the optimum of the
-    covariance relaxation, synthesized from ``_SYNTH_STARTS`` waveforms
-    drawn from ``seed``, with duals seeded from the relaxation's dual point
-    (module docstring).
+    conditions. ``max_iters`` caps the iterations, and ``warm_start`` (a
+    ``SolveResult.state`` of the same design) resumes from that state;
+    without it the loop starts from the optimum of the covariance
+    relaxation, synthesized from ``_SYNTH_STARTS`` waveforms drawn from
+    ``seed``, with duals from the relaxation's dual point (module docstring).
 
     The level is this design's objective and its start is feasible, so
     the solve never ends below its start: when the start's projection
@@ -465,7 +449,7 @@ def solve_psbp_fair(
     def metric(r):
         return float(np.min(beampattern(r, pts, cfg.spacing) / f))
 
-    result = _admm(split, cfg, seed, metric, max_iters=max_iters, warm_start=warm_start)
+    result = _admm(split, cfg, metric, warm_start, max_iters=max_iters)
     start = _project_feasible(warm_start.x, cfg.power, cfg.elem_bound)
     level = metric(start @ start.conj().T)
     if level > result.metric_value:
@@ -495,6 +479,7 @@ def baseline_crb(
     max_iters: int = _MAX_ITERS,
     warm_start: AdmmState | None = None,
 ) -> SolveResult:
-    """Bound-oriented design for one deterministic angle (no prior term)."""
+    """Bound-oriented design for one deterministic angle (no prior term); its
+    rank-one ``Xi`` has a constant-modulus top eigenvector, always optimal."""
     return solve_pcrb(_point_moments(theta0, cfg), cfg, seed, max_iters=max_iters,
                       warm_start=warm_start)

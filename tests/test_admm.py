@@ -141,6 +141,20 @@ def test_project_feasible_properties(seed, rows, cols, kappa, log_power, spread)
         assert np.max(np.abs(p - ref)) <= 1e-9 * np.sqrt(bound)
 
 
+def test_project_feasible_leaves_zero_entries_finite():
+    # Zero entries have no phase. They stay zero while the nonzero entries
+    # can carry the power; when those, all capped, cannot, the power left
+    # over is spread evenly over the zero entries.
+    x = np.array([0.3 + 0.4j, 0.0, -1.0, 0.0])
+    p = _project_feasible(x, 1.0, 0.6)
+    assert np.allclose(np.abs(p) ** 2, [0.4, 0.0, 0.6, 0.0], rtol=0, atol=1e-15)
+    assert np.allclose(p[[0, 2]] / np.abs(p[[0, 2]]), x[[0, 2]] / np.abs(x[[0, 2]]))
+    p = _project_feasible(x, 1.0, 0.3)
+    assert np.allclose(np.abs(p) ** 2, [0.3, 0.2, 0.3, 0.2], rtol=0, atol=1e-15)
+    assert np.all(np.abs(p) ** 2 <= 0.3 * _CAP_SLACK)
+    assert np.array_equal(_project_feasible(np.zeros(3, complex), 3.0, 1.5), np.ones(3))
+
+
 def test_quad_x_update_isotropic_curvature_rescales():
     rng = np.random.default_rng(3)
     q = rng.normal(size=(4, 7)) + 1j * rng.normal(size=(4, 7))

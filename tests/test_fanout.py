@@ -256,3 +256,18 @@ def test_tables_do_not_depend_on_the_worker_count(tmp_path):
     workers = {name: json.loads((tmp_path / name / "manifest.json").read_text())["workers"]
                for name in outs}
     assert workers == {"default": min(5, CPUS), "one-cpu": 1}
+
+
+def test_more_tasks_than_queue_bytes_are_refused_before_the_pipe(monkeypatch):
+    # Each queued index is one byte, so 257 tasks cannot be queued: the call
+    # is refused by name before a pipe is opened, and nothing forks or runs.
+    def no_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(fanout, "processes", lambda n: 2)
+    monkeypatch.setattr(os, "fork", no_fork)
+    fds = len(os.listdir("/proc/self/fd"))
+    ran = []
+    with pytest.raises(ValueError, match="at most 256 tasks"):
+        fanout.run_tasks(257, ran.append)
+    assert ran == [] and len(os.listdir("/proc/self/fd")) == fds

@@ -712,8 +712,8 @@ def test_solver_metrics_are_recorded_and_validated(small_cfg, tmp_path):
     rows = path.read_text().strip().splitlines()
     metrics = dict(r.split(",") for r in rows[1:])
     assert metrics["converged"] in ("0", "1")
-    mean, peak = float(metrics["mu_iterations_mean"]), int(metrics["mu_iterations_max"])
-    assert 1 <= mean <= peak
+    # The pcrb design solves for no power multiplier: its mu rows read 0.
+    assert float(metrics["mu_iterations_mean"]) == int(metrics["mu_iterations_max"]) == 0
     assert int(metrics["mu_tol_misses"]) >= 0
     assert metrics["warm_started"] == "0"  # a single kappa starts cold
     # omni designs nothing, so its metrics carry no solver keys

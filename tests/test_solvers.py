@@ -27,7 +27,7 @@ from priorwave import (
 )
 from priorwave.scenario import _cell_seed, load_config
 from priorwave import solvers
-from priorwave.admm import _project_feasible
+from priorwave.admm import _CAP_SLACK, _project_feasible
 from priorwave.priors import _point_moments
 from priorwave.relaxation import fair_relaxation, synthesize
 from priorwave.solvers import (_SYNTH_STARTS, AdmmState, _admm, _eta_update, _FairSplit,
@@ -73,8 +73,6 @@ def test_solve_pcrb_feasible_and_deterministic(mom12, cfg12):
     assert r1.waveform.tobytes() == r2.waveform.tobytes()
     assert r1.metric_value == r2.metric_value
     assert np.array_equal(r1.trace.residual, r2.trace.residual)
-    r3 = solve_pcrb(mom12, cfg12, seed=10, max_iters=2000)
-    assert r3.waveform.tobytes() != r1.waveform.tobytes()
 
 
 def test_solve_pcrb_al_descent_and_convergence(mom12, cfg12):
@@ -149,19 +147,87 @@ def test_crb_design_is_certified_at_every_kappa(mom12):
 
 
 def test_cap_binding_design_keeps_its_seed_drawn_start():
-    # case-1-2 pcrb at kappa 1.2: the top eigenvector breaks the element
-    # cap, so the solve is the one from its cell seed's draw, bit for bit.
-    sc = load_config(CONFIG_DIR / "case-1-2.cfg")
+    # case-1-3 pcrb at kappa 1.2: the top eigenvector breaks the element
+    # cap, and the ascent from it ends 0.9% below those from the cell
+    # seed's beams, so the design is a seed draw's end, after 120 steps. A
+    # warm start puts its beam before the seed's draws, which still run,
+    # so the warm solve ends no worse.
+    sc = load_config(CONFIG_DIR / "case-1-3.cfg")
     cfg = replace(sc.array, papr=1.2)
     mom = compute_moments(sc.distribution, cfg)
     seed = _cell_seed(sc.seed, "pcrb", 0, 0)
     r = solve_pcrb(mom, cfg, seed, max_iters=sc.max_iters)
-    assert len(r.trace) == 63 and r.converged
-    assert f"{r.metric_value:.8e}" == "1.13256372e-04"
-    drawn = random_start(cfg, seed)
-    again = solve_pcrb(mom, cfg, seed + 1, max_iters=sc.max_iters, warm_start=drawn)
-    assert again.waveform.tobytes() == r.waveform.tobytes()
-    assert again.metric_value == r.metric_value
+    assert len(r.trace) == 120 and r.converged
+    assert f"{r.metric_value:.8e}" == "2.19307750e-04"
+    again = solve_pcrb(mom, cfg, seed, max_iters=sc.max_iters,
+                       warm_start=random_start(cfg, seed))
+    assert again.metric_value <= r.metric_value * (1 + 1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m_t=st.integers(1, 8), rank=st.integers(1, 8),
+       l_samples=st.integers(1, 6), kappa=st.floats(1.0, 4.0),
+       log_power=st.floats(-1.0, 1.0), indefinite=st.booleans(), warm=st.booleans())
+def test_beam_design_is_feasible_monotone_and_bounded(seed, m_t, rank, l_samples, kappa,
+                                                      log_power, indefinite, warm):
+    # A random positive semidefinite Xi of rank up to m_t plus a
+    # skew-Hermitian part, which no waveform sees; ``indefinite`` shifts it
+    # down by half its mean eigenvalue. The design is finite and feasible,
+    # its ascent never falls, it never beats the power-sphere bound
+    # P lambda_max(Xi_h), and it attains that bound where the top
+    # eigenvector meets the cap.
+    rng = np.random.default_rng(seed)
+    cfg = ArrayConfig(m_t, 1, l_samples, power=10.0**log_power, papr=kappa)
+    b = rng.normal(size=(m_t, rank)) + 1j * rng.normal(size=(m_t, rank))
+    k = rng.normal(size=(m_t, m_t)) + 1j * rng.normal(size=(m_t, m_t))
+    xi_h = b @ b.conj().T
+    if indefinite:
+        xi_h -= 0.5 * np.trace(xi_h).real / m_t * np.eye(m_t)
+    xi = xi_h + (k - k.conj().T)
+    lam, vecs = np.linalg.eigh(0.5 * (xi + xi.conj().T))
+    scale = cfg.power * np.abs(lam).max()
+    start = AdmmState(random_feasible_waveform(rng, cfg), None) if warm else None
+    r = solvers._beam_design(xi, cfg, seed, lambda cov: float(np.vdot(cov, xi).real),
+                             solvers._MAX_ITERS, start)
+    x = r.waveform
+    assert np.all(np.isfinite(x))
+    assert abs(np.vdot(x, x).real - cfg.power) <= 1e-12 * cfg.power
+    assert np.max(x.real**2 + x.imag**2) <= cfg.elem_bound * _CAP_SLACK
+    assert r.trace.monotone_violations() == 0
+    value = float(np.vdot(x, xi @ x).real)
+    assert abs(value - r.metric_value) <= 1e-12 * scale
+    assert value <= cfg.power * lam[-1] + 1e-12 * scale
+    if np.all(np.abs(vecs[:, -1]) ** 2 * cfg.power <= kappa * cfg.power / m_t * _CAP_SLACK):
+        assert abs(value - cfg.power * lam[-1]) <= 1e-12 * scale
+
+
+def test_beam_design_through_a_zero_entry():
+    # Xi = a a^H with a = (1, 0, -1): every target Xi x is zero in the
+    # middle. The outer entries reach the cap kappa P / M_t = 0.4 in
+    # opposite phase, the middle one holds the remaining 0.2 of the power,
+    # and the value is the optimum |a^H x|^2 = (2 sqrt(0.4))^2 = 1.6.
+    cfg = ArrayConfig(3, 1, 4, power=1.0, papr=1.2)
+    a = np.array([1.0, 0.0, -1.0])
+    xi = np.outer(a, a).astype(complex)
+    mom = DistributionMoments(xi0=xi, xi1=xi, xi2=xi, xi3=xi, lam=0.0)
+    r = solve_psbp_integrated(mom, cfg, 0)
+    beam = r.waveform.sum(1) / np.sqrt(cfg.l_samples)
+    assert abs(r.metric_value - 1.6) <= 1e-12
+    assert np.allclose(np.abs(beam) ** 2, [0.4, 0.2, 0.4], rtol=0, atol=1e-12)
+    assert abs(beam[0] / beam[2] + 1) <= 1e-12
+    assert_feasible(r, cfg)
+
+
+def test_bundled_case_1_4_integrated_design_reaches_its_dual_bound():
+    # case-1-4 psbp-int at kappa 1.2 and its bundled cell seed: the dual
+    # bound of the covariance relaxation is 1.9733561, and a design that
+    # stops 7.3e-4 relative below it, at 1.9719198, is not good enough.
+    sc = load_config(CONFIG_DIR / "case-1-4.cfg")
+    cfg = replace(sc.array, papr=1.2)
+    r = solve_psbp_integrated(compute_moments(sc.distribution, cfg), cfg,
+                              _cell_seed(sc.seed, "psbp-int", 0, 0), max_iters=sc.max_iters)
+    assert r.converged and r.metric_value >= 1.97335
+    assert_feasible(r, cfg)
 
 
 def test_shared_kernel_equivalence(mom12, cfg12):
@@ -342,8 +408,8 @@ def test_fair_solve_never_ends_below_its_start(dist12, cfg12, grid361):
     assert cold.waveform.tobytes() == _project_feasible(
         start.x, cfg12.power, cfg12.elem_bound).tobytes()
     pts, f = fair_angles(dist12, grid361)
-    loop = _admm(_FairSplit(steering_matrix(pts, cfg12.m_t), f, cfg12), cfg12, 1,
-                 lambda r: float(np.min(beampattern(r, pts) / f)), warm_start=start)
+    loop = _admm(_FairSplit(steering_matrix(pts, cfg12.m_t), f, cfg12), cfg12,
+                 lambda r: float(np.min(beampattern(r, pts) / f)), start)
     assert loop.converged and cold.converged
     assert loop.metric_value < cold.metric_value
     assert cold.metric_value == float(np.min(beampattern(covariance(cold.waveform), pts) / f))
@@ -380,7 +446,6 @@ class FixedTargetSplit:
     """A split whose quadratic target never changes: every x-update sees one spectrum."""
 
     rho = 1.0
-    certifies = False
     b = None
 
     def __init__(self, sig, q):
@@ -405,19 +470,21 @@ def test_multiplier_root_misses_are_counted():
     sig = np.array([1.0, 2.0, 3.0, 5.0])
     q = np.outer([1e-10, 1.0, 1.0, 1.0], [1.0, 1j, -1.0]).astype(complex)
     cfg = ArrayConfig(4, 4, 3, power=8.0, papr=2.0)
-    r = _admm(FixedTargetSplit(sig, q), cfg, 0, lambda r: 0.0, max_iters=4)
+    start = random_start(cfg, 0)
+    r = _admm(FixedTargetSplit(sig, q), cfg, lambda r: 0.0, start, max_iters=4)
     assert r.trace.mu_tol_misses == len(r.trace) == 4
     # Spectra away from the pole meet the tolerance: no misses counted.
     q[0] = 1.0
-    r = _admm(FixedTargetSplit(sig, q), cfg, 0, lambda r: 0.0, max_iters=4)
+    r = _admm(FixedTargetSplit(sig, q), cfg, lambda r: 0.0, start, max_iters=4)
     assert r.trace.mu_tol_misses == 0
 
 
 def test_iteration_cap_reports_non_convergence(dist12, mom12, cfg12, grid361):
-    for r in (solve_pcrb(mom12, cfg12, seed=3, max_iters=5),
-              solve_psbp_fair(dist12, cfg12, grid361, seed=3, max_iters=5)):
+    # The pcrb ascent from the top eigenvector converges in 5 steps here.
+    for cap, r in ((3, solve_pcrb(mom12, cfg12, seed=3, max_iters=3)),
+                   (5, solve_psbp_fair(dist12, cfg12, grid361, seed=3, max_iters=5))):
         assert r.converged is False
-        assert len(r.trace) == 5
+        assert len(r.trace) == cap
         assert_feasible(r, cfg12)
 
 
@@ -516,11 +583,13 @@ def test_warm_start_must_fit_the_waveform(mom12, cfg12, dist12, grid361):
     with pytest.raises(ValueError, match="warm start"):
         solve_pcrb(mom12, replace(cfg12, l_samples=20), seed=1,
                    warm_start=r.state)
-    # The duals must fit too, even where numpy would broadcast them.
+    # The fair design's duals must fit too, even where numpy would
+    # broadcast them; a quadratic design reads only the waveform.
     x = r.state.x
     for d in (np.ones((8, 1)), np.zeros((3, 2))):
         with pytest.raises(ValueError, match="warm start dual d"):
-            solve_pcrb(mom12, cfg12, seed=1, max_iters=5, warm_start=AdmmState(x, d))
+            solve_psbp_fair(dist12, cfg12, grid361, seed=1, max_iters=5,
+                            warm_start=AdmmState(x, d))
     with pytest.raises(ValueError, match="warm start dual b"):
         solve_psbp_fair(dist12, cfg12, grid361, seed=1, max_iters=5,
                         warm_start=AdmmState(x, np.zeros_like(x), b=np.zeros((1, 1))))
