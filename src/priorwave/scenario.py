@@ -495,12 +495,13 @@ def _run_chain(scenario: Scenario, method: str, out_dir: Path, grid: AngularGrid
     """Run one method's cells in ascending kappa (``run_scenario``).
 
     Returns its successful cells (name -> files, seconds per stage), its
-    failures ``(cell, error, traceback)`` and its ``(kappa, metric_value)``
-    levels. A worker whose parent is gone exits before its next cell.
+    failures ``(cell, error, traceback)``, its ``(kappa, metric_value)``
+    levels and one line per solver cell that stopped at ``max_iters``
+    unconverged. A worker whose parent is gone exits before its next cell.
     """
     cells: dict[str, tuple[list[str], dict[str, float]]] = {}
     failures: list[tuple[str, str, str]] = []
-    previous, levels = None, []
+    previous, levels, capped = None, [], []
     for rank, (kappa, name) in enumerate(_chain_cells(scenario, method)):
         fanout.leave_if_orphaned()
         try:
@@ -513,7 +514,10 @@ def _run_chain(scenario: Scenario, method: str, out_dir: Path, grid: AngularGrid
             previous = None
         if previous is not None:
             levels.append((kappa, previous.metric_value))
-    return cells, failures, levels
+            if not previous.converged:
+                capped.append(f"not converged: {name} stopped at max_iters {scenario.max_iters}, "
+                              f"final_residual {previous.trace.residual[-1]:.2e}")
+    return cells, failures, levels, capped
 
 
 def _kappa_monotonicity_report(method: str, levels: list[tuple[float, float]]) -> list[str]:
@@ -551,7 +555,9 @@ def run_scenario(
     one included; the manifest records that count as ``workers``. A
     worker that dies before reporting a chain fails every cell of it. Then,
     method by method in config order, the kappa pairs whose metric got
-    worse as kappa rose are printed (``_kappa_monotonicity_report``).
+    worse as kappa rose are printed (``_kappa_monotonicity_report``), and
+    after them, in the same order, each solver cell that stopped at
+    ``max_iters`` without converging.
     ``paper_literal`` turns the Monte-Carlo refine off, leaving a grid argmax.
 
     Returns the process exit code: 0 on success, 1 on a configuration
@@ -590,16 +596,20 @@ def run_scenario(
         scenario, methods[i], out_dir, grid, moments, not paper_literal))
     for i, code in lost.items():
         chains[i] = {}, [(name, f"worker process exited with status {code}", "")
-                         for _, name in _chain_cells(scenario, methods[i])], []
+                         for _, name in _chain_cells(scenario, methods[i])], [], []
     # Successful cells: name -> (files, seconds per stage); failures: (cell, error, traceback).
     cells: dict[str, tuple[list[str], dict[str, float]]] = {}
     failures: list[tuple[str, str, str]] = []
+    capped: list[str] = []
     for i, method in enumerate(methods):
-        chain_cells, chain_failures, levels = chains[i]
+        chain_cells, chain_failures, levels, chain_capped = chains[i]
         cells.update(chain_cells)
         failures += chain_failures
+        capped += chain_capped
         for line in _kappa_monotonicity_report(method, levels):
             print(line)
+    for line in capped:
+        print(line)
 
     manifest = {
         "tool": "priorwave",

@@ -14,11 +14,9 @@ and the only start. Otherwise the ascent also starts from the warm
 start's beam ``X 1 / sqrt(L)``, first, and from ``_SYNTH_STARTS``
 constant-modulus beams drawn from the seed, last; the best end wins.
 
-The fair (max-min) design runs the ADMM loop ``_admm``, which carries
-one auxiliary vector per constraint angle and a scalar level beside the
-element-cap split; ``_FairSplit`` supplies its penalty ``rho``, the
-x-update's ``curvature``, its beampattern dual ``b`` and the hooks
-``start``, ``target`` and ``measure``. A cold fair solve starts from the
+The fair (max-min) design runs the ADMM loop ``_fair_admm``, which
+carries one auxiliary vector per constraint angle and a scalar level
+beside the element-cap split. A cold fair solve starts from the
 optimum of its covariance relaxation (``relaxation.fair_relaxation``),
 synthesized into a feasible waveform ``x0`` from the best fit of
 ``_SYNTH_STARTS`` random constant-modulus waveforms drawn from the seed
@@ -60,8 +58,9 @@ __all__ = [
     "baseline_crb",
 ]
 
-# The fair design's level penalty is ``_SAFETY * 40 / sum(f)`` (``_FairSplit``),
-# and its dual steps are damped (a step below 1 leaves the fixed points alone).
+# The fair design's level penalty is ``_SAFETY * 40 / sum(f)``, computed only
+# in ``_level_penalty``, and its dual steps are damped (a step below 1 leaves
+# the fixed points alone).
 _SAFETY = 2.0
 _DUAL_STEP = 0.5
 # The fair loop stops once the squared split residual and the squared
@@ -179,85 +178,6 @@ def _beam_design(xi: np.ndarray, cfg: ArrayConfig, seed: int, metric, max_iters:
                        AdmmState(waveform, np.zeros_like(waveform)))
 
 
-def _admm(split, cfg: ArrayConfig, metric, start: AdmmState, *,
-          max_iters: int = _MAX_ITERS) -> SolveResult:
-    """ADMM over the element-cap split, from ``start``.
-
-    Each iteration projects onto the element cap, lets ``split`` add its
-    own terms to the quadratic target, solves the power-sphere x-update
-    exactly and takes a damped scaled dual step (Boyd et al. 2011, 3.1).
-    ``split.measure`` receives the element-cap residual, auxiliary motion
-    and augmented-Lagrangian term and returns the iteration's objective,
-    augmented Lagrangian, residual and motion with its own blocks added.
-    The last iterate, projected exactly onto the feasible set, is returned
-    and ``metric`` scores its covariance ``X X^H``; ADMM's convergence
-    results hold for the last iterate (Boyd et al. 2011, 3.2-3.3). At most
-    ``max_iters`` iterations run, which must be at least 1.
-    """
-    if max_iters < 1:
-        raise ValueError("max_iters must be at least 1")
-    bound = cfg.elem_bound
-    rho = split.rho
-    gamma = _DUAL_STEP
-    x_update = _XUpdate(split.curvature, cfg.power)
-
-    x, d, mu = start.x, start.d, start.mu
-    if x.shape != (cfg.m_t, cfg.l_samples):
-        raise ValueError(f"warm start of shape {x.shape} does not fit "
-                         f"a {cfg.m_t}x{cfg.l_samples} waveform")
-    if np.shape(d) != x.shape:
-        raise ValueError(f"warm start dual d of shape {np.shape(d)} does not "
-                         f"fit its {x.shape} waveform")
-    # The auxiliary's first motion never decides the stop (it needs two iterations).
-    u = x
-    split.start(x, start.b)
-
-    objective, al_values, residuals, mu_iters = [], [], [], []
-    mu_misses = 0
-    converged = False
-    for _ in range(max_iters):
-        # Element-cap block first, then the waveform: the augmented
-        # Lagrangian descends only when the quadratic block sees the
-        # freshly projected auxiliary.
-        u_prev = u
-        u = _cap_elements(x - d, bound)
-        q = split.target(rho * (u + d))
-        # The multiplier barely moves between iterations: warm-start its root.
-        x, mu, iters, met = x_update(q, mu)
-        mu_misses += not met
-        split_gap = u - x
-        d = d + gamma * split_gap
-        obj, al, res, move = split.measure(
-            x, _sqnorm(split_gap), _sqnorm(u - u_prev), 0.5 * rho * _sqnorm(split_gap + d))
-
-        objective.append(obj)
-        al_values.append(al)
-        residuals.append(res)
-        mu_iters.append(iters)
-        # A slack element cap keeps the split residual at zero from the
-        # first step, so stationarity of the auxiliary must be required
-        # as well before stopping.
-        if len(residuals) > 1 and res <= _PRIMAL_TOL and move <= _PRIMAL_TOL:
-            converged = True
-            break
-
-    final = _project_feasible(x, cfg.power, bound)
-    trace = AdmmTrace(
-        objective=np.array(objective),
-        augmented_lagrangian=np.array(al_values),
-        residual=np.array(residuals),
-        mu_iterations=np.array(mu_iters, dtype=int),
-        mu_tol_misses=mu_misses,
-    )
-    return SolveResult(
-        waveform=final,
-        trace=trace,
-        metric_value=metric(final @ final.conj().T),
-        converged=converged,
-        state=AdmmState(x, d, mu, split.b),
-    )
-
-
 def solve_pcrb(
     mom: DistributionMoments,
     cfg: ArrayConfig,
@@ -321,8 +241,8 @@ def _eta_update(hnorms: np.ndarray, fvals: np.ndarray, root_f: np.ndarray,
 
     Minimizes ``-eta + half * sum_p [sqrt(f_p eta) - |h_p|]_+**2`` with
     ``half = rho3 / 2`` and ``root_f = sqrt(fvals)``, which is convex in
-    ``eta`` and bounded below when ``half * sum(f) > 1`` (``_FairSplit``
-    checks that once). In ``s = sqrt(eta)`` angle ``p`` is active beyond
+    ``eta`` and bounded below when ``half * sum(f) > 1``. In ``s =
+    sqrt(eta)`` angle ``p`` is active beyond
     its breakpoint ``s_p = |h_p| / sqrt(f_p)``, and on a fixed active set
     ``A`` the optimality condition is linear:
     ``s * (half * sum_A f - 1) = half * sum_A sqrt(f) |h|``.
@@ -346,58 +266,96 @@ def _eta_update(hnorms: np.ndarray, fvals: np.ndarray, root_f: np.ndarray,
     return s * s
 
 
-class _FairSplit:
-    """Max-min split: one auxiliary vector per constraint angle and a level.
+def _level_penalty(f: np.ndarray) -> float:
+    """The fair design's level penalty ``rho3``: well above the level-update
+    bound ``2 / sum(f)`` (``rho3 / 2 * sum(f) = 20 * _SAFETY``), small
+    enough that the beampattern split stays soft."""
+    return _SAFETY * 40.0 / float(f.sum())
 
-    The level ``eta`` and the per-angle vectors are updated jointly from
-    their first-order conditions before each x-update. The penalties sit
-    well above the level-update bound ``2 / sum(f)`` but small enough that
-    the beampattern split stays soft; the element-cap penalty rides a
-    factor above the beampattern one.
+
+def _fair_admm(a: np.ndarray, f: np.ndarray, cfg: ArrayConfig, metric, start: AdmmState, *,
+               max_iters: int = _MAX_ITERS) -> SolveResult:
+    """Max-min ADMM from ``start`` over the constraint angles' steering
+    columns ``a`` and densities ``f``.
+
+    Splits the element cap onto one auxiliary matrix (penalty ``rho =
+    2 rho3``) and the beampattern onto one auxiliary vector per angle
+    (penalty ``rho3``, ``_level_penalty``). Each iteration projects onto the
+    element cap, updates the level ``eta`` and the per-angle vectors
+    jointly from their first-order conditions, solves the power-sphere
+    x-update exactly and takes damped scaled dual steps (Boyd et al. 2011,
+    3.1). The last iterate, projected exactly onto the feasible set, is
+    returned and ``metric`` scores its covariance ``X X^H``; ADMM's
+    convergence results hold for the last iterate (Boyd et al. 2011,
+    3.2-3.3). At most ``max_iters`` iterations run, which must be at least 1.
     """
+    if max_iters < 1:
+        raise ValueError("max_iters must be at least 1")
+    bound = cfg.elem_bound
+    rho3 = _level_penalty(f)
+    rho, half3 = 2.0 * rho3, 0.5 * rho3
+    root_f = np.sqrt(f)
+    r = a @ a.conj().T
+    x_update = _XUpdate(rho * np.eye(cfg.m_t) + rho3 * (0.5 * (r + r.conj().T)), cfg.power)
 
-    def __init__(self, a: np.ndarray, f: np.ndarray, cfg: ArrayConfig) -> None:
-        sum_f = float(f.sum())
-        self.rho3 = _SAFETY * 40.0 / sum_f
-        self.rho = 2.0 * self.rho3
-        self.half3 = 0.5 * self.rho3
-        if self.half3 * sum_f <= 1.0:
-            raise RuntimeError(
-                f"level penalty rho3 = {self.rho3:.3e} admits no bounded level update; "
-                f"it must exceed 2 / sum(f) = {2.0 / sum_f:.3e}"
-            )
-        self.root_f = np.sqrt(f)
-        r = a @ a.conj().T
-        r = 0.5 * (r + r.conj().T)
-        self.curvature = self.rho * np.eye(cfg.m_t) + self.rho3 * r
-        self.a, self.f = a, f
+    x, d, mu, b = start.x, start.d, start.mu, start.b
+    if x.shape != (cfg.m_t, cfg.l_samples):
+        raise ValueError(f"warm start of shape {x.shape} does not fit "
+                         f"a {cfg.m_t}x{cfg.l_samples} waveform")
+    if np.shape(d) != x.shape:
+        raise ValueError(f"warm start dual d of shape {np.shape(d)} does not "
+                         f"fit its {x.shape} waveform")
+    # The auxiliaries' first motion never decides the stop (it needs two
+    # iterations); ``gmat`` is read only as the first ``g_prev``, never mutated.
+    u = x
+    w = gmat = x.conj().T @ a
+    if b is not None and np.shape(b) != w.shape:
+        raise ValueError(f"warm start dual b of shape {np.shape(b)} does not fit "
+                         f"the {w.shape} beampattern split")
+    b = np.zeros_like(w) if b is None else b
 
-    def start(self, x: np.ndarray, b: np.ndarray | None) -> None:
-        # ``gmat`` is read only as the first ``g_prev``, then replaced, never mutated.
-        self.w = self.gmat = x.conj().T @ self.a
-        if b is not None and np.shape(b) != self.w.shape:
-            raise ValueError(f"warm start dual b of shape {np.shape(b)} does not fit "
-                             f"the {self.w.shape} beampattern split")
-        self.b = np.zeros_like(self.w) if b is None else b
-
-    def target(self, q: np.ndarray) -> np.ndarray:
-        h = self.w - self.b
+    objective, al_values, residuals, mu_iters = [], [], [], []
+    mu_misses = 0
+    converged = False
+    for _ in range(max_iters):
+        # Element-cap block first, then the waveform: the augmented
+        # Lagrangian descends only when the quadratic block sees the
+        # freshly projected auxiliary.
+        u_prev = u
+        u = _cap_elements(x - d, bound)
+        h = w - b
         hnorms = np.sqrt((h.real**2 + h.imag**2).sum(0))
-        self.eta = _eta_update(hnorms, self.f, self.root_f, self.half3)
-        self.g_prev = self.gmat
-        self.gmat = _inflate_columns(h, hnorms, self.f, self.eta)
-        return q + self.rho3 * (self.a @ (self.gmat + self.b).conj().T)
-
-    def measure(self, x, res, move, al):
-        gmat = self.gmat
-        w = self.w = x.conj().T @ self.a
+        eta = _eta_update(hnorms, f, root_f, half3)
+        g_prev = gmat
+        gmat = _inflate_columns(h, hnorms, f, eta)
+        q = rho * (u + d) + rho3 * (a @ (gmat + b).conj().T)
+        # The multiplier barely moves between iterations: warm-start its root.
+        x, mu, iters, met = x_update(q, mu)
+        mu_misses += not met
+        split_gap = u - x
+        d = d + _DUAL_STEP * split_gap
+        w = x.conj().T @ a
         bp_gap = gmat - w
-        self.b = self.b + _DUAL_STEP * bp_gap
-        obj = float(((w.real**2 + w.imag**2).sum(0) / self.f).min())
-        res = res + _sqnorm(bp_gap)
-        move = move + _sqnorm(gmat - self.g_prev)
-        al = -self.eta + al + 0.5 * self.rho3 * _sqnorm(bp_gap + self.b)
-        return obj, al, res, move
+        b = b + _DUAL_STEP * bp_gap
+        res = _sqnorm(split_gap) + _sqnorm(bp_gap)
+        move = _sqnorm(u - u_prev) + _sqnorm(gmat - g_prev)
+        objective.append(float(((w.real**2 + w.imag**2).sum(0) / f).min()))
+        al_values.append(-eta + 0.5 * rho * _sqnorm(split_gap + d)
+                         + half3 * _sqnorm(bp_gap + b))
+        residuals.append(res)
+        mu_iters.append(iters)
+        # A slack element cap keeps the split residual at zero from the
+        # first step, so stationarity of the auxiliaries must be required
+        # as well before stopping.
+        if len(residuals) > 1 and res <= _PRIMAL_TOL and move <= _PRIMAL_TOL:
+            converged = True
+            break
+
+    final = _project_feasible(x, cfg.power, bound)
+    trace = AdmmTrace(np.array(objective), np.array(al_values), np.array(residuals),
+                      np.array(mu_iters, dtype=int), mu_misses)
+    return SolveResult(final, trace, metric(final @ final.conj().T), converged,
+                       AdmmState(x, d, mu, b))
 
 
 def solve_psbp_fair(
@@ -431,7 +389,6 @@ def solve_psbp_fair(
     mask = f >= _PDF_FLOOR * f.max()
     pts, f = grid.points[mask], f[mask]
     a = steering_matrix(pts, cfg.m_t, cfg.spacing)
-    split = _FairSplit(a, f, cfg)
     if warm_start is None:
         cap = cfg.papr * cfg.power / cfg.m_t
         r, _, _, w, d = fair_relaxation(a, f, cfg.power, cap)
@@ -439,17 +396,18 @@ def solve_psbp_fair(
         x0 = synthesize(r, [_initial_waveform(cfg, rng) for _ in range(_SYNTH_STARTS)],
                         cfg.power, cfg.elem_bound)
         # The duals at the loop's fixed point, predicted by the relaxation's
-        # dual point (module docstring); a pinned diagonal's weights are not
-        # the element cap's multipliers.
-        b = (x0.conj().T @ a) * (w / (split.half3 * f))
+        # dual point (module docstring), with ``rho = 2 rho3``; a pinned
+        # diagonal's weights are not the element cap's multipliers.
+        rho3 = _level_penalty(f)
+        b = (x0.conj().T @ a) * (w / (0.5 * rho3 * f))
         dual = (np.zeros_like(x0) if pinned(cfg.m_t, cfg.power, cap)
-                else (-2.0 / split.rho) * d[:, None] * x0)
+                else (-1.0 / rho3) * d[:, None] * x0)
         warm_start = AdmmState(x0, dual, None, b)
 
     def metric(r):
         return float(np.min(beampattern(r, pts, cfg.spacing) / f))
 
-    result = _admm(split, cfg, metric, warm_start, max_iters=max_iters)
+    result = _fair_admm(a, f, cfg, metric, warm_start, max_iters=max_iters)
     start = _project_feasible(warm_start.x, cfg.power, cfg.elem_bound)
     level = metric(start @ start.conj().T)
     if level > result.metric_value:

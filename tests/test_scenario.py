@@ -856,3 +856,30 @@ def test_run_reports_kappa_monotonicity_without_failing(tmp_path, monkeypatch, c
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("kappa monotonicity: pcrb-k1.5 metric_value")
+
+
+@pytest.mark.parametrize("width", [1, 2])
+def test_run_reports_cells_stopped_at_their_cap(small_cfg, tmp_path, monkeypatch, capsys, width):
+    # At max_iters 4 every solver cell stops at its cap: one line each, in
+    # config order (psbp-fair before pcrb) and ascending kappa, at either
+    # worker count, with tables and exit code as usual. A run whose cells
+    # converge prints nothing.
+    monkeypatch.setattr(scenario_mod.fanout, "processes", lambda n: min(n, width))
+    cfg = tmp_path / "capped.cfg"
+    cfg.write_text(SMALL_CFG.replace("[[-10.0, 10.0]]", "[[-20.0, 5.0], [10.0, 30.0]]")
+                   .replace("weights: [1.0]", "weights: [0.6, 0.4]")
+                   .replace("[pcrb, omni]", "[psbp-fair, pcrb, omni]")
+                   .replace("kappa_list: [1.2]", "kappa_list: [1.0, 1.2]")
+                   .replace("n_trials: 10", "n_trials: 0").replace("max_iters: 300", "max_iters: 4"))
+    out = tmp_path / "out"
+    assert run_scenario(cfg, out=out) == 0
+    assert json.loads((out / "manifest.json").read_text())["workers"] == width
+    residual = {c: float(read_metrics(out / c / "metrics.csv")["final_residual"])
+                for c in ("psbp-fair-k1", "psbp-fair-k1.2", "pcrb-k1", "pcrb-k1.2")}
+    assert capsys.readouterr().out.splitlines() == [
+        f"not converged: {c} stopped at max_iters 4, final_residual {r:.2e}"
+        for c, r in residual.items()]
+    assert validate_output_dir(out) == []
+    assert run_scenario(small_cfg, out=tmp_path / "converged") == 0
+    assert read_metrics(tmp_path / "converged" / "pcrb-k1.2" / "metrics.csv")["converged"] == "1"
+    assert capsys.readouterr().out == ""

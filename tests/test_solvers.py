@@ -27,11 +27,11 @@ from priorwave import (
 )
 from priorwave.scenario import _cell_seed, load_config
 from priorwave import solvers
-from priorwave.admm import _CAP_SLACK, _project_feasible
+from priorwave.admm import _CAP_SLACK, _project_feasible, _XUpdate
 from priorwave.priors import _point_moments
 from priorwave.relaxation import fair_relaxation, synthesize
-from priorwave.solvers import (_SYNTH_STARTS, AdmmState, _admm, _eta_update, _FairSplit,
-                               _inflate_columns, _initial_waveform)
+from priorwave.solvers import (_SYNTH_STARTS, AdmmState, _eta_update, _fair_admm,
+                               _inflate_columns, _initial_waveform, _level_penalty)
 from conftest import covariance, random_feasible_waveform
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "src" / "priorwave" / "configs"
@@ -329,15 +329,12 @@ def test_eta_update_matches_brute_force(seed, n, n_zero, n_tied, margin):
     assert abs(eta - best) <= 1e-5 * hi
 
 
-def test_eta_update_requires_large_enough_rho(monkeypatch, cfg12):
-    # The fair split checks the level-update bound (rho3/2) * sum(f) > 1
-    # once, when it is built; its own penalty clears it 40-fold.
-    a = steering_matrix(np.linspace(-0.2, 0.2, 4), cfg12.m_t)
-    f = np.ones(4)
-    assert 0.5 * _FairSplit(a, f, cfg12).rho3 * f.sum() > 1.0
-    monkeypatch.setattr(solvers, "_SAFETY", 0.02)  # (rho3/2) * sum(f) = 0.4
-    with pytest.raises(RuntimeError, match="rho3"):
-        _FairSplit(a, f, cfg12)
+def test_eta_update_requires_large_enough_rho():
+    # The level update is bounded below only when (rho3/2) * sum(f) > 1;
+    # the fair design's penalty makes that 20 * _SAFETY for any densities.
+    f = np.array([0.3, 1.0, 2.5, 7.0])
+    assert abs(0.5 * _level_penalty(f) * f.sum() - 20 * solvers._SAFETY) <= 1e-12
+    assert 20 * solvers._SAFETY > 1.0
 
 
 def test_fair_metric_is_min_scaled_beampattern(dist12, cfg12, grid361):
@@ -408,8 +405,8 @@ def test_fair_solve_never_ends_below_its_start(dist12, cfg12, grid361):
     assert cold.waveform.tobytes() == _project_feasible(
         start.x, cfg12.power, cfg12.elem_bound).tobytes()
     pts, f = fair_angles(dist12, grid361)
-    loop = _admm(_FairSplit(steering_matrix(pts, cfg12.m_t), f, cfg12), cfg12,
-                 lambda r: float(np.min(beampattern(r, pts) / f)), start)
+    loop = _fair_admm(steering_matrix(pts, cfg12.m_t), f, cfg12,
+                      lambda r: float(np.min(beampattern(r, pts) / f)), start)
     assert loop.converged and cold.converged
     assert loop.metric_value < cold.metric_value
     assert cold.metric_value == float(np.min(beampattern(covariance(cold.waveform), pts) / f))
@@ -442,41 +439,23 @@ def test_capped_fair_solve_returns_its_last_x_update(dist12, cfg12, grid361):
         assert np.array_equal(r.trace.objective, runs[-1].trace.objective[:m])
 
 
-class FixedTargetSplit:
-    """A split whose quadratic target never changes: every x-update sees one spectrum."""
-
-    rho = 1.0
-    b = None
-
-    def __init__(self, sig, q):
-        self.curvature = np.diag(sig).astype(complex)
-        self.q = q
-
-    def start(self, x, b):
-        pass
-
-    def target(self, q):
-        return self.q
-
-    def measure(self, x, res, move, al):
-        return 0.0, al, res, move
-
-
-def test_multiplier_root_misses_are_counted():
+def test_multiplier_root_misses_are_counted(monkeypatch, dist12, cfg12, grid361):
     # Stress spectrum: 1e-20 of psi on the bottom eigenvector (above the
     # hard-case cut) and a budget the other terms cannot reach at the pole,
     # so the root sits ~3e-11 above the pole, where one ulp of mu moves the
     # power sum by ~1e-5 relative and no float meets the 1e-12 tolerance.
-    sig = np.array([1.0, 2.0, 3.0, 5.0])
+    update = _XUpdate(np.diag([1.0, 2.0, 3.0, 5.0]).astype(complex), 8.0)
     q = np.outer([1e-10, 1.0, 1.0, 1.0], [1.0, 1j, -1.0]).astype(complex)
-    cfg = ArrayConfig(4, 4, 3, power=8.0, papr=2.0)
-    start = random_start(cfg, 0)
-    r = _admm(FixedTargetSplit(sig, q), cfg, lambda r: 0.0, start, max_iters=4)
-    assert r.trace.mu_tol_misses == len(r.trace) == 4
-    # Spectra away from the pole meet the tolerance: no misses counted.
+    assert update(q)[3] is False
+    # Spectra away from the pole meet the tolerance.
     q[0] = 1.0
-    r = _admm(FixedTargetSplit(sig, q), cfg, lambda r: 0.0, start, max_iters=4)
-    assert r.trace.mu_tol_misses == 0
+    assert update(q)[3] is True
+    # The fair loop counts every x-update that reports a miss.
+    call = _XUpdate.__call__
+    monkeypatch.setattr(_XUpdate, "__call__",
+                        lambda self, q, start=None: (*call(self, q, start)[:3], False))
+    r = solve_psbp_fair(dist12, cfg12, grid361, seed=1, max_iters=7)
+    assert r.trace.mu_tol_misses == len(r.trace) == 7
 
 
 def test_iteration_cap_reports_non_convergence(dist12, mom12, cfg12, grid361):
@@ -535,7 +514,8 @@ def test_cold_start_is_the_warm_start_from_the_seeded_waveform(dist12, mom12, cf
     # to the optimum of its covariance relaxation, fitted from the first
     # ``_SYNTH_STARTS`` draws, with the duals that the relaxation's dual
     # point ``(w, d)`` predicts at the loop's fixed point:
-    # ``b_p = (2 / rho3) (w_p / f_p) x^H a_p`` and ``D = -(2 / rho) diag(d) x``.
+    # ``b_p = (2 / rho3) (w_p / f_p) x^H a_p`` and ``D = -(2 / rho) diag(d) x``,
+    # ``rho = 2 rho3``.
     rng = np.random.default_rng(4)
     draws = [np.sqrt(cfg12.power / (cfg12.m_t * cfg12.l_samples)) * np.exp(1j * rng.uniform(
         0.0, 2.0 * np.pi, size=(cfg12.m_t, cfg12.l_samples))) for _ in range(_SYNTH_STARTS)]
@@ -544,9 +524,9 @@ def test_cold_start_is_the_warm_start_from_the_seeded_waveform(dist12, mom12, cf
     x_fair = synthesize(r, draws, cfg12.power, cfg12.elem_bound)
     pts, f = fair_angles(dist12, grid361)
     a = steering_matrix(pts, cfg12.m_t)
-    split = _FairSplit(a, f, cfg12)
-    seeded = AdmmState(x_fair, (-2.0 / split.rho) * d[:, None] * x_fair, None,
-                       (x_fair.conj().T @ a) * (w / (split.half3 * f)))
+    rho3 = _level_penalty(f)
+    seeded = AdmmState(x_fair, (-1.0 / rho3) * d[:, None] * x_fair, None,
+                       (x_fair.conj().T @ a) * (w / (0.5 * rho3 * f)))
     solves = {
         "pcrb": lambda seed, **kw: solve_pcrb(mom12, cfg12, seed, **kw),
         "fair": lambda seed, **kw: solve_psbp_fair(dist12, cfg12, grid361, seed, **kw),
