@@ -99,12 +99,13 @@ def _project_feasible(x: np.ndarray, power: float, bound: float) -> np.ndarray:
     if meets.size:
         k0 = int(meets[0])
         c = math.sqrt((power - k0 * bound) / tail[k0])
-    if n == x.size:
-        return x * (np.minimum(c * mag, math.sqrt(bound)) / mag)
-    left = max(power - n * bound, 0.0) if not meets.size else 0.0
-    out = np.full_like(x, math.sqrt(left / (x.size - n)))
-    nonzero = mag > 0
-    out[nonzero] = x[nonzero] * (np.minimum(c * mag[nonzero], math.sqrt(bound)) / mag[nonzero])
+    if n < x.size:
+        zero = mag == 0
+        mag = np.where(zero, 1.0, mag)  # a zero entry stays zero, without a 0/0
+    out = x * (np.minimum(c * mag, math.sqrt(bound)) / mag)
+    if n < x.size:
+        left = max(power - n * bound, 0.0) if not meets.size else 0.0
+        out[zero] = math.sqrt(left / (x.size - n))
     return out
 
 

@@ -3,9 +3,11 @@
 A scenario file is YAML with angles in degrees; it fans out into
 (method x kappa) cells, each of which designs one waveform, dumps its
 beampattern and iteration trace, and optionally runs the Monte-Carlo MSE
-sweep. Each method's cells form one chain, run in ascending kappa, every
-design after the first resuming from the previous kappa's final solver
-state. The chains do not depend on one another, so they are the tasks of
+sweep. Each method's cells form one chain, run in ascending kappa: a
+fair design after the first resumes from the previous kappa's final
+solver state, and a cell whose design scores worse than the previous
+kappa's returns that design instead. The chains do not depend on one
+another, so they are the tasks of
 a work queue (``fanout``), drained by this process and, where forking is
 safe, by forked workers, one per further CPU; the run's output is
 gathered in config order. Cells are seeded deterministically from their
@@ -36,7 +38,6 @@ from .priors import (MixtureGaussian, MixtureUniform, TargetDistribution, _grid_
                      compute_moments)
 from .solvers import (
     _MAX_ITERS,
-    AdmmState,
     SolveResult,
     baseline_crb,
     baseline_omni,
@@ -70,10 +71,6 @@ SOLVER_METRICS = (
     "converged", "mu_iterations_mean", "mu_iterations_max", "mu_tol_misses",
     "warm_started",
 )
-
-# Relative worsening from one kappa to the next that the run reports.
-_MONOTONE_RTOL = 1e-5
-
 
 class ConfigError(ValueError):
     """Invalid scenario configuration; message carries the key path."""
@@ -390,28 +387,38 @@ def _cell_seed(seed: int, method: str, kappa_rank: int, stream: int) -> int:
 
 
 # Every method but omni: the call that designs a cell from its scenario, array,
-# grid, prior moments and solver keywords (``seed``, ``max_iters``,
-# ``warm_start``), which finds its solver in this module when it runs, and
+# grid, prior moments, the previous kappa's solver state (None: start cold;
+# only the fair design resumes from it) and solver keywords (``seed``,
+# ``max_iters``), which finds its solver in this module when it runs, and
 # whether its ``metric_value`` is a bound (lower is better) or a level.
 _DESIGNS = {
-    "pcrb": (lambda sc, cfg, grid, mom, **kw: solve_pcrb(mom, cfg, **kw), True),
-    "psbp-fair": (lambda sc, cfg, grid, mom, **kw:
-                  solve_psbp_fair(sc.distribution, cfg, grid, **kw), False),
-    "psbp-int": (lambda sc, cfg, grid, mom, **kw: solve_psbp_integrated(mom, cfg, **kw), False),
-    "crb": (lambda sc, cfg, grid, mom, **kw: baseline_crb(sc.crb_angle, cfg, **kw), True),
+    "pcrb": (lambda sc, cfg, grid, mom, state, **kw: solve_pcrb(mom, cfg, **kw), True),
+    "psbp-fair": (lambda sc, cfg, grid, mom, state, **kw: solve_psbp_fair(
+        sc.distribution, cfg, grid, warm_start=state, **kw), False),
+    "psbp-int": (lambda sc, cfg, grid, mom, state, **kw:
+                 solve_psbp_integrated(mom, cfg, **kw), False),
+    "crb": (lambda sc, cfg, grid, mom, state, **kw: baseline_crb(sc.crb_angle, cfg, **kw),
+            True),
 }
 
 
 def _run_cell(scenario: Scenario, method: str, kappa: float, kappa_rank: int, out: Path,
-              grid: AngularGrid, moments, refine: bool, warm_start: AdmmState | None
+              grid: AngularGrid, moments, refine: bool, previous: SolveResult | None
               ) -> tuple[list[str], dict[str, float], SolveResult | None]:
     """Run one cell; return its files, its seconds per stage (``STAGES``)
     and the solver result (None for omni).
 
     ``kappa_rank`` is the threshold's place in ascending order and seeds
-    the cell, and ``refine`` is the Monte-Carlo estimator's. A fair
-    design ignores its seed given a ``warm_start``. One clock laps the stages in
-    run order: design, emit, then with a Monte-Carlo sweep mc and emit again.
+    the cell, and ``refine`` is the Monte-Carlo estimator's. ``previous``
+    is the result of the chain's previous kappa (None: the first kappa, or
+    one after a failed cell). A fair design resumes from its state and
+    then ignores its seed. A larger kappa only enlarges the feasible set,
+    and the previous waveform is feasible here, so when the cell's own
+    ``metric_value`` is worse than the previous one (``_DESIGNS``) the
+    result carries the previous waveform and ``metric_value`` instead,
+    with the cell's own trace, convergence and state. One clock laps the
+    stages in run order: design, emit, then with a Monte-Carlo sweep mc
+    and emit again.
     """
     laps = [time.perf_counter()]
     cfg = replace(scenario.array, papr=kappa)
@@ -420,8 +427,15 @@ def _run_cell(scenario: Scenario, method: str, kappa: float, kappa_rank: int, ou
     if method == "omni":
         result, x = None, baseline_omni(cfg)
     else:
-        result = _DESIGNS[method][0](scenario, cfg, grid, moments, seed=cell_seed,
-                                     max_iters=scenario.max_iters, warm_start=warm_start)
+        design, lower_is_better = _DESIGNS[method]
+        state = None if previous is None else previous.state
+        result = design(scenario, cfg, grid, moments, state, seed=cell_seed,
+                        max_iters=scenario.max_iters)
+        if previous is not None and (result.metric_value > previous.metric_value
+                                     if lower_is_better
+                                     else result.metric_value < previous.metric_value):
+            result = replace(result, waveform=previous.waveform,
+                             metric_value=previous.metric_value)
         x = result.waveform
     laps.append(time.perf_counter())
     r = x @ x.conj().T  # all but the waveform table and feasibility read X through R
@@ -450,7 +464,7 @@ def _run_cell(scenario: Scenario, method: str, kappa: float, kappa_rank: int, ou
         metrics += zip(SOLVER_METRICS, (
             result.metric_value, len(tr), float(tr.residual[-1]), tr.monotone_violations(),
             int(result.converged), float(tr.mu_iterations.mean()), int(tr.mu_iterations.max()),
-            tr.mu_tol_misses, int(warm_start is not None)))
+            tr.mu_tol_misses, int(state is not None)))
     # Integer and float metrics share the value column: format each alone.
     _write_table(out / "metrics.csv", TABLE_SCHEMAS["metrics.csv"],
                  ([k for k, _ in metrics],
@@ -492,51 +506,30 @@ def _chain_cells(scenario: Scenario, method: str) -> list[tuple[float, str]]:
 
 def _run_chain(scenario: Scenario, method: str, out_dir: Path, grid: AngularGrid, moments,
                refine: bool) -> tuple[dict, list, list]:
-    """Run one method's cells in ascending kappa (``run_scenario``).
+    """Run one method's cells in ascending kappa (``run_scenario``), each
+    after the first handed the previous cell's result (``_run_cell``).
 
     Returns its successful cells (name -> files, seconds per stage), its
-    failures ``(cell, error, traceback)``, its ``(kappa, metric_value)``
-    levels and one line per solver cell that stopped at ``max_iters``
-    unconverged. A worker whose parent is gone exits before its next cell.
+    failures ``(cell, error, traceback)`` and one line per solver cell that
+    stopped at ``max_iters`` unconverged. A worker whose parent is gone
+    exits before its next cell.
     """
     cells: dict[str, tuple[list[str], dict[str, float]]] = {}
     failures: list[tuple[str, str, str]] = []
-    previous, levels, capped = None, [], []
+    previous, capped = None, []
     for rank, (kappa, name) in enumerate(_chain_cells(scenario, method)):
         fanout.leave_if_orphaned()
         try:
             files, seconds, previous = _run_cell(
-                scenario, method, kappa, rank, out_dir / name, grid, moments, refine,
-                None if previous is None else previous.state)
+                scenario, method, kappa, rank, out_dir / name, grid, moments, refine, previous)
             cells[name] = files, seconds
         except Exception as exc:  # noqa: BLE001 - cell isolation by design
             failures.append((name, f"{type(exc).__name__}: {exc}", traceback.format_exc()))
             previous = None
-        if previous is not None:
-            levels.append((kappa, previous.metric_value))
-            if not previous.converged:
-                capped.append(f"not converged: {name} stopped at max_iters {scenario.max_iters}, "
-                              f"final_residual {previous.trace.residual[-1]:.2e}")
-    return cells, failures, levels, capped
-
-
-def _kappa_monotonicity_report(method: str, levels: list[tuple[float, float]]) -> list[str]:
-    """One line per adjacent pair of ``(kappa, metric_value)`` that got worse.
-
-    ``levels`` is in ascending kappa. A larger kappa only enlarges the
-    feasible set, so a design should not get worse as it rises; a pair
-    whose metric worsens by more than ``_MONOTONE_RTOL`` relative is
-    reported. Lower is better for pcrb and crb, higher for the beampattern
-    designs (``_DESIGNS``).
-    """
-    lines = []
-    for (k0, v0), (k1, v1) in zip(levels, levels[1:]):
-        gap = (1.0 if _DESIGNS[method][1] else -1.0) * (v1 - v0)
-        if gap > _MONOTONE_RTOL * abs(v0):
-            rel = gap / abs(v0) if v0 else math.inf
-            lines.append(f"kappa monotonicity: {_cell_name(method, k1)} metric_value {v1:.8e} "
-                         f"is {rel:.2e} relative worse than {_cell_name(method, k0)} {v0:.8e}")
-    return lines
+        if previous is not None and not previous.converged:
+            capped.append(f"not converged: {name} stopped at max_iters {scenario.max_iters}, "
+                          f"final_residual {previous.trace.residual[-1]:.2e}")
+    return cells, failures, capped
 
 
 def run_scenario(
@@ -548,16 +541,17 @@ def run_scenario(
     """Execute every (method x kappa) cell of a scenario.
 
     Each method's cells run as one chain in ascending kappa
-    (``_run_chain``). Every kappa after the first resumes from the previous
-    kappa's final solver state; the first, and any kappa after a failed
-    one, starts cold from its cell seed. The chains are the tasks of
+    (``_run_chain``). A fair design after the first kappa resumes from the
+    previous kappa's final solver state, and a cell that scores worse
+    than the previous kappa returns the previous design (``_run_cell``),
+    so each chain's ``metric_value`` never worsens as kappa rises. The
+    first kappa, and any kappa after a failed one, starts cold from its
+    cell seed and is not compared. The chains are the tasks of
     ``fanout.run_tasks``, which picks how many processes run them, this
     one included; the manifest records that count as ``workers``. A
-    worker that dies before reporting a chain fails every cell of it. Then,
-    method by method in config order, the kappa pairs whose metric got
-    worse as kappa rose are printed (``_kappa_monotonicity_report``), and
-    after them, in the same order, each solver cell that stopped at
-    ``max_iters`` without converging.
+    worker that dies before reporting a chain fails every cell of it.
+    Then, method by method in config order and in ascending kappa, each
+    solver cell that stopped at ``max_iters`` without converging is printed.
     ``paper_literal`` turns the Monte-Carlo refine off, leaving a grid argmax.
 
     Returns the process exit code: 0 on success, 1 on a configuration
@@ -596,18 +590,16 @@ def run_scenario(
         scenario, methods[i], out_dir, grid, moments, not paper_literal))
     for i, code in lost.items():
         chains[i] = {}, [(name, f"worker process exited with status {code}", "")
-                         for _, name in _chain_cells(scenario, methods[i])], [], []
+                         for _, name in _chain_cells(scenario, methods[i])], []
     # Successful cells: name -> (files, seconds per stage); failures: (cell, error, traceback).
     cells: dict[str, tuple[list[str], dict[str, float]]] = {}
     failures: list[tuple[str, str, str]] = []
     capped: list[str] = []
-    for i, method in enumerate(methods):
-        chain_cells, chain_failures, levels, chain_capped = chains[i]
+    for i in range(len(methods)):
+        chain_cells, chain_failures, chain_capped = chains[i]
         cells.update(chain_cells)
         failures += chain_failures
         capped += chain_capped
-        for line in _kappa_monotonicity_report(method, levels):
-            print(line)
     for line in capped:
         print(line)
 

@@ -10,9 +10,9 @@ the value once ``Xi_h`` is shifted to be positive semidefinite, which
 moves the value by a constant on the power sphere. A top eigenvector of
 ``Xi_h`` at power ``P`` attains ``P lambda_max(Xi_h)``, which bounds every
 waveform; where it meets the cap it is optimal (Stoica, Li & Xie 2007)
-and the only start. Otherwise the ascent also starts from the warm
-start's beam ``X 1 / sqrt(L)``, first, and from ``_SYNTH_STARTS``
-constant-modulus beams drawn from the seed, last; the best end wins.
+and the only start. Otherwise the ascent also starts from
+``_SYNTH_STARTS`` constant-modulus beams drawn from the seed, and the
+best end wins.
 
 The fair (max-min) design runs the ADMM loop ``_fair_admm``, which
 carries one auxiliary vector per constraint angle and a scalar level
@@ -88,8 +88,7 @@ class AdmmState:
     (None: no x-update yet) and ``b`` the scaled beampattern dual (None:
     zeros). Passed as ``warm_start``, it starts the loop there, under the
     new problem's element cap. A cold fair start is ``AdmmState(x0, D,
-    None, b)`` (module docstring). A quadratic design reads only ``x``, whose
-    beam starts one more ascent, and returns its waveform with ``d`` zero.
+    None, b)`` (module docstring).
     """
 
     x: np.ndarray
@@ -108,16 +107,16 @@ class SolveResult:
     surrogate at unit amplitude for the bound-oriented solver, the minimum
     density-scaled beampattern for the fair solver, and the
     density-weighted beampattern integral for the integrated solver.
-    ``state`` is the solve's final state; passed as ``warm_start`` to the
-    same design at a larger PAPR threshold, it resumes the solve from
-    there.
+    ``state`` is the fair solve's final state; passed as ``warm_start`` to
+    the fair design at a larger PAPR threshold, it resumes the solve from
+    there. A quadratic design has no state to resume (None).
     """
 
     waveform: np.ndarray
     trace: AdmmTrace
     metric_value: float
     converged: bool
-    state: AdmmState
+    state: AdmmState | None
 
 
 def _sqnorm(z: np.ndarray) -> float:
@@ -131,8 +130,8 @@ def _initial_waveform(cfg: ArrayConfig, rng: np.random.Generator) -> np.ndarray:
     return scale * np.exp(1j * phases)
 
 
-def _beam_design(xi: np.ndarray, cfg: ArrayConfig, seed: int, metric, max_iters: int,
-                 warm_start: AdmmState | None) -> SolveResult:
+def _beam_design(xi: np.ndarray, cfg: ArrayConfig, seed: int, metric,
+                 max_iters: int) -> SolveResult:
     """The best of the ascents from each start (module docstring), each of
     at most ``max_iters`` steps; ``metric`` scores the returned covariance.
     The trace is the winning start's: ``-Tr{X^H Xi X}`` as objective and
@@ -140,9 +139,6 @@ def _beam_design(xi: np.ndarray, cfg: ArrayConfig, seed: int, metric, max_iters:
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
     m_t, n_cols = cfg.m_t, cfg.l_samples
-    if warm_start is not None and warm_start.x.shape != (m_t, n_cols):
-        raise ValueError(f"warm start of shape {warm_start.x.shape} does not fit "
-                         f"a {m_t}x{n_cols} waveform")
     xi_h = 0.5 * (xi + xi.conj().T)
     if not float(np.linalg.norm(xi_h)) > 0:
         raise ValueError("the design objective Tr{X^H Xi X} is zero for every waveform")
@@ -154,8 +150,6 @@ def _beam_design(xi: np.ndarray, cfg: ArrayConfig, seed: int, metric, max_iters:
         rng = np.random.default_rng(seed)
         starts += [math.sqrt(power / m_t) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, m_t))
                    for _ in range(_SYNTH_STARTS)]
-        if warm_start is not None:
-            starts.insert(0, warm_start.x.sum(1) / math.sqrt(n_cols))
     best = None
     for x in starts:
         values, moves, converged = [], [], False
@@ -174,8 +168,7 @@ def _beam_design(xi: np.ndarray, cfg: ArrayConfig, seed: int, metric, max_iters:
     objective = -np.array(values)
     trace = AdmmTrace(objective=objective, augmented_lagrangian=objective,
                       residual=np.array(moves), mu_iterations=np.zeros(len(values), dtype=int))
-    return SolveResult(waveform, trace, metric(waveform @ waveform.conj().T), converged,
-                       AdmmState(waveform, np.zeros_like(waveform)))
+    return SolveResult(waveform, trace, metric(waveform @ waveform.conj().T), converged, None)
 
 
 def solve_pcrb(
@@ -184,7 +177,6 @@ def solve_pcrb(
     seed: int,
     *,
     max_iters: int = _MAX_ITERS,
-    warm_start: AdmmState | None = None,
 ) -> SolveResult:
     """Minimize the angle-bound surrogate over feasible waveforms.
 
@@ -192,13 +184,11 @@ def solve_pcrb(
     constraints; the reported metric is the resulting bound surrogate at
     unit amplitude. ``max_iters`` caps the steps of each start. Where
     the top eigenvector meets the element cap it is the certified optimum
-    and the only start; otherwise the ascent also starts from the beam of
-    ``warm_start`` (any ``AdmmState``; only its ``x`` is read) and from
-    beams drawn from ``seed`` (module docstring).
+    and the only start; otherwise the ascent also starts from beams drawn
+    from ``seed`` (module docstring).
     """
     return _beam_design(mom.xi0, cfg, seed,
-                        lambda r: pcrb_upper_bound(r, mom, 1.0, cfg.noise_power),
-                        max_iters, warm_start)
+                        lambda r: pcrb_upper_bound(r, mom, 1.0, cfg.noise_power), max_iters)
 
 
 def solve_psbp_integrated(
@@ -207,17 +197,15 @@ def solve_psbp_integrated(
     seed: int,
     *,
     max_iters: int = _MAX_ITERS,
-    warm_start: AdmmState | None = None,
 ) -> SolveResult:
     """Maximize the density-weighted beampattern integral ``Tr{X^H Xi X}``.
 
     ``Xi = xi3 / m_r = int f a a^H`` is the prior's own moment, so the
-    design does not depend on any angle grid. ``max_iters`` and
-    ``warm_start`` as in ``solve_pcrb``.
+    design does not depend on any angle grid. ``max_iters`` as in
+    ``solve_pcrb``.
     """
     xi = mom.xi3 / cfg.m_r
-    return _beam_design(xi, cfg, seed, lambda r: float(np.vdot(r, xi).real), max_iters,
-                        warm_start)
+    return _beam_design(xi, cfg, seed, lambda r: float(np.vdot(r, xi).real), max_iters)
 
 
 def _inflate_columns(h: np.ndarray, hnorms: np.ndarray, fvals: np.ndarray,
@@ -378,12 +366,14 @@ def solve_psbp_fair(
     relaxation, synthesized from ``_SYNTH_STARTS`` waveforms drawn from
     ``seed``, with duals from the relaxation's dual point (module docstring).
 
-    The level is this design's objective and its start is feasible, so
-    the solve never ends below its start: when the start's projection
+    The level is this design's objective and its start's projection is
+    feasible, so the solve never ends below that projection: when it
     scores higher than the loop's last iterate, the result is that
     projection with the start as its state (the trace still records the
-    loop). So a warm start from a smaller kappa's result keeps that
-    result's level, up to its projection under the looser cap.
+    loop). A warm start's ``x`` is the previous loop's last iterate before
+    its final projection, so this projection under a looser cap is not
+    the previous result's waveform and can score below it; keeping a
+    kappa chain from falling is ``scenario``'s floor.
     """
     f = _grid_density(dist, grid.points)
     mask = f >= _PDF_FLOOR * f.max()
@@ -435,9 +425,7 @@ def baseline_crb(
     seed: int,
     *,
     max_iters: int = _MAX_ITERS,
-    warm_start: AdmmState | None = None,
 ) -> SolveResult:
     """Bound-oriented design for one deterministic angle (no prior term); its
     rank-one ``Xi`` has a constant-modulus top eigenvector, always optimal."""
-    return solve_pcrb(_point_moments(theta0, cfg), cfg, seed, max_iters=max_iters,
-                      warm_start=warm_start)
+    return solve_pcrb(_point_moments(theta0, cfg), cfg, seed, max_iters=max_iters)

@@ -141,10 +141,11 @@ def test_project_feasible_properties(seed, rows, cols, kappa, log_power, spread)
         assert np.max(np.abs(p - ref)) <= 1e-9 * np.sqrt(bound)
 
 
+@pytest.mark.filterwarnings("error")
 def test_project_feasible_leaves_zero_entries_finite():
     # Zero entries have no phase. They stay zero while the nonzero entries
     # can carry the power; when those, all capped, cannot, the power left
-    # over is spread evenly over the zero entries.
+    # over is spread evenly over the zero entries. No 0/0 or inf*0 warns.
     x = np.array([0.3 + 0.4j, 0.0, -1.0, 0.0])
     p = _project_feasible(x, 1.0, 0.6)
     assert np.allclose(np.abs(p) ** 2, [0.4, 0.0, 0.6, 0.0], rtol=0, atol=1e-15)

@@ -17,7 +17,6 @@ from priorwave.scenario import (
     _cell_seed,
     emit_beampattern,
     emit_waveform,
-    _kappa_monotonicity_report,
     load_config,
     read_waveform,
     run_scenario,
@@ -760,44 +759,63 @@ def test_kappa_cells_do_not_depend_on_config_order(tmp_path):
     assert sum(rel.endswith("/mse.csv") for rel in files) == 6
     for rel in files:
         assert (outs[1] / rel).read_bytes() == (outs[0] / rel).read_bytes(), rel
-    for method in ("pcrb", "psbp-fair"):
+    # Only the fair design resumes from the previous kappa's state.
+    for method, expected in (("pcrb", ["0", "0", "0"]), ("psbp-fair", ["0", "1", "1"])):
         warm = [read_metrics(outs[0] / f"{method}-k{k}" / "metrics.csv")["warm_started"]
                 for k in ("1.2", "1.5", "2")]
-        assert warm == ["0", "1", "1"]
+        assert warm == expected, method
     assert validate_output_dir(outs[0]) == []
 
 
 @pytest.mark.parametrize("failing", [1.2, 1.5])
 def test_kappa_after_a_failed_cell_starts_cold(tmp_path, monkeypatch, capsys, failing):
-    real = scenario_mod.solve_pcrb
-
-    def fail_at(mom, cfg, seed, **kw):
-        if cfg.papr == failing:
-            raise RuntimeError("injected failure")
-        return real(mom, cfg, seed, **kw)
-
-    monkeypatch.setattr(scenario_mod, "solve_pcrb", fail_at)
+    # The pcrb and psbp-fair chains both fail at ``failing``. The kappa
+    # right after it neither resumes nor is floored: it is the cold design
+    # of its own cell seed, although it is made to score worse than any
+    # kappa before it. A fair kappa after a successful one resumes.
     cfg = tmp_path / "k.cfg"
-    cfg.write_text(SMALL_CFG.replace("kappa_list: [1.2]", "kappa_list: [1.2, 1.5, 2.0]"))
+    cfg.write_text(SMALL_CFG.replace("kappa_list: [1.2]", "kappa_list: [1.2, 1.5, 2.0]")
+                   .replace("[pcrb, omni]", "[pcrb, psbp-fair]"))
+    sc = load_config(cfg)
+    rank = sc.kappa_list.index(failing) + 1
+    after = sc.kappa_list[rank]
+    real = {"pcrb": scenario_mod.solve_pcrb, "psbp-fair": scenario_mod.solve_psbp_fair}
+
+    def injected(design, worse):
+        def run(*args, **kw):
+            papr = args[1].papr  # the array config is either design's second argument
+            if papr == failing:
+                raise RuntimeError("injected failure")
+            result = design(*args, **kw)
+            if papr == after:
+                result = replace(result, metric_value=worse * result.metric_value)
+            return result
+        return run
+
+    monkeypatch.setattr(scenario_mod, "solve_pcrb", injected(real["pcrb"], 2.0))
+    monkeypatch.setattr(scenario_mod, "solve_psbp_fair", injected(real["psbp-fair"], 0.5))
     out = tmp_path / "out"
     assert run_scenario(cfg, out=out) == 2
     capsys.readouterr()
     manifest = json.loads((out / "manifest.json").read_text())
-    assert [f["cell"] for f in manifest["failures"]] == [f"pcrb-k{failing:g}"]
+    assert [f["cell"] for f in manifest["failures"]] == [f"pcrb-k{failing:g}",
+                                                         f"psbp-fair-k{failing:g}"]
     ran = [k for k in (1.2, 1.5, 2.0) if k != failing]
-    warm = [read_metrics(out / f"pcrb-k{k:g}" / "metrics.csv")["warm_started"] for k in ran]
-    # The kappa right after the failed one starts cold; a kappa after a
-    # successful one resumes.
-    assert warm == (["0", "1"] if failing == 1.2 else ["0", "0"])
-    # That cold design is the one its own cell seed gives.
-    sc = load_config(cfg)
-    rank = sc.kappa_list.index(failing) + 1
-    after = sc.kappa_list[rank]
-    cold = real(scenario_mod.compute_moments(sc.distribution, sc.array),
-                replace(sc.array, papr=after), _cell_seed(sc.seed, "pcrb", rank, 0),
-                max_iters=sc.max_iters)
-    got = read_waveform(out / f"pcrb-k{after:g}" / "waveform.csv")
-    assert np.array_equal(got, cold.waveform)
+    warm = {m: [read_metrics(out / f"{m}-k{k:g}" / "metrics.csv")["warm_started"] for k in ran]
+            for m in real}
+    assert warm == {"pcrb": ["0", "0"],
+                    "psbp-fair": ["0", "1"] if failing == 1.2 else ["0", "0"]}
+    cfg_after = replace(sc.array, papr=after)
+    cold = {
+        "pcrb": real["pcrb"](scenario_mod.compute_moments(sc.distribution, sc.array), cfg_after,
+                             _cell_seed(sc.seed, "pcrb", rank, 0), max_iters=sc.max_iters),
+        "psbp-fair": real["psbp-fair"](sc.distribution, cfg_after, AngularGrid(sc.grid_size),
+                                       _cell_seed(sc.seed, "psbp-fair", rank, 0),
+                                       max_iters=sc.max_iters),
+    }
+    for method, design in cold.items():
+        got = read_waveform(out / f"{method}-k{after:g}" / "waveform.csv")
+        assert np.array_equal(got, design.waveform), method
 
 
 def test_cell_seeds_are_pinned():
@@ -824,38 +842,68 @@ def test_cell_seeds_are_pinned():
             assert got == streams, (method, rank)
 
 
-def test_kappa_monotonicity_report_compares_adjacent_thresholds():
-    # Lower is better for the bound designs, higher for the beampattern ones.
-    assert _kappa_monotonicity_report("pcrb", [(1.2, 2.0), (1.5, 1.9), (2.0, 1.9)]) == []
-    lines = _kappa_monotonicity_report("pcrb", [(1.2, 2.0), (1.5, 2.0 * (1 + 3e-5)), (2.0, 2.0)])
-    assert len(lines) == 1 and "pcrb-k1.5" in lines[0] and "pcrb-k1.2" in lines[0]
-    assert "3.00e-05 relative worse" in lines[0]
-    assert _kappa_monotonicity_report("crb", [(1.2, 1.0), (2.0, 1.0 + 5e-6)]) == []
-    assert _kappa_monotonicity_report("crb", [(1.2, 1.0), (2.0, 1.0 + 2e-5)]) != []
-    for method in ("psbp-fair", "psbp-int"):
-        assert _kappa_monotonicity_report(method, [(1.2, 1.0), (1.5, 1.2)]) == []
-        assert _kappa_monotonicity_report(method, [(1.2, 1.0), (1.5, 1.0 - 5e-6)]) == []
-        lines = _kappa_monotonicity_report(method, [(1.2, 1.0), (1.5, 0.9), (2.0, 0.8)])
-        assert [line.split()[2] for line in lines] == [f"{method}-k1.5", f"{method}-k2"]
-    assert _kappa_monotonicity_report("pcrb", [(1.2, 1.0)]) == []
-
-
-def test_run_reports_kappa_monotonicity_without_failing(tmp_path, monkeypatch, capsys):
-    real = scenario_mod.solve_pcrb
+@pytest.mark.parametrize("width", [1, 2])
+@pytest.mark.parametrize("method", ["pcrb", "psbp-int"])
+def test_a_cell_that_scores_worse_keeps_the_previous_design(
+        tmp_path, monkeypatch, capsys, method, width):
+    # A larger kappa only enlarges the feasible set. A design made to score
+    # worse at kappa 1.5 (pcrb's bound doubled: lower is better; psbp-int's
+    # level halved: higher is better) returns kappa 1.2's waveform and
+    # metric_value, and so its beampattern; its trace, iterations and
+    # convergence stay its own. The run prints nothing, at either worker count.
+    solver, worse = {"pcrb": ("solve_pcrb", 2.0),
+                     "psbp-int": ("solve_psbp_integrated", 0.5)}[method]
+    real = getattr(scenario_mod, solver)
 
     def worse_at_1_5(mom, cfg, seed, **kw):
         result = real(mom, cfg, seed, **kw)
         if cfg.papr == 1.5:
-            result = replace(result, metric_value=2.0 * result.metric_value)
+            result = replace(result, metric_value=worse * result.metric_value)
         return result
 
-    monkeypatch.setattr(scenario_mod, "solve_pcrb", worse_at_1_5)
     cfg = tmp_path / "k.cfg"
-    cfg.write_text(SMALL_CFG.replace("kappa_list: [1.2]", "kappa_list: [1.2, 1.5]"))
-    assert run_scenario(cfg, out=tmp_path / "out") == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 1
-    assert lines[0].startswith("kappa monotonicity: pcrb-k1.5 metric_value")
+    cfg.write_text(SMALL_CFG.replace("[[-10.0, 10.0]]", "[[-20.0, 5.0], [10.0, 30.0]]")
+                   .replace("weights: [1.0]", "weights: [0.6, 0.4]")
+                   .replace("kappa_list: [1.2]", "kappa_list: [1.2, 1.5]")
+                   .replace("[pcrb, omni]", f"[{method}, omni]"))
+    own, out = tmp_path / "own", tmp_path / "out"
+    assert run_scenario(cfg, out=own) == 0
+    monkeypatch.setattr(scenario_mod, solver, worse_at_1_5)
+    monkeypatch.setattr(scenario_mod.fanout, "processes", lambda n: min(n, width))
+    assert run_scenario(cfg, out=out) == 0
+    assert capsys.readouterr().out == ""
+    assert json.loads((out / "manifest.json").read_text())["workers"] == width
+    low, high = f"{method}-k1.2", f"{method}-k1.5"
+    assert (own / high / "waveform.csv").read_bytes() != (own / low / "waveform.csv").read_bytes()
+    for table in ("waveform.csv", "beampattern.csv"):
+        assert (out / high / table).read_bytes() == (out / low / table).read_bytes(), table
+    assert (out / high / "trace.csv").read_bytes() == (own / high / "trace.csv").read_bytes()
+    got, was = read_metrics(out / high / "metrics.csv"), read_metrics(own / high / "metrics.csv")
+    assert got["metric_value"] == read_metrics(out / low / "metrics.csv")["metric_value"]
+    for key in ("iterations", "final_residual", "converged", "warm_started"):
+        assert got[key] == was[key], key
+    assert validate_output_dir(out) == []
+
+
+def test_bundled_case_2_2_chains_never_worsen_as_kappa_rises(tmp_path, capsys):
+    # case-2-2's psbp-fair loop, resumed at kappa 1.5 from kappa 1.2, stops
+    # 7.4e-6 relative below kappa 1.2's level; that cell returns kappa
+    # 1.2's waveform. Every chain's metric_value is monotone in kappa.
+    cfg_dir = Path(__file__).resolve().parents[1] / "src" / "priorwave" / "configs"
+    raw = load_config(cfg_dir / "case-2-2.cfg").to_dict()
+    cfg = tmp_path / "case-2-2.cfg"
+    cfg.write_text(yaml.safe_dump({**raw, "n_trials": 0}, sort_keys=False))
+    out = tmp_path / "out"
+    assert run_scenario(cfg, out=out) == 0
+    assert capsys.readouterr().out == ""
+    for method in ("pcrb", "psbp-fair", "psbp-int", "crb"):
+        values = [float(read_metrics(out / f"{method}-k{k:g}" / "metrics.csv")["metric_value"])
+                  for k in sorted(raw["kappa_list"])]
+        if method in ("pcrb", "crb"):
+            values = [-v for v in values]
+        assert values == sorted(values), method
+    assert ((out / "psbp-fair-k1.5" / "waveform.csv").read_bytes()
+            == (out / "psbp-fair-k1.2" / "waveform.csv").read_bytes())
 
 
 @pytest.mark.parametrize("width", [1, 2])

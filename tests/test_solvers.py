@@ -32,7 +32,7 @@ from priorwave.priors import _point_moments
 from priorwave.relaxation import fair_relaxation, synthesize
 from priorwave.solvers import (_SYNTH_STARTS, AdmmState, _eta_update, _fair_admm,
                                _inflate_columns, _initial_waveform, _level_penalty)
-from conftest import covariance, random_feasible_waveform
+from conftest import covariance
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "src" / "priorwave" / "configs"
 
@@ -119,20 +119,16 @@ def test_quadratic_design_starts_at_its_certified_optimum(mom12, seed):
     # Xi is rank one with a constant-modulus eigenvector). X = v 1^T
     # sqrt(P / L) then attains the power-sphere bound P lambda_max(Xi_h),
     # which no waveform beats; the loop confirms it in two iterations from
-    # any seed, and whatever warm start it was handed.
+    # any seed. A quadratic design has no state to resume.
     cfg = ArrayConfig(8, 8, 25, power=1.0, papr=1.5)
-    rng = np.random.default_rng(seed)
-    x = random_feasible_waveform(rng, cfg)
-    starts = [None, AdmmState(x, 0.01 * rng.normal(size=x.shape) + 0j),
-              AdmmState(x, np.zeros_like(x), mu=3.0)]
     for name, (xi, solve) in certified_designs(mom12, cfg).items():
         bound = cfg.power * np.linalg.eigvalsh(0.5 * (xi + xi.conj().T)).max()
-        for start in starts:
-            r = solve(seed, warm_start=start)
-            value = np.vdot(r.waveform, xi @ r.waveform).real
-            assert abs(value - bound) <= 1e-12 * bound, (name, start is None)
-            assert r.converged and len(r.trace) == 2, name
-            assert_feasible(r, cfg)
+        r = solve(seed)
+        value = np.vdot(r.waveform, xi @ r.waveform).real
+        assert abs(value - bound) <= 1e-12 * bound, name
+        assert r.converged and len(r.trace) == 2, name
+        assert r.state is None, name
+        assert_feasible(r, cfg)
 
 
 def test_crb_design_is_certified_at_every_kappa(mom12):
@@ -149,9 +145,7 @@ def test_crb_design_is_certified_at_every_kappa(mom12):
 def test_cap_binding_design_keeps_its_seed_drawn_start():
     # case-1-3 pcrb at kappa 1.2: the top eigenvector breaks the element
     # cap, and the ascent from it ends 0.9% below those from the cell
-    # seed's beams, so the design is a seed draw's end, after 120 steps. A
-    # warm start puts its beam before the seed's draws, which still run,
-    # so the warm solve ends no worse.
+    # seed's beams, so the design is a seed draw's end, after 120 steps.
     sc = load_config(CONFIG_DIR / "case-1-3.cfg")
     cfg = replace(sc.array, papr=1.2)
     mom = compute_moments(sc.distribution, cfg)
@@ -159,17 +153,14 @@ def test_cap_binding_design_keeps_its_seed_drawn_start():
     r = solve_pcrb(mom, cfg, seed, max_iters=sc.max_iters)
     assert len(r.trace) == 120 and r.converged
     assert f"{r.metric_value:.8e}" == "2.19307750e-04"
-    again = solve_pcrb(mom, cfg, seed, max_iters=sc.max_iters,
-                       warm_start=random_start(cfg, seed))
-    assert again.metric_value <= r.metric_value * (1 + 1e-12)
 
 
 @settings(max_examples=100, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), m_t=st.integers(1, 8), rank=st.integers(1, 8),
        l_samples=st.integers(1, 6), kappa=st.floats(1.0, 4.0),
-       log_power=st.floats(-1.0, 1.0), indefinite=st.booleans(), warm=st.booleans())
+       log_power=st.floats(-1.0, 1.0), indefinite=st.booleans())
 def test_beam_design_is_feasible_monotone_and_bounded(seed, m_t, rank, l_samples, kappa,
-                                                      log_power, indefinite, warm):
+                                                      log_power, indefinite):
     # A random positive semidefinite Xi of rank up to m_t plus a
     # skew-Hermitian part, which no waveform sees; ``indefinite`` shifts it
     # down by half its mean eigenvalue. The design is finite and feasible,
@@ -186,9 +177,8 @@ def test_beam_design_is_feasible_monotone_and_bounded(seed, m_t, rank, l_samples
     xi = xi_h + (k - k.conj().T)
     lam, vecs = np.linalg.eigh(0.5 * (xi + xi.conj().T))
     scale = cfg.power * np.abs(lam).max()
-    start = AdmmState(random_feasible_waveform(rng, cfg), None) if warm else None
     r = solvers._beam_design(xi, cfg, seed, lambda cov: float(np.vdot(cov, xi).real),
-                             solvers._MAX_ITERS, start)
+                             solvers._MAX_ITERS)
     x = r.waveform
     assert np.all(np.isfinite(x))
     assert abs(np.vdot(x, x).real - cfg.power) <= 1e-12 * cfg.power
@@ -486,40 +476,27 @@ def test_bundled_case_2_3_fair_design_reaches_its_level():
     assert_feasible(r, cfg)
 
 
-def test_warm_restart_from_a_converged_state_stops_at_once(
-        dist12, mom12, cfg12, grid361, fair12):
+def test_warm_restart_from_a_converged_state_stops_at_once(dist12, cfg12, grid361, fair12):
     # Resuming at the same kappa continues a loop that has already met its
     # stop rule: the second iteration (the first that may stop) stops it.
-    solves = {
-        "pcrb": lambda **kw: solve_pcrb(mom12, cfg12, seed=1, **kw),
-        "fair": lambda **kw: solve_psbp_fair(dist12, cfg12, grid361, seed=1, **kw),
-        "int": lambda **kw: solve_psbp_integrated(mom12, cfg12, seed=1, **kw),
-        "crb": lambda **kw: baseline_crb(0.05, cfg12, seed=1, **kw),
-    }
-    for name, solve in solves.items():
-        first = fair12 if name == "fair" else solve()
-        assert first.converged, name
-        again = solve(warm_start=first.state)
-        assert again.converged and len(again.trace) <= 2, name
-        gap = abs(again.metric_value - first.metric_value)
-        assert gap <= 1e-6 * abs(first.metric_value), name
-        assert_feasible(again, cfg12)
+    assert fair12.converged
+    again = solve_psbp_fair(dist12, cfg12, grid361, seed=1, warm_start=fair12.state)
+    assert again.converged and len(again.trace) <= 2
+    assert abs(again.metric_value - fair12.metric_value) <= 1e-6 * fair12.metric_value
+    assert_feasible(again, cfg12)
 
 
-def test_cold_start_is_the_warm_start_from_the_seeded_waveform(dist12, mom12, cfg12, grid361):
-    # One start path: the cold solve from ``seed`` is, bit for bit, the warm
-    # solve from the seed's start (whose own seed is then unused). The
-    # quadratic designs start from the seed's constant-modulus draw with
-    # zero duals. The fair design starts from the seed's draws synthesized
-    # to the optimum of its covariance relaxation, fitted from the first
-    # ``_SYNTH_STARTS`` draws, with the duals that the relaxation's dual
-    # point ``(w, d)`` predicts at the loop's fixed point:
+def test_cold_start_is_the_warm_start_from_the_seeded_waveform(dist12, cfg12, grid361):
+    # One start path: the cold fair solve from ``seed`` is, bit for bit, the
+    # warm solve from the seed's start (whose own seed is then unused): the
+    # seed's draws synthesized to the optimum of its covariance relaxation,
+    # fitted from the first ``_SYNTH_STARTS`` draws, with the duals that the
+    # relaxation's dual point ``(w, d)`` predicts at the loop's fixed point:
     # ``b_p = (2 / rho3) (w_p / f_p) x^H a_p`` and ``D = -(2 / rho) diag(d) x``,
     # ``rho = 2 rho3``.
     rng = np.random.default_rng(4)
     draws = [np.sqrt(cfg12.power / (cfg12.m_t * cfg12.l_samples)) * np.exp(1j * rng.uniform(
         0.0, 2.0 * np.pi, size=(cfg12.m_t, cfg12.l_samples))) for _ in range(_SYNTH_STARTS)]
-    x0 = draws[0]
     r, _, _, w, d = fair_relaxation_of(dist12, cfg12, grid361)
     x_fair = synthesize(r, draws, cfg12.power, cfg12.elem_bound)
     pts, f = fair_angles(dist12, grid361)
@@ -527,23 +504,15 @@ def test_cold_start_is_the_warm_start_from_the_seeded_waveform(dist12, mom12, cf
     rho3 = _level_penalty(f)
     seeded = AdmmState(x_fair, (-1.0 / rho3) * d[:, None] * x_fair, None,
                        (x_fair.conj().T @ a) * (w / (0.5 * rho3 * f)))
-    solves = {
-        "pcrb": lambda seed, **kw: solve_pcrb(mom12, cfg12, seed, **kw),
-        "fair": lambda seed, **kw: solve_psbp_fair(dist12, cfg12, grid361, seed, **kw),
-        "int": lambda seed, **kw: solve_psbp_integrated(mom12, cfg12, seed, **kw),
-        "crb": lambda seed, **kw: baseline_crb(0.05, cfg12, seed, **kw),
-    }
-    for name, solve in solves.items():
-        start = seeded if name == "fair" else AdmmState(x0, np.zeros_like(x0))
-        cold = solve(4, max_iters=600)
-        warm = solve(7, max_iters=600, warm_start=start)
-        assert cold.waveform.tobytes() == warm.waveform.tobytes(), name
-        assert cold.metric_value == warm.metric_value, name
-        assert cold.converged == warm.converged, name
-        for a, b in chain(zip(astuple(cold.trace), astuple(warm.trace)),
-                          zip(astuple(cold.state), astuple(warm.state))):
-            assert type(a) is type(b), name
-            assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), name
+    cold = solve_psbp_fair(dist12, cfg12, grid361, 4, max_iters=600)
+    warm = solve_psbp_fair(dist12, cfg12, grid361, 7, max_iters=600, warm_start=seeded)
+    assert cold.waveform.tobytes() == warm.waveform.tobytes()
+    assert cold.metric_value == warm.metric_value
+    assert cold.converged == warm.converged
+    for a, b in chain(zip(astuple(cold.trace), astuple(warm.trace)),
+                      zip(astuple(cold.state), astuple(warm.state))):
+        assert type(a) is type(b)
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
 
 def test_warm_start_at_a_larger_kappa_is_feasible_and_no_worse(dist12, cfg12, grid361, fair12):
@@ -558,14 +527,12 @@ def test_warm_start_at_a_larger_kappa_is_feasible_and_no_worse(dist12, cfg12, gr
     assert_feasible(runs[0], cfg)
 
 
-def test_warm_start_must_fit_the_waveform(mom12, cfg12, dist12, grid361):
-    r = solve_pcrb(mom12, cfg12, seed=1, max_iters=5)
-    with pytest.raises(ValueError, match="warm start"):
-        solve_pcrb(mom12, replace(cfg12, l_samples=20), seed=1,
-                   warm_start=r.state)
-    # The fair design's duals must fit too, even where numpy would
-    # broadcast them; a quadratic design reads only the waveform.
-    x = r.state.x
+def test_warm_start_must_fit_the_waveform(cfg12, dist12, grid361, fair12):
+    with pytest.raises(ValueError, match="warm start of shape"):
+        solve_psbp_fair(dist12, replace(cfg12, l_samples=20), grid361, seed=1,
+                        warm_start=fair12.state)
+    # The duals must fit too, even where numpy would broadcast them.
+    x = fair12.state.x
     for d in (np.ones((8, 1)), np.zeros((3, 2))):
         with pytest.raises(ValueError, match="warm start dual d"):
             solve_psbp_fair(dist12, cfg12, grid361, seed=1, max_iters=5,
